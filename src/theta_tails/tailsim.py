@@ -7,9 +7,10 @@ any worker count and any machine with the same numpy/scipy builds, and a
 re-run with the same seed reproduces it exactly.
 
 The Weyl curve samples x from an absolutely continuous law, evaluates
-|S_N(x) conj(S_{rN}(x))|/N through the phase-exact batch kernel, and counts
-exceedances of R^2. The theta curve samples the invariant measure attached
-to (alpha, beta) - Haar on the fundamental domain times uniform on the
+|S_N(x) conj(S_{rN}(x))|/N through the batch kernel (a rotation recurrence
+re-anchored on the exact phase every 64 terms), and counts exceedances of
+R^2. The theta curve samples the invariant measure attached to
+(alpha, beta) - Haar on the fundamental domain times uniform on the
 finite orbit - maps samples in the cusp-at-1 horoball through the
 conjugating element so every point has y >= sqrt(3)/2, and evaluates the
 Gaussian pairing |Theta_f conj Theta_f| in a fixed 13-term lattice window.
@@ -143,6 +144,10 @@ def simulate_weyl_tail(
     pair = alpha if isinstance(alpha, RationalPair) else normalize_pair(alpha, beta)
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
+    if N < 1:
+        raise InvalidArgumentError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(r) and r >= 1):
+        raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
     law_obj = sampling_law(law) if isinstance(law, str) else law
     thresholds = default_thresholds() if thresholds is None else np.asarray(thresholds, dtype=np.float64)
     squared = thresholds**2

@@ -9,6 +9,26 @@ rational alpha = a/q, beta = b/q the rational part of the phase is reduced
 in integer arithmetic, which makes the per-term phase error a few 1e-16
 independent of N. Accumulation uses exact partial sums (math.fsum), so the
 relative error of the returned sum is dominated by the per-term phase error.
+
+The Monte-Carlo batch kernel weyl_values_batch trades a little of that
+accuracy for speed. Consecutive terms differ by rho_n = e((n + 1/2 + beta) x
++ alpha) and rho_{n+1} = rho_n e(x), so a term costs two complex multiplies
+instead of a cos and a sin. Rounding in the recurrence grows like k^2 eps
+after k steps, so every K = ANCHOR_STRIDE = 64 terms the term and the ratio
+restart from the exact phase of _phase_mod1, the one phase routine of this
+module. Measured against weyl_sum at N = 10^4 and 10^5 for three pairs, at
+normal draws of x (timings on a 2-core Xeon host):
+
+    K        s per 32,768-sample chunk, N = 500    max deviation
+    (cos/sin every term)    1.14                   3e-14 to 6e-14
+    32                      0.13                   1.1e-13
+    64                      0.09                   5.9e-13
+    128                     0.07                   3.0e-12
+    256                     0.06                   1.0e-11
+
+The deviation grows with K, not with N. Near-resonant x, where the terms
+line up and their errors add coherently, deviate by up to about
+1e-12 (1 + value) at K = 64.
 """
 from __future__ import annotations
 
@@ -24,6 +44,7 @@ from .errors import InvalidArgumentError
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitter
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
+ANCHOR_STRIDE = 64  # K: batch-kernel terms between exact re-anchorings
 
 
 def veltkamp_split(a):
@@ -105,8 +126,12 @@ class WeylSumSpec:
         return fa.numerator * (q // fa.denominator), fb.numerator * (q // fb.denominator), q
 
 
-def _phase_mod1(ns: np.ndarray, x: float, spec: WeylSumSpec) -> np.ndarray:
-    """Reduced phase ((n^2/2 + beta n + zeta) x + alpha n) mod 1, plus tiny residue."""
+def _phase_mod1(ns: np.ndarray, x, spec: WeylSumSpec) -> np.ndarray:
+    """Reduced phase ((n^2/2 + beta n + zeta) x + alpha n) mod 1, plus tiny residue.
+
+    x may be a scalar with a vector of ns, or an array of samples with a
+    one-element ns; the result broadcasts either way.
+    """
     rat = spec.rational_parts()
     half_sq = 0.5 * ns.astype(np.float64) * ns  # n^2/2 exact for n < 9e7
     if rat is not None:
@@ -210,45 +235,63 @@ def normalized_product(x: float, spec: WeylSumSpec, r: float = 1.0) -> complex:
     return s_n * s_m.conjugate() / spec.N
 
 
+def _unit_phasor(theta: np.ndarray, out: np.ndarray) -> None:
+    """Write e(theta) into the complex array out, with no temporaries kept."""
+    ang = _TWO_PI * frac(theta)
+    np.cos(ang, out=out.real)
+    np.sin(ang, out=out.imag)
+
+
 def weyl_values_batch(
     xs: np.ndarray, pair: RationalPair, N: int, r: float = 1.0
 ) -> np.ndarray:
     """|S_N(x) conj(S_{floor(rN)}(x))| / N for a batch of sample points x.
 
-    Vectorized over xs with the same integer-reduced phase as weyl_sum; the
-    accumulation is a plain running sum (error ~ N eps, orders of magnitude
-    below the Monte-Carlo noise this feeds). Assumes |x| < 2^30 so that the
-    small rational phase product needs no splitting; sampling laws satisfy
-    this by construction.
+    The terms t_n = e(theta_n) come from a rotation recurrence: consecutive
+    terms differ by rho_n = e((n + 1/2 + beta) x + alpha), and
+    rho_{n+1} = rho_n e(x), so each step is acc += t; t *= rho; rho *= w on
+    complex arrays updated in place. Every ANCHOR_STRIDE = 64 terms t and
+    rho restart from the exact integer-reduced phase of _phase_mod1, which
+    keeps the deviation from weyl_sum near 6e-13 independent of N (the
+    module docstring has the error-versus-K table). The accumulation is a
+    plain running sum (error ~ N eps, orders of magnitude below the
+    Monte-Carlo noise this feeds).
+
+    Valid for N >= 1, finite r >= 1, 0.5 m^2 + floor(m b / q) < 2^53 with
+    m = floor(rN) (n up to about 9e7, where the anchor phase stops being an
+    exact integer plus a reduced product), and |x| < 2^30, where the small
+    rational phase product needs no splitting; sampling laws satisfy the
+    last by construction. Out-of-range input raises InvalidArgumentError.
     """
-    if r < 1:
-        raise InvalidArgumentError(f"r must be >= 1, got {r}")
-    if np.max(np.abs(xs)) >= float(1 << 30):
+    if N < 1:
+        raise InvalidArgumentError(f"N must be >= 1, got {N}")
+    if not (math.isfinite(r) and r >= 1):
+        raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all(np.abs(xs) < float(1 << 30)):
         raise InvalidArgumentError("batch path assumes |x| < 2^30")
     m = int(math.floor(r * N))
-    a, b, q = pair.a, pair.b, pair.q
-    xs = np.asarray(xs, dtype=np.float64)
-    xh, xl = veltkamp_split(xs)
-    acc_re = np.zeros_like(xs)
-    acc_im = np.zeros_like(xs)
-    snap = None
-    for n in range(1, m + 1):
-        nb = n * b
-        big = 0.5 * n * n + float(nb // q)
-        bh, bl = veltkamp_split(big)
-        p = big * xs
-        err = ((bh * xh - p) + bh * xl + bl * xh) + bl * xl
-        theta = (p - np.floor(p)) + err
-        rest = ((nb % q) / q) * xs
-        theta += rest - np.floor(rest)
-        theta += ((n * a) % q) / q
-        ang = _TWO_PI * (theta - np.floor(theta))
-        acc_re += np.cos(ang)
-        acc_im += np.sin(ang)
-        if n == N:
-            snap = (acc_re.copy(), acc_im.copy())
-    if snap is None:  # r == 1 and the loop never hit N (impossible) guard
-        snap = (acc_re, acc_im)
-    mod_n = np.hypot(snap[0], snap[1])
-    mod_m = mod_n if m == N else np.hypot(acc_re, acc_im)
+    if m * m + 2 * (m * pair.b // pair.q) >= 1 << 54:
+        raise InvalidArgumentError(
+            f"floor(rN) = {m} exceeds the exact phase range of the batch path"
+        )
+    spec = WeylSumSpec.from_pair(pair, N=N)
+    w = np.empty(xs.shape, dtype=np.complex128)
+    _unit_phasor(xs, w)
+    t = np.empty_like(w)
+    rho = np.empty_like(w)
+    acc = np.zeros_like(w)
+    for start in range(1, m + 1, ANCHOR_STRIDE):
+        stop = min(start + ANCHOR_STRIDE, m + 1)
+        theta = _phase_mod1(np.array([start]), xs, spec)
+        _unit_phasor(theta, t)
+        _unit_phasor(_phase_mod1(np.array([start + 1]), xs, spec) - theta, rho)
+        for n in range(start, stop):
+            acc += t
+            if n == N:
+                mod_n = np.abs(acc)
+            if n + 1 < stop:
+                t *= rho
+                rho *= w
+    mod_m = mod_n if m == N else np.abs(acc)
     return mod_n * mod_m / N

@@ -178,6 +178,17 @@ def test_exit_code_for_invalid_arguments(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags", [["--N", "0"], ["--N", "-5"], ["--r", "inf"]], ids=["N0", "N-5", "r-inf"]
+)
+def test_tail_rejects_out_of_range_inputs(capsys, flags):
+    rc = cli.main(["tail", "--alpha", "1/2", "--samples", "100", *flags])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 def test_exit_code_for_numeric_failures(capsys, monkeypatch):
     def explode(*args, **kwargs):
         raise NumericFailureError("synthetic loss of precision")

@@ -109,6 +109,9 @@ def test_weyl_tail_uniform_law_and_validation():
     assert curve.meta["law"] == "uniform01"
     with pytest.raises(InvalidArgumentError):
         simulate_weyl_tail(pair, N=30, n_samples=0)
+    for bad in (dict(N=0), dict(N=-5), dict(N=30, r=math.inf), dict(N=30, r=math.nan)):
+        with pytest.raises(InvalidArgumentError):
+            simulate_weyl_tail(pair, n_samples=10, **bad)
 
 
 def test_theta_tail_simulation_small():

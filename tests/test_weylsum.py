@@ -22,7 +22,13 @@ from theta_tails import (
     weyl_sum,
     weyl_values_batch,
 )
-from theta_tails.weylsum import frac, reduced_product, two_prod, veltkamp_split
+from theta_tails.weylsum import (
+    ANCHOR_STRIDE as K,
+    frac,
+    reduced_product,
+    two_prod,
+    veltkamp_split,
+)
 
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=24)
 xs_floats = st.floats(min_value=-4.0, max_value=4.0)
@@ -187,6 +193,50 @@ def test_batch_kernel_rejects_huge_arguments():
     pair = normalize_pair(Fraction(1, 2), 0)
     with pytest.raises(InvalidArgumentError):
         weyl_values_batch(np.array([2.0**31]), pair, 10)
+    with pytest.raises(InvalidArgumentError):
+        weyl_values_batch(np.array([0.5, math.nan]), pair, 10)
+
+
+BATCH_XS = [-2.7, -1.0000772680216847, -0.25, 0.1, 0.3819660112501051, 1.5, 3.3]
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(Fraction(1, 2), Fraction(0)), (Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))],
+)
+@pytest.mark.parametrize("N", [1, K - 1, K, K + 1, 2 * K + 1])
+@pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+def test_batch_kernel_matches_the_exact_oracle(alpha, beta, N, r):
+    # N and floor(rN) land inside a re-anchoring block and on its edges
+    pair = normalize_pair(alpha, beta)
+    m = math.floor(r * N)
+    got = weyl_values_batch(np.array(BATCH_XS), pair, N, r=r)
+    for x, v in zip(BATCH_XS, got):
+        s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
+        s_m = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), m)
+        assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
+
+
+def test_batch_kernel_matches_weyl_sum_at_ten_thousand_terms():
+    xs = np.random.default_rng(11).normal(size=8)
+    pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
+    got = weyl_values_batch(xs, pair, 10**4, r=2.5)
+    for x, v in zip(xs, got):
+        s_n = weyl_sum(float(x), WeylSumSpec.from_pair(pair, N=10**4))
+        s_m = weyl_sum(float(x), WeylSumSpec.from_pair(pair, N=25_000))
+        assert abs(v - abs(s_n) * abs(s_m) / 10**4) <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "N, r",
+    [(0, 1.0), (-5, 1.0), (10, 0.9), (10, math.inf), (10, math.nan), (2**27, 1.0), (10, 2.0**24)],
+)
+def test_batch_kernel_range_guard(N, r):
+    # 0.5 m^2 must stay below 2^53 with m = floor(rN); b = 0 puts the
+    # limit at m = 2^27
+    pair = normalize_pair(Fraction(1, 2), 0)
+    with pytest.raises(InvalidArgumentError):
+        weyl_values_batch(np.array([0.5]), pair, N, r=r)
 
 
 # ---------------------------------------------------------------------------
