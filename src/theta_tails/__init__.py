@@ -61,6 +61,7 @@ from .orbits import (
     count_V_formula,
     enumerate_orbit,
     leading_constant,
+    orbit_contains,
     orbit_partition,
     orbit_report,
     orbit_representatives,

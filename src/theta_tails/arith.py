@@ -1,8 +1,9 @@
 """Exact arithmetic functions and canonicalization of rational parameter pairs.
 
 Everything here is integer/Fraction exact. The multiplicative functions are
-evaluated from a trial-division factorization; denominators in this package
-stay at desk scale (a few thousand), far below the prime table bound.
+evaluated from a trial-division factorization backed by a prime table up to
+10^6, so any denominator below 10^12 is accepted; only the orbit enumeration
+is limited to desk scale (a few thousand).
 """
 from __future__ import annotations
 

@@ -6,7 +6,9 @@ THETA_TAILS_SEED environment variable (flag wins). Exact rationals are
 printed as "p/q" strings, floats at 9 significant digits.
 
 Exit codes: 0 success, 2 invalid arguments or unsupported request,
-3 resource limit, 4 numeric failure.
+3 resource limit (only `orbit`, whose enumeration is capped), 4 numeric
+failure, 5 operating-system error such as an --out path that cannot be
+written.
 """
 from __future__ import annotations
 
@@ -270,7 +272,6 @@ def cmd_theta_tail(args) -> int:
         thresholds=args.thresholds,
         seed=_resolve_seed(args),
         workers=args.workers,
-        orbit_cap=args.orbit_cap,
     )
     return _emit_curve(curve, args)
 
@@ -340,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("theta-tail", help="Monte-Carlo tail of the theta pairing")
     _add_pair_flags(p)
-    p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
     _add_sim_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=cmd_theta_tail)
@@ -362,6 +362,9 @@ def main(argv=None) -> int:
     except NumericFailureError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 5
     except ThetaTailsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

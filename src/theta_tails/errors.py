@@ -1,7 +1,8 @@
 """Exception taxonomy shared by the library and the CLI.
 
-The CLI maps these onto process exit codes (2, 3, 4); library code raises
-them directly.
+The CLI maps these onto process exit codes (2, 3, 4), and operating-system
+errors such as an unwritable output path onto 5; library code raises them
+directly.
 """
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .arith import RationalPair, normalize_pair
 from .errors import InvalidArgumentError, NumericFailureError
-from .orbits import DEFAULT_ORBIT_CAP, OrbitData, enumerate_orbit
+from .orbits import OrbitData, orbit_contains
 from .thetagroup import (
     GAMMA1,
     GAMMA2,
@@ -225,6 +225,19 @@ def chunk_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
+def run_chunks(n_samples: int, chunk_fn, workers: int = 1, first: int = 0) -> list:
+    """chunk_fn(index, count) for the chunks first, first + 1, ... that cover
+    n_samples, each CHUNK_SIZE long but the last; results in chunk order."""
+    plan = [
+        (first + k, min(CHUNK_SIZE, n_samples - start))
+        for k, start in enumerate(range(0, n_samples, CHUNK_SIZE))
+    ]
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda job: chunk_fn(*job), plan))
+    return [chunk_fn(*job) for job in plan]
+
+
 def open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
     """Uniforms in the open interval (0, 1): 53-bit integers shifted by 1/2."""
     return (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0**-53
@@ -270,10 +283,18 @@ class MuAbSampler:
     """Deterministic sampler for the lifted measure attached to (alpha, beta).
 
     Draws (z, phi) from Haar on F x [0, pi) and xi uniformly over the
-    window coordinates of the orbit closure of (alpha, beta). Consumption
-    is chunked: a chunk always burns a full block of randomness even when
-    only part of it is returned, so draw(k) is a prefix of draw(k') for
-    k < k', and worker count never changes the stream.
+    window coordinates of the orbit closure of (alpha, beta). No orbit is
+    enumerated: xi comes from uniform candidates (r, s) on (Z/q)^2 kept by
+    the closed membership test orbit_contains, which accepts at least about
+    a fifth of them, so any q that factorize accepts works. A chunk draws
+    its Haar uniforms first, then blocks of CHUNK_SIZE candidate pairs from
+    the same generator until CHUNK_SIZE are accepted, and always burns that
+    full block even when only part of it is returned; so draw(k) is a prefix
+    of draw(k') for k < k', and worker count never changes the stream.
+
+    orbit, an enumerated orbit the caller already holds, must belong to the
+    same pair; it is checked, never read, so the stream is the same with or
+    without it.
     """
 
     def __init__(
@@ -282,13 +303,12 @@ class MuAbSampler:
         beta=0,
         seed: int = DEFAULT_SEED,
         orbit: OrbitData | None = None,
-        orbit_cap: int = DEFAULT_ORBIT_CAP,
     ):
         self.pair = _resolve_pair(alpha, beta)
-        self.orbit = orbit if orbit is not None else enumerate_orbit(self.pair, cap=orbit_cap)
-        window = self.orbit.window_points()
-        self._wx = np.ascontiguousarray(window[:, 0])
-        self._wy = np.ascontiguousarray(window[:, 1])
+        if orbit is not None and orbit.pair != self.pair:
+            raise InvalidArgumentError(
+                f"orbit of {orbit.pair} given for the pair {self.pair}"
+            )
         self.seed = int(seed)
         self._next_chunk = 0
         self._buffer = None
@@ -297,36 +317,25 @@ class MuAbSampler:
     def _chunk(self, index: int, count: int) -> dict:
         rng = chunk_generator(self.seed, index)
         u = open_uniforms(rng, (3, CHUNK_SIZE))
-        idx = rng.integers(0, self._wx.size, size=CHUNK_SIZE)
         x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
+        q = self.pair.q
+        kept, accepted = [], 0
+        while accepted < CHUNK_SIZE:
+            cand = rng.integers(0, q, size=(2, CHUNK_SIZE))
+            kept.append(np.compress(orbit_contains(self.pair, cand[0], cand[1]), cand, axis=1))
+            accepted += kept[-1].shape[1]
+        rs = np.concatenate(kept, axis=1)[:, :count]
+        xi = (rs - q * (2 * rs >= q)) / float(q)  # window [-1/2, 1/2)
         sl = slice(0, count)
-        return {
-            "x": x[sl],
-            "y": y[sl],
-            "phi": phi[sl],
-            "xi1": self._wx[idx[sl]],
-            "xi2": self._wy[idx[sl]],
-        }
+        return {"x": x[sl], "y": y[sl], "phi": phi[sl], "xi1": xi[0], "xi2": xi[1]}
 
     def draw(self, n: int, workers: int = 1) -> dict:
         """n samples as a dict of arrays x, y, phi, xi1, xi2."""
         if n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
-        jobs = []
-        remaining = n
-        while remaining > 0:
-            take = min(remaining, CHUNK_SIZE)
-            jobs.append((self._next_chunk, take))
-            self._next_chunk += 1
-            remaining -= take
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda j: self._chunk(*j), jobs))
-        else:
-            parts = [self._chunk(*j) for j in jobs]
-        return {
-            key: np.concatenate([p[key] for p in parts]) for key in parts[0]
-        }
+        parts = run_chunks(n, self._chunk, workers, first=self._next_chunk)
+        self._next_chunk += len(parts)
+        return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
 
 def sample_mu_ab(sampler: MuAbSampler) -> IwasawaPoint:

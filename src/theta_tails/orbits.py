@@ -6,14 +6,14 @@ q-division points of the torus. The linear generators suffice for closure
 semigroup they generate is already a group, so a forward BFS reaches the
 whole orbit. Counts of the orbit and of its intersections with the special
 lines xi2 = 0 and xi2 - xi1 = +-1/2 have closed forms which the test suite
-checks against this enumeration.
+checks against this enumeration, and so does orbit_contains, the closed
+membership test that lets the samplers skip the enumeration.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 
 import numpy as np
 
@@ -70,22 +70,9 @@ class OrbitData:
     theta_min_infty: Fraction | None
     theta_min_one: Fraction | None
 
-    def contains(self, r: int, s: int) -> bool:
-        q = self.pair.q
-        code = (r % q) * q + (s % q)
-        codes = self.points[:, 0] * q + self.points[:, 1]
-        idx = np.searchsorted(codes, code)
-        return idx < codes.size and codes[idx] == code
-
     def torus_points(self) -> list[TorusPoint]:
         q = self.pair.q
         return [TorusPoint(int(r), int(s), q) for r, s in self.points]
-
-    def window_points(self) -> np.ndarray:
-        """Float coordinates of the orbit in the window [-1/2, 1/2)^2."""
-        q = self.pair.q
-        shifted = np.where(2 * self.points >= q, self.points - q, self.points)
-        return shifted / float(q)
 
 
 def _bfs_codes(q: int, seeds: list[tuple[int, int]]) -> np.ndarray:
@@ -154,48 +141,47 @@ def _theta_mins_from_codes(
     return t_inf, t_one
 
 
-def _representative_closed(pair: RationalPair) -> Representative:
-    """Representative of a canonical pair by the parity rule.
+def which_representative(pair: RationalPair) -> Representative:
+    """Orbit representative of a canonical pair, by the parity rule.
 
     For gcd(a, b, q) = 1 the exact denominator is orbit-invariant, so the
-    representative's denominator equals q; both-odd parity (for even q) is
+    representative's denominator is q; both-odd parity (for even q) is
     preserved by the generators and selects the diagonal representative.
     """
     if pair.q == 1:
         return Representative("Origin", 1)
     if pair.q % 2 == 0 and pair.a % 2 == 1 and pair.b % 2 == 1:
-        m_part = pair.m // gcd(pair.a, pair.b, pair.m)
-        return Representative("Rep11", (1 << pair.ell) * m_part)
+        return Representative("Rep11", pair.q)
     return Representative("Rep10", pair.q)
 
 
-def which_representative(
-    pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP
-) -> Representative:
-    """Classify the orbit of a canonical pair.
+@lru_cache(maxsize=256)
+def _prime_divisors(q: int) -> tuple[int, ...]:
+    return tuple(factorize(q))
 
-    Integer pair -> Origin; even q with both numerators odd -> the diagonal
-    representative by the closed parity rule; otherwise membership of the
-    candidate points (1/q', 0), q' | q, is resolved against the BFS closure.
+
+def orbit_contains(pair: RationalPair, r, s) -> np.ndarray:
+    """Elementwise membership of (r/q, s/q) in the orbit of a canonical pair.
+
+    The orbit of (a, b, q) is the set of (r, s) mod q with gcd(r, s, q) = 1,
+    and for even q only the part whose both-odd parity matches that of
+    (a, b): the generators preserve both gcd and parity, and the closed-form
+    sizes show that nothing else is cut off. r and s are integers or integer
+    arrays of any sign (|r|, |s| < 2^63); the result is a boolean array of
+    their broadcast shape.
     """
-    if pair.is_integer_pair:
-        return Representative("Origin", 1)
-    if pair.q % 2 == 0 and pair.a % 2 == 1 and pair.b % 2 == 1:
-        return _representative_closed(pair)
-    if pair.q > cap:
-        raise ResourceLimitError(
-            f"q={pair.q} exceeds the enumeration cap {cap}; raise the cap to classify"
-        )
-    codes = _bfs_codes(pair.q, [(pair.a, pair.b)])
-    q = pair.q
-    for d in sorted(divisors(q), reverse=True):
-        if d == 1:
-            continue
-        code = (q // d) * q + 0
-        idx = np.searchsorted(codes, code)
-        if idx < codes.size and codes[idx] == code:
-            return Representative("Rep10", d)
-    return Representative("Origin", 1)
+    r = np.asarray(r, dtype=np.int64)
+    s = np.asarray(s, dtype=np.int64)
+    if pair.q % 2:
+        inside = np.ones(np.broadcast(r, s).shape, dtype=bool)
+    elif pair.a & pair.b & 1:
+        inside = (r & s & 1).astype(bool)  # both odd
+    else:
+        inside = ((r ^ s) & 1).astype(bool)  # exactly one odd
+    for p in _prime_divisors(pair.q):
+        if p > 2:
+            inside &= (r % p + s % p) != 0
+    return inside
 
 
 def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitData:
@@ -207,20 +193,6 @@ def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitDa
         )
     codes = _bfs_codes(q, [(pair.a, pair.b)])
     t_inf, t_one = _theta_mins_from_codes(codes, q)
-    if pair.q % 2 == 0 and pair.a % 2 == 1 and pair.b % 2 == 1:
-        rep = _representative_closed(pair)
-    elif pair.is_integer_pair:
-        rep = Representative("Origin", 1)
-    else:
-        rep = Representative("Origin", 1)
-        for d in sorted(divisors(q), reverse=True):
-            if d == 1:
-                continue
-            code = (q // d) * q
-            idx = np.searchsorted(codes, code)
-            if idx < codes.size and codes[idx] == code:
-                rep = Representative("Rep10", d)
-                break
     points = np.stack([codes // q, codes % q], axis=1)
     return OrbitData(
         pair=pair,
@@ -228,7 +200,7 @@ def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitDa
         size_S=int(codes.size),
         size_U=_count_U(codes, q),
         size_V=_count_V(codes, q),
-        representative=rep,
+        representative=which_representative(pair),
         theta_min_infty=t_inf,
         theta_min_one=t_one,
     )
@@ -250,7 +222,7 @@ def divisors(n: int) -> list[int]:
 
 def orbit_size_formula(pair: RationalPair) -> int:
     """Closed form for the orbit cardinality of a canonical pair."""
-    rep = _representative_closed(pair)
+    rep = which_representative(pair)
     if rep.kind == "Origin":
         return 1
     ell, m = split_two_power(rep.q)
@@ -262,7 +234,7 @@ def orbit_size_formula(pair: RationalPair) -> int:
 
 def count_U_formula(pair: RationalPair) -> int:
     """Closed form for the count of orbit points on the line xi2 = 0."""
-    rep = _representative_closed(pair)
+    rep = which_representative(pair)
     if rep.kind == "Origin":
         return 1
     return euler_phi(rep.q) if rep.kind == "Rep10" else 0
@@ -270,7 +242,7 @@ def count_U_formula(pair: RationalPair) -> int:
 
 def count_V_formula(pair: RationalPair) -> int:
     """Closed form for the count of orbit points on xi2 - xi1 = +-1/2."""
-    rep = _representative_closed(pair)
+    rep = which_representative(pair)
     if rep.kind == "Origin":
         return 0
     if rep.kind == "Rep10":
@@ -334,7 +306,7 @@ def orbit_partition(q: int) -> tuple[tuple[OrbitClass, ...], np.ndarray]:
     labels = np.full(q * q, -1, dtype=np.int32)
     classes: list[OrbitClass] = []
     for rep_pair, _ in orbit_representatives(q):
-        rep = _representative_closed(rep_pair)
+        rep = which_representative(rep_pair)
         seed = rep.point_mod(q)
         if labels[seed[0] * q + seed[1]] >= 0:
             continue

@@ -14,11 +14,13 @@ R^2. The theta curve samples the invariant measure attached to
 finite orbit - maps samples in the cusp-at-1 horoball through the
 conjugating element so every point has y >= sqrt(3)/2, and evaluates the
 Gaussian pairing |Theta_f conj Theta_f| in a fixed 13-term lattice window.
+Orbit points are drawn by rejection against the closed membership test and
+the orbit size comes from its closed form, so the theta curve does no
+O(q^2) work and runs at any denominator that factorize accepts (q < 10^12).
 """
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +35,9 @@ from .homog import (
     MuAbSampler,
     chunk_generator,
     open_uniforms,
+    run_chunks,
 )
-from .orbits import DEFAULT_ORBIT_CAP, leading_constant
+from .orbits import leading_constant, orbit_size_formula
 from .theta import GaussianWeight, gaussian_weight, theta_pair_gaussian_batch
 from .weylsum import weyl_values_batch
 
@@ -98,25 +101,6 @@ class TailCurve:
         ]
 
 
-def _chunk_plan(n_samples: int):
-    plan = []
-    index = 0
-    remaining = n_samples
-    while remaining > 0:
-        take = min(remaining, CHUNK_SIZE)
-        plan.append((index, take))
-        index += 1
-        remaining -= take
-    return plan
-
-
-def _run_chunks(plan, chunk_fn, workers: int):
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: chunk_fn(*job), plan))
-    return [chunk_fn(*job) for job in plan]
-
-
 def _count_exceedances(values: np.ndarray, squared_thresholds: np.ndarray) -> np.ndarray:
     return np.count_nonzero(
         values[None, :] > squared_thresholds[:, None], axis=1
@@ -160,7 +144,7 @@ def simulate_weyl_tail(
         vals = weyl_values_batch(x, pair, N, r)
         return _count_exceedances(vals, squared), (vals if keep_values else None)
 
-    results = _run_chunks(_chunk_plan(n_samples), chunk, workers)
+    results = run_chunks(n_samples, chunk, workers)
     counts = np.sum([c for c, _ in results], axis=0)
     values = (
         np.concatenate([v for _, v in results]) if keep_values else None
@@ -196,7 +180,6 @@ def simulate_theta_tail(
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     keep_values: bool = False,
-    orbit_cap: int = DEFAULT_ORBIT_CAP,
 ) -> TailCurve:
     """Survival curve of |Theta_f conj Theta_f| under the invariant measure.
 
@@ -215,7 +198,7 @@ def simulate_theta_tail(
         )
     thresholds = default_thresholds() if thresholds is None else np.asarray(thresholds, dtype=np.float64)
     squared = thresholds**2
-    sampler = MuAbSampler(pair, seed=seed, orbit_cap=orbit_cap)
+    sampler = MuAbSampler(pair, seed=seed)
     constant = float(leading_constant(pair)) / math.pi
 
     def chunk(index: int, count: int):
@@ -235,7 +218,7 @@ def simulate_theta_tail(
         vals = theta_pair_gaussian_batch(x, y, xi1, xi2)
         return _count_exceedances(vals, squared), (vals if keep_values else None)
 
-    results = _run_chunks(_chunk_plan(n_samples), chunk, workers)
+    results = run_chunks(n_samples, chunk, workers)
     counts = np.sum([c for c, _ in results], axis=0)
     values = (
         np.concatenate([v for _, v in results]) if keep_values else None
@@ -252,7 +235,7 @@ def simulate_theta_tail(
             "beta": str(pair.beta),
             "q": pair.q,
             "type": pair.kind,
-            "orbit_size": sampler.orbit.size_S,
+            "orbit_size": orbit_size_formula(pair),
             "weights": (w1.name, w2.name),
         },
         values=values,
@@ -273,9 +256,12 @@ def fit_tail_constant(
 
     Zero-count bins carry no information at this tail order and are
     excluded; fewer than three usable bins is an error. The standard error
-    comes from a Poisson bootstrap of the per-bin counts (thresholds are
-    nested, so the independence assumption overstates the error a little,
-    which is the safe direction).
+    comes from a Poisson bootstrap. The counts are nested (each one includes
+    every sample above the larger thresholds), so the bootstrap resamples
+    the disjoint cells [R_i, R_{i+1}) and the remainder beyond the last R
+    and accumulates them again; independent Poissons on the nested counts
+    themselves would understate the error about threefold on the default
+    grid.
     """
     mask = curve.counts > 0
     if window is not None:
@@ -283,8 +269,12 @@ def fit_tail_constant(
         mask &= (curve.thresholds >= lo) & (curve.thresholds <= hi)
     if np.count_nonzero(mask) < 3:
         raise InvalidArgumentError("need at least three nonzero bins to fit")
-    used_r = curve.thresholds[mask]
-    used_counts = curve.counts[mask].astype(np.float64)
+    order = np.argsort(curve.thresholds[mask], kind="stable")
+    used_r = curve.thresholds[mask][order]
+    used_counts = curve.counts[mask][order].astype(np.float64)
+    cells = used_counts - np.append(used_counts[1:], 0.0)
+    if np.any(cells < 0):
+        raise InvalidArgumentError("exceedance counts must not increase with R")
     n = float(curve.n_samples)
 
     def intercept(counts: np.ndarray) -> float:
@@ -298,7 +288,7 @@ def fit_tail_constant(
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0x5EED, 0))))
     boots = []
     for _ in range(200):
-        resampled = rng.poisson(used_counts).astype(np.float64)
+        resampled = np.cumsum(rng.poisson(cells)[::-1])[::-1].astype(np.float64)
         val = intercept(resampled)
         if not math.isnan(val):
             boots.append(val)

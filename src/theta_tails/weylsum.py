@@ -161,6 +161,8 @@ def _phase_mod1(ns: np.ndarray, x, spec: WeylSumSpec) -> np.ndarray:
 
 
 def _terms(x: float, spec: WeylSumSpec, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"x must be finite, got {x}")
     theta = _phase_mod1(ns, x, spec)
     ang = _TWO_PI * frac(theta)
     return np.cos(ang), np.sin(ang)

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from theta_tails import NumericFailureError, cli
+from theta_tails import NumericFailureError, cli, normalize_pair, orbit_size_formula
 from theta_tails.weylsum import WeylSumSpec, partial_sums
 
 from oracles import RECIPROCAL_C_FIRST_100
@@ -130,6 +130,17 @@ def test_theta_tail_json(capsys):
     assert payload["meta"]["orbit_size"] == 1
 
 
+def test_theta_tail_runs_above_the_orbit_cap(capsys):
+    rc, out = run_cli(
+        capsys,
+        ["theta-tail", "--alpha", "1/2003", *TINY, "--format", "json"],
+    )
+    assert rc == 0
+    payload = json.loads(out)
+    want = orbit_size_formula(normalize_pair(Fraction(1, 2003), 0))
+    assert payload["meta"]["orbit_size"] == want == 2003**2 - 1
+
+
 def summary_seed(capsys, argv):
     rc, out = run_cli(capsys, argv + ["--format", "json"])
     assert rc == 0
@@ -187,6 +198,23 @@ def test_tail_rejects_out_of_range_inputs(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("x", ["nan", "inf"])
+def test_curlicue_rejects_a_non_finite_x(capsys, x):
+    rc = cli.main(["curlicue", "--x", x, "--N", "5"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
+def test_exit_code_for_an_unwritable_output_path(tmp_path, capsys):
+    path = tmp_path / "missing-dir" / "table.csv"
+    rc = cli.main(["constants", "--q-max", "3", "--out", str(path)])
+    assert rc == 5
+    assert "error:" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_exit_code_for_numeric_failures(capsys, monkeypatch):

@@ -243,6 +243,63 @@ def test_sampler_xi_lands_on_the_orbit():
     assert len(set(zip(r.tolist(), s.tolist()))) == orbit.size_S
 
 
+def window_numerators(out, q):
+    r = np.mod(np.rint(out["xi1"] * q).astype(np.int64), q)
+    s = np.mod(np.rint(out["xi2"] * q).astype(np.int64), q)
+    return r, s
+
+
+def test_sampler_xi_is_uniform_on_the_orbit():
+    pair = normalize_pair(Fraction(1, 8), 0)
+    orbit = enumerate_orbit(pair)
+    out = MuAbSampler(pair, seed=3).draw(1 << 16)
+    r, s = window_numerators(out, pair.q)
+    counts = np.bincount(r * pair.q + s, minlength=pair.q**2)
+    hit = counts[orbit.points[:, 0] * pair.q + orbit.points[:, 1]]
+    assert hit.sum() == out["xi1"].size  # nothing off the orbit
+    mean = out["xi1"].size / orbit.size_S
+    assert np.all(np.abs(hit - mean) < 5 * math.sqrt(mean))
+
+
+@pytest.mark.parametrize(
+    "alpha, beta",
+    [(Fraction(1, 2003), 0), (Fraction(1, 10**9 + 7), 0), (Fraction(1, 2002), Fraction(1, 2002))],
+    ids=["q2003", "q1e9+7", "q2002-both-odd"],
+)
+def test_sampler_xi_lands_on_the_orbit_beyond_the_enumeration_cap(alpha, beta):
+    pair = normalize_pair(alpha, beta)
+    out = MuAbSampler(pair, seed=21).draw(5000)
+    r, s = window_numerators(out, pair.q)
+    both_odd = pair.a % 2 == 1 and pair.b % 2 == 1
+    for i, j in zip(r.tolist(), s.tolist()):
+        assert math.gcd(i, j, pair.q) == 1
+        if pair.q % 2 == 0:
+            assert (i % 2 == 1 and j % 2 == 1) == both_odd
+
+
+def test_sampler_stream_ignores_the_orbit_argument():
+    pair = normalize_pair(Fraction(1, 6), 0)
+    plain = MuAbSampler(pair, seed=4).draw(CHUNK_SIZE + 300)
+    given = MuAbSampler(pair, seed=4, orbit=enumerate_orbit(pair)).draw(CHUNK_SIZE + 300)
+    for key in plain:
+        assert np.array_equal(plain[key], given[key])
+    with pytest.raises(InvalidArgumentError):
+        MuAbSampler(pair, orbit=enumerate_orbit(normalize_pair(Fraction(1, 5), 0)))
+
+
+def test_sampler_haar_stream_is_frozen():
+    # the Haar stream at seed 99 must not depend on how xi is drawn
+    out = MuAbSampler(Fraction(1, 8), 0, seed=99).draw(CHUNK_SIZE + 4)
+    frozen = {
+        0: (1.000179468628038, 0.0203867695045039, 0.922028376199433),
+        1: (1.0208356062772184, 0.33584823136633807, 2.406597388144056),
+        2: (1.000700611210517, 0.09289382437932017, 1.2947230264324097),
+        CHUNK_SIZE + 3: (1.458250909870674, 1.2510400396661014, 1.5542703305624395),
+    }
+    for i, (x, y, phi) in frozen.items():
+        assert (out["x"][i], out["y"][i], out["phi"][i]) == (x, y, phi)
+
+
 def test_sampler_draw_validation():
     with pytest.raises(InvalidArgumentError):
         MuAbSampler(Fraction(1, 6)).draw(0)

@@ -3,6 +3,7 @@
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from theta_tails import (
     enumerate_orbit,
     leading_constant,
     normalize_pair,
+    orbit_contains,
     orbit_partition,
     orbit_report,
     orbit_representatives,
@@ -130,6 +132,50 @@ def test_representatives_cover_the_square():
 
 
 # ---------------------------------------------------------------------------
+# the closed membership test
+
+@lru_cache(maxsize=None)
+def grid(q):
+    """Numerators (r, s) of all q-division points, in code order r*q + s."""
+    return np.divmod(np.arange(q * q, dtype=np.int64), q)
+
+
+@pytest.mark.parametrize("q", range(1, 61))
+def test_orbit_contains_matches_the_bfs_for_every_canonical_pair(q):
+    # orbit_partition labels each code r*q + s with its _bfs_codes closure
+    _, labels = orbit_partition(q)
+    r, s = grid(q)
+    for pair in canonical_pairs(q):
+        bfs = labels == labels[pair.a * q + pair.b]
+        assert np.array_equal(orbit_contains(pair, r, s), bfs)
+
+
+def test_orbit_contains_matches_the_brute_force_closure():
+    rng = np.random.default_rng(3)
+    for _ in range(80):
+        q = int(rng.integers(1, 41))
+        a, b = (int(v) for v in rng.integers(0, q, size=2))
+        if math.gcd(a, b, q) != 1:
+            continue
+        pair = normalize_pair(Fraction(a, q), Fraction(b, q))
+        r, s = grid(q)
+        inside = orbit_contains(pair, r, s)
+        got = set(zip(r[inside].tolist(), s[inside].tolist()))
+        assert got == oracles.orbit_brute(pair.a, pair.b, q)
+
+
+def test_orbit_contains_reduces_any_integer_mod_q():
+    pair = normalize_pair(Fraction(1, 12), 0)
+    r = np.array([1, 13, -11, 2, 0, 3, 6, 5])
+    s = np.array([0, 12, -24, 1, 5, 2, 0, 5])
+    # both-odd (5, 5) and the non-unit rows are outside the (1/12, 0) orbit
+    want = [True, True, True, True, True, True, False, False]
+    assert orbit_contains(pair, r, s).tolist() == want
+    assert bool(orbit_contains(pair, 7, 0))
+    assert orbit_contains(normalize_pair(0, 0), r, s).all()
+
+
+# ---------------------------------------------------------------------------
 # representatives, line minima, reports
 
 def test_which_representative_examples():
@@ -138,6 +184,14 @@ def test_which_representative_examples():
     pair = normalize_pair(Fraction(1, 8), Fraction(0))
     assert str(which_representative(pair)) == "Rep10(8)"
     assert str(which_representative(normalize_pair(0, 0))) == "Origin"
+
+
+@pytest.mark.parametrize("q", range(1, 31))
+def test_which_representative_lies_in_the_bfs_orbit(q):
+    _, labels = orbit_partition(q)
+    for pair in canonical_pairs(q):
+        r, s = which_representative(pair).point_mod(q)
+        assert labels[r * q + s] == labels[pair.a * q + pair.b]
 
 
 @pytest.mark.parametrize("q", range(1, 13))

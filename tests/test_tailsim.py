@@ -16,6 +16,7 @@ from theta_tails import (
     fit_tail_constant,
     leading_constant,
     normalize_pair,
+    orbit_size_formula,
     sampling_law,
     sharp_indicator_weight,
     simulate_theta_tail,
@@ -135,6 +136,12 @@ def test_theta_tail_simulation_small():
     assert curve.meta["weights"] == ("gaussian", "gaussian")
 
 
+def test_theta_tail_runs_beyond_the_enumeration_cap():
+    pair = normalize_pair(Fraction(1, 10**9 + 7), 0)
+    curve = simulate_theta_tail(pair, n_samples=5000, thresholds=np.array([2.0, 3.0]))
+    assert curve.meta["orbit_size"] == orbit_size_formula(pair) == (10**9 + 7) ** 2 - 1
+
+
 def test_theta_tail_rejects_non_gaussian_windows():
     with pytest.raises(UnsupportedOperationError):
         simulate_theta_tail(0, 0, w1=sharp_indicator_weight(1.0), n_samples=100)
@@ -176,6 +183,44 @@ def test_fit_requires_three_nonzero_bins():
         fit_tail_constant(curve)
     with pytest.raises(InvalidArgumentError):
         fit_tail_constant(synthetic_curve(0.28), window=(2.0, 2.2))
+
+
+def test_fit_stderr_matches_the_spread_across_datasets():
+    # 150 multinomial samples of n = 2e5 draws from an exact T R^-4 law on
+    # the default grid: the reported stderr must track the estimator's
+    # actual spread (independent Poissons on the nested counts give 2.7)
+    T, n = 0.28, 200_000
+    grid = default_thresholds()
+    survival = T * grid**-4.0
+    cells = np.append(-np.diff(survival), survival[-1])
+    probs = np.append(cells, 1.0 - survival[0])
+    rng = np.random.default_rng(20261018)
+    constants, stderrs = [], []
+    for _ in range(150):
+        beyond = rng.multinomial(n, probs)[:-1]
+        counts = np.cumsum(beyond[::-1])[::-1]
+        fit = fit_tail_constant(TailCurve("weyl", grid, counts, n, 0, T))
+        constants.append(fit.constant)
+        stderrs.append(fit.stderr)
+    ratio = np.std(constants, ddof=1) / np.mean(stderrs)
+    assert 0.8 < ratio < 1.25
+    assert np.mean(constants) == pytest.approx(T, rel=0.01)
+
+
+def test_fit_sorts_thresholds_and_rejects_increasing_counts():
+    curve = synthetic_curve(0.28)
+    flipped = TailCurve(
+        kind="weyl", thresholds=curve.thresholds[::-1], counts=curve.counts[::-1],
+        n_samples=curve.n_samples, seed=0, predicted_constant=0.28,
+    )
+    a, b = fit_tail_constant(curve), fit_tail_constant(flipped)
+    assert (a.constant, a.stderr) == (b.constant, b.stderr)
+    bad = TailCurve(
+        kind="weyl", thresholds=curve.thresholds, counts=curve.counts[::-1],
+        n_samples=curve.n_samples, seed=0, predicted_constant=0.28,
+    )
+    with pytest.raises(InvalidArgumentError):
+        fit_tail_constant(bad)
 
 
 def test_compact_support_report_verdicts():
