@@ -227,11 +227,17 @@ def chunk_generator(seed: int, index: int) -> np.random.Generator:
 
 def run_chunks(n_samples: int, chunk_fn, workers: int = 1, first: int = 0) -> list:
     """chunk_fn(index, count) for the chunks first, first + 1, ... that cover
-    n_samples, each CHUNK_SIZE long but the last; results in chunk order."""
+    n_samples, each CHUNK_SIZE long but the last; results in chunk order.
+
+    Runs on a pool of min(workers, chunks) threads; workers < 1 raises
+    InvalidArgumentError."""
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     plan = [
         (first + k, min(CHUNK_SIZE, n_samples - start))
         for k, start in enumerate(range(0, n_samples, CHUNK_SIZE))
     ]
+    workers = min(workers, len(plan))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda job: chunk_fn(*job), plan))

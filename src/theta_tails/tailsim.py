@@ -277,22 +277,24 @@ def fit_tail_constant(
         raise InvalidArgumentError("exceedance counts must not increase with R")
     n = float(curve.n_samples)
 
-    def intercept(counts: np.ndarray) -> float:
-        live = counts > 0
-        if np.count_nonzero(live) == 0:
-            return math.nan
-        logs = np.log(counts[live] / n) + 4.0 * np.log(used_r[live])
-        return float(np.exp(np.mean(logs)))
+    def intercepts(counts: np.ndarray) -> np.ndarray:
+        # one geometric-mean intercept per row over its nonzero bins; a row
+        # with none gives nan
+        live = np.count_nonzero(counts, axis=1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logs = np.log(counts / n) + 4.0 * np.log(used_r)
+            logs[counts == 0] = 0.0
+            return np.exp(logs.sum(axis=1) / live)
 
-    est = intercept(used_counts)
+    est = float(intercepts(used_counts[None, :])[0])
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0x5EED, 0))))
-    boots = []
-    for _ in range(200):
-        resampled = np.cumsum(rng.poisson(cells)[::-1])[::-1].astype(np.float64)
-        val = intercept(resampled)
-        if not math.isnan(val):
-            boots.append(val)
-    stderr = float(np.std(boots)) if len(boots) > 1 else math.inf
+    # 200 rounds in one call: the stream is the same as 200 calls of
+    # rng.poisson(cells), row after row
+    draws = rng.poisson(cells, size=(200, cells.size))
+    resampled = np.cumsum(draws[:, ::-1], axis=1)[:, ::-1].astype(np.float64)
+    boots = intercepts(resampled)
+    boots = boots[~np.isnan(boots)]
+    stderr = float(np.std(boots)) if boots.size > 1 else math.inf
     return TailFit(constant=est, stderr=stderr, used_thresholds=used_r)
 
 

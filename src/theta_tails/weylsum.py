@@ -29,6 +29,17 @@ normal draws of x (timings on a 2-core Xeon host):
 The deviation grows with K, not with N. Near-resonant x, where the terms
 line up and their errors add coherently, deviate by up to about
 1e-12 (1 + value) at K = 64.
+
+The anchored blocks are independent, so on short batches the kernel runs
+several of them side by side as rows of one array, up to a budget of
+_GROUP_BUDGET = 2^14 complex elements per buffer; each step is then one
+set of ufunc calls for all rows instead of one per block, which is what
+dominates at a few hundred samples and large N (512 samples at
+N = 10^4, r = 2, same host: 13.3 -> 5.2 ns per term). A full
+32,768-sample chunk exceeds the budget on its own, so it keeps one block
+per step and the exact arithmetic of the ungrouped loop; shorter batches
+add the block sums in a different order, which moves values by up to
+about 2e-14 (1 + value).
 """
 from __future__ import annotations
 
@@ -45,6 +56,7 @@ _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitter
 _TWO_PI = 2.0 * math.pi
 _CHUNK = 1 << 17
 ANCHOR_STRIDE = 64  # K: batch-kernel terms between exact re-anchorings
+_GROUP_BUDGET = 1 << 14  # complex elements per batch-kernel buffer
 
 
 def veltkamp_split(a):
@@ -130,13 +142,13 @@ def _phase_mod1(ns: np.ndarray, x, spec: WeylSumSpec) -> np.ndarray:
     """Reduced phase ((n^2/2 + beta n + zeta) x + alpha n) mod 1, plus tiny residue.
 
     x may be a scalar with a vector of ns, or an array of samples with a
-    one-element ns; the result broadcasts either way.
+    one-element ns or a (k, 1) column of ns; the result broadcasts.
     """
     rat = spec.rational_parts()
     half_sq = 0.5 * ns.astype(np.float64) * ns  # n^2/2 exact for n < 9e7
     if rat is not None:
         a, b, q = rat
-        n_big = max(abs(int(ns[0])), abs(int(ns[-1])))
+        n_big = int(np.max(np.abs(ns)))
         if max(abs(a), abs(b)) * n_big >= (1 << 62):
             raise InvalidArgumentError("numerator*N overflows the exact integer path")
         alpha_part = ((ns * a) % q) / float(q)  # alpha n mod 1, exact rational
@@ -259,6 +271,15 @@ def weyl_values_batch(
     plain running sum (error ~ N eps, orders of magnitude below the
     Monte-Carlo noise this feeds).
 
+    Because each block of K terms starts from an exact anchor, g blocks run
+    side by side as the rows of (g, width) buffers, g = min(blocks,
+    _GROUP_BUDGET // width), so the interpreter makes K steps per g blocks.
+    Row 0 carries the running sum; after each group the other rows are
+    added into it in order. The budget bounds the buffers (256 KB each)
+    and leaves g = 1 at full chunks, where the arithmetic is exactly the
+    one-block-at-a-time loop. The batch is flattened and the result has the
+    shape of xs.
+
     Valid for N >= 1, finite r >= 1, 0.5 m^2 + floor(m b / q) < 2^53 with
     m = floor(rN) (n up to about 9e7, where the anchor phase stops being an
     exact integer plus a reduced product), and |x| < 2^30, where the small
@@ -278,22 +299,47 @@ def weyl_values_batch(
             f"floor(rN) = {m} exceeds the exact phase range of the batch path"
         )
     spec = WeylSumSpec.from_pair(pair, N=N)
-    w = np.empty(xs.shape, dtype=np.complex128)
-    _unit_phasor(xs, w)
+    flat = xs.reshape(-1)
+    full, tail = divmod(m, ANCHOR_STRIDE)
+    g = max(1, min(full + (tail > 0), _GROUP_BUDGET // max(flat.size, 1)))
+    # (first block, end block, steps); a partial last block runs alone so
+    # every row of a group takes the same number of steps
+    groups = [(b, min(b + g, full), ANCHOR_STRIDE) for b in range(0, full, g)]
+    if tail:
+        groups.append((full, full + 1, tail))
+    n_block, n_step = divmod(N - 1, ANCHOR_STRIDE)
+    # e(x) in every row: rho *= w is slower against a broadcast (1, width) w
+    w = np.empty((g, flat.size), dtype=np.complex128)
+    _unit_phasor(flat, w)
     t = np.empty_like(w)
     rho = np.empty_like(w)
     acc = np.zeros_like(w)
-    for start in range(1, m + 1, ANCHOR_STRIDE):
-        stop = min(start + ANCHOR_STRIDE, m + 1)
-        theta = _phase_mod1(np.array([start]), xs, spec)
-        _unit_phasor(theta, t)
-        _unit_phasor(_phase_mod1(np.array([start + 1]), xs, spec) - theta, rho)
-        for n in range(start, stop):
-            acc += t
-            if n == N:
-                mod_n = np.abs(acc)
-            if n + 1 < stop:
-                t *= rho
-                rho *= w
-    mod_m = mod_n if m == N else np.abs(acc)
-    return mod_n * mod_m / N
+    for first, end, steps in groups:
+        rows = end - first
+        tv, rv, wv, av = t[:rows], rho[:rows], w[:rows], acc[:rows]
+        starts = 1 + ANCHOR_STRIDE * np.arange(first, end)
+        # two phase calls, not one on 2 * rows starts: a stacked call would
+        # double the phase temporaries at full chunks
+        theta = _phase_mod1(starts[:, None], flat, spec)
+        _unit_phasor(theta, tv)
+        _unit_phasor(_phase_mod1(starts[:, None] + 1, flat, spec) - theta, rv)
+        # the row and step where n = N, if it falls in this group
+        n_row = n_block - first if first <= n_block < end else -1
+        snap = n_step if n_row >= 0 else -1
+        for j in range(steps):
+            av += tv
+            if j == snap:
+                if n_row == 0:
+                    mod_n = np.abs(av[0])
+                else:
+                    part_n = av[n_row].copy()
+            if j + 1 < steps:
+                tv *= rv
+                rv *= wv
+        for k in range(1, rows):
+            if k == n_row:
+                mod_n = np.abs(av[0] + part_n)
+            av[0] += av[k]
+        av[1:] = 0.0
+    mod_m = mod_n if m == N else np.abs(acc[0])
+    return (mod_n * mod_m / N).reshape(xs.shape)

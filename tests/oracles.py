@@ -104,6 +104,87 @@ def weighted_weyl_sum_exact(weight_at, x, alpha, beta, zeta, N, half_range):
     return complex(math.fsum(re), math.fsum(im))
 
 
+def weyl_values_per_term(xs, a: int, b: int, q: int, N: int, m: int, stride: int = 64):
+    """|S_N conj(S_m)|/N by the anchored rotation recurrence, one term at a time.
+
+    Vectorized over the samples xs only: term after term the running sum
+    takes acc += t, t *= rho, rho *= w, and every `stride` terms t and rho
+    restart from the phase (n^2/2 + (b/q) n) x + (a/q) n mod 1, with the
+    integer part of the coefficient of x split off exactly and its product
+    with x carried as a Dekker two-product.
+    """
+    import numpy as np
+
+    xs = np.asarray(xs, dtype=np.float64)
+
+    def split(v):
+        c = 134217729.0 * v
+        hi = c - (c - v)
+        return hi, v - hi
+
+    def phase(n):
+        nb = n * b
+        big = np.float64(0.5 * n * n + nb // q)
+        p = big * xs
+        bh, bl = split(big)
+        xh, xl = split(xs)
+        err = ((bh * xh - p) + bh * xl + bl * xh) + bl * xl
+        theta = (p - np.floor(p)) + err
+        v = ((nb % q) / q) * xs
+        theta += v - np.floor(v)
+        theta += (n * a) % q / q
+        return theta
+
+    def unit(theta):
+        out = np.empty(theta.shape, dtype=np.complex128)
+        ang = 2.0 * math.pi * (theta - np.floor(theta))
+        np.cos(ang, out=out.real)
+        np.sin(ang, out=out.imag)
+        return out
+
+    w = unit(xs)
+    acc = np.zeros_like(w)
+    for start in range(1, m + 1, stride):
+        theta = phase(start)
+        t = unit(theta)
+        rho = unit(phase(start + 1) - theta)
+        for n in range(start, min(start + stride, m + 1)):
+            acc += t
+            if n == N:
+                s_n = np.abs(acc)
+            t *= rho
+            rho *= w
+    return s_n * np.abs(acc) / N
+
+
+# ---------------------------------------------------------------------------
+# the tail-fit bootstrap, one resample at a time
+
+def bootstrap_stderr_loop(thresholds, counts, n_samples: int) -> float:
+    """Standard error of the slope -4 intercept by 200 Poisson resamples.
+
+    thresholds ascend and counts are the nonzero exceedance counts there.
+    Each round draws the disjoint cells [R_i, R_{i+1}) and the remainder
+    from the fixed bootstrap stream, accumulates them from the top, and
+    fits the geometric mean of count R^4 / n over its nonzero bins.
+    """
+    import numpy as np
+
+    r = np.asarray(thresholds, dtype=np.float64)
+    c = np.asarray(counts, dtype=np.float64)
+    cells = c - np.append(c[1:], 0.0)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0x5EED, 0))))
+    boots = []
+    for _ in range(200):
+        resampled = np.cumsum(rng.poisson(cells)[::-1])[::-1].astype(np.float64)
+        live = resampled > 0
+        if not np.any(live):
+            continue
+        logs = np.log(resampled[live] / n_samples) + 4.0 * np.log(r[live])
+        boots.append(float(np.exp(np.mean(logs))))
+    return float(np.std(boots)) if len(boots) > 1 else math.inf
+
+
 # ---------------------------------------------------------------------------
 # torus orbits by plain set BFS
 

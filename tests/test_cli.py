@@ -200,6 +200,16 @@ def test_tail_rejects_out_of_range_inputs(capsys, flags):
     assert "error:" in captured.err
 
 
+@pytest.mark.parametrize("workers", ["0", "-4"])
+@pytest.mark.parametrize("command", ["tail", "theta-tail"])
+def test_simulations_reject_fewer_than_one_worker(capsys, command, workers):
+    rc = cli.main([command, "--samples", "100", "--workers", workers])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err
+
+
 @pytest.mark.parametrize("x", ["nan", "inf"])
 def test_curlicue_rejects_a_non_finite_x(capsys, x):
     rc = cli.main(["curlicue", "--x", x, "--N", "5"])

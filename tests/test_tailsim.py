@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 from scipy.special import ndtri
 
+import oracles
+
 from theta_tails import (
     InvalidArgumentError,
     TailCurve,
@@ -205,6 +207,24 @@ def test_fit_stderr_matches_the_spread_across_datasets():
     ratio = np.std(constants, ddof=1) / np.mean(stderrs)
     assert 0.8 < ratio < 1.25
     assert np.mean(constants) == pytest.approx(T, rel=0.01)
+
+
+@pytest.mark.parametrize(
+    "counts, n",
+    [
+        ([18156, 13107, 9720, 7273, 5500, 4300, 3454, 2700, 2100, 1650], 10**6),
+        ([11710, 6000, 2500, 800, 150, 20, 3, 0, 0, 0], 10**6),
+        ([40, 11, 4, 2, 1, 1, 0, 0, 0, 0], 1000),  # resamples hit zero
+        ([3, 2, 1, 1, 1, 1, 1, 1, 1, 1], 1000),  # some resamples are all zero
+    ],
+)
+def test_fit_bootstrap_matches_the_loop_reference(counts, n):
+    grid = default_thresholds(2.0, 5.0, 10)
+    counts = np.array(counts, dtype=np.int64)
+    fit = fit_tail_constant(TailCurve("weyl", grid, counts, n, 0, 0.28))
+    live = counts > 0
+    ref = oracles.bootstrap_stderr_loop(grid[live], counts[live], n)
+    assert fit.stderr == pytest.approx(ref, rel=1e-12)
 
 
 def test_fit_sorts_thresholds_and_rejects_increasing_counts():

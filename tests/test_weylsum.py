@@ -21,6 +21,7 @@ from theta_tails import (
     weighted_weyl_sum,
     weyl_sum,
     weyl_values_batch,
+    weylsum,
 )
 from theta_tails.weylsum import (
     ANCHOR_STRIDE as K,
@@ -225,6 +226,52 @@ def test_batch_kernel_matches_weyl_sum_at_ten_thousand_terms():
         s_n = weyl_sum(float(x), WeylSumSpec.from_pair(pair, N=10**4))
         s_m = weyl_sum(float(x), WeylSumSpec.from_pair(pair, N=25_000))
         assert abs(v - abs(s_n) * abs(s_m) / 10**4) <= 1e-9
+
+
+@pytest.mark.parametrize("r", [1.0, 2.5])
+def test_batch_kernel_is_the_per_term_recurrence_on_a_full_chunk(r):
+    # a full chunk exceeds the group budget, so blocks run one at a time
+    # and every floating-point operation is the per-term reference's
+    xs = np.random.default_rng(5).normal(size=32768)
+    pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
+    m = math.floor(r * 500)
+    ref = oracles.weyl_values_per_term(xs, pair.a, pair.b, pair.q, 500, m, stride=K)
+    assert np.array_equal(weyl_values_batch(xs, pair, 500, r=r), ref)
+
+
+@pytest.mark.parametrize(
+    "g, N, r",
+    [
+        (3, 3 * K + 10, 2.0),  # N in row 0 of the second group, m alone after it
+        (3, K + 30, 2.5),  # N in the middle row, m in the partial last block
+        (3, 3 * K, 1.0),  # N = m on the last step of the last row
+        (3, 3 * K, 2.5),  # N in the last row, m three groups later
+        (2, K + 36, 2.5),  # N in the last row; a one-row full group follows
+        (2, K + 6, 1.0),  # N = m in the partial last block
+        (2, 2 * K, 2.0),  # N and m both end a group
+    ],
+)
+@pytest.mark.parametrize(
+    "alpha, beta", [(Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))]
+)
+def test_grouped_blocks_match_the_exact_oracle(monkeypatch, g, N, r, alpha, beta):
+    monkeypatch.setattr(weylsum, "_GROUP_BUDGET", g * len(BATCH_XS))
+    pair = normalize_pair(alpha, beta)
+    m = math.floor(r * N)
+    got = weyl_values_batch(np.array(BATCH_XS), pair, N, r=r)
+    for x, v in zip(BATCH_XS, got):
+        s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
+        s_m = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), m)
+        assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (0, 3), (5,), (3, 4)])
+def test_batch_kernel_keeps_the_shape_of_its_input(shape):
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    xs = np.random.default_rng(3).normal(size=shape)
+    got = weyl_values_batch(xs, pair, 200, r=2.0)
+    assert got.shape == shape
+    assert np.array_equal(got.reshape(-1), weyl_values_batch(xs.reshape(-1), pair, 200, r=2.0))
 
 
 @pytest.mark.parametrize(
