@@ -33,9 +33,12 @@ from .errors import (
 from .homog import DEFAULT_SEED
 from .orbits import (
     DEFAULT_ORBIT_CAP,
+    count_U_formula,
+    count_V_formula,
     enumerate_orbit,
-    orbit_partition,
     orbit_report,
+    orbit_representatives,
+    which_representative,
 )
 from .tailsim import default_thresholds, fit_tail_constant, simulate_theta_tail, simulate_weyl_tail
 from .weylsum import WeylSumSpec, partial_sums
@@ -151,18 +154,19 @@ def cmd_orbit(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    classes, _ = orbit_partition(args.q)
+    # closed forms only, so any q below the factorization range answers at once
+    reps = orbit_representatives(args.q)
+    rows = [
+        {
+            "representative": str(which_representative(pair)),
+            "size": size,
+            "size_U": count_U_formula(pair),
+            "size_V": count_V_formula(pair),
+        }
+        for pair, size in reps
+    ]
     if args.format == "json":
-        rows = [
-            {
-                "representative": str(c.representative),
-                "size": c.size,
-                "size_U": c.size_U,
-                "size_V": c.size_V,
-            }
-            for c in classes
-        ]
-        payload = {"q": args.q, "classes": rows, "total": sum(c.size for c in classes)}
+        payload = {"q": args.q, "classes": rows, "total": sum(size for _, size in reps)}
         with _output(args.out) as fh:
             json.dump(payload, fh, indent=2)
             fh.write("\n")
@@ -170,8 +174,8 @@ def cmd_partition(args) -> int:
     with _output(args.out) as fh:
         writer = csv.writer(fh)
         writer.writerow(["representative", "size", "size_U", "size_V"])
-        for c in classes:
-            writer.writerow([str(c.representative), c.size, c.size_U, c.size_V])
+        for row in rows:
+            writer.writerow(row.values())
     return 0
 
 

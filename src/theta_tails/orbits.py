@@ -1,13 +1,17 @@
-"""Torus orbits of rational pairs: BFS enumeration and closed-form counts.
+"""Torus orbits of rational pairs: closed forms and a BFS oracle.
 
 The orbit of (a/q, b/q) under the affine group is a finite subset of the
-q-division points of the torus. The linear generators suffice for closure
-(the integer shifts fix every point mod Z^2), and on a finite set the
-semigroup they generate is already a group, so a forward BFS reaches the
-whole orbit. Counts of the orbit and of its intersections with the special
-lines xi2 = 0 and xi2 - xi1 = +-1/2 have closed forms which the test suite
-checks against this enumeration, and so does orbit_contains, the closed
-membership test that lets the samplers skip the enumeration.
+q-division points of the torus. orbit_contains is its closed membership
+test (gcd(r, s, q) = 1, plus matching both-odd parity for even q), and
+enumerate_orbit builds the point list, counts and line minima from it.
+Counts of the orbit and of its intersections with the special lines
+xi2 = 0 and xi2 - xi1 = +-1/2 also have closed forms.
+
+_bfs_codes is the independent check on all of these. The linear generators
+suffice for closure (the integer shifts fix every point mod Z^2), and on a
+finite set the semigroup they generate is already a group, so a forward BFS
+reaches the whole orbit; orbit_partition labels the q-division points with
+it, and the test suite compares the closed forms against those labels.
 """
 from __future__ import annotations
 
@@ -117,30 +121,6 @@ def _count_V(codes: np.ndarray, q: int) -> int:
     return int(np.count_nonzero((2 * (s - r)) % (2 * q) == q))
 
 
-def _theta_mins_from_codes(
-    codes: np.ndarray, q: int
-) -> tuple[Fraction | None, Fraction | None]:
-    r, s = codes // q, codes % q
-    # vertical distances: min over s != 0 of min(s, q - s)/q
-    off_u = s[s != 0]
-    t_inf = None
-    if off_u.size:
-        t_inf = Fraction(int(np.min(np.minimum(off_u, q - off_u))), q)
-    # distances to the two half-shift lines in window coordinates; a point on
-    # one line still contributes its distance to the other
-    rw = np.where(2 * r >= q, r - q, r)
-    sw = np.where(2 * s >= q, s - q, s)
-    dd = 2 * (sw - rw)  # = 2q(xi2 - xi1), ranges over (-4q, 4q)
-    best = None
-    for line in (q, -q):  # L_V^+ at dd = q, L_V^- at dd = -q
-        off = dd[dd != line]
-        if off.size:
-            cand = int(np.min(np.abs(off - line)))
-            best = cand if best is None else min(best, cand)
-    t_one = None if best is None else Fraction(best, 2 * q)
-    return t_inf, t_one
-
-
 def which_representative(pair: RationalPair) -> Representative:
     """Orbit representative of a canonical pair, by the parity rule.
 
@@ -184,33 +164,69 @@ def orbit_contains(pair: RationalPair, r, s) -> np.ndarray:
     return inside
 
 
+def _theta_min_one(rows: np.ndarray, row_of: np.ndarray, q: int) -> Fraction:
+    """Smallest |xi2 - xi1 -+ 1/2| over the orbit, by the two-line convention.
+
+    In window coordinates (rw, sw) the lines xi2 - xi1 = +-1/2 sit at
+    2(sw - rw) = +-q. Each row r looks up its targets 2 rw +- q among the
+    sorted 2 sw of its row pattern and takes the nearest value strictly below
+    and strictly above: an exact hit lies on that line, so it is skipped there
+    and only measures its distance to the other line.
+    """
+    w = np.arange(q, dtype=np.int64)
+    w = np.where(2 * w >= q, w - q, w)
+    order = np.argsort(w)
+    sorted_w = w[order]
+    far = 8 * q  # targets lie in [-2q, 2q), values in [-q, q): a sentinel is never the min
+    best = far
+    for k, row in enumerate(rows):
+        vals = np.concatenate([[-far], 2 * sorted_w[row[order]], [far]])
+        base = 2 * w[row_of == k]
+        targets = np.concatenate([base + q, base - q])
+        below = vals[np.searchsorted(vals, targets, side="left") - 1]
+        above = vals[np.searchsorted(vals, targets, side="right")]
+        best = min(best, int(np.min(targets - below)), int(np.min(above - targets)))
+    return Fraction(best, 2 * q)
+
+
 def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitData:
-    """BFS closure of a canonical pair with all counts filled in."""
+    """The orbit of a canonical pair with all counts and line minima filled in.
+
+    Built from the closed membership rule, not a closure: membership of
+    (r, s) depends on r only through gcd(r, q) (for even q that gcd also
+    fixes the parity of r), so one orbit_contains row per divisor of q,
+    fancy-indexed by gcd(r, q), gives the (q, q) membership mask. The cap
+    bounds that mask and the point list, both of which grow like q^2.
+    """
     q = pair.q
     if q > cap:
         raise ResourceLimitError(
             f"q={q} exceeds the enumeration cap {cap} (memory grows like q^2)"
         )
-    codes = _bfs_codes(q, [(pair.a, pair.b)])
-    t_inf, t_one = _theta_mins_from_codes(codes, q)
-    points = np.stack([codes // q, codes % q], axis=1)
+    r = np.arange(q, dtype=np.int64)
+    keys, row_of = np.unique(np.gcd(r, q), return_inverse=True)
+    rows = orbit_contains(pair, keys[:, None], r)
+    mask = rows[row_of]
+    points = np.stack(np.nonzero(mask), axis=1)
+    # points (r, 0) lie on xi2 = 0; for even q, (r, r + q/2) on xi2 - xi1 = 1/2
+    size_V = int(np.count_nonzero(mask[r, (r + q // 2) % q])) if q % 2 == 0 else 0
+    off_u = np.flatnonzero(rows.any(axis=0)[1:]) + 1  # columns s != 0 in use
+    t_inf = Fraction(int(np.min(np.minimum(off_u, q - off_u))), q) if off_u.size else None
     return OrbitData(
         pair=pair,
         points=points,
-        size_S=int(codes.size),
-        size_U=_count_U(codes, q),
-        size_V=_count_V(codes, q),
+        size_S=len(points),
+        size_U=int(np.count_nonzero(mask[:, 0])),
+        size_V=size_V,
         representative=which_representative(pair),
         theta_min_infty=t_inf,
-        theta_min_one=t_one,
+        theta_min_one=_theta_min_one(rows, row_of, q),
     )
 
 
 def theta_mins(orbit: OrbitData) -> tuple[Fraction | None, Fraction | None]:
     """Minimal line distances of an enumerated orbit, window coordinates."""
-    q = orbit.pair.q
-    codes = orbit.points[:, 0] * q + orbit.points[:, 1]
-    return _theta_mins_from_codes(codes, q)
+    return orbit.theta_min_infty, orbit.theta_min_one
 
 
 def divisors(n: int) -> list[int]:

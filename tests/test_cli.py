@@ -7,7 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from theta_tails import NumericFailureError, cli, normalize_pair, orbit_size_formula
+from theta_tails import (
+    NumericFailureError,
+    cli,
+    normalize_pair,
+    orbit_partition,
+    orbit_size_formula,
+)
 from theta_tails.weylsum import WeylSumSpec, partial_sums
 
 from oracles import RECIPROCAL_C_FIRST_100
@@ -68,6 +74,28 @@ def test_partition_formats(capsys):
     payload = json.loads(out)
     assert payload["q"] == 5 and payload["total"] == 25
     assert {c["representative"] for c in payload["classes"]} == {"Origin", "Rep10(5)"}
+
+
+@pytest.mark.parametrize("q", range(1, 61))
+def test_partition_rows_equal_the_bfs_partition(capsys, q):
+    rc, out = run_cli(capsys, ["partition", "--q", str(q)])
+    assert rc == 0
+    classes, _ = orbit_partition(q)
+    want = [[str(c.representative), str(c.size), str(c.size_U), str(c.size_V)] for c in classes]
+    assert list(csv.reader(io.StringIO(out)))[1:] == want
+
+
+def test_partition_answers_far_beyond_the_orbit_cap(capsys):
+    rc, out = run_cli(capsys, ["partition", "--q", "1000000", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(out)
+    assert payload["total"] == 10**12
+    assert payload["classes"][0] == {
+        "representative": "Rep10(1000000)",
+        "size": orbit_size_formula(normalize_pair(Fraction(1, 10**6), 0)),
+        "size_U": 400000,
+        "size_V": 0,
+    }
 
 
 def test_curlicue_rows_match_the_partial_sums(capsys):

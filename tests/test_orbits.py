@@ -25,6 +25,7 @@ from theta_tails import (
     theta_mins,
     which_representative,
 )
+from theta_tails.orbits import _bfs_codes, _count_U, _count_V
 
 
 def canonical_pairs(q):
@@ -91,6 +92,36 @@ def test_sign_flipped_pairs_share_one_orbit(q):
         }:
             flipped = normalize_pair(Fraction(a2, q), Fraction(b2, q))
             assert point_set(enumerate_orbit(flipped)) == base
+
+
+def assert_matches_the_bfs(pair, codes):
+    """enumerate_orbit against the sorted _bfs_codes closure of the pair."""
+    q = pair.q
+    orbit = enumerate_orbit(pair)
+    bfs_points = np.stack([codes // q, codes % q], axis=1)
+    assert orbit.points.dtype == bfs_points.dtype
+    assert np.array_equal(orbit.points, bfs_points)
+    assert orbit.size_S == codes.size
+    assert (orbit.size_U, orbit.size_V) == (_count_U(codes, q), _count_V(codes, q))
+
+
+@pytest.mark.parametrize("q", range(1, 41))
+def test_enumeration_equals_the_bfs_closure(q):
+    # orbit_partition labels each code r*q + s with its _bfs_codes closure
+    _, labels = orbit_partition(q)
+    for pair in canonical_pairs(q):
+        codes = np.flatnonzero(labels == labels[pair.a * q + pair.b])
+        assert_matches_the_bfs(pair, codes)
+
+
+@pytest.mark.parametrize(
+    "a, b, q",
+    [(1, 0, 210), (1, 1, 210), (11, 4, 210), (1, 0, 256), (3, 5, 256),
+     (6, 1, 256), (5, 7, 997)],
+)
+def test_enumeration_equals_the_bfs_closure_at_spot_pairs(a, b, q):
+    pair = normalize_pair(Fraction(a, q), Fraction(b, q))
+    assert_matches_the_bfs(pair, _bfs_codes(q, [(pair.a, pair.b)]))
 
 
 # ---------------------------------------------------------------------------
@@ -194,11 +225,19 @@ def test_which_representative_lies_in_the_bfs_orbit(q):
         assert labels[r * q + s] == labels[pair.a * q + pair.b]
 
 
-@pytest.mark.parametrize("q", range(1, 13))
+@pytest.mark.parametrize("q", range(1, 17))
 def test_theta_mins_match_the_exact_recomputation(q):
     for pair in canonical_pairs(q):
         orbit = enumerate_orbit(pair)
         assert theta_mins(orbit) == oracles.theta_mins_brute(point_set(orbit), q)
+
+
+@pytest.mark.parametrize("q", [30, 36, 60])
+def test_theta_mins_of_every_orbit_class(q):
+    for pair, _ in orbit_representatives(q):
+        orbit = enumerate_orbit(pair)
+        want = oracles.theta_mins_brute(point_set(orbit), pair.q)
+        assert theta_mins(orbit) == want
 
 
 def test_theta_mins_frozen_examples():
