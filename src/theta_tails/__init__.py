@@ -40,6 +40,7 @@ from .homog import (
     ReduceResult,
     apply_rho,
     chunk_generator,
+    conjugate_horoball,
     cusp_mass,
     cusp_region,
     geodesic_flow,
@@ -50,7 +51,6 @@ from .homog import (
     open_uniforms,
     reduce,
     sample_haar,
-    sample_mu_ab,
 )
 from .orbits import (
     DEFAULT_ORBIT_CAP,

@@ -128,8 +128,11 @@ def normalize_pair(alpha, beta) -> RationalPair:
     """Canonicalize (alpha, beta) to (a, b, q) with gcd(a, b, q) = 1.
 
     Inputs may be ints, Fractions, or (num, den) tuples, any sign. Floats are
-    rejected: the whole point of the pair is exactness.
+    rejected: the whole point of the pair is exactness. A RationalPair is
+    already canonical and comes back unchanged (beta is then ignored).
     """
+    if isinstance(alpha, RationalPair):
+        return alpha
     fa = _as_fraction(alpha, "alpha")
     fb = _as_fraction(beta, "beta")
     fa -= fa.__floor__()  # true fractional part, lands in [0, 1)

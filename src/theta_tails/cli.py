@@ -119,27 +119,32 @@ def _pair_of(args):
     return normalize_pair(args.alpha, args.beta)
 
 
+def _emit(args, header, rows, wrap=None) -> int:
+    """Rows of raw values as CSV under header, or as JSON records keyed by
+    header (passed through wrap when given), to --out or stdout.
+
+    Floats print at FLOAT_DIGITS in both formats. Both are built from the
+    same rows, one at a time, so neither builds the other's output.
+    """
+    with _output(args.out) as fh:
+        if args.format == "json":
+            records = [
+                {k: _json_float(v) if isinstance(v, float) else v for k, v in zip(header, row)}
+                for row in rows
+            ]
+            json.dump(records if wrap is None else wrap(records), fh, indent=2)
+            fh.write("\n")
+        else:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([_fmt(v) if isinstance(v, float) else v for v in row] for row in rows)
+    return 0
+
+
 def cmd_constants(args) -> int:
     table = table_reciprocal_C(args.q_max)
-    if args.format == "json":
-        rows = [
-            {
-                "q": q,
-                "one_over_C": str(inv),
-                "C": _json_float(Fraction(1) / inv),
-            }
-            for q, inv in enumerate(table, start=1)
-        ]
-        with _output(args.out) as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        return 0
-    with _output(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "one_over_C", "C"])
-        for q, inv in enumerate(table, start=1):
-            writer.writerow([q, str(inv), _fmt(Fraction(1) / inv)])
-    return 0
+    rows = ((q, str(inv), float(Fraction(1) / inv)) for q, inv in enumerate(table, start=1))
+    return _emit(args, ["q", "one_over_C", "C"], rows)
 
 
 def cmd_orbit(args) -> int:
@@ -157,53 +162,21 @@ def cmd_partition(args) -> int:
     # closed forms only, so any q below the factorization range answers at once
     reps = orbit_representatives(args.q)
     rows = [
-        {
-            "representative": str(which_representative(pair)),
-            "size": size,
-            "size_U": count_U_formula(pair),
-            "size_V": count_V_formula(pair),
-        }
+        (str(which_representative(pair)), size, count_U_formula(pair), count_V_formula(pair))
         for pair, size in reps
     ]
-    if args.format == "json":
-        payload = {"q": args.q, "classes": rows, "total": sum(size for _, size in reps)}
-        with _output(args.out) as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return 0
-    with _output(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["representative", "size", "size_U", "size_V"])
-        for row in rows:
-            writer.writerow(row.values())
-    return 0
+    total = sum(size for _, size in reps)
+    return _emit(
+        args, ["representative", "size", "size_U", "size_V"], rows,
+        lambda classes: {"q": args.q, "classes": classes, "total": total},
+    )
 
 
 def cmd_curlicue(args) -> int:
     spec = WeylSumSpec(alpha=args.alpha, beta=args.beta, zeta=0.0, N=args.N)
     sums = partial_sums(args.x, spec)
-    if args.format == "json":
-        rows = [
-            {"k": k, "re": _json_float(v.real), "im": _json_float(v.imag)}
-            for k, v in enumerate(sums, start=1)
-        ]
-        with _output(args.out) as fh:
-            json.dump(rows, fh, indent=2)
-            fh.write("\n")
-        return 0
-    with _output(args.out) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "re", "im"])
-        for k, v in enumerate(sums, start=1):
-            writer.writerow([k, _fmt(v.real), _fmt(v.imag)])
-    return 0
-
-
-def _curve_csv(curve, fh) -> None:
-    writer = csv.writer(fh)
-    writer.writerow(["R", "survival", "predicted", "count"])
-    for r, s, p, c in curve.rows():
-        writer.writerow([_fmt(r), _fmt(s), _fmt(p), c])
+    rows = ((k, float(v.real), float(v.imag)) for k, v in enumerate(sums, start=1))
+    return _emit(args, ["k", "re", "im"], rows)
 
 
 def _curve_summary(curve) -> dict:
@@ -228,26 +201,12 @@ def _curve_summary(curve) -> dict:
 
 
 def _emit_curve(curve, args) -> int:
-    if args.format == "json":
-        payload = _curve_summary(curve)
-        payload["curve"] = [
-            {
-                "R": _json_float(r),
-                "survival": _json_float(s),
-                "predicted": _json_float(p),
-                "count": c,
-            }
-            for r, s, p, c in curve.rows()
-        ]
-        with _output(args.out) as fh:
-            json.dump(payload, fh, indent=2)
-            fh.write("\n")
-        return 0
-    # CSV: the curve goes to --out (or stdout); when a file takes the
-    # curve, the run summary lands on stdout as JSON
-    with _output(args.out) as fh:
-        _curve_csv(curve, fh)
-    if args.out is not None:
+    _emit(
+        args, ["R", "survival", "predicted", "count"], curve.rows(),
+        lambda rows: {**_curve_summary(curve), "curve": rows},
+    )
+    # a CSV curve in a file leaves stdout to the run summary, as JSON
+    if args.format == "csv" and args.out is not None:
         json.dump(_curve_summary(curve), sys.stdout, indent=2)
         sys.stdout.write("\n")
     return 0

@@ -159,7 +159,7 @@ class TailConstant:
 
 def tail_constant(alpha, beta=0, r: float = 1.0) -> TailConstant:
     """Coefficient of R^-4 in the survival function of |S_N conj(S_rN)|/N."""
-    pair = alpha if isinstance(alpha, RationalPair) else normalize_pair(alpha, beta)
+    pair = normalize_pair(alpha, beta)
     c = C_of_q(pair)
     d = D_rat_closed(r)
     return TailConstant(

@@ -12,21 +12,27 @@ arcsin(x)/pi on [0, 1] (mirror on [1, 2]), and conditionally on x the height
 is h(x)/u for a uniform u. That gives an exact inverse-CDF sampler, no
 rejection step, one uniform triple per point.
 
+The cusp at 1 is carried to infinity by z -> 1/(1 - z), an SL(2, Z)
+element outside the theta group (its xi action needs an extra half shift
+in the second slot); images of the horoball |z - 1| < 1 in F have
+y >= sqrt(3)/2. apply_rho maps one point and conjugate_horoball the
+horoball points of a batch, with the same arithmetic.
+
 Randomness is consumed in fixed-size chunks, each owning the generator
-seeded by (seed, chunk_index); results are concatenated in chunk order, so
-the output stream is bit-identical no matter how many threads execute the
-chunks, and a short draw is a prefix of a longer one.
+seeded by (seed, chunk_index) with seed >= 0; results are concatenated in
+chunk order, so the output stream is bit-identical no matter how many
+threads execute the chunks, and a short draw is a prefix of a longer one.
+MuAbSampler.chunk is one such chunk, the unit the tail simulators run on.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import RationalPair, normalize_pair
+from .arith import normalize_pair
 from .errors import InvalidArgumentError, NumericFailureError
 from .orbits import OrbitData, orbit_contains
 from .thetagroup import (
@@ -192,25 +198,27 @@ def horocycle_flow(pt: IwasawaPoint, u: float) -> IwasawaPoint:
     return _from_frame(new, pt.phi, m[1][0], m[1][1], pt)
 
 
-# The cusp at 1 is carried to infinity by z -> 1/(1 - z), an SL(2, Z)
-# element outside the theta group (its xi action needs the extra half
-# shift in the second slot). Conjugation by it identifies the two cusp
-# neighbourhoods; images of the horoball |z - 1| < 1 have y >= sqrt(3)/2.
-RHO_MATRIX = ((0, 1), (-1, 1))
-RHO_SHIFT = (0.0, 0.5)
+def _rho(x, y, xi1, xi2):
+    """z -> 1/(1 - z), (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2) on floats or arrays."""
+    wr = 1.0 - x
+    den = wr * wr + y * y
+    return wr / den, y / den, xi2, -xi1 + xi2 + 0.5
 
 
 def apply_rho(pt: IwasawaPoint) -> IwasawaPoint:
     """(z, phi; xi) -> (1/(1-z), phi + arg(1-z); (xi2, -xi1 + xi2 + 1/2))."""
-    w = 1.0 - pt.z
-    z2 = 1.0 / w
-    return IwasawaPoint(
-        x=z2.real,
-        y=z2.imag,
-        phi=pt.phi + cmath.phase(w),
-        xi1=pt.xi2,
-        xi2=-pt.xi1 + pt.xi2 + 0.5,
-    )
+    x, y, xi1, xi2 = _rho(pt.x, pt.y, pt.xi1, pt.xi2)
+    phi = pt.phi + math.atan2(-pt.y, 1.0 - pt.x)
+    return IwasawaPoint(x=x, y=y, phi=phi, xi1=xi1, xi2=xi2)
+
+
+def conjugate_horoball(x, y, xi1, xi2):
+    """apply_rho on the points of (x, y, xi1, xi2) in the horoball
+    |z - 1| < 1, the rest unchanged; phi is left out, as the Gaussian
+    pairing does not depend on it."""
+    inside = (x - 1.0) ** 2 + y * y < 1.0
+    moved = _rho(x, y, xi1, xi2)
+    return tuple(np.where(inside, new, old) for new, old in zip(moved, (x, y, xi1, xi2)))
 
 
 def cusp_mass(T: float) -> float:
@@ -221,7 +229,9 @@ def cusp_mass(T: float) -> float:
 
 
 def chunk_generator(seed: int, index: int) -> np.random.Generator:
-    """The generator owning chunk `index` of the stream rooted at `seed`."""
+    """The generator owning chunk `index` of the stream rooted at `seed` >= 0."""
+    if seed < 0:
+        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
@@ -279,12 +289,6 @@ def sample_haar(rng: np.random.Generator, size: int | None = None):
     return z, phi
 
 
-def _resolve_pair(alpha, beta) -> RationalPair:
-    if isinstance(alpha, RationalPair):
-        return alpha
-    return normalize_pair(alpha, beta)
-
-
 class MuAbSampler:
     """Deterministic sampler for the lifted measure attached to (alpha, beta).
 
@@ -310,17 +314,16 @@ class MuAbSampler:
         seed: int = DEFAULT_SEED,
         orbit: OrbitData | None = None,
     ):
-        self.pair = _resolve_pair(alpha, beta)
+        self.pair = normalize_pair(alpha, beta)
         if orbit is not None and orbit.pair != self.pair:
             raise InvalidArgumentError(
                 f"orbit of {orbit.pair} given for the pair {self.pair}"
             )
         self.seed = int(seed)
         self._next_chunk = 0
-        self._buffer = None
-        self._buffer_pos = 0
 
-    def _chunk(self, index: int, count: int) -> dict:
+    def chunk(self, index: int, count: int) -> dict:
+        """The first count <= CHUNK_SIZE samples of chunk `index`, as in draw."""
         rng = chunk_generator(self.seed, index)
         u = open_uniforms(rng, (3, CHUNK_SIZE))
         x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
@@ -339,23 +342,7 @@ class MuAbSampler:
         """n samples as a dict of arrays x, y, phi, xi1, xi2."""
         if n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
-        parts = run_chunks(n, self._chunk, workers, first=self._next_chunk)
+        parts = run_chunks(n, self.chunk, workers, first=self._next_chunk)
         self._next_chunk += len(parts)
         return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 
-
-def sample_mu_ab(sampler: MuAbSampler) -> IwasawaPoint:
-    """Next single draw from the sampler's stream, buffered chunkwise."""
-    if sampler._buffer is None or sampler._buffer_pos >= sampler._buffer["x"].size:
-        sampler._buffer = sampler.draw(CHUNK_SIZE)
-        sampler._buffer_pos = 0
-    i = sampler._buffer_pos
-    sampler._buffer_pos += 1
-    b = sampler._buffer
-    return IwasawaPoint(
-        x=float(b["x"][i]),
-        y=float(b["y"][i]),
-        phi=float(b["phi"][i]),
-        xi1=float(b["xi1"][i]),
-        xi2=float(b["xi2"][i]),
-    )

@@ -30,7 +30,6 @@ from .arith import (
     split_two_power,
 )
 from .errors import InvalidArgumentError, ResourceLimitError
-from .thetagroup import TorusPoint
 
 DEFAULT_ORBIT_CAP = 2000
 
@@ -73,10 +72,6 @@ class OrbitData:
     representative: Representative
     theta_min_infty: Fraction | None
     theta_min_one: Fraction | None
-
-    def torus_points(self) -> list[TorusPoint]:
-        q = self.pair.q
-        return [TorusPoint(int(r), int(s), q) for r, s in self.points]
 
 
 def _bfs_codes(q: int, seeds: list[tuple[int, int]]) -> np.ndarray:

@@ -1,19 +1,21 @@
 """Deterministic Monte-Carlo estimation of the two tail regimes.
 
-Both simulators draw in fixed chunks whose generators are derived from
-(seed, chunk_index), evaluate one survival curve per chunk, and add up
-integer exceedance counts in chunk order. The result is bit-identical for
-any worker count and any machine with the same numpy/scipy builds, and a
-re-run with the same seed reproduces it exactly.
+Both simulators run on one driver, _simulate: it draws in fixed chunks
+whose generators are derived from (seed, chunk_index), evaluates one value
+per sample, counts the values above each R^2, and adds the integer counts
+in chunk order. The result is bit-identical for any worker count and any
+machine with the same numpy/scipy builds, and a re-run with the same seed
+reproduces it exactly. A simulator only checks its own arguments and
+supplies the values of a chunk, its predicted constant and its metadata.
 
-The Weyl curve samples x from an absolutely continuous law, evaluates
+The Weyl curve samples x from an absolutely continuous law and evaluates
 |S_N(x) conj(S_{rN}(x))|/N through the batch kernel (a rotation recurrence
-re-anchored on the exact phase every 64 terms), and counts exceedances of
-R^2. The theta curve samples the invariant measure attached to
-(alpha, beta) - Haar on the fundamental domain times uniform on the
-finite orbit - maps samples in the cusp-at-1 horoball through the
-conjugating element so every point has y >= sqrt(3)/2, and evaluates the
-Gaussian pairing |Theta_f conj Theta_f| in a fixed 13-term lattice window.
+re-anchored on the exact phase every 64 terms). The theta curve samples
+the invariant measure attached to (alpha, beta) - Haar on the fundamental
+domain times uniform on the finite orbit - maps samples in the cusp-at-1
+horoball through the conjugating element (homog.conjugate_horoball) so
+every point has y >= sqrt(3)/2, and evaluates the Gaussian pairing
+|Theta_f conj Theta_f| in a fixed 13-term lattice window.
 Orbit points are drawn by rejection against the closed membership test and
 the orbit size comes from its closed form, so the theta curve does no
 O(q^2) work and runs at any denominator that factorize accepts (q < 10^12).
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import ndtri
 
-from .arith import RationalPair, normalize_pair
+from .arith import normalize_pair
 from .constants import tail_constant
 from .errors import InvalidArgumentError, UnsupportedOperationError
 from .homog import (
@@ -34,6 +36,7 @@ from .homog import (
     DEFAULT_SEED,
     MuAbSampler,
     chunk_generator,
+    conjugate_horoball,
     open_uniforms,
     run_chunks,
 )
@@ -64,10 +67,19 @@ def sampling_law(name: str) -> SamplingLaw:
     return SamplingLaw(name)
 
 
+# the exceedance count compares a (grid, CHUNK_SIZE) array: 32 MB of bools
+# per worker at this many thresholds
+MAX_THRESHOLDS = 1024
+
+
 def default_thresholds(lo: float = 1.5, hi: float = 6.0, count: int = 20) -> np.ndarray:
-    """Geometric grid of R values for survival curves."""
-    if not (0 < lo < hi) or count < 2:
-        raise InvalidArgumentError(f"bad threshold grid ({lo}, {hi}, {count})")
+    """Geometric grid of R values for survival curves: finite 0 < lo < hi and
+    2 <= count <= MAX_THRESHOLDS."""
+    if not (0 < lo < hi < math.inf) or not 2 <= count <= MAX_THRESHOLDS:
+        raise InvalidArgumentError(
+            f"bad threshold grid ({lo}, {hi}, {count}): need finite 0 < lo < hi"
+            f" and 2 to {MAX_THRESHOLDS} steps"
+        )
     return np.geomspace(lo, hi, count)
 
 
@@ -107,6 +119,38 @@ def _count_exceedances(values: np.ndarray, squared_thresholds: np.ndarray) -> np
     ).astype(np.int64)
 
 
+def _simulate(kind, pair, values, constant, meta, n_samples, thresholds, seed, workers, keep_values):
+    """The survival curve of values(index, count), the per-sample values of
+    each chunk, with the checks, counts and metadata both simulators share."""
+    if n_samples < 1:
+        raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
+    if thresholds is None:
+        thresholds = default_thresholds()
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    grid_ok = thresholds.ndim == 1 and 0 < thresholds.size <= MAX_THRESHOLDS
+    if not (grid_ok and np.all((thresholds > 0) & (thresholds < math.inf))):
+        raise InvalidArgumentError(
+            f"thresholds must be 1 to {MAX_THRESHOLDS} finite values > 0 in a 1-D grid"
+        )
+    squared = thresholds**2
+
+    def chunk(index: int, count: int):
+        vals = values(index, count)
+        return _count_exceedances(vals, squared), (vals if keep_values else None)
+
+    results = run_chunks(n_samples, chunk, workers)
+    return TailCurve(
+        kind=kind,
+        thresholds=thresholds,
+        counts=np.sum([c for c, _ in results], axis=0),
+        n_samples=n_samples,
+        seed=seed,
+        predicted_constant=constant,
+        meta={"alpha": str(pair.alpha), "beta": str(pair.beta), "q": pair.q, "type": pair.kind, **meta},
+        values=np.concatenate([v for _, v in results]) if keep_values else None,
+    )
+
+
 def simulate_weyl_tail(
     alpha,
     beta=0,
@@ -125,47 +169,21 @@ def simulate_weyl_tail(
     The predicted constant is the closed-form coefficient of R^-4; for
     numerators making the pair compact-type it is zero.
     """
-    pair = alpha if isinstance(alpha, RationalPair) else normalize_pair(alpha, beta)
-    if n_samples < 1:
-        raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
+    pair = normalize_pair(alpha, beta)
     if N < 1:
         raise InvalidArgumentError(f"N must be >= 1, got {N}")
     if not (math.isfinite(r) and r >= 1):
         raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
     law_obj = sampling_law(law) if isinstance(law, str) else law
-    thresholds = default_thresholds() if thresholds is None else np.asarray(thresholds, dtype=np.float64)
-    squared = thresholds**2
-    constant = tail_constant(pair, r=r).value
 
-    def chunk(index: int, count: int):
-        rng = chunk_generator(seed, index)
-        u = open_uniforms(rng, CHUNK_SIZE)
-        x = law_obj.transform(u)[:count]
-        vals = weyl_values_batch(x, pair, N, r)
-        return _count_exceedances(vals, squared), (vals if keep_values else None)
+    def values(index: int, count: int) -> np.ndarray:
+        u = open_uniforms(chunk_generator(seed, index), CHUNK_SIZE)
+        return weyl_values_batch(law_obj.transform(u)[:count], pair, N, r)
 
-    results = run_chunks(n_samples, chunk, workers)
-    counts = np.sum([c for c, _ in results], axis=0)
-    values = (
-        np.concatenate([v for _, v in results]) if keep_values else None
-    )
-    return TailCurve(
-        kind="weyl",
-        thresholds=thresholds,
-        counts=counts,
-        n_samples=n_samples,
-        seed=seed,
-        predicted_constant=constant,
-        meta={
-            "alpha": str(pair.alpha),
-            "beta": str(pair.beta),
-            "q": pair.q,
-            "type": pair.kind,
-            "N": N,
-            "r": r,
-            "law": law_obj.name,
-        },
-        values=values,
+    return _simulate(
+        "weyl", pair, values, tail_constant(pair, r=r).value,
+        {"N": N, "r": r, "law": law_obj.name},
+        n_samples, thresholds, seed, workers, keep_values,
     )
 
 
@@ -187,58 +205,25 @@ def simulate_theta_tail(
     and exactly sqrt(y) |sum_n exp(-pi w_n^2) e(theta_n)|^2. The predicted
     constant is (2|U| + |V|)/|S| * D / pi^2 with D = pi for this pair.
     """
-    pair = alpha if isinstance(alpha, RationalPair) else normalize_pair(alpha, beta)
-    if n_samples < 1:
-        raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
+    pair = normalize_pair(alpha, beta)
     w1 = gaussian_weight() if w1 is None else w1
     w2 = gaussian_weight() if w2 is None else w2
     if not (isinstance(w1, GaussianWeight) and isinstance(w2, GaussianWeight)):
         raise UnsupportedOperationError(
             "theta tail simulation is implemented for the Gaussian pair"
         )
-    thresholds = default_thresholds() if thresholds is None else np.asarray(thresholds, dtype=np.float64)
-    squared = thresholds**2
     sampler = MuAbSampler(pair, seed=seed)
-    constant = float(leading_constant(pair)) / math.pi
 
-    def chunk(index: int, count: int):
-        data = sampler._chunk(index, count)
-        x, y = data["x"], data["y"]
-        xi1, xi2 = data["xi1"], data["xi2"]
-        in_horoball = (x - 1.0) ** 2 + y * y < 1.0
-        # conjugate the cusp-at-1 horoball to high cusp-at-infinity points:
-        # z -> 1/(1-z), (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2)
-        wr = 1.0 - x
-        den = wr * wr + y * y
-        x = np.where(in_horoball, wr / den, x)
-        y = np.where(in_horoball, y / den, y)
-        new_xi2 = -xi1 + xi2 + 0.5
-        xi1 = np.where(in_horoball, xi2, xi1)
-        xi2 = np.where(in_horoball, new_xi2, xi2)
-        vals = theta_pair_gaussian_batch(x, y, xi1, xi2)
-        return _count_exceedances(vals, squared), (vals if keep_values else None)
+    def values(index: int, count: int) -> np.ndarray:
+        data = sampler.chunk(index, count)
+        return theta_pair_gaussian_batch(
+            *conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+        )
 
-    results = run_chunks(n_samples, chunk, workers)
-    counts = np.sum([c for c, _ in results], axis=0)
-    values = (
-        np.concatenate([v for _, v in results]) if keep_values else None
-    )
-    return TailCurve(
-        kind="theta",
-        thresholds=thresholds,
-        counts=counts,
-        n_samples=n_samples,
-        seed=seed,
-        predicted_constant=constant,
-        meta={
-            "alpha": str(pair.alpha),
-            "beta": str(pair.beta),
-            "q": pair.q,
-            "type": pair.kind,
-            "orbit_size": orbit_size_formula(pair),
-            "weights": (w1.name, w2.name),
-        },
-        values=values,
+    return _simulate(
+        "theta", pair, values, float(leading_constant(pair)) / math.pi,
+        {"orbit_size": orbit_size_formula(pair), "weights": (w1.name, w2.name)},
+        n_samples, thresholds, seed, workers, keep_values,
     )
 
 

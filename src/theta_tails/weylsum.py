@@ -138,14 +138,30 @@ class WeylSumSpec:
         return fa.numerator * (q // fa.denominator), fb.numerator * (q // fb.denominator), q
 
 
+def _check_phase_range(n_max: int, spec: WeylSumSpec) -> None:
+    """Raise InvalidArgumentError unless |n| <= n_max keeps the phase exact.
+
+    For odd n, n^2/2 + floor(n b/q) is a half-integer, which float64 holds
+    exactly only below 2^52: the range of every Weyl path is n_max^2/2 +
+    floor(n_max |b|/q) < 2^52, n_max up to about 9.49e7 at b = 0.
+    """
+    rat = spec.rational_parts()
+    shift = n_max * abs(rat[1]) // rat[2] if rat is not None else 0
+    if n_max * n_max + 2 * shift >= 1 << 53:
+        raise InvalidArgumentError(
+            f"n up to {n_max} exceeds the exact phase range n^2/2 + floor(n |b|/q) < 2^52"
+        )
+
+
 def _phase_mod1(ns: np.ndarray, x, spec: WeylSumSpec) -> np.ndarray:
     """Reduced phase ((n^2/2 + beta n + zeta) x + alpha n) mod 1, plus tiny residue.
 
     x may be a scalar with a vector of ns, or an array of samples with a
-    one-element ns or a (k, 1) column of ns; the result broadcasts.
+    one-element ns or a (k, 1) column of ns; the result broadcasts. Callers
+    bound |n| with _check_phase_range first.
     """
     rat = spec.rational_parts()
-    half_sq = 0.5 * ns.astype(np.float64) * ns  # n^2/2 exact for n < 9e7
+    half_sq = 0.5 * ns.astype(np.float64) * ns
     if rat is not None:
         a, b, q = rat
         n_big = int(np.max(np.abs(ns)))
@@ -181,7 +197,12 @@ def _terms(x: float, spec: WeylSumSpec, ns: np.ndarray) -> tuple[np.ndarray, np.
 
 
 def weyl_sum(x: float, spec: WeylSumSpec) -> complex:
-    """S_N(x) = sum_{n=1}^{N} e((n^2/2 + beta n + zeta) x + alpha n)."""
+    """S_N(x) = sum_{n=1}^{N} e((n^2/2 + beta n + zeta) x + alpha n).
+
+    Valid while N^2/2 + floor(N |b|/q) < 2^52; larger N raise
+    InvalidArgumentError.
+    """
+    _check_phase_range(spec.N, spec)
     re_parts: list[float] = []
     im_parts: list[float] = []
     for start in range(1, spec.N + 1, _CHUNK):
@@ -193,7 +214,9 @@ def weyl_sum(x: float, spec: WeylSumSpec) -> complex:
 
 
 def partial_sums(x: float, spec: WeylSumSpec) -> np.ndarray:
-    """Prefix sums S_1..S_N as a complex array (the curlicue path)."""
+    """Prefix sums S_1..S_N as a complex array (the curlicue path), in the
+    N range of weyl_sum."""
+    _check_phase_range(spec.N, spec)
     out = np.empty(spec.N, dtype=np.complex128)
     carry = 0.0 + 0.0j
     for start in range(1, spec.N + 1, _CHUNK):
@@ -211,7 +234,8 @@ def weighted_weyl_sum(weight, x: float, spec: WeylSumSpec) -> complex:
 
     The summation range comes from the weight's own decay: terms with
     |f(n/N)| below the truncation level are dropped, with total tail mass
-    bounded by (2N+1) times that level (documented by the weight).
+    bounded by (2N+1) times that level (documented by the weight). The
+    largest |n| summed must lie in the N range of weyl_sum.
     """
     radius = weight.support_radius(1e-18)
     if not math.isfinite(radius):
@@ -219,6 +243,7 @@ def weighted_weyl_sum(weight, x: float, spec: WeylSumSpec) -> complex:
             f"weight {getattr(weight, 'name', weight)!r} does not decay; cannot truncate"
         )
     n_max = int(math.floor(radius * spec.N)) + 1
+    _check_phase_range(n_max, spec)
     re_parts: list[float] = []
     im_parts: list[float] = []
     for start in range(-n_max, n_max + 1, _CHUNK):
@@ -280,11 +305,12 @@ def weyl_values_batch(
     one-block-at-a-time loop. The batch is flattened and the result has the
     shape of xs.
 
-    Valid for N >= 1, finite r >= 1, 0.5 m^2 + floor(m b / q) < 2^53 with
-    m = floor(rN) (n up to about 9e7, where the anchor phase stops being an
-    exact integer plus a reduced product), and |x| < 2^30, where the small
-    rational phase product needs no splitting; sampling laws satisfy the
-    last by construction. Out-of-range input raises InvalidArgumentError.
+    Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52 with
+    m = floor(rN) (n up to about 9.49e7, where the anchor phase stops being
+    an exact half-integer plus a reduced product), and |x| < 2^30, where
+    the small rational phase product needs no splitting; sampling laws
+    satisfy the last by construction. Out-of-range input raises
+    InvalidArgumentError.
     """
     if N < 1:
         raise InvalidArgumentError(f"N must be >= 1, got {N}")
@@ -294,11 +320,8 @@ def weyl_values_batch(
     if not np.all(np.abs(xs) < float(1 << 30)):
         raise InvalidArgumentError("batch path assumes |x| < 2^30")
     m = int(math.floor(r * N))
-    if m * m + 2 * (m * pair.b // pair.q) >= 1 << 54:
-        raise InvalidArgumentError(
-            f"floor(rN) = {m} exceeds the exact phase range of the batch path"
-        )
     spec = WeylSumSpec.from_pair(pair, N=N)
+    _check_phase_range(m, spec)
     flat = xs.reshape(-1)
     full, tail = divmod(m, ANCHOR_STRIDE)
     g = max(1, min(full + (tail > 0), _GROUP_BUDGET // max(flat.size, 1)))

@@ -89,6 +89,7 @@ def test_normalization_is_canonical_and_idempotent(alpha, beta):
     assert (p.alpha - alpha) % 1 == 0
     assert (p.beta - beta) % 1 == 0
     assert normalize_pair(p.alpha, p.beta) == p
+    assert normalize_pair(p, beta) is p  # a canonical pair passes through
     # the two-power split is stored consistently
     assert 2**p.ell * p.m == p.q and p.m % 2 == 1
     if p.kind == "C":

@@ -196,9 +196,11 @@ def test_argparse_rejects_bad_rationals():
     with pytest.raises(SystemExit) as exc:
         cli.main(["orbit", "--alpha", "1/0"])
     assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["tail", "--thresholds", "2-4-4"])
-    assert exc.value.code == 2
+    # grids must be finite and hold at most MAX_THRESHOLDS values
+    for grid in ("2-4-4", "1:inf:5", "1:1e400:3", "1:2:100000000"):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["tail", "--thresholds", grid])
+        assert exc.value.code == 2
 
 
 def test_exit_code_for_resource_limits(capsys):
@@ -218,7 +220,9 @@ def test_exit_code_for_invalid_arguments(capsys):
 
 
 @pytest.mark.parametrize(
-    "flags", [["--N", "0"], ["--N", "-5"], ["--r", "inf"]], ids=["N0", "N-5", "r-inf"]
+    "flags",
+    [["--N", "0"], ["--N", "-5"], ["--r", "inf"], ["--N", "95000001"]],
+    ids=["N0", "N-5", "r-inf", "N-beyond-phase-range"],
 )
 def test_tail_rejects_out_of_range_inputs(capsys, flags):
     rc = cli.main(["tail", "--alpha", "1/2", "--samples", "100", *flags])
@@ -236,6 +240,19 @@ def test_simulations_reject_fewer_than_one_worker(capsys, command, workers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+@pytest.mark.parametrize("command", ["tail", "theta-tail"])
+def test_simulations_reject_a_negative_seed(capsys, monkeypatch, command):
+    monkeypatch.delenv("THETA_TAILS_SEED", raising=False)
+    argv = [command, "--samples", "100"]
+    for env, flags in ((None, ["--seed", "-1"]), ("-1", [])):
+        if env is not None:
+            monkeypatch.setenv("THETA_TAILS_SEED", env)
+        assert cli.main(argv + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: seed must be >= 0, got -1\n"
 
 
 @pytest.mark.parametrize("x", ["nan", "inf"])

@@ -18,6 +18,7 @@ from theta_tails import (
     act_on_iwasawa,
     apply_rho,
     chunk_generator,
+    conjugate_horoball,
     cusp_mass,
     cusp_region,
     enumerate_orbit,
@@ -30,7 +31,6 @@ from theta_tails import (
     open_uniforms,
     reduce,
     sample_haar,
-    sample_mu_ab,
 )
 
 
@@ -303,15 +303,35 @@ def test_sampler_haar_stream_is_frozen():
 def test_sampler_draw_validation():
     with pytest.raises(InvalidArgumentError):
         MuAbSampler(Fraction(1, 6)).draw(0)
+    # every stream is seeded through chunk_generator, which takes seeds >= 0
+    with pytest.raises(InvalidArgumentError):
+        chunk_generator(-1, 0)
+    with pytest.raises(InvalidArgumentError):
+        MuAbSampler(Fraction(1, 6), seed=-1).draw(1)
 
 
-def test_single_draw_matches_the_stream():
-    s1 = MuAbSampler(Fraction(1, 8), 0, seed=5)
-    s2 = MuAbSampler(Fraction(1, 8), 0, seed=5)
-    stream = s2.draw(3)
-    for i in range(3):
-        pt = sample_mu_ab(s1)
-        assert isinstance(pt, IwasawaPoint)
-        assert pt.x == stream["x"][i]
-        assert pt.y == stream["y"][i]
-        assert pt.phi == stream["phi"][i]
+@pytest.mark.parametrize("index, count", [(0, 5), (1, 300), (2, CHUNK_SIZE)])
+def test_sampler_chunk_is_the_matching_slice_of_draw(index, count):
+    pair = normalize_pair(Fraction(1, 12), Fraction(1, 3))
+    stream = MuAbSampler(pair, seed=7).draw(3 * CHUNK_SIZE)
+    part = MuAbSampler(pair, seed=7).chunk(index, count)
+    start = index * CHUNK_SIZE
+    for key in stream:
+        assert np.array_equal(part[key], stream[key][start : start + count])
+
+
+def test_conjugate_horoball_is_apply_rho_inside_and_the_identity_outside():
+    rng = np.random.default_rng(12)
+    n = 4000
+    x, y, _ = haar_from_uniforms(*open_uniforms(rng, (3, n)))
+    xi1, xi2 = rng.uniform(-0.5, 0.5, (2, n))
+    inside = (x - 1.0) ** 2 + y * y < 1.0
+    assert 0 < np.count_nonzero(inside) < n
+    out = conjugate_horoball(x, y, xi1, xi2)
+    for i in np.flatnonzero(inside):
+        pt = apply_rho(IwasawaPoint(x=x[i], y=y[i], phi=0.0, xi1=xi1[i], xi2=xi2[i]))
+        for got, want in zip(out, (pt.x, pt.y, pt.xi1, pt.xi2)):
+            assert abs(got[i] - want) <= 1e-15 * (1.0 + abs(want))
+        assert out[1][i] >= math.sqrt(3.0) / 2.0 - 1e-12
+    for got, given in zip(out, (x, y, xi1, xi2)):
+        assert np.array_equal(got[~inside], given[~inside])

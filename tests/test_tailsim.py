@@ -25,6 +25,7 @@ from theta_tails import (
     simulate_weyl_tail,
     tail_constant,
 )
+from theta_tails.tailsim import MAX_THRESHOLDS
 
 
 def test_sampling_laws():
@@ -46,6 +47,22 @@ def test_default_thresholds_grid():
         default_thresholds(3.0, 2.0, 5)
     with pytest.raises(InvalidArgumentError):
         default_thresholds(1.0, 2.0, 1)
+    assert default_thresholds(1.0, 2.0, MAX_THRESHOLDS).size == MAX_THRESHOLDS
+    for bad in ((1.0, math.inf, 5), (math.nan, 2.0, 5), (1.0, 2.0, MAX_THRESHOLDS + 1)):
+        with pytest.raises(InvalidArgumentError):
+            default_thresholds(*bad)
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [[], [[2.0, 3.0]], [2.0, math.inf], [2.0, math.nan], [0.0, 2.0], [-1.0],
+     np.full(MAX_THRESHOLDS + 1, 2.0)],
+    ids=["empty", "2-D", "inf", "nan", "zero", "negative", "too-many"],
+)
+@pytest.mark.parametrize("simulate", [simulate_weyl_tail, simulate_theta_tail])
+def test_simulators_reject_bad_threshold_grids(simulate, grid):
+    with pytest.raises(InvalidArgumentError):
+        simulate(Fraction(1, 8), n_samples=10, thresholds=grid)
 
 
 def test_tail_curve_accessors():

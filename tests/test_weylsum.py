@@ -276,14 +276,37 @@ def test_batch_kernel_keeps_the_shape_of_its_input(shape):
 
 @pytest.mark.parametrize(
     "N, r",
-    [(0, 1.0), (-5, 1.0), (10, 0.9), (10, math.inf), (10, math.nan), (2**27, 1.0), (10, 2.0**24)],
+    [
+        (0, 1.0), (-5, 1.0), (10, 0.9), (10, math.inf), (10, math.nan),
+        (2**27, 1.0), (10, 2.0**24), (95_000_001, 1.0),
+    ],
 )
 def test_batch_kernel_range_guard(N, r):
-    # 0.5 m^2 must stay below 2^53 with m = floor(rN); b = 0 puts the
-    # limit at m = 2^27
+    # m^2/2 must stay below 2^52 with m = floor(rN); b = 0 puts the limit
+    # just under m = 94,906,266
     pair = normalize_pair(Fraction(1, 2), 0)
     with pytest.raises(InvalidArgumentError):
         weyl_values_batch(np.array([0.5]), pair, N, r=r)
+
+
+def test_every_weyl_path_rejects_n_beyond_the_exact_phase_range():
+    # an odd n with n^2 >= 2^53 loses the half of n^2/2 in float64: at
+    # (1/8, 0), x = 0.3 the phase of n = 95,000,001 came out off by x/2
+    n = 95_000_001
+    assert 0.5 * np.float64(n) * n != Fraction(n * n, 2)
+    assert 0.5 * np.float64(94_906_265) * 94_906_265 == Fraction(94_906_265**2, 2)
+    spec = WeylSumSpec(alpha=Fraction(1, 8), beta=0, zeta=0.0, N=n)
+    weylsum._check_phase_range(94_906_265, spec)  # the largest n in range at b = 0
+    for path in (weyl_sum, partial_sums):
+        with pytest.raises(InvalidArgumentError):
+            path(0.3, spec)
+    with pytest.raises(InvalidArgumentError):
+        weyl_values_batch(np.array([0.3]), normalize_pair(Fraction(1, 8), 0), n)
+    # the weighted sum runs n up to about 3.6 N, so it crosses at a smaller N
+    g = gaussian_weight()
+    N = math.ceil(94_906_266 / g.support_radius(1e-18))
+    with pytest.raises(InvalidArgumentError):
+        weighted_weyl_sum(g, 0.3, WeylSumSpec(alpha=Fraction(1, 8), beta=0, zeta=0.0, N=N))
 
 
 # ---------------------------------------------------------------------------
