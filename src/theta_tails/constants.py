@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.integrate import quad
 
 from .arith import RationalPair, dedekind_psi, normalize_pair
 from .errors import InvalidArgumentError, NumericFailureError
@@ -108,6 +107,7 @@ def D_rat_numeric(w1, w2, tol: float = 1e-4) -> float:
     if tol <= 0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
     if w1.regular and w2.regular:
+        from scipy.integrate import quad  # only here, to keep the package import light
 
         def smooth(phi):
             v1 = abs(w1.f_phi0_value(phi)) ** 2

@@ -276,6 +276,19 @@ def gaussian_theta_mpmath(x: float, y: float) -> complex:
         return complex(val)
 
 
+def gaussian_pair_lattice_sum(x, y, xi1, xi2):
+    """sqrt(y) |sum_n exp(-pi (n - xi2)^2 y) e((n - xi2)^2 x/2 + n xi1)|^2
+    over the 13 terms n = round(xi2) + j, |j| <= 6, each from its own exp."""
+    k0 = round(xi2)
+    total = 0j
+    for j in range(-6, 7):
+        m = j - (xi2 - k0)
+        total += cmath.exp(
+            complex(-math.pi * m * m * y, 2 * math.pi * (0.5 * m * m * x + (k0 + j) * xi1))
+        )
+    return math.sqrt(y) * abs(total) ** 2
+
+
 # ---------------------------------------------------------------------------
 # frozen reference decimals
 

@@ -155,6 +155,18 @@ def test_theta_tail_simulation_small():
     assert curve.meta["weights"] == ("gaussian", "gaussian")
 
 
+def test_theta_tail_values_do_not_depend_on_the_worker_count():
+    runs = [
+        simulate_theta_tail(
+            Fraction(1, 2000), 0, n_samples=2**18, keep_values=True, workers=workers
+        )
+        for workers in (1, 2)
+    ]
+    assert np.array_equal(runs[0].counts, runs[1].counts)
+    assert np.array_equal(runs[0].values, runs[1].values)
+    assert runs[0].values.shape == (2**18,) and np.all(np.isfinite(runs[0].values))
+
+
 def test_theta_tail_runs_beyond_the_enumeration_cap():
     pair = normalize_pair(Fraction(1, 10**9 + 7), 0)
     curve = simulate_theta_tail(pair, n_samples=5000, thresholds=np.array([2.0, 3.0]))

@@ -2,8 +2,12 @@
 
 import cmath
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,11 +20,13 @@ from theta_tails import (
     GAMMA4,
     InvalidArgumentError,
     IwasawaPoint,
+    MuAbSampler,
     UnsupportedOperationError,
     WeylSumSpec,
     act_on_iwasawa,
     apply_rho,
     bound_constant,
+    conjugate_horoball,
     cusp_bound,
     cusp_main_term,
     f_phi_numeric,
@@ -170,6 +176,84 @@ def test_gaussian_batch_matches_the_scalar_pairing():
         pt = IwasawaPoint(x=x[i], y=y[i], phi=0.0, xi1=xi1[i], xi2=xi2[i])
         want = abs(theta_pair(GAUSS, GAUSS, pt))
         assert abs(got[i] - want) <= 1e-10 * (1 + want)
+
+
+def _assert_matches_lattice_oracle(x, y, xi1, xi2):
+    got = theta_pair_gaussian_batch(x, y, xi1, xi2)
+    for i in range(len(x)):
+        want = oracles.gaussian_pair_lattice_sum(x[i], y[i], xi1[i], xi2[i])
+        assert abs(got[i] - want) <= 2e-15 * (1 + want), (i, got[i], want)
+
+
+def test_gaussian_batch_matches_the_lattice_oracle_on_a_wide_box():
+    rng = np.random.default_rng(17)
+    n = 3000
+    _assert_matches_lattice_oracle(
+        rng.uniform(-1, 3, n),
+        rng.uniform(math.sqrt(3) / 2, 6, n),
+        rng.uniform(-1, 2, n),
+        rng.uniform(-1, 2, n),
+    )
+
+
+@pytest.mark.parametrize("q", [8, 2000])
+def test_gaussian_batch_matches_the_lattice_oracle_on_sampler_chunks(q):
+    # longer than one internal block, so a block boundary is crossed
+    data = MuAbSampler(Fraction(1, q), 0, seed=3).chunk(0, 10000)
+    x, y, xi1, xi2 = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+    assert y.min() > math.sqrt(3) / 2 - 1e-12 and y.max() > 100
+    _assert_matches_lattice_oracle(x, y, xi1, xi2)
+
+
+def test_gaussian_batch_rejects_inputs_outside_its_range():
+    good = [np.array(v) for v in ([0.3, -0.1], [1.0, 0.9], [0.2, 0.4], [0.1, 0.5])]
+    theta_pair_gaussian_batch(*good)
+    for slot in range(4):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [v.copy() for v in good]
+            args[slot][1] = bad
+            with pytest.raises(InvalidArgumentError):
+                theta_pair_gaussian_batch(*args)
+    for slot in (0, 2, 3):
+        args = [v.copy() for v in good]
+        args[slot][0] = 2.0**53
+        with pytest.raises(InvalidArgumentError):
+            theta_pair_gaussian_batch(*args)
+    for low_y in (0.4999, 0.0, -1.0):
+        args = [v.copy() for v in good]
+        args[1][0] = low_y
+        with pytest.raises(InvalidArgumentError):
+            theta_pair_gaussian_batch(*args)
+    with pytest.raises(InvalidArgumentError):
+        theta_pair_gaussian_batch(*good, halfwidth=0)
+
+
+def test_gaussian_batch_stays_finite_high_in_the_cusp():
+    rng = np.random.default_rng(23)
+    y = np.concatenate([np.geomspace(0.5, 1e300, 400), np.full(8, 1e300)])
+    xi2 = rng.uniform(-1, 2, y.size)
+    xi2[-8:] = [0.0, 0.5, -0.5, 0.25, 1.0, 1.5, 0.125, 0.0]
+    x = rng.uniform(-1, 3, y.size)
+    xi1 = rng.uniform(-1, 2, y.size)
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = theta_pair_gaussian_batch(x, y, xi1, xi2)
+    assert np.all(np.isfinite(got)) and np.all(got >= 0)
+    # with xi2 an integer only the anchor term survives: the value is sqrt(y)
+    assert got[-8] == pytest.approx(1e150, rel=1e-15)
+    assert got[-4] == pytest.approx(1e150, rel=1e-15)
+    moderate = y < 1e6
+    _assert_matches_lattice_oracle(x[moderate], y[moderate], xi1[moderate], xi2[moderate])
+
+
+def test_package_import_leaves_scipy_integrate_unloaded():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = "import sys, theta_tails; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
