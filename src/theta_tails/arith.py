@@ -1,47 +1,59 @@
 """Exact arithmetic functions and canonicalization of rational parameter pairs.
 
 Everything here is integer/Fraction exact. The multiplicative functions are
-evaluated from a trial-division factorization backed by a prime table up to
-10^6, so any denominator below 10^12 is accepted; only the orbit enumeration
-is limited to desk scale (a few thousand).
+evaluated from a trial-division factorization. Its prime table is sieved on
+demand, only as far as isqrt of the largest input so far (at most 10^6), so
+any denominator below 10^12 is accepted; only the orbit enumeration is
+limited to desk scale (a few thousand).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import InvalidArgumentError
 
 _PRIME_BOUND = 10 ** 6
-_SMALL_PRIMES: list[int] | None = None
+# (limit, every prime <= limit). factorize runs in worker threads (through
+# orbit_contains), so a larger table replaces this tuple whole; it is never
+# extended in place.
+_PRIME_TABLE: tuple[int, list[int]] = (1, [])
 
 
-def _primes() -> list[int]:
-    # sieve once, on first use; 10^6 bound comfortably covers isqrt of any
-    # input this package accepts
-    global _SMALL_PRIMES
-    if _SMALL_PRIMES is None:
-        sieve = bytearray(b"\x01") * (_PRIME_BOUND + 1)
+def _primes(bound: int) -> list[int]:
+    """Every prime up to at least min(bound, _PRIME_BOUND), in order.
+
+    The table is sieved again only when a larger bound is asked for, then at
+    least to twice its old limit, so growing inputs cost a few sieves in all.
+    """
+    global _PRIME_TABLE
+    limit, primes = _PRIME_TABLE
+    if bound > limit and limit < _PRIME_BOUND:
+        limit = min(max(bound, 2 * limit), _PRIME_BOUND)
+        sieve = bytearray(b"\x01") * (limit + 1)
         sieve[0] = sieve[1] = 0
-        for p in range(2, isqrt(_PRIME_BOUND) + 1):
+        for p in range(2, isqrt(limit) + 1):
             if sieve[p]:
                 sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-        _SMALL_PRIMES = [i for i, f in enumerate(sieve) if f]
-    return _SMALL_PRIMES
+        primes = list(compress(range(limit + 1), sieve))
+        _PRIME_TABLE = (limit, primes)
+    return primes
 
 
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division.
 
-    Raises InvalidArgumentError for n < 1 or n beyond the supported range
-    (p^2 search is backed by a prime table up to 10^6, so n < 10^12 is safe).
+    Raises InvalidArgumentError for n < 1 or n beyond the supported range.
+    The trial divisors are the primes up to isqrt(n) + 1, capped at 10^6, so
+    n < 10^12 is safe.
     """
     if n < 1:
         raise InvalidArgumentError(f"factorize expects a positive integer, got {n}")
     out: dict[int, int] = {}
     rem = n
-    for p in _primes():
+    for p in _primes(isqrt(n) + 1):
         if p * p > rem:
             break
         while rem % p == 0:

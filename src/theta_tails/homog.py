@@ -56,6 +56,7 @@ NEG_IDENTITY = GammaElement(-1, 0, 0, -1)
 _INV_AT_TWO = GammaElement(2, -5, 1, -2)
 
 _SQRT3_HALF = math.sqrt(3.0) / 2.0
+_BELOW_ONE = 1.0 - 2.0**-53
 
 
 def lower_boundary(x: float) -> float:
@@ -255,8 +256,16 @@ def run_chunks(n_samples: int, chunk_fn, workers: int = 1, first: int = 0) -> li
 
 
 def open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms in the open interval (0, 1): 53-bit integers shifted by 1/2."""
-    return (rng.integers(0, 1 << 53, size=shape).astype(np.float64) + 0.5) * 2.0**-53
+    """Uniforms in the open interval (0, 1): 53-bit integers k shifted by 1/2.
+
+    (k + 1/2) 2^-53 rounds to 1.0 at k = 2^53 - 1 alone; that one value is
+    clamped to 1 - 2^-53, the largest double below 1, and every other value
+    is unchanged.
+    """
+    u = rng.integers(0, 1 << 53, size=shape).astype(np.float64)
+    u += 0.5  # in place: each fresh chunk-sized array costs page faults
+    u *= 2.0**-53
+    return np.minimum(u, _BELOW_ONE, out=u)
 
 
 def haar_from_uniforms(u1, u2, u3):

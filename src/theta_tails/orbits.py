@@ -32,6 +32,8 @@ from .arith import (
 from .errors import InvalidArgumentError, ResourceLimitError
 
 DEFAULT_ORBIT_CAP = 2000
+# mask entries scanned per block when enumerate_orbit fills its point list
+_POINT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -184,6 +186,23 @@ def _theta_min_one(rows: np.ndarray, row_of: np.ndarray, q: int) -> Fraction:
     return Fraction(best, 2 * q)
 
 
+def _mask_points(mask: np.ndarray) -> np.ndarray:
+    """np.stack(np.nonzero(mask), axis=1) for a 2-D mask, written into one
+    (n, 2) int64 array block of rows by block, so the whole point list is
+    never held twice."""
+    q = mask.shape[1]
+    points = np.empty((int(np.count_nonzero(mask)), 2), dtype=np.int64)
+    step = max(1, _POINT_BLOCK // q)
+    end = 0
+    for first in range(0, mask.shape[0], step):
+        flat = np.flatnonzero(mask[first : first + step])
+        start, end = end, end + flat.size
+        block = points[start:end]
+        np.divmod(flat, q, out=(block[:, 0], block[:, 1]))
+        block[:, 0] += first
+    return points
+
+
 def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitData:
     """The orbit of a canonical pair with all counts and line minima filled in.
 
@@ -202,7 +221,7 @@ def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitDa
     keys, row_of = np.unique(np.gcd(r, q), return_inverse=True)
     rows = orbit_contains(pair, keys[:, None], r)
     mask = rows[row_of]
-    points = np.stack(np.nonzero(mask), axis=1)
+    points = _mask_points(mask)
     # points (r, 0) lie on xi2 = 0; for even q, (r, r + q/2) on xi2 - xi1 = 1/2
     size_V = int(np.count_nonzero(mask[r, (r + q // 2) % q])) if q % 2 == 0 else 0
     off_u = np.flatnonzero(rows.any(axis=0)[1:]) + 1  # columns s != 0 in use

@@ -15,7 +15,8 @@ the invariant measure attached to (alpha, beta) - Haar on the fundamental
 domain times uniform on the finite orbit - maps samples in the cusp-at-1
 horoball through the conjugating element (homog.conjugate_horoball) so
 every point has y >= sqrt(3)/2, and evaluates the Gaussian pairing
-|Theta_f conj Theta_f| in a fixed 13-term lattice window.
+|Theta_f conj Theta_f| with theta_pair_gaussian_batch (a rotation
+recurrence anchored at the nearest lattice term).
 Orbit points are drawn by rejection against the closed membership test and
 the orbit size comes from its closed form, so the theta curve does no
 O(q^2) work and runs at any denominator that factorize accepts (q < 10^12).
@@ -26,7 +27,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from .arith import normalize_pair
 from .constants import tail_constant
@@ -52,11 +52,22 @@ class SamplingLaw:
     name: str
 
     def transform(self, u: np.ndarray) -> np.ndarray:
+        return self.function()(u)
+
+    def function(self):
+        """The transform as a function of u. The normal law loads
+        scipy.special here, not at package import."""
         if self.name == "normal":
-            return ndtri(u)
+            from scipy.special import ndtri
+
+            return ndtri
         if self.name == "uniform01":
-            return u
+            return _identity
         raise InvalidArgumentError(f"unknown sampling law {self.name!r}")
+
+
+def _identity(u):
+    return u
 
 
 def sampling_law(name: str) -> SamplingLaw:
@@ -114,8 +125,11 @@ class TailCurve:
 
 
 def _count_exceedances(values: np.ndarray, squared_thresholds: np.ndarray) -> np.ndarray:
+    """How many values exceed each squared threshold (any order). Only the
+    values above the smallest threshold enter the (grid, n) comparison."""
+    tail = values[values > squared_thresholds.min()]
     return np.count_nonzero(
-        values[None, :] > squared_thresholds[:, None], axis=1
+        tail[None, :] > squared_thresholds[:, None], axis=1
     ).astype(np.int64)
 
 
@@ -175,10 +189,11 @@ def simulate_weyl_tail(
     if not (math.isfinite(r) and r >= 1):
         raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
     law_obj = sampling_law(law) if isinstance(law, str) else law
+    transform = law_obj.function()  # here, so no worker thread runs an import
 
     def values(index: int, count: int) -> np.ndarray:
         u = open_uniforms(chunk_generator(seed, index), CHUNK_SIZE)
-        return weyl_values_batch(law_obj.transform(u)[:count], pair, N, r)
+        return weyl_values_batch(transform(u)[:count], pair, N, r)
 
     return _simulate(
         "weyl", pair, values, tail_constant(pair, r=r).value,

@@ -31,8 +31,6 @@ import cmath
 import math
 
 import numpy as np
-from scipy.special import fresnel
-from scipy.special import zeta as _riemann_zeta
 
 from .errors import (
     InvalidArgumentError,
@@ -207,6 +205,8 @@ class SharpIndicatorWeight(WeightFunction):
         I(u) = integral over (0, r] of exp(i pi u v^2) dv, a Fresnel integral.
         Value 0 at phi in pi*Z (there chi_phi(0) = chi(0) = 0).
         """
+        from scipy.special import fresnel  # only here, to keep the package import light
+
         phis = np.asarray(phis, dtype=np.float64)
         k = np.round(phis / math.pi)
         near = np.abs(phis - k * math.pi) < _PI_MULTIPLE_TOL
@@ -448,7 +448,9 @@ def bound_constant(eta: float) -> float:
     """C_eta = 2^(6 eta) zeta(eta)^2 in the cusp approximation estimate."""
     if eta <= 1:
         raise InvalidArgumentError(f"eta must exceed 1, got {eta}")
-    return 2.0 ** (6.0 * eta) * float(_riemann_zeta(eta, 1.0)) ** 2
+    from scipy.special import zeta  # only here, to keep the package import light
+
+    return 2.0 ** (6.0 * eta) * float(zeta(eta, 1.0)) ** 2
 
 
 def cusp_bound(

@@ -331,12 +331,12 @@ def weyl_values_batch(
     if tail:
         groups.append((full, full + 1, tail))
     n_block, n_step = divmod(N - 1, ANCHOR_STRIDE)
-    # e(x) in every row: rho *= w is slower against a broadcast (1, width) w
-    w = np.empty((g, flat.size), dtype=np.complex128)
+    # e(x) in every row: rho *= w is slower against a broadcast (1, width) w.
+    # One allocation for all four: four separate frees at the end of a call
+    # let glibc trim the heap, and the next call page-faults it back in.
+    w, t, rho, acc = np.empty((4, g, flat.size), dtype=np.complex128)
     _unit_phasor(flat, w)
-    t = np.empty_like(w)
-    rho = np.empty_like(w)
-    acc = np.zeros_like(w)
+    acc[...] = 0.0
     for first, end, steps in groups:
         rows = end - first
         tv, rv, wv, av = t[:rows], rho[:rows], w[:rows], acc[:rows]

@@ -1,6 +1,8 @@
 """Multiplicative functions and canonicalization of rational pairs."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
+from theta_tails import arith
 from theta_tails import (
     InvalidArgumentError,
     dedekind_psi,
@@ -44,6 +47,41 @@ def test_factorize_roundtrip_with_prime_factors(n):
         assert all(p % d for d in range(2, math.isqrt(p) + 1))
         prod *= p**e
     assert prod == n
+
+
+def test_factorize_across_prime_table_growth(monkeypatch):
+    monkeypatch.setattr(arith, "_PRIME_TABLE", (1, []))
+    for n, limit in ((2000, 45), (999983 * 999979, 999981), (12, 999981)):
+        fac = factorize(n)
+        assert math.prod(p**e for p, e in fac.items()) == n
+        assert all(p >= 2 and all(p % d for d in range(2, math.isqrt(p) + 1)) for p in fac)
+        # the table reaches isqrt(n) + 1 and never shrinks
+        assert arith._PRIME_TABLE[0] == limit
+    assert fac == {2: 2, 3: 1}
+    assert factorize(999983 * 999979) == {999979: 1, 999983: 1}
+
+
+def test_factorize_from_many_threads_while_the_table_grows(monkeypatch):
+    # worker threads reach factorize through orbit_contains: a call must see
+    # primes up to its own bound while other threads replace the table. A
+    # product p * Q of primes with p < Q < p^2 needs the primes up to p and
+    # stops there; 3 * 2^39 makes the table grow to 10^6.
+    ns = [2000, 1009 * 999983, 3001 * 999979, 3 * 2**39, 50021 * 999961, 12, 997 * 991, 2003 * 999953]
+    want = [factorize(n) for n in ns]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(2):
+            monkeypatch.setattr(arith, "_PRIME_TABLE", (1, []))
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                jobs = [
+                    pool.submit(lambda k: [factorize(n) for n in ns[k:] + ns[:k]], k)
+                    for k in range(8)
+                ]
+                for k, job in enumerate(jobs):
+                    assert job.result(timeout=60) == want[k:] + want[:k]
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_factorize_rejects_nonpositive():

@@ -31,6 +31,7 @@ from theta_tails import (
     open_uniforms,
     reduce,
     sample_haar,
+    sampling_law,
 )
 
 
@@ -184,6 +185,23 @@ def test_open_uniforms_avoid_the_endpoints():
     u = open_uniforms(chunk_generator(5, 0), (4, 1000))
     assert u.shape == (4, 1000)
     assert np.all(u > 0) and np.all(u < 1)
+
+
+class _StubRng:
+    """Hands out the 53-bit integers 2^53 - 1 and 0, alternating."""
+
+    def integers(self, low, high, size):
+        return np.resize(np.array([2**53 - 1, 0], dtype=np.int64), size)
+
+
+def test_open_uniforms_clamp_the_top_integer_below_one():
+    u = open_uniforms(_StubRng(), 4)
+    assert u[0] == u[2] == 1.0 - 2.0**-53 < 1.0
+    assert u[1] == u[3] == 2.0**-54
+    # the clamped value still maps into the domain and to a finite normal draw
+    x, y, _ = haar_from_uniforms(u[0], u[1], u[2])
+    assert 0 <= x < 2 and y > 0
+    assert np.all(np.isfinite(sampling_law("normal").transform(u)))
 
 
 def test_haar_samples_live_in_the_domain():

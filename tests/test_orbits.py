@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import oracles
+from theta_tails import orbits
 from theta_tails import (
     DEFAULT_ORBIT_CAP,
     ResourceLimitError,
@@ -122,6 +123,39 @@ def test_enumeration_equals_the_bfs_closure(q):
 def test_enumeration_equals_the_bfs_closure_at_spot_pairs(a, b, q):
     pair = normalize_pair(Fraction(a, q), Fraction(b, q))
     assert_matches_the_bfs(pair, _bfs_codes(q, [(pair.a, pair.b)]))
+
+
+def mask_nonzeros(pair):
+    """np.stack(np.nonzero(mask), axis=1) of the full (q, q) membership mask,
+    the point list enumerate_orbit built before it filled one in place."""
+    r = np.arange(pair.q)
+    mask = orbit_contains(pair, r[:, None], r)
+    return mask, np.stack(np.nonzero(mask), axis=1)
+
+
+def assert_same_points(got, want):
+    assert got.dtype == want.dtype and got.flags.c_contiguous
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("q", range(1, 41))
+def test_points_equal_the_mask_nonzeros(q, monkeypatch):
+    # 120 mask entries per block: several blocks with a shorter last one from
+    # q = 11 on (40 rows in 3s at q = 40, 13 rows in 9s at q = 13)
+    monkeypatch.setattr(orbits, "_POINT_BLOCK", 120)
+    for pair in canonical_pairs(q):
+        mask, want = mask_nonzeros(pair)
+        assert_same_points(orbits._mask_points(mask), want)
+    # the point list depends on the pair only through its orbit
+    for pair, _ in orbit_representatives(q):
+        assert_same_points(enumerate_orbit(pair).points, mask_nonzeros(pair)[1])
+
+
+@pytest.mark.parametrize("b", [0, 1])
+def test_points_equal_the_mask_nonzeros_at_the_cap(b):
+    # 32-row blocks at the default block size, the last one half full
+    pair = normalize_pair(Fraction(1, 2000), Fraction(b, 2000))
+    assert_same_points(enumerate_orbit(pair).points, mask_nonzeros(pair)[1])
 
 
 # ---------------------------------------------------------------------------

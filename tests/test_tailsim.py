@@ -25,7 +25,7 @@ from theta_tails import (
     simulate_weyl_tail,
     tail_constant,
 )
-from theta_tails.tailsim import MAX_THRESHOLDS
+from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances
 
 
 def test_sampling_laws():
@@ -63,6 +63,17 @@ def test_default_thresholds_grid():
 def test_simulators_reject_bad_threshold_grids(simulate, grid):
     with pytest.raises(InvalidArgumentError):
         simulate(Fraction(1, 8), n_samples=10, thresholds=grid)
+
+
+def test_exceedance_count_equals_the_full_comparison():
+    rng = np.random.default_rng(11)
+    squared = np.array([9.0, 2.25, 36.0, 4.0, 2.25, 20.5])  # unsorted, one repeat
+    values = np.concatenate([rng.pareto(1.5, 5000), squared, np.nextafter(squared, 0)])
+    rng.shuffle(values)
+    for vals in (values, values[:0], np.full(7, 2.25), np.full(3, 40.0)):
+        want = np.count_nonzero(vals[None, :] > squared[:, None], axis=1)
+        got = _count_exceedances(vals, squared)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
 
 
 def test_tail_curve_accessors():

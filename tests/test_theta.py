@@ -256,6 +256,36 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_commands_off_the_normal_law_leave_scipy_special_unloaded(tmp_path):
+    # after the import and after each command: only the normal law, the sharp
+    # window's Fresnel values and bound_constant need scipy.special
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    out = str(tmp_path / "out")
+    commands = [
+        ["theta-tail", "--alpha", "1/8", "--samples", "2000", "--workers", "2"],
+        ["tail", "--alpha", "1/2", "--N", "50", "--law", "uniform01", "--samples", "2000"],
+        ["orbit", "--alpha", "1/6", "--points"],
+        ["partition", "--q", "12"],
+        ["constants", "--q-max", "12"],
+    ]
+    probe = (
+        "import sys, theta_tails\n"
+        "from theta_tails import cli\n"
+        "loaded = ['scipy.special' in sys.modules]\n"
+        f"for argv in {commands!r}:\n"
+        f"    assert cli.main(argv + ['--out', {out!r}]) == 0\n"
+        "    loaded.append('scipy.special' in sys.modules)\n"
+        "print(loaded)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    # the commands print their summaries first; the probe's list comes last
+    assert result.stdout.strip().splitlines()[-1] == str([False] * (len(commands) + 1))
+
+
 # ---------------------------------------------------------------------------
 # transformed weights
 
