@@ -24,7 +24,6 @@ from .constants import (
     TailConstant,
     table_reciprocal_C,
     tail_constant,
-    write_constants_csv,
 )
 from .errors import (
     InvalidArgumentError,

@@ -5,10 +5,13 @@ defaults to 0xC0FFEE and can be overridden by --seed or the
 THETA_TAILS_SEED environment variable (flag wins). Exact rationals are
 printed as "p/q" strings, floats at 9 significant digits.
 
+`orbit` and `partition` answer from closed forms at any denominator; only
+`orbit --points` enumerates, under --orbit-cap.
+
 Exit codes: 0 success, 2 invalid arguments or unsupported request,
-3 resource limit (only `orbit`, whose enumeration is capped), 4 numeric
-failure, 5 operating-system error such as an --out path that cannot be
-written.
+3 resource limit (only `orbit --points`, whose point list is capped),
+4 numeric failure, 5 operating-system error such as an --out path that
+cannot be written.
 """
 from __future__ import annotations
 
@@ -79,17 +82,16 @@ def _seed_value(text: str) -> int:
         raise argparse.ArgumentTypeError(f"not an integer seed: {text!r}")
 
 
-def _thresholds(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
+def _thresholds(text: str) -> tuple[float, float, int]:
+    """Split 'lo:hi:steps'; the commands range-check it by default_thresholds,
+    so a bad range exits 2 with one error line, not the usage block."""
+    try:
+        lo, hi, steps = text.split(":")
+        return float(lo), float(hi), int(steps)
+    except ValueError:
         raise argparse.ArgumentTypeError(
             f"thresholds must be 'lo:hi:steps', got {text!r}"
         )
-    try:
-        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
-        return default_thresholds(lo, hi, steps)
-    except (ValueError, InvalidArgumentError) as exc:
-        raise argparse.ArgumentTypeError(str(exc))
 
 
 def _resolve_seed(args) -> int:
@@ -149,8 +151,8 @@ def cmd_constants(args) -> int:
 
 def cmd_orbit(args) -> int:
     pair = _pair_of(args)
-    orbit = enumerate_orbit(pair, cap=args.orbit_cap)
-    report = orbit_report(orbit, include_points=args.points)
+    points = enumerate_orbit(pair, cap=args.orbit_cap).points if args.points else None
+    report = orbit_report(pair, points)
     report["C_of_q"] = str(C_of_q(pair))
     with _output(args.out) as fh:
         json.dump(report, fh, indent=2)
@@ -220,7 +222,7 @@ def cmd_tail(args) -> int:
         r=args.r,
         law=args.law,
         n_samples=args.samples,
-        thresholds=args.thresholds,
+        thresholds=default_thresholds(*(args.thresholds or ())),
         seed=_resolve_seed(args),
         workers=args.workers,
     )
@@ -232,7 +234,7 @@ def cmd_theta_tail(args) -> int:
     curve = simulate_theta_tail(
         pair,
         n_samples=args.samples,
-        thresholds=args.thresholds,
+        thresholds=default_thresholds(*(args.thresholds or ())),
         seed=_resolve_seed(args),
         workers=args.workers,
     )

@@ -15,7 +15,6 @@ crowd each endpoint.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -48,22 +47,13 @@ def C_of_q(pair: RationalPair) -> Fraction:
 def table_reciprocal_C(q_max: int) -> list[Fraction]:
     """1/C(q) for q = 1..q_max under the generic-numerator convention.
 
-    Generic means numerators that do not trigger the vanishing l = 1 case,
-    so every entry is finite: psi(m)/2 for l <= 1 and 2^(l-1) psi(m) for
-    l >= 2.
+    Each entry is 1/C_of_q of the pair (1/q, 0), whose numerators never
+    trigger the vanishing l = 1 case, so every entry is finite: psi(m)/2
+    for l <= 1 and 2^(l-1) psi(m) for l >= 2.
     """
     if q_max < 1:
         raise InvalidArgumentError(f"q_max must be >= 1, got {q_max}")
-    out = []
-    for q in range(1, q_max + 1):
-        ell = (q & -q).bit_length() - 1
-        m = q >> ell
-        psi_m = dedekind_psi(m)
-        if ell <= 1:
-            out.append(Fraction(psi_m, 2))
-        else:
-            out.append(Fraction(2 ** (ell - 1) * psi_m))
-    return out
+    return [1 / C_of_q(normalize_pair(Fraction(1, q), 0)) for q in range(1, q_max + 1)]
 
 
 def D_rat_closed(r: float) -> float:
@@ -166,12 +156,3 @@ def tail_constant(alpha, beta=0, r: float = 1.0) -> TailConstant:
         pair=pair, r=float(r), c_of_q=c, d_rat=d, value=float(c) * d / math.pi**2
     )
 
-
-def write_constants_csv(path, q_max: int) -> None:
-    """CSV with columns q, one_over_C (exact fraction), C (9 significant digits)."""
-    table = table_reciprocal_C(q_max)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["q", "one_over_C", "C"])
-        for q, inv in enumerate(table, start=1):
-            writer.writerow([q, str(inv), format(float(Fraction(1) / inv), ".9g")])

@@ -1,11 +1,13 @@
 """Torus orbits of rational pairs: closed forms and a BFS oracle.
 
 The orbit of (a/q, b/q) under the affine group is a finite subset of the
-q-division points of the torus. orbit_contains is its closed membership
+q-division points of the torus. Its size, the counts of its points on the
+lines xi2 = 0 and xi2 - xi1 = +-1/2, and its two line minima all have
+closed forms in q and the numerators' parity, so orbit_report answers at
+any q without building a point. orbit_contains is the closed membership
 test (gcd(r, s, q) = 1, plus matching both-odd parity for even q), and
-enumerate_orbit builds the point list, counts and line minima from it.
-Counts of the orbit and of its intersections with the special lines
-xi2 = 0 and xi2 - xi1 = +-1/2 also have closed forms.
+enumerate_orbit builds the point list from it, with counts taken from its
+own mask, under a cap because that list grows like q^2.
 
 _bfs_codes is the independent check on all of these. The linear generators
 suffice for closure (the integer shifts fix every point mod Z^2), and on a
@@ -57,13 +59,11 @@ class Representative:
 
 @dataclass
 class OrbitData:
-    """An enumerated orbit with its counts and line distances.
+    """An enumerated orbit: its points and the counts read off its mask.
 
     points holds the numerators (r, s) mod q as an (n, 2) array, sorted by
-    code r*q + s. theta_min_infty is the smallest |xi2| over points off the
-    line xi2 = 0 (None when the orbit lies inside that line); theta_min_one
-    is the smallest distance |xi2 - xi1 -+ 1/2| over points off the
-    corresponding half-shift line, never None for a nonempty orbit.
+    code r*q + s. size_S, size_U and size_V are counted from the membership
+    mask, not taken from the closed forms, so they can check those forms.
     """
 
     pair: RationalPair
@@ -71,9 +71,6 @@ class OrbitData:
     size_S: int
     size_U: int
     size_V: int
-    representative: Representative
-    theta_min_infty: Fraction | None
-    theta_min_one: Fraction | None
 
 
 def _bfs_codes(q: int, seeds: list[tuple[int, int]]) -> np.ndarray:
@@ -161,31 +158,6 @@ def orbit_contains(pair: RationalPair, r, s) -> np.ndarray:
     return inside
 
 
-def _theta_min_one(rows: np.ndarray, row_of: np.ndarray, q: int) -> Fraction:
-    """Smallest |xi2 - xi1 -+ 1/2| over the orbit, by the two-line convention.
-
-    In window coordinates (rw, sw) the lines xi2 - xi1 = +-1/2 sit at
-    2(sw - rw) = +-q. Each row r looks up its targets 2 rw +- q among the
-    sorted 2 sw of its row pattern and takes the nearest value strictly below
-    and strictly above: an exact hit lies on that line, so it is skipped there
-    and only measures its distance to the other line.
-    """
-    w = np.arange(q, dtype=np.int64)
-    w = np.where(2 * w >= q, w - q, w)
-    order = np.argsort(w)
-    sorted_w = w[order]
-    far = 8 * q  # targets lie in [-2q, 2q), values in [-q, q): a sentinel is never the min
-    best = far
-    for k, row in enumerate(rows):
-        vals = np.concatenate([[-far], 2 * sorted_w[row[order]], [far]])
-        base = 2 * w[row_of == k]
-        targets = np.concatenate([base + q, base - q])
-        below = vals[np.searchsorted(vals, targets, side="left") - 1]
-        above = vals[np.searchsorted(vals, targets, side="right")]
-        best = min(best, int(np.min(targets - below)), int(np.min(above - targets)))
-    return Fraction(best, 2 * q)
-
-
 def _mask_points(mask: np.ndarray) -> np.ndarray:
     """np.stack(np.nonzero(mask), axis=1) for a 2-D mask, written into one
     (n, 2) int64 array block of rows by block, so the whole point list is
@@ -204,7 +176,7 @@ def _mask_points(mask: np.ndarray) -> np.ndarray:
 
 
 def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitData:
-    """The orbit of a canonical pair with all counts and line minima filled in.
+    """The orbit of a canonical pair as a point list, with its counts.
 
     Built from the closed membership rule, not a closure: membership of
     (r, s) depends on r only through gcd(r, q) (for even q that gcd also
@@ -219,28 +191,53 @@ def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitDa
         )
     r = np.arange(q, dtype=np.int64)
     keys, row_of = np.unique(np.gcd(r, q), return_inverse=True)
-    rows = orbit_contains(pair, keys[:, None], r)
-    mask = rows[row_of]
+    mask = orbit_contains(pair, keys[:, None], r)[row_of]
     points = _mask_points(mask)
     # points (r, 0) lie on xi2 = 0; for even q, (r, r + q/2) on xi2 - xi1 = 1/2
     size_V = int(np.count_nonzero(mask[r, (r + q // 2) % q])) if q % 2 == 0 else 0
-    off_u = np.flatnonzero(rows.any(axis=0)[1:]) + 1  # columns s != 0 in use
-    t_inf = Fraction(int(np.min(np.minimum(off_u, q - off_u))), q) if off_u.size else None
     return OrbitData(
         pair=pair,
         points=points,
         size_S=len(points),
         size_U=int(np.count_nonzero(mask[:, 0])),
         size_V=size_V,
-        representative=which_representative(pair),
-        theta_min_infty=t_inf,
-        theta_min_one=_theta_min_one(rows, row_of, q),
     )
 
 
-def theta_mins(orbit: OrbitData) -> tuple[Fraction | None, Fraction | None]:
-    """Minimal line distances of an enumerated orbit, window coordinates."""
-    return orbit.theta_min_infty, orbit.theta_min_one
+def theta_mins(pair: RationalPair) -> tuple[Fraction | None, Fraction]:
+    """The two line minima of a canonical pair's orbit, in closed form.
+
+    In window coordinates rw, sw in [-q/2, q/2) of a point (r, s) mod q,
+    theta_min_infty is the least |sw|/q over points off xi2 = 0, and
+    theta_min_one the least |2(sw - rw) -+ q|/(2q) over the two half-shift
+    lines, a point on one line measuring only its distance to the other.
+
+    theta_min_infty: None at q = 1, where the orbit is the origin; otherwise
+    1/q, since |sw| >= 1 off the line and the orbit holds (0, 1) or, when
+    q is even and both numerators odd, (1, 1).
+
+    theta_min_one for odd q: 2(sw - rw) -+ q is odd, so the distance is at
+    least 1/(2q), and (0, (q - 1)/2), which has gcd 1 with q, attains it
+    (at q = 1 that is the origin's 1/2).
+
+    theta_min_one for even q: 2(sw - rw) -+ q is even and s - r has the
+    parity of the class (odd for one odd numerator, even for both odd).
+    Points on a half-shift line have s - r = q/2 mod q; the class holds
+    them (count_V_formula > 0) exactly when s - r has the parity of q/2.
+    Then every off-line value 2(sw - rw) -+ q is a nonzero multiple of 4,
+    and a point on one line lies 1 from the other, so the minimum is at
+    least 2/q; otherwise every value is 2 mod 4 and it is at least 1/q.
+    For q >= 4 the point (1, sw) with sw - 1 = -q/2 + 2 (class on the
+    lines) or -q/2 + 1 (class off them) has the class parity and reaches
+    the bound on the line -1/2. At q = 2 the orbits {(1, 0), (0, 1)} (on
+    the lines, distance 1 = 2/q) and {(1, 1)} (distance 1/2 = 1/q) reach
+    it too.
+    """
+    q = pair.q
+    t_inf = None if q == 1 else Fraction(1, q)
+    if q % 2:
+        return t_inf, Fraction(1, 2 * q)
+    return t_inf, Fraction(2 if count_V_formula(pair) else 1, q)
 
 
 def divisors(n: int) -> list[int]:
@@ -355,9 +352,11 @@ def orbit_partition(q: int) -> tuple[tuple[OrbitClass, ...], np.ndarray]:
     return tuple(classes), labels
 
 
-def orbit_report(orbit: OrbitData, include_points: bool = False) -> dict:
-    """JSON-ready report of an enumerated orbit (exact values as strings)."""
-    pair = orbit.pair
+def orbit_report(pair: RationalPair, points: np.ndarray | None = None) -> dict:
+    """JSON-ready report of a canonical pair's orbit from the closed forms
+    (exact values as strings), with the (r, s) rows of points appended when
+    they are given."""
+    t_inf, t_one = theta_mins(pair)
     report = {
         "pair": {
             "alpha": str(pair.alpha),
@@ -367,16 +366,16 @@ def orbit_report(orbit: OrbitData, include_points: bool = False) -> dict:
             "q": pair.q,
             "kind": pair.kind,
         },
-        "sizes": {"S": orbit.size_S, "U": orbit.size_U, "V": orbit.size_V},
-        "representative": str(orbit.representative),
+        "sizes": {
+            "S": orbit_size_formula(pair),
+            "U": count_U_formula(pair),
+            "V": count_V_formula(pair),
+        },
+        "representative": str(which_representative(pair)),
         "leading_constant": str(leading_constant(pair)),
-        "theta_min_infty": None
-        if orbit.theta_min_infty is None
-        else str(orbit.theta_min_infty),
-        "theta_min_one": None
-        if orbit.theta_min_one is None
-        else str(orbit.theta_min_one),
+        "theta_min_infty": None if t_inf is None else str(t_inf),
+        "theta_min_one": str(t_one),
     }
-    if include_points:
-        report["points"] = [[int(r), int(s)] for r, s in orbit.points]
+    if points is not None:
+        report["points"] = [[int(r), int(s)] for r, s in points]
     return report

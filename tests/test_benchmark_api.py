@@ -80,3 +80,16 @@ def test_the_child_constructors_still_construct(callee):
     used = _keywords_of(callee)
     assert used and used <= set(known), f"child.py passes {sorted(used)}"
     cls(*args, **{k: known[k] for k in used})
+
+
+def test_the_child_reads_only_fields_an_enumerated_orbit_has():
+    read = {
+        node.attr
+        for node in ast.walk(TREE)
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "orbit"
+    }
+    assert {"size_S", "size_U", "size_V", "pair"} <= read  # the parse found them
+    orbit = enumerate_orbit(normalize_pair(1, 6))
+    assert [name for name in sorted(read) if not hasattr(orbit, name)] == []

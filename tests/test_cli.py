@@ -10,6 +10,8 @@ import pytest
 from theta_tails import (
     NumericFailureError,
     cli,
+    count_U_formula,
+    count_V_formula,
     normalize_pair,
     orbit_partition,
     orbit_size_formula,
@@ -188,7 +190,7 @@ def test_seed_precedence(capsys, monkeypatch):
     assert cli.main(SMALL) == 2
 
 
-def test_argparse_rejects_bad_rationals():
+def test_argparse_rejects_bad_rationals(capsys):
     # decimal strings are exact rationals; words and 1/0 are not
     with pytest.raises(SystemExit) as exc:
         cli.main(["orbit", "--alpha", "x/y"])
@@ -196,21 +198,43 @@ def test_argparse_rejects_bad_rationals():
     with pytest.raises(SystemExit) as exc:
         cli.main(["orbit", "--alpha", "1/0"])
     assert exc.value.code == 2
-    # grids must be finite and hold at most MAX_THRESHOLDS values
-    for grid in ("2-4-4", "1:inf:5", "1:1e400:3", "1:2:100000000"):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["tail", "--thresholds", grid])
-        assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tail", "--thresholds", "2-4-4"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    # grids must be finite and hold at most MAX_THRESHOLDS values; a range
+    # error is one error line, not the usage block
+    for grid in ("1:inf:5", "1:1e400:3", "1:2:100000000"):
+        assert cli.main(["tail", "--thresholds", grid]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
 
 def test_exit_code_for_resource_limits(capsys):
-    # the cap guards the denominator, whose square bounds the memory
-    rc = cli.main(["orbit", "--alpha", "1/211", "--orbit-cap", "100"])
+    # the cap guards the point list, whose length grows like q^2
+    rc = cli.main(["orbit", "--alpha", "1/211", "--orbit-cap", "100", "--points"])
     assert rc == 3
     assert "error:" in capsys.readouterr().err
-    rc = cli.main(["orbit", "--alpha", "1/2003"])  # default cap is 2000
+    rc = cli.main(["orbit", "--alpha", "1/2003", "--points"])  # default cap is 2000
     assert rc == 3
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("q", [2003, 10**9 + 7])
+def test_orbit_answers_above_the_cap_without_points(capsys, q):
+    rc, out = run_cli(capsys, ["orbit", "--alpha", f"1/{q}"])
+    assert rc == 0
+    rep = json.loads(out)
+    pair = normalize_pair(Fraction(1, q), 0)
+    assert rep["sizes"] == {
+        "S": orbit_size_formula(pair),
+        "U": count_U_formula(pair),
+        "V": count_V_formula(pair),
+    }
+    assert rep["sizes"]["S"] == q**2 - 1  # q is prime
+    assert (rep["theta_min_infty"], rep["theta_min_one"]) == (f"1/{q}", f"1/{2 * q}")
+    assert "points" not in rep
 
 
 def test_exit_code_for_invalid_arguments(capsys):

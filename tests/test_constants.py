@@ -1,6 +1,5 @@
 """Arithmetic and analytic factors of the tail coefficient."""
 
-import csv
 import math
 from fractions import Fraction
 
@@ -17,7 +16,6 @@ from theta_tails import (
     sharp_indicator_weight,
     table_reciprocal_C,
     tail_constant,
-    write_constants_csv,
 )
 
 
@@ -48,18 +46,6 @@ def test_reciprocal_table_agrees_with_the_pair_constant():
     for q in range(1, 101):
         pair = normalize_pair(Fraction(1, q), 0)
         assert C_of_q(pair) * table[q - 1] == 1
-
-
-def test_csv_writer_roundtrip(tmp_path):
-    path = tmp_path / "constants.csv"
-    write_constants_csv(path, 12)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["q", "one_over_C", "C"]
-    assert len(rows) == 13
-    assert rows[1] == ["1", "1/2", "2"]
-    assert rows[5] == ["5", "3", "0.333333333"]
-    assert rows[12] == ["12", "8", "0.125"]
 
 
 # ---------------------------------------------------------------------------

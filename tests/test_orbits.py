@@ -263,24 +263,34 @@ def test_which_representative_lies_in_the_bfs_orbit(q):
 def test_theta_mins_match_the_exact_recomputation(q):
     for pair in canonical_pairs(q):
         orbit = enumerate_orbit(pair)
-        assert theta_mins(orbit) == oracles.theta_mins_brute(point_set(orbit), q)
+        assert theta_mins(pair) == oracles.theta_mins_brute(point_set(orbit), q)
 
 
-@pytest.mark.parametrize("q", [30, 36, 60])
+@pytest.mark.parametrize("q", range(1, 61))
 def test_theta_mins_of_every_orbit_class(q):
+    # every class of exact denominator q, its points from the BFS closure
     for pair, _ in orbit_representatives(q):
-        orbit = enumerate_orbit(pair)
-        want = oracles.theta_mins_brute(point_set(orbit), pair.q)
-        assert theta_mins(orbit) == want
+        if pair.q == q:
+            codes = _bfs_codes(q, [(pair.a, pair.b)])
+            points = list(zip((codes // q).tolist(), (codes % q).tolist()))
+            assert theta_mins(pair) == oracles.theta_mins_brute(points, q)
 
 
 def test_theta_mins_frozen_examples():
-    orbit = enumerate_orbit(normalize_pair(0, 0))
-    assert theta_mins(orbit) == (None, Fraction(1, 2))
+    assert theta_mins(normalize_pair(0, 0)) == (None, Fraction(1, 2))
     # both points of the (1/2, 0) orbit sit on the half-shift lines, so the
     # second minimum degenerates to the literal cross-line distance 1
-    orbit = enumerate_orbit(normalize_pair(Fraction(1, 2), 0))
-    assert theta_mins(orbit) == (Fraction(1, 2), Fraction(1))
+    assert theta_mins(normalize_pair(Fraction(1, 2), 0)) == (Fraction(1, 2), Fraction(1))
+    # far beyond the enumeration cap: odd q, and both even-q classes
+    assert theta_mins(normalize_pair(Fraction(1, 10**9 + 7), 0)) == (
+        Fraction(1, 10**9 + 7), Fraction(1, 2 * (10**9 + 7)),
+    )
+    assert theta_mins(normalize_pair(Fraction(1, 10**6), 0)) == (
+        Fraction(1, 10**6), Fraction(1, 10**6),
+    )
+    assert theta_mins(normalize_pair(Fraction(1, 10**6), Fraction(1, 10**6))) == (
+        Fraction(1, 10**6), Fraction(2, 10**6),
+    )
 
 
 def test_enumeration_cap_is_enforced():
@@ -291,12 +301,12 @@ def test_enumeration_cap_is_enforced():
 
 
 def test_orbit_report_is_json_ready():
-    orbit = enumerate_orbit(normalize_pair(Fraction(1, 6), 0))
-    report = orbit_report(orbit, include_points=True)
+    pair = normalize_pair(Fraction(1, 6), 0)
+    report = orbit_report(pair, enumerate_orbit(pair).points)
     parsed = json.loads(json.dumps(report))
     assert parsed["sizes"] == {"S": 16, "U": 2, "V": 4}
     assert parsed["pair"]["kind"] == "H"
     assert parsed["leading_constant"] == "1/2"
     assert len(parsed["points"]) == 16
-    slim = orbit_report(orbit)
+    slim = orbit_report(pair)
     assert "points" not in slim
