@@ -10,7 +10,11 @@ supplies the values of a chunk, its predicted constant and its metadata.
 
 The Weyl curve samples x from an absolutely continuous law and evaluates
 |S_N(x) conj(S_{rN}(x))|/N through the batch kernel (a rotation recurrence
-re-anchored on the exact phase every 64 terms). The theta curve samples
+re-anchored on the exact phase every 64 terms). The workers reach the
+kernel two ways: run_chunks gives each chunk a thread, and each chunk's
+kernel call gets workers // chunks (at least 1) threads for the pieces of
+a short chunk, so no more than `workers` threads run at once and a
+one-chunk run still uses them all. The theta curve samples
 the invariant measure attached to (alpha, beta) - Haar on the fundamental
 domain times uniform on the finite orbit - maps samples in the cusp-at-1
 horoball through the conjugating element (homog.conjugate_horoball) so
@@ -190,10 +194,12 @@ def simulate_weyl_tail(
         raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
     law_obj = sampling_law(law) if isinstance(law, str) else law
     transform = law_obj.function()  # here, so no worker thread runs an import
+    # workers that run_chunks leaves idle run pieces of a short chunk
+    kernel_workers = max(1, workers // max(1, -(-n_samples // CHUNK_SIZE)))
 
     def values(index: int, count: int) -> np.ndarray:
         u = open_uniforms(chunk_generator(seed, index), CHUNK_SIZE)
-        return weyl_values_batch(transform(u)[:count], pair, N, r)
+        return weyl_values_batch(transform(u)[:count], pair, N, r, workers=kernel_workers)
 
     return _simulate(
         "weyl", pair, values, tail_constant(pair, r=r).value,

@@ -37,13 +37,26 @@ set of ufunc calls for all rows instead of one per block, which is what
 dominates at a few hundred samples and large N (512 samples at
 N = 10^4, r = 2, same host: 13.3 -> 5.2 ns per term). A full
 32,768-sample chunk exceeds the budget on its own, so it keeps one block
-per step and the exact arithmetic of the ungrouped loop; shorter batches
-add the block sums in a different order, which moves values by up to
-about 2e-14 (1 + value).
+per step and the exact arithmetic of the ungrouped loop, one running sum.
+
+On a shorter batch each group of rows is a piece: it sums its terms from
+zero, and the piece totals are added in piece order. Pieces share
+nothing but e(x), so with workers > 1 they run in T = min(workers,
+pieces) shares, share k holding pieces k, k + T, ...: the calling thread
+runs share 0 and a pool of T - 1 threads the others. The values do not
+depend on the worker count. Adding the block sums in this order moves
+short-batch values from the one-running-sum loop by up to about
+2e-14 (1 + value). At 512 samples, N = 10^4, r = 2 two workers take
+the kernel from about 64 to 45 ms (BENCH_10.json). Splitting the rows
+of one group across threads instead keeps the values but is slower:
+each ufunc call then lasts about 10 us, and the threads queue on the
+GIL.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -282,7 +295,7 @@ def _unit_phasor(theta: np.ndarray, out: np.ndarray) -> None:
 
 
 def weyl_values_batch(
-    xs: np.ndarray, pair: RationalPair, N: int, r: float = 1.0
+    xs: np.ndarray, pair: RationalPair, N: int, r: float = 1.0, *, workers: int = 1
 ) -> np.ndarray:
     """|S_N(x) conj(S_{floor(rN)}(x))| / N for a batch of sample points x.
 
@@ -301,9 +314,18 @@ def weyl_values_batch(
     _GROUP_BUDGET // width), so the interpreter makes K steps per g blocks.
     Row 0 carries the running sum; after each group the other rows are
     added into it in order. The budget bounds the buffers (256 KB each)
-    and leaves g = 1 at full chunks, where the arithmetic is exactly the
-    one-block-at-a-time loop. The batch is flattened and the result has the
-    shape of xs.
+    and leaves g = 1 at full chunks, where the whole batch is one piece
+    and the arithmetic is exactly the one-block-at-a-time loop. At g > 1
+    every group is a piece summed from zero, and S_N and S_floor(rN) are
+    the piece totals added in piece order, which moves values from the
+    running-sum loop by up to about 2e-14 (1 + value). The pieces run in
+    T = min(workers, pieces) shares, piece k in share k mod T, share 0 on
+    the calling thread and the others on a pool of T - 1 threads, so the
+    result is the same at every worker count and never more than T
+    threads run. All buffers come from one allocation per call: e(x) in
+    every row, shared and read only, then (t, rho, acc) for each share and
+    the piece totals. The batch is flattened and the result has the shape
+    of xs.
 
     Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52 with
     m = floor(rN) (n up to about 9.49e7, where the anchor phase stops being
@@ -316,6 +338,8 @@ def weyl_values_batch(
         raise InvalidArgumentError(f"N must be >= 1, got {N}")
     if not (math.isfinite(r) and r >= 1):
         raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
+    if workers < 1:
+        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     xs = np.asarray(xs, dtype=np.float64)
     if not np.all(np.abs(xs) < float(1 << 30)):
         raise InvalidArgumentError("batch path assumes |x| < 2^30")
@@ -330,39 +354,83 @@ def weyl_values_batch(
     groups = [(b, min(b + g, full), ANCHOR_STRIDE) for b in range(0, full, g)]
     if tail:
         groups.append((full, full + 1, tail))
-    n_block, n_step = divmod(N - 1, ANCHOR_STRIDE)
-    # e(x) in every row: rho *= w is slower against a broadcast (1, width) w.
-    # One allocation for all four: four separate frees at the end of a call
-    # let glibc trim the heap, and the next call page-faults it back in.
-    w, t, rho, acc = np.empty((4, g, flat.size), dtype=np.complex128)
+    pieces = [groups[k : k + 1] for k in range(len(groups))] if g > 1 else [groups]
+    threads = min(workers, len(pieces))
+    n_sums = len(pieces) if len(pieces) > 1 else 0
+    # One allocation: separate frees at the end of a call let glibc trim the
+    # heap, and the next call page-faults it back in. e(x) fills every row
+    # because rho *= w is slower against a broadcast (1, width) w.
+    block = np.empty(((1 + 3 * threads) * g + n_sums, flat.size), dtype=np.complex128)
+    w = block[:g]
     _unit_phasor(flat, w)
-    acc[...] = 0.0
+    sums = block[block.shape[0] - n_sums :]
+    parts = [None] * len(pieces)
+    n_at = divmod(N - 1, ANCHOR_STRIDE)
+
+    def share(j: int) -> np.ndarray:
+        bufs = block[g * (1 + 3 * j) : g * (4 + 3 * j)].reshape(3, g, flat.size)
+        for k in range(j, len(pieces), threads):
+            total, parts[k] = _run_groups(pieces[k], flat, spec, w, bufs, n_at)
+            if n_sums:
+                sums[k] = total
+        return total
+
+    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
+        others = [pool.submit(share, j) for j in range(1, threads)]
+        total = share(0)
+        for job in others:
+            job.result()
+    # the piece totals in piece order, S_N on the way
+    s_m, s_n = sums[0] if n_sums else total, parts[0]
+    for k in range(1, len(pieces)):
+        if parts[k] is not None:
+            s_n = s_m + parts[k]
+        s_m += sums[k]
+    mod_n = np.abs(s_n)
+    mod_m = mod_n if m == N else np.abs(s_m)
+    return (mod_n * mod_m / N).reshape(xs.shape)
+
+
+def _run_groups(groups, flat, spec, w, bufs, n_at):
+    """Sum the terms of consecutive anchor-block groups from zero.
+
+    Each step is acc += t; t *= rho; rho *= w on the rows of one group;
+    row 0 carries the running sum and the other rows are added into it, in
+    order, at the end of each group. Returns (total, partial): total is
+    row 0 of acc, valid until the next call on the same buffers, and
+    partial is the sum up to n = N (a copy) if N falls in these groups,
+    else None. n_at is (block, step) of n = N.
+    """
+    t, rho, acc = bufs
+    acc[0] = 0.0
+    partial = None
     for first, end, steps in groups:
         rows = end - first
         tv, rv, wv, av = t[:rows], rho[:rows], w[:rows], acc[:rows]
-        starts = 1 + ANCHOR_STRIDE * np.arange(first, end)
+        av[1:] = 0.0
+        starts = 1 + ANCHOR_STRIDE * np.arange(first, end)[:, None]
         # two phase calls, not one on 2 * rows starts: a stacked call would
-        # double the phase temporaries at full chunks
-        theta = _phase_mod1(starts[:, None], flat, spec)
+        # double the phase temporaries. The first phase waits in rho's
+        # memory, which is written last, so one array fewer is live at the
+        # peak of the second call.
+        theta = rv.reshape(-1).view(np.float64)[: rv.size].reshape(rv.shape)
+        theta[...] = _phase_mod1(starts, flat, spec)
+        step = _phase_mod1(starts + 1, flat, spec)
         _unit_phasor(theta, tv)
-        _unit_phasor(_phase_mod1(starts[:, None] + 1, flat, spec) - theta, rv)
+        step -= theta
+        _unit_phasor(step, rv)
         # the row and step where n = N, if it falls in this group
-        n_row = n_block - first if first <= n_block < end else -1
-        snap = n_step if n_row >= 0 else -1
+        n_row = n_at[0] - first if first <= n_at[0] < end else -1
+        snap = n_at[1] if n_row >= 0 else -1
         for j in range(steps):
             av += tv
             if j == snap:
-                if n_row == 0:
-                    mod_n = np.abs(av[0])
-                else:
-                    part_n = av[n_row].copy()
+                partial = av[n_row].copy()
             if j + 1 < steps:
                 tv *= rv
                 rv *= wv
         for k in range(1, rows):
             if k == n_row:
-                mod_n = np.abs(av[0] + part_n)
+                partial = av[0] + partial
             av[0] += av[k]
-        av[1:] = 0.0
-    mod_m = mod_n if m == N else np.abs(acc[0])
-    return (mod_n * mod_m / N).reshape(xs.shape)
+    return acc[0], partial

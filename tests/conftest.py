@@ -4,7 +4,10 @@ import sys
 # make oracles.py importable from any test module
 sys.path.insert(0, os.path.dirname(__file__))
 
+import pytest
 from hypothesis import HealthCheck, settings
+
+from theta_tails import weylsum
 
 settings.register_profile(
     "suite",
@@ -13,3 +16,17 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """max_workers of every pool the Weyl batch kernel starts, in order."""
+    sizes = []
+    real = weylsum.ThreadPoolExecutor
+
+    def recorder(max_workers):
+        sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(weylsum, "ThreadPoolExecutor", recorder)
+    return sizes

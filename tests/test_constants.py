@@ -41,11 +41,11 @@ def test_reciprocal_table_matches_frozen_and_brute_force():
 
 
 def test_reciprocal_table_agrees_with_the_pair_constant():
-    # the table lists the generic branch, which (1/q, 0) always hits
-    table = table_reciprocal_C(100)
-    for q in range(1, 101):
+    # the generic branch, which (1/q, 0) always hits, against the brute-force
+    # reciprocal beyond the frozen table
+    for q in range(101, 301):
         pair = normalize_pair(Fraction(1, q), 0)
-        assert C_of_q(pair) * table[q - 1] == 1
+        assert C_of_q(pair) * oracles.reciprocal_c_brute(q) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from scipy.special import ndtri
 import oracles
 
 from theta_tails import (
+    CHUNK_SIZE,
     InvalidArgumentError,
     TailCurve,
     UnsupportedOperationError,
@@ -129,6 +130,29 @@ def test_weyl_tail_keeps_values_on_request():
         pair, N=20, n_samples=1000, thresholds=np.array([2.0, 3.0]), seed=1
     )
     assert lean.values is None
+
+
+@pytest.mark.parametrize(
+    "n_samples, N, pools",
+    [
+        (600, 2000, [1, 2, 3]),  # one short chunk of four pieces
+        (CHUNK_SIZE + 700, 300, [1]),  # a full chunk, then a short one of two pieces
+    ],
+)
+def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_samples, N, pools):
+    # workers that the chunks leave idle run the pieces of a short chunk
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    curves = [
+        simulate_weyl_tail(
+            pair, N=N, r=2.0, law="uniform01", n_samples=n_samples,
+            thresholds=np.array([1.0, 2.0]), seed=3, workers=workers, keep_values=True,
+        )
+        for workers in (1, 2, 3, 8)
+    ]
+    assert pool_sizes == pools
+    for curve in curves[1:]:
+        assert np.array_equal(curve.values, curves[0].values)
+        assert np.array_equal(curve.counts, curves[0].counts)
 
 
 def test_weyl_tail_uniform_law_and_validation():

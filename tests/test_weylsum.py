@@ -1,6 +1,8 @@
 """Phase-exact Weyl sums against exact-rational recomputation."""
 
 import math
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -239,21 +241,22 @@ def test_batch_kernel_is_the_per_term_recurrence_on_a_full_chunk(r):
     assert np.array_equal(weyl_values_batch(xs, pair, 500, r=r), ref)
 
 
-@pytest.mark.parametrize(
-    "g, N, r",
-    [
-        (3, 3 * K + 10, 2.0),  # N in row 0 of the second group, m alone after it
-        (3, K + 30, 2.5),  # N in the middle row, m in the partial last block
-        (3, 3 * K, 1.0),  # N = m on the last step of the last row
-        (3, 3 * K, 2.5),  # N in the last row, m three groups later
-        (2, K + 36, 2.5),  # N in the last row; a one-row full group follows
-        (2, K + 6, 1.0),  # N = m in the partial last block
-        (2, 2 * K, 2.0),  # N and m both end a group
-    ],
-)
-@pytest.mark.parametrize(
-    "alpha, beta", [(Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))]
-)
+# (g, N, r); every group is a piece, so these put N in the first, a middle
+# and the partial last piece
+GROUPED_CASES = [
+    (3, 3 * K + 10, 2.0),  # N in row 0 of the second group, m alone after it
+    (3, K + 30, 2.5),  # N in the middle row, m in the partial last block
+    (3, 3 * K, 1.0),  # N = m on the last step of the last row
+    (3, 3 * K, 2.5),  # N in the last row, m three groups later
+    (2, K + 36, 2.5),  # N in the last row; a one-row full group follows
+    (2, K + 6, 1.0),  # N = m in the partial last block
+    (2, 2 * K, 2.0),  # N and m both end a group
+]
+GROUPED_PAIRS = [(Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))]
+
+
+@pytest.mark.parametrize("g, N, r", GROUPED_CASES)
+@pytest.mark.parametrize("alpha, beta", GROUPED_PAIRS)
 def test_grouped_blocks_match_the_exact_oracle(monkeypatch, g, N, r, alpha, beta):
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", g * len(BATCH_XS))
     pair = normalize_pair(alpha, beta)
@@ -263,6 +266,82 @@ def test_grouped_blocks_match_the_exact_oracle(monkeypatch, g, N, r, alpha, beta
         s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
         s_m = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), m)
         assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
+
+
+@pytest.mark.parametrize("g, N, r", GROUPED_CASES)
+@pytest.mark.parametrize("alpha, beta", GROUPED_PAIRS)
+def test_grouped_pieces_on_two_workers_match_the_exact_oracle(
+    monkeypatch, pool_sizes, g, N, r, alpha, beta
+):
+    monkeypatch.setattr(weylsum, "_GROUP_BUDGET", g * len(BATCH_XS))
+    pair = normalize_pair(alpha, beta)
+    m = math.floor(r * N)
+    got = weyl_values_batch(np.array(BATCH_XS), pair, N, r=r, workers=2)
+    full, tail = divmod(m, K)
+    pieces = -(-full // g) + (tail > 0)
+    assert pool_sizes == ([1] if pieces > 1 else [])
+    assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, N, r=r))
+    for x, v in zip(BATCH_XS, got):
+        s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
+        s_m = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), m)
+        assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
+
+
+def test_one_row_groups_ignore_the_worker_count(pool_sizes):
+    # a full chunk has g = 1: one piece on the calling thread, no pool
+    xs = np.random.default_rng(6).normal(size=32768)
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    got = weyl_values_batch(xs, pair, 150, r=2.5, workers=2)
+    assert np.array_equal(got, weyl_values_batch(xs, pair, 150, r=2.5))
+    assert pool_sizes == []
+
+
+def test_pieces_survive_fast_thread_switching(monkeypatch):
+    # 40 two-row pieces on 8 threads that switch every microsecond: each
+    # thread writes only its own piece totals, so nothing may get lost
+    monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    xs = np.array(BATCH_XS)
+    ref = weyl_values_batch(xs, pair, 40 * K, r=2.0)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            assert np.array_equal(weyl_values_batch(xs, pair, 40 * K, r=2.0, workers=8), ref)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_each_piece_runs_once_in_share_k_mod_t(monkeypatch):
+    # g = 2 and m = 13 K: six two-row pieces and a one-row one, 3 shares
+    monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
+    runs = []
+    real = weylsum._run_groups
+
+    def recorder(groups, *args):
+        runs.append((groups[0][0], threading.get_ident()))
+        return real(groups, *args)
+
+    monkeypatch.setattr(weylsum, "_run_groups", recorder)
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    weyl_values_batch(np.array(BATCH_XS), pair, 13 * K, workers=3)
+    assert sorted(first for first, _ in runs) == [0, 2, 4, 6, 8, 10, 12]
+    # pool threads take shares 1 and 2 from a queue, so one may run both
+    thread_of = {first // 2: ident for first, ident in runs}
+    assert thread_of[0] == threading.get_ident()
+    assert threading.get_ident() not in (thread_of[1], thread_of[2])
+    for k in range(3, 7):
+        assert thread_of[k] == thread_of[k - 3]
+
+
+def test_kernel_threads_never_exceed_the_pieces(pool_sizes):
+    # 7 samples, m = K + 6: one full block and the partial one, two pieces
+    pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
+    got = weyl_values_batch(np.array(BATCH_XS), pair, K + 6, workers=64)
+    assert pool_sizes == [1]
+    assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, K + 6))
+    with pytest.raises(InvalidArgumentError):
+        weyl_values_batch(np.array(BATCH_XS), pair, K + 6, workers=0)
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (5,), (3, 4)])
