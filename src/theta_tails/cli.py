@@ -26,13 +26,7 @@ from fractions import Fraction
 
 from .arith import normalize_pair
 from .constants import C_of_q, table_reciprocal_C
-from .errors import (
-    InvalidArgumentError,
-    NumericFailureError,
-    ResourceLimitError,
-    ThetaTailsError,
-    UnsupportedOperationError,
-)
+from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError, ThetaTailsError
 from .homog import DEFAULT_SEED
 from .orbits import (
     DEFAULT_ORBIT_CAP,
@@ -47,6 +41,8 @@ from .tailsim import default_thresholds, fit_tail_constant, simulate_theta_tail,
 from .weylsum import WeylSumSpec, partial_sums
 
 FLOAT_DIGITS = ".9g"
+# exit codes other than 2, the code of every other ThetaTailsError
+_EXIT_CODES = ((ResourceLimitError, 3), (NumericFailureError, 4), (OSError, 5))
 
 
 def _fmt(value) -> str:
@@ -314,25 +310,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InvalidArgumentError, UnsupportedOperationError) as exc:
+    except (ThetaTailsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NumericFailureError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except ThetaTailsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
 
 
 if __name__ == "__main__":

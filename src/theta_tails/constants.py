@@ -57,14 +57,14 @@ def table_reciprocal_C(q_max: int) -> list[Fraction]:
 
 
 def D_rat_closed(r: float) -> float:
-    """D(chi_1, chi_r) in closed form for r >= 1.
+    """D(chi_1, chi_r) in closed form for finite r >= 1.
 
     2 log 2 at r = 1; for r > 1,
     2 r acoth(r) + (1/2) log(r^2 - 1) + (r^2/2) log(1 - 1/r^2).
     Continuous as r -> 1+ (the last two terms cancel in the limit).
     """
-    if not (r >= 1.0):
-        raise InvalidArgumentError(f"cutoff ratio must satisfy r >= 1, got {r}")
+    if not 1.0 <= r < math.inf:
+        raise InvalidArgumentError(f"cutoff ratio must be finite and >= 1, got {r}")
     if r == 1.0:
         return 2.0 * math.log(2.0)
     return (
@@ -94,7 +94,7 @@ def D_rat_numeric(w1, w2, tol: float = 1e-4) -> float:
     per panel, and the omitted endpoint mass is bounded by the weights'
     documented edge bounds and absorbed into tol.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
     if w1.regular and w2.regular:
         from scipy.integrate import quad  # only here, to keep the package import light

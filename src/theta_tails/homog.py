@@ -224,15 +224,17 @@ def conjugate_horoball(x, y, xi1, xi2):
 
 def cusp_mass(T: float) -> float:
     """Haar mass of {y > T} in F, equal to 2/(pi T) once T >= 1."""
-    if T < 1.0:
+    if not T >= 1.0:
         raise InvalidArgumentError(f"closed form requires T >= 1, got {T}")
     return 2.0 / (math.pi * T)
 
 
 def chunk_generator(seed: int, index: int) -> np.random.Generator:
-    """The generator owning chunk `index` of the stream rooted at `seed` >= 0."""
+    """The generator owning chunk `index` >= 0 of the stream rooted at `seed` >= 0."""
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+    if index < 0:
+        raise InvalidArgumentError(f"chunk index must be >= 0, got {index}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
@@ -305,7 +307,7 @@ class MuAbSampler:
     window coordinates of the orbit closure of (alpha, beta). No orbit is
     enumerated: xi comes from uniform candidates (r, s) on (Z/q)^2 kept by
     the closed membership test orbit_contains, which accepts at least about
-    a fifth of them, so any q that factorize accepts works. A chunk draws
+    a fifth of them, so any q < 2^63 that factorize accepts works. A chunk draws
     its Haar uniforms first, then blocks of CHUNK_SIZE candidate pairs from
     the same generator until CHUNK_SIZE are accepted, and always burns that
     full block even when only part of it is returned; so draw(k) is a prefix
@@ -313,7 +315,7 @@ class MuAbSampler:
 
     orbit, an enumerated orbit the caller already holds, must belong to the
     same pair; it is checked, never read, so the stream is the same with or
-    without it.
+    without it. The candidates are int64 draws, so q must be below 2^63.
     """
 
     def __init__(
@@ -324,6 +326,8 @@ class MuAbSampler:
         orbit: OrbitData | None = None,
     ):
         self.pair = normalize_pair(alpha, beta)
+        if self.pair.q >= 1 << 63:
+            raise InvalidArgumentError(f"the sampler needs q < 2^63, got q = {self.pair.q}")
         if orbit is not None and orbit.pair != self.pair:
             raise InvalidArgumentError(
                 f"orbit of {orbit.pair} given for the pair {self.pair}"
@@ -332,7 +336,10 @@ class MuAbSampler:
         self._next_chunk = 0
 
     def chunk(self, index: int, count: int) -> dict:
-        """The first count <= CHUNK_SIZE samples of chunk `index`, as in draw."""
+        """The first 0 <= count <= CHUNK_SIZE samples of chunk `index` >= 0,
+        as in draw."""
+        if not 0 <= count <= CHUNK_SIZE:
+            raise InvalidArgumentError(f"count must be 0 to {CHUNK_SIZE}, got {count}")
         rng = chunk_generator(self.seed, index)
         u = open_uniforms(rng, (3, CHUNK_SIZE))
         x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
@@ -343,7 +350,7 @@ class MuAbSampler:
             kept.append(np.compress(orbit_contains(self.pair, cand[0], cand[1]), cand, axis=1))
             accepted += kept[-1].shape[1]
         rs = np.concatenate(kept, axis=1)[:, :count]
-        xi = (rs - q * (2 * rs >= q)) / float(q)  # window [-1/2, 1/2)
+        xi = (rs - q * (rs >= q - q // 2)) / float(q)  # window [-1/2, 1/2); 2 rs may overflow
         sl = slice(0, count)
         return {"x": x[sl], "y": y[sl], "phi": phi[sl], "xi1": xi[0], "xi2": xi[1]}
 

@@ -23,18 +23,19 @@ every point has y >= sqrt(3)/2, and evaluates the Gaussian pairing
 recurrence anchored at the nearest lattice term).
 Orbit points are drawn by rejection against the closed membership test and
 the orbit size comes from its closed form, so the theta curve does no
-O(q^2) work and runs at any denominator that factorize accepts (q < 10^12).
+O(q^2) work and runs at any q < 2^63 that factorize accepts.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .arith import normalize_pair
 from .constants import tail_constant
-from .errors import InvalidArgumentError, UnsupportedOperationError
+from .errors import InvalidArgumentError
 from .homog import (
     CHUNK_SIZE,
     DEFAULT_SEED,
@@ -45,29 +46,15 @@ from .homog import (
     run_chunks,
 )
 from .orbits import leading_constant, orbit_size_formula
-from .theta import GaussianWeight, gaussian_weight, theta_pair_gaussian_batch
+from .theta import theta_pair_gaussian_batch
 from .weylsum import weyl_values_batch
 
 
-@dataclass(frozen=True)
-class SamplingLaw:
+class SamplingLaw(NamedTuple):
     """Absolutely continuous law for the x draws, as a uniform transform."""
 
     name: str
-
-    def transform(self, u: np.ndarray) -> np.ndarray:
-        return self.function()(u)
-
-    def function(self):
-        """The transform as a function of u. The normal law loads
-        scipy.special here, not at package import."""
-        if self.name == "normal":
-            from scipy.special import ndtri
-
-            return ndtri
-        if self.name == "uniform01":
-            return _identity
-        raise InvalidArgumentError(f"unknown sampling law {self.name!r}")
+    transform: Callable[[np.ndarray], np.ndarray]
 
 
 def _identity(u):
@@ -75,11 +62,17 @@ def _identity(u):
 
 
 def sampling_law(name: str) -> SamplingLaw:
-    if name not in ("normal", "uniform01"):
-        raise InvalidArgumentError(
-            f"law must be 'normal' or 'uniform01', got {name!r}"
-        )
-    return SamplingLaw(name)
+    """The law called name with its transform of uniforms u in (0, 1):
+    "normal" is the inverse normal CDF (scipy.special loads here, not at
+    package import, and not in a worker thread), "uniform01" is u itself.
+    Any other name raises InvalidArgumentError."""
+    if name == "normal":
+        from scipy.special import ndtri
+
+        return SamplingLaw(name, ndtri)
+    if name == "uniform01":
+        return SamplingLaw(name, _identity)
+    raise InvalidArgumentError(f"law must be 'normal' or 'uniform01', got {name!r}")
 
 
 # the exceedance count compares a (grid, CHUNK_SIZE) array: 32 MB of bools
@@ -175,7 +168,7 @@ def simulate_weyl_tail(
     *,
     N: int = 500,
     r: float = 1.0,
-    law="normal",
+    law: str = "normal",
     n_samples: int = 10**6,
     thresholds: np.ndarray | None = None,
     seed: int = DEFAULT_SEED,
@@ -192,8 +185,7 @@ def simulate_weyl_tail(
         raise InvalidArgumentError(f"N must be >= 1, got {N}")
     if not (math.isfinite(r) and r >= 1):
         raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
-    law_obj = sampling_law(law) if isinstance(law, str) else law
-    transform = law_obj.function()  # here, so no worker thread runs an import
+    transform = sampling_law(law).transform
     # workers that run_chunks leaves idle run pieces of a short chunk
     kernel_workers = max(1, workers // max(1, -(-n_samples // CHUNK_SIZE)))
 
@@ -203,7 +195,7 @@ def simulate_weyl_tail(
 
     return _simulate(
         "weyl", pair, values, tail_constant(pair, r=r).value,
-        {"N": N, "r": r, "law": law_obj.name},
+        {"N": N, "r": r, "law": law},
         n_samples, thresholds, seed, workers, keep_values,
     )
 
@@ -212,27 +204,22 @@ def simulate_theta_tail(
     alpha,
     beta=0,
     *,
-    w1=None,
-    w2=None,
     n_samples: int = 10**6,
     thresholds: np.ndarray | None = None,
     seed: int = DEFAULT_SEED,
     workers: int = 1,
     keep_values: bool = False,
 ) -> TailCurve:
-    """Survival curve of |Theta_f conj Theta_f| under the invariant measure.
+    """Survival curve of |Theta_f conj Theta_f| for the Gaussian pair f,
+    under the invariant measure.
 
-    Implemented for the Gaussian pair, whose pairing modulus is phi-free
-    and exactly sqrt(y) |sum_n exp(-pi w_n^2) e(theta_n)|^2. The predicted
-    constant is (2|U| + |V|)/|S| * D / pi^2 with D = pi for this pair.
+    The Gaussian pairing modulus is phi-free and exactly
+    sqrt(y) |sum_n exp(-pi w_n^2) e(theta_n)|^2. The predicted constant is
+    (2|U| + |V|)/|S| * D / pi^2 with D = pi for this pair. Runs at any q
+    below 2^63 that factorize accepts; other pairs of weights have no batch
+    evaluator here.
     """
     pair = normalize_pair(alpha, beta)
-    w1 = gaussian_weight() if w1 is None else w1
-    w2 = gaussian_weight() if w2 is None else w2
-    if not (isinstance(w1, GaussianWeight) and isinstance(w2, GaussianWeight)):
-        raise UnsupportedOperationError(
-            "theta tail simulation is implemented for the Gaussian pair"
-        )
     sampler = MuAbSampler(pair, seed=seed)
 
     def values(index: int, count: int) -> np.ndarray:
@@ -243,7 +230,7 @@ def simulate_theta_tail(
 
     return _simulate(
         "theta", pair, values, float(leading_constant(pair)) / math.pi,
-        {"orbit_size": orbit_size_formula(pair), "weights": (w1.name, w2.name)},
+        {"orbit_size": orbit_size_formula(pair), "weights": ("gaussian", "gaussian")},
         n_samples, thresholds, seed, workers, keep_values,
     )
 

@@ -65,7 +65,8 @@ def _e(t: float) -> complex:
 
 
 class WeightFunction:
-    """Base class for weights; subclasses fill in the transform data.
+    """Base class for weights; subclasses fill in the transform data, of
+    f_phi only its value off pi*Z.
 
     regular means eta-regular for some eta > 1: bounded kappa_eta, so the
     cusp estimate applies. The sharp indicator is the standard non-regular
@@ -88,7 +89,18 @@ class WeightFunction:
         raise NotImplementedError
 
     def f_phi(self, phi: float, w):
-        """Transformed weight at angle phi, vectorized in w."""
+        """Transformed weight at angle phi, vectorized in w: exactly
+        e(-k/4) f((-1)^k w) at phi = k pi, else _f_phi_off_pi(phi, w)."""
+        k = _pi_multiple(phi)
+        if k is None:
+            return self._f_phi_off_pi(phi, w)
+        sign = 1.0 if k % 2 == 0 else -1.0
+        vals = self.evaluate(sign * np.asarray(w, dtype=np.float64)).astype(np.complex128)
+        if k % 4:
+            vals *= _e(-k / 4.0)
+        return vals
+
+    def _f_phi_off_pi(self, phi: float, w):
         raise NotImplementedError
 
     def f_phi_modulus(self, phi: float, w):
@@ -117,11 +129,6 @@ class GaussianWeight(WeightFunction):
     name = "gaussian"
     regular = True
 
-    def __init__(self, eta: float = 2.0):
-        if eta <= 1:
-            raise InvalidArgumentError(f"eta must exceed 1, got {eta}")
-        self.eta = float(eta)
-
     def evaluate(self, w):
         return np.exp(-math.pi * np.square(w))
 
@@ -138,12 +145,8 @@ class GaussianWeight(WeightFunction):
             return 1.0
         return (eta / _TWO_PI) ** (eta / 2.0) * math.exp(math.pi - eta / 2.0)
 
-    def f_phi(self, phi: float, w):
-        vals = np.exp(-math.pi * np.square(w)).astype(np.complex128)
-        k = _pi_multiple(phi)
-        if k is not None and k % 4:
-            vals *= _e(-k / 4.0)
-        return vals
+    def _f_phi_off_pi(self, phi: float, w):
+        return self.evaluate(w).astype(np.complex128)
 
     def f_phi_modulus(self, phi: float, w):
         return np.exp(-math.pi * np.square(w))
@@ -187,17 +190,10 @@ class SharpIndicatorWeight(WeightFunction):
     def kappa_eta(self, eta: float | None = None) -> float:
         return math.inf
 
-    def f_phi(self, phi: float, w):
-        k = _pi_multiple(phi)
-        if k is None:
-            raise UnsupportedOperationError(
-                "sharp indicator transform is only closed-form at multiples of pi"
-            )
-        sign = 1.0 if k % 2 == 0 else -1.0
-        vals = self.evaluate(sign * np.asarray(w, dtype=np.float64)).astype(np.complex128)
-        if k % 4:
-            vals *= _e(-k / 4.0)
-        return vals
+    def _f_phi_off_pi(self, phi: float, w):
+        raise UnsupportedOperationError(
+            "sharp indicator transform is only closed-form at multiples of pi"
+        )
 
     def f_phi0_values(self, phis: np.ndarray) -> np.ndarray:
         """chi_{r,phi}(0) = e(sigma_{-phi}/8) |sin phi|^{-1/2} I(cot phi),
@@ -231,8 +227,8 @@ class SharpIndicatorWeight(WeightFunction):
     edge_sq_bound = 0.40
 
 
-def gaussian_weight(eta: float = 2.0) -> GaussianWeight:
-    return GaussianWeight(eta=eta)
+def gaussian_weight() -> GaussianWeight:
+    return GaussianWeight()
 
 
 def sharp_indicator_weight(r: float = 1.0) -> SharpIndicatorWeight:
@@ -248,6 +244,8 @@ def f_phi_numeric(
     like 1/sin(phi); intended as a cross-check at moderate angles, with a
     NumericFailureError if the integrator cannot certify tol.
     """
+    if not tol > 0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol}")
     from scipy.integrate import quad  # only here, to keep the package import light
 
     k = _pi_multiple(phi)
@@ -299,6 +297,8 @@ def theta_f(
     dropped tail by tol. For the Gaussian away from pi*Z the value carries
     the usual w-independent unimodular ambiguity; see the module docstring.
     """
+    if not 0 < tol < math.inf:
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     x, y = point.x, point.y
     xi1, xi2 = float(point.xi1), float(point.xi2)
     term_tol = tol * min(1.0, math.sqrt(y)) / 8.0
@@ -346,6 +346,8 @@ _CHAIN_CUT = 43.0 / _TWO_PI
 _PHASE_MAX = 2.0**52
 # samples per pass; the temporaries of one block stay in a core's L2 cache
 _BATCH_BLOCK = 8192
+# the batch sums the lattice terms n = k0 + j, |j| <= _HALFWIDTH
+_HALFWIDTH = 6
 
 
 def theta_pair_gaussian_batch(
@@ -353,16 +355,15 @@ def theta_pair_gaussian_batch(
     y: np.ndarray,
     xi1: np.ndarray,
     xi2: np.ndarray,
-    halfwidth: int = 6,
 ) -> np.ndarray:
     """|Theta_f conj Theta_f| for the Gaussian pair, vectorized over samples.
 
     Equals sqrt(y) |sum_n exp(-pi (n-xi2)^2 y) e((n-xi2)^2 x/2 + n xi1)|^2,
-    independent of phi, summed over the 2 halfwidth + 1 terms n = k0 + j,
-    |j| <= halfwidth, around k0 = round(xi2).
+    independent of phi, summed over the fixed 13 terms n = k0 + j, |j| <= 6,
+    around k0 = round(xi2).
 
     Valid range: finite y >= 1/2 and finite x, xi1, xi2 of size at most
-    2^52; anything else raises InvalidArgumentError, as does halfwidth < 1.
+    2^52; anything else raises InvalidArgumentError.
     With t = xi2 - k0 in [-1/2, 1/2], term j is exp(-pi y j (j - 2t)) times
     the anchor j = 0 in modulus, so at y >= 1/2 the first dropped term
     (|j| = 7) is below exp(-66) = 2e-29 of it. The sampler's points lie in that range:
@@ -379,7 +380,7 @@ def theta_pair_gaussian_batch(
     as one real factor. Phases are reduced to within 1/8 of a quarter turn
     before cos and sin, and the quarter turn is applied exactly. A side's
     terms past j = +-1 are dropped where its j = +-2 term is below exp(-43)
-    = 2e-19 of the anchor; at halfwidth 6 every kept term then stays above
+    = 2e-19 of the anchor; at |j| <= 6 every kept term then stays above
     exp(-645), clear of slow subnormal arithmetic. Against the plain
     13-term sum the result agrees to about 1e-15 (1 + value).
     """
@@ -392,18 +393,16 @@ def theta_pair_gaussian_batch(
         )
     if not (np.isfinite(y).all() and (y >= 0.5).all()):
         raise InvalidArgumentError("theta batch needs finite y >= 1/2")
-    if halfwidth < 1:
-        raise InvalidArgumentError(f"halfwidth must be >= 1, got {halfwidth}")
     shape = x.shape
     x, y, xi1, xi2 = (v.ravel() for v in (x, y, xi1, xi2))
     out = np.empty(x.size)
     for start in range(0, x.size, _BATCH_BLOCK):
         part = slice(start, start + _BATCH_BLOCK)
-        out[part] = _theta_block(x[part], y[part], xi1[part], xi2[part], halfwidth)
+        out[part] = _theta_block(x[part], y[part], xi1[part], xi2[part])
     return out.reshape(shape)
 
 
-def _theta_block(x, y, xi1, xi2, halfwidth):
+def _theta_block(x, y, xi1, xi2):
     t = xi2 - np.round(xi2)
     side = np.stack((1.0 - 2.0 * t, 1.0 + 2.0 * t))  # a, b
     turns = 0.5 * x * side
@@ -422,7 +421,7 @@ def _theta_block(x, y, xi1, xi2, halfwidth):
     z = w.copy()
     acc = z[0] + z[1]
     acc += 1.0
-    for _ in range(halfwidth - 1):
+    for _ in range(_HALFWIDTH - 1):
         w *= step
         z *= w
         acc += z[0]
@@ -445,9 +444,10 @@ def cusp_main_term(
 
 
 def bound_constant(eta: float) -> float:
-    """C_eta = 2^(6 eta) zeta(eta)^2 in the cusp approximation estimate."""
-    if eta <= 1:
-        raise InvalidArgumentError(f"eta must exceed 1, got {eta}")
+    """C_eta = 2^(6 eta) zeta(eta)^2 in the cusp approximation estimate,
+    for finite eta > 1."""
+    if not 1 < eta < math.inf:
+        raise InvalidArgumentError(f"eta must be finite and exceed 1, got {eta}")
     from scipy.special import zeta  # only here, to keep the package import light
 
     return 2.0 ** (6.0 * eta) * float(zeta(eta, 1.0)) ** 2
@@ -462,7 +462,7 @@ def cusp_bound(
         if not etas:
             raise InvalidArgumentError("no regularity exponent available")
         eta = min(etas)
-    if y < 0.5:
+    if not y >= 0.5:
         raise InvalidArgumentError(f"cusp estimate requires y >= 1/2, got y={y}")
     kappa = w1.kappa_eta(eta) * w2.kappa_eta(eta)
     if not math.isfinite(kappa):

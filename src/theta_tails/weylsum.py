@@ -132,8 +132,8 @@ class WeylSumSpec:
             raise InvalidArgumentError(f"N must be >= 1, got {self.N}")
 
     @classmethod
-    def from_pair(cls, pair: RationalPair, zeta: float = 0.0, N: int = 1) -> "WeylSumSpec":
-        return cls(alpha=pair.alpha, beta=pair.beta, zeta=zeta, N=N)
+    def from_pair(cls, pair: RationalPair, N: int = 1) -> "WeylSumSpec":
+        return cls(alpha=pair.alpha, beta=pair.beta, N=N)
 
     def rational_parts(self):
         """(a, b, q) with alpha = a/q, beta = b/q exactly, else None.
@@ -156,13 +156,21 @@ def _check_phase_range(n_max: int, spec: WeylSumSpec) -> None:
 
     For odd n, n^2/2 + floor(n b/q) is a half-integer, which float64 holds
     exactly only below 2^52: the range of every Weyl path is n_max^2/2 +
-    floor(n_max |b|/q) < 2^52, n_max up to about 9.49e7 at b = 0.
+    floor(n_max |b|/q) < 2^52, n_max up to about 9.49e7 at b = 0. The
+    rational path also reduces n a and n b mod q in int64, so for
+    alpha = a/q, beta = b/q it needs max(|a|, |b|, q) n_max < 2^62, which
+    leaves room for the batch kernel's step phase at n_max + 1. This is the
+    one place that checks either bound.
     """
     rat = spec.rational_parts()
     shift = n_max * abs(rat[1]) // rat[2] if rat is not None else 0
     if n_max * n_max + 2 * shift >= 1 << 53:
         raise InvalidArgumentError(
             f"n up to {n_max} exceeds the exact phase range n^2/2 + floor(n |b|/q) < 2^52"
+        )
+    if rat is not None and max(abs(rat[0]), abs(rat[1]), rat[2]) * n_max >= 1 << 62:
+        raise InvalidArgumentError(
+            f"n up to {n_max} exceeds the exact integer range max(|a|, |b|, q) n < 2^62"
         )
 
 
@@ -177,9 +185,6 @@ def _phase_mod1(ns: np.ndarray, x, spec: WeylSumSpec) -> np.ndarray:
     half_sq = 0.5 * ns.astype(np.float64) * ns
     if rat is not None:
         a, b, q = rat
-        n_big = int(np.max(np.abs(ns)))
-        if max(abs(a), abs(b)) * n_big >= (1 << 62):
-            raise InvalidArgumentError("numerator*N overflows the exact integer path")
         alpha_part = ((ns * a) % q) / float(q)  # alpha n mod 1, exact rational
         nb = ns * b
         # beta n x = (nb//q) x + ((nb mod q)/q) x; the first factor is an
@@ -212,8 +217,8 @@ def _terms(x: float, spec: WeylSumSpec, ns: np.ndarray) -> tuple[np.ndarray, np.
 def weyl_sum(x: float, spec: WeylSumSpec) -> complex:
     """S_N(x) = sum_{n=1}^{N} e((n^2/2 + beta n + zeta) x + alpha n).
 
-    Valid while N^2/2 + floor(N |b|/q) < 2^52; larger N raise
-    InvalidArgumentError.
+    Valid while N^2/2 + floor(N |b|/q) < 2^52 and max(|a|, |b|, q) N < 2^62;
+    larger N raise InvalidArgumentError.
     """
     _check_phase_range(spec.N, spec)
     re_parts: list[float] = []
@@ -273,9 +278,9 @@ def weighted_weyl_sum(weight, x: float, spec: WeylSumSpec) -> complex:
 
 
 def normalized_product(x: float, spec: WeylSumSpec, r: float = 1.0) -> complex:
-    """S_N(x) conj(S_{floor(rN)}(x)) / N."""
-    if r < 1:
-        raise InvalidArgumentError(f"r must be >= 1, got {r}")
+    """S_N(x) conj(S_{floor(rN)}(x)) / N, for finite r >= 1."""
+    if not 1 <= r < math.inf:
+        raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
     s_n = weyl_sum(x, spec)
     m = int(math.floor(r * spec.N))
     if m == spec.N:
@@ -329,10 +334,10 @@ def weyl_values_batch(
 
     Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52 with
     m = floor(rN) (n up to about 9.49e7, where the anchor phase stops being
-    an exact half-integer plus a reduced product), and |x| < 2^30, where
-    the small rational phase product needs no splitting; sampling laws
-    satisfy the last by construction. Out-of-range input raises
-    InvalidArgumentError.
+    an exact half-integer plus a reduced product), max(|a|, |b|, q) m < 2^62,
+    and |x| < 2^30, where the small rational phase product needs no
+    splitting; sampling laws satisfy the last by construction. Out-of-range
+    input raises InvalidArgumentError.
     """
     if N < 1:
         raise InvalidArgumentError(f"N must be >= 1, got {N}")

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import theta_tails
-from theta_tails import MuAbSampler, TailCurve, enumerate_orbit, normalize_pair
+from theta_tails import MuAbSampler, TailCurve, enumerate_orbit, normalize_pair, sampling_law
 
 CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 TREE = ast.parse(CHILD.read_text())
@@ -82,14 +82,47 @@ def test_the_child_constructors_still_construct(callee):
     cls(*args, **{k: known[k] for k in used})
 
 
-def test_the_child_reads_only_fields_an_enumerated_orbit_has():
-    read = {
+def _read_off(variable: str) -> set[str]:
+    """Attributes child.py reads off the local name `variable`."""
+    return {
         node.attr
         for node in ast.walk(TREE)
         if isinstance(node, ast.Attribute)
         and isinstance(node.value, ast.Name)
-        and node.value.id == "orbit"
+        and node.value.id == variable
     }
+
+
+def test_the_child_reads_only_fields_an_enumerated_orbit_has():
+    read = _read_off("orbit")
     assert {"size_S", "size_U", "size_V", "pair"} <= read  # the parse found them
     orbit = enumerate_orbit(normalize_pair(1, 6))
     assert [name for name in sorted(read) if not hasattr(orbit, name)] == []
+
+
+@pytest.mark.parametrize("name", ["normal", "uniform01"])
+def test_the_child_reads_only_what_a_sampling_law_has(name):
+    read = _read_off("law")
+    assert "transform" in read  # the parse found it
+    law = sampling_law(name)
+    assert [attr for attr in sorted(read) if not hasattr(law, attr)] == []
+    u = np.array([0.25, 0.5, 0.75])
+    assert law.transform(u).shape == u.shape
+
+
+def test_the_child_reads_only_what_a_sampler_and_its_draw_have():
+    read = _read_off("sampler")
+    assert "draw" in read  # the parse found it
+    sampler = MuAbSampler(normalize_pair(1, 6), seed=3)
+    assert [attr for attr in sorted(read) if not hasattr(sampler, attr)] == []
+    keys = {
+        node.slice.value
+        for node in ast.walk(TREE)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "data"
+        and isinstance(node.slice, ast.Constant)
+    }
+    assert {"x", "y", "xi1", "xi2"} <= keys  # the parse found them
+    data = sampler.draw(5)
+    assert keys <= set(data) and all(data[k].shape == (5,) for k in keys)

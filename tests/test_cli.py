@@ -8,7 +8,11 @@ from fractions import Fraction
 import pytest
 
 from theta_tails import (
+    InvalidArgumentError,
     NumericFailureError,
+    ResourceLimitError,
+    ThetaTailsError,
+    UnsupportedOperationError,
     cli,
     count_U_formula,
     count_V_formula,
@@ -279,6 +283,20 @@ def test_simulations_reject_a_negative_seed(capsys, monkeypatch, command):
         assert captured.err == "error: seed must be >= 0, got -1\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["curlicue", "--x", "0.3", "--N", "10"], ["tail", "--samples", "100"],
+     ["theta-tail", "--samples", "100"]],
+    ids=["curlicue", "tail", "theta-tail"],
+)
+def test_a_denominator_beyond_int64_exits_2(capsys, argv):
+    rc = cli.main([*argv, "--alpha", f"1/{2**70}"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("x", ["nan", "inf"])
 def test_curlicue_rejects_a_non_finite_x(capsys, x):
     rc = cli.main(["curlicue", "--x", x, "--N", "5"])
@@ -304,3 +322,25 @@ def test_exit_code_for_numeric_failures(capsys, monkeypatch):
     rc = cli.main(SMALL)
     assert rc == 4
     assert "synthetic loss of precision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (InvalidArgumentError, 2),
+        (UnsupportedOperationError, 2),
+        (ResourceLimitError, 3),
+        (NumericFailureError, 4),
+        (OSError, 5),
+        (ThetaTailsError, 2),
+    ],
+)
+def test_each_error_class_exits_with_its_code(capsys, monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("synthetic failure")
+
+    monkeypatch.setattr(cli, "table_reciprocal_C", fail)
+    assert cli.main(["constants", "--q-max", "3"]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: synthetic failure\n"

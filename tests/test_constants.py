@@ -11,11 +11,19 @@ from theta_tails import (
     D_rat_closed,
     D_rat_numeric,
     InvalidArgumentError,
+    IwasawaPoint,
+    WeylSumSpec,
+    bound_constant,
+    cusp_bound,
+    cusp_mass,
+    f_phi_numeric,
     gaussian_weight,
     normalize_pair,
+    normalized_product,
     sharp_indicator_weight,
     table_reciprocal_C,
     tail_constant,
+    theta_f,
 )
 
 
@@ -99,3 +107,37 @@ def test_tail_constant_assembly():
 
     with pytest.raises(InvalidArgumentError):
         tail_constant(Fraction(1, 2), 0, r=0.25)
+
+
+GAUSS = gaussian_weight()
+POINT = IwasawaPoint(x=0.1, y=1.2, phi=0.0)
+SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: D_rat_closed(math.inf),
+        lambda: tail_constant(Fraction(1, 3), r=math.inf),
+        lambda: normalized_product(0.3, SPEC, r=math.nan),
+        lambda: normalized_product(0.3, SPEC, r=math.inf),
+        lambda: theta_f(GAUSS, POINT, tol=0.0),
+        lambda: theta_f(GAUSS, POINT, tol=-1.0),
+        lambda: theta_f(GAUSS, POINT, tol=math.nan),
+        lambda: cusp_mass(math.nan),
+        lambda: bound_constant(math.nan),
+        lambda: cusp_bound(GAUSS, GAUSS, y=math.nan),
+        lambda: D_rat_numeric(GAUSS, GAUSS, tol=math.nan),
+        lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=math.nan),
+        lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=-1.0),
+    ],
+    ids=[
+        "D_rat_closed-inf", "tail_constant-inf", "normalized_product-nan",
+        "normalized_product-inf", "theta_f-tol0", "theta_f-tol-1", "theta_f-tol-nan",
+        "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",
+        "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
+    ],
+)
+def test_scalar_entry_points_reject_non_finite_or_out_of_range_input(call):
+    with pytest.raises(InvalidArgumentError):
+        call()

@@ -328,6 +328,31 @@ def test_sampler_draw_validation():
         MuAbSampler(Fraction(1, 6), seed=-1).draw(1)
 
 
+def test_sampler_rejects_a_denominator_beyond_int64():
+    with pytest.raises(InvalidArgumentError, match="2\\^63"):
+        MuAbSampler(Fraction(1, 2**63))
+
+
+def test_sampler_window_holds_for_denominators_above_2_to_62():
+    # 2 * rs would overflow int64 here; the window test must not
+    data = MuAbSampler(Fraction(1, 3 * 2**61), seed=1).chunk(0, 1000)
+    for key in ("xi1", "xi2"):
+        assert np.all((-0.5 <= data[key]) & (data[key] < 0.5))
+
+
+@pytest.mark.parametrize("count", [CHUNK_SIZE + 5, -1])
+def test_sampler_chunk_rejects_a_count_outside_one_chunk(count):
+    with pytest.raises(InvalidArgumentError):
+        MuAbSampler(Fraction(1, 6)).chunk(0, count)
+
+
+def test_a_negative_chunk_index_is_an_invalid_argument():
+    with pytest.raises(InvalidArgumentError):
+        chunk_generator(0, -1)
+    with pytest.raises(InvalidArgumentError):
+        MuAbSampler(Fraction(1, 6)).chunk(-1, 10)
+
+
 @pytest.mark.parametrize("index, count", [(0, 5), (1, 300), (2, CHUNK_SIZE)])
 def test_sampler_chunk_is_the_matching_slice_of_draw(index, count):
     pair = normalize_pair(Fraction(1, 12), Fraction(1, 3))

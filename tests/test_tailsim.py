@@ -13,7 +13,6 @@ from theta_tails import (
     CHUNK_SIZE,
     InvalidArgumentError,
     TailCurve,
-    UnsupportedOperationError,
     compact_support_report,
     default_thresholds,
     fit_tail_constant,
@@ -21,7 +20,6 @@ from theta_tails import (
     normalize_pair,
     orbit_size_formula,
     sampling_law,
-    sharp_indicator_weight,
     simulate_theta_tail,
     simulate_weyl_tail,
     tail_constant,
@@ -206,11 +204,6 @@ def test_theta_tail_runs_beyond_the_enumeration_cap():
     pair = normalize_pair(Fraction(1, 10**9 + 7), 0)
     curve = simulate_theta_tail(pair, n_samples=5000, thresholds=np.array([2.0, 3.0]))
     assert curve.meta["orbit_size"] == orbit_size_formula(pair) == (10**9 + 7) ** 2 - 1
-
-
-def test_theta_tail_rejects_non_gaussian_windows():
-    with pytest.raises(UnsupportedOperationError):
-        simulate_theta_tail(0, 0, w1=sharp_indicator_weight(1.0), n_samples=100)
 
 
 def synthetic_curve(constant: float, n: int = 10**7) -> TailCurve:

@@ -224,8 +224,6 @@ def test_gaussian_batch_rejects_inputs_outside_its_range():
         args[1][0] = low_y
         with pytest.raises(InvalidArgumentError):
             theta_pair_gaussian_batch(*args)
-    with pytest.raises(InvalidArgumentError):
-        theta_pair_gaussian_batch(*good, halfwidth=0)
 
 
 def test_gaussian_batch_stays_finite_high_in_the_cusp():

@@ -388,6 +388,21 @@ def test_every_weyl_path_rejects_n_beyond_the_exact_phase_range():
         weighted_weyl_sum(g, 0.3, WeylSumSpec(alpha=Fraction(1, 8), beta=0, zeta=0.0, N=N))
 
 
+def test_every_weyl_path_rejects_numerators_or_q_beyond_the_integer_range():
+    # n a and n b are reduced mod q in int64: max(|a|, |b|, q) n < 2^62
+    with pytest.raises(InvalidArgumentError, match="2\\^62"):
+        weyl_sum(0.3, WeylSumSpec(alpha=Fraction(10**12, 3), N=10**7))
+    edge = WeylSumSpec(alpha=Fraction(1, 2**40), N=2**22)
+    weylsum._check_phase_range(2**22 - 1, edge)
+    with pytest.raises(InvalidArgumentError):
+        weylsum._check_phase_range(2**22, edge)
+    huge_q = Fraction(1, 2**70)
+    with pytest.raises(InvalidArgumentError):
+        partial_sums(0.3, WeylSumSpec(alpha=huge_q, N=10))
+    with pytest.raises(InvalidArgumentError):
+        weyl_values_batch(np.array([0.3]), normalize_pair(huge_q, 0), 10)
+
+
 # ---------------------------------------------------------------------------
 # double-double helpers
 
