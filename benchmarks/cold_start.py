@@ -15,28 +15,20 @@ in fresh interpreters and records, per interpreter:
 
 With --src pointing at the src/ directory of another checkout (the parent
 commit, say), the same probe runs on it as "before", interleaved with this
-checkout's runs. Writes a JSON file (default BENCH_8.json at the
-repository root) with the medians of each side, nproc, the python, numpy
-and scipy versions and the line count of each src/.
+checkout's runs. Writes the JSON file --out (BENCH_8.json holds one run)
+with the medians of each side, nproc, the python, numpy and scipy versions
+and the line count of each src/.
 
-    python3 benchmarks/cold_start.py [--src PARENT/src] [--runs 9]
+    python3 benchmarks/cold_start.py --out PATH [--src PARENT/src] [--runs 9]
 
 Uses only the standard library and the package; src/ is put on the import
 path of each probe, nothing needs installing.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-from importlib.metadata import version
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import harness
 
 PROBE = """
 import json, resource, sys, tracemalloc
@@ -74,43 +66,12 @@ print(json.dumps({
 """
 
 
-def probe(src: Path) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE],
-        capture_output=True, text=True, env=env, check=True, timeout=300,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-def medians(runs: list[dict]) -> dict:
-    out = {key: statistics.median(run[key] for run in runs) for key in runs[0]}
-    out["scipy_special_loaded"] = any(run["scipy_special_loaded"] for run in runs)
-    return out
-
-
-def src_lines(src: Path) -> int:
-    return sum(len(path.read_text().splitlines()) for path in src.rglob("*.py"))
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, help="src/ of the checkout to compare against")
-    parser.add_argument("--runs", type=int, default=9, help="fresh interpreters per side")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_8.json"))
-    args = parser.parse_args(argv)
-
-    sides = {"after": ROOT / "src"}
-    if args.src is not None:
-        sides = {"before": args.src.resolve(), **sides}
-    for src in sides.values():
-        probe(src)  # discarded: the first run also pays for reading the files from disk
-    runs = {name: [] for name in sides}
-    for k in range(args.runs):
-        # alternate which side goes first, so a drift in host speed hits both
-        order = list(sides) if k % 2 == 0 else list(sides)[::-1]
-        for name in order:
-            runs[name].append(probe(sides[name]))
+    args = harness.parser(__doc__, runs=9).parse_args(argv)
+    sides = harness.sides(args.src)
+    runs = harness.interleave(
+        list(sides), args.runs, lambda name: harness.probe(PROBE, sides[name])
+    )
     report = {
         "benchmark": "theta-large-q set-up in fresh interpreters: import theta_tails, "
         "factorize(2000), enumerate_orbit((1/2000, 0)), MuAbSampler",
@@ -119,13 +80,14 @@ def main(argv=None) -> int:
         "call; scipy_special_loaded is true if any run loaded it. One discarded "
         "warm-up run per side precedes the measured ones",
         "runs": args.runs,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
+        **harness.host(),
     }
     for name, src in sides.items():
-        report[name] = {"src_lines": src_lines(src), **medians(runs[name])}
+        report[name] = {
+            "src_lines": harness.src_lines(src),
+            **harness.medians(runs[name], skip=("scipy_special_loaded",)),
+            "scipy_special_loaded": any(run["scipy_special_loaded"] for run in runs[name]),
+        }
     for name in sides:
         side = report[name]
         print(
@@ -135,7 +97,7 @@ def main(argv=None) -> int:
             f"ru_maxrss {side['ru_maxrss_mb']:.1f} MB, "
             f"scipy.special loaded: {side['scipy_special_loaded']}"
         )
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    harness.write(args.out, report)
     return 0
 
 

@@ -4,30 +4,25 @@ For the largest orbit at each q, the class of (1/q, 0), this times
 `_bfs_codes` (the frontier BFS that stays as the test oracle) and
 `enumerate_orbit` (built from the closed membership rule), and measures the
 tracemalloc peak of each in a separate call, so tracing does not inflate the
-times. Both must give the same points. Writes a JSON file (default
-BENCH_5.json at the repository root) with the numbers, nproc, the python,
-numpy and scipy versions and the line count of src/.
+times. Both must give the same points. Writes the JSON file --out
+(BENCH_5.json holds one run) with the numbers, nproc, the python, numpy
+and scipy versions and the line count of src/.
 
-    python3 benchmarks/orbit_scaling.py [--q 250 500 1000 2000] [--repeats 3]
+    python3 benchmarks/orbit_scaling.py --out PATH [--q 250 500 1000 2000] [--repeats 3]
 
 Runs from a checkout without installing: src/ is put on the import path.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import statistics
 import sys
 import tracemalloc
 from fractions import Fraction
-from importlib.metadata import version
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import harness
+
+sys.path.insert(0, str(harness.SRC))
 
 import numpy as np  # noqa: E402
 
@@ -52,17 +47,10 @@ def wall_and_peak(fn, repeats: int) -> dict:
     return {"wall_s": statistics.median(walls), "alloc_peak_mb": peak / 1e6}
 
 
-def src_lines() -> int:
-    return sum(
-        len(path.read_text().splitlines()) for path in (ROOT / "src").rglob("*.py")
-    )
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = harness.parser(__doc__)
     parser.add_argument("--q", type=int, nargs="+", default=[250, 500, 1000, 2000])
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_5.json"))
     args = parser.parse_args(argv)
 
     rows = []
@@ -95,14 +83,11 @@ def main(argv=None) -> int:
         "note": "_bfs_codes returns the sorted codes only; enumerate_orbit "
         "also builds the (n, 2) points, |U|, |V| and both line minima",
         "repeats": args.repeats,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "src_lines": src_lines(),
+        **harness.host(),
+        "src_lines": harness.src_lines(),
         "rows": rows,
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    harness.write(args.out, report)
     return 0 if all(row["identical"] for row in rows) else 1
 
 

@@ -7,31 +7,25 @@ sin over the chunk per term) and the library's theta_pair_gaussian_batch,
 alternating the two. Reports the median ns per sample of each over the
 chunks, the largest deviation |after - before| / (1 + before), and the
 median wall time of `import theta_tails` in 5 fresh interpreters with
-whether scipy.integrate got loaded. Writes a JSON file (default BENCH_7.json
-at the repository root) with those numbers, nproc, the python, numpy and
-scipy versions and the line count of src/.
+whether scipy.integrate got loaded. Writes the JSON file --out
+(BENCH_7.json holds one run) with those numbers, nproc, the python, numpy
+and scipy versions and the line count of src/.
 
-    python3 benchmarks/theta_batch.py [--chunks 32] [--repeats 5]
+    python3 benchmarks/theta_batch.py --out PATH [--chunks 32] [--repeats 5]
 
 Runs from a checkout without installing: src/ is put on the import path.
 """
 from __future__ import annotations
 
-import argparse
-import json
 import math
-import os
-import platform
 import statistics
-import subprocess
 import sys
 from fractions import Fraction
-from importlib.metadata import version
-from pathlib import Path
 from time import perf_counter
 
-ROOT = Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(ROOT / "src"))
+import harness
+
+sys.path.insert(0, str(harness.SRC))
 
 import numpy as np  # noqa: E402
 
@@ -42,12 +36,12 @@ from theta_tails import (  # noqa: E402
     theta_pair_gaussian_batch,
 )
 
-IMPORT_PROBE = (
-    "import sys, time\n"
-    "start = time.perf_counter()\n"
-    "import theta_tails\n"
-    "print(time.perf_counter() - start, 'scipy.integrate' in sys.modules)\n"
-)
+IMPORT_PROBE = """
+import json, sys, time
+start = time.perf_counter()
+import theta_tails
+print(json.dumps([time.perf_counter() - start, "scipy.integrate" in sys.modules]))
+"""
 
 
 def before(x, y, xi1, xi2, halfwidth=6):
@@ -77,30 +71,18 @@ def best_ns_per_sample(fns, args, repeats: int) -> list:
 
 
 def import_probe(runs: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    seconds, loaded = [], []
-    for _ in range(runs):
-        out = subprocess.run(
-            [sys.executable, "-c", IMPORT_PROBE],
-            capture_output=True, text=True, env=env, check=True, timeout=120,
-        ).stdout.split()
-        seconds.append(float(out[0]))
-        loaded.append(out[1] == "True")
-    return {"median_s": statistics.median(seconds), "scipy_integrate_loaded": any(loaded)}
-
-
-def src_lines() -> int:
-    return sum(
-        len(path.read_text().splitlines()) for path in (ROOT / "src").rglob("*.py")
-    )
+    probes = [harness.probe(IMPORT_PROBE, harness.SRC) for _ in range(runs)]
+    return {
+        "median_s": statistics.median(seconds for seconds, _ in probes),
+        "scipy_integrate_loaded": any(loaded for _, loaded in probes),
+    }
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser = harness.parser(__doc__)
     parser.add_argument("--chunks", type=int, default=32)
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_7.json"))
     args = parser.parse_args(argv)
 
     sampler = MuAbSampler(Fraction(1, 2000), 0, seed=args.seed)
@@ -141,13 +123,10 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "theta_batch": batch,
         "import_theta_tails": imports,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
-        "src_lines": src_lines(),
+        **harness.host(),
+        "src_lines": harness.src_lines(),
     }
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    harness.write(args.out, report)
     return 0 if deviation <= 2e-15 and not imports["scipy_integrate_loaded"] else 1
 
 

@@ -20,29 +20,22 @@ another checkout (the parent commit, say), the same probes run on it as
 "before", interleaved with this checkout's runs. The values of the first
 kernel call are compared: within a side across worker counts (they must
 be identical) and, with --src, across the sides as the largest
-|after - before| / (1 + before). Writes a JSON file (default BENCH_10.json
-at the repository root) with the medians of each side and worker count,
-nproc, the python, numpy and scipy versions and the line count of each
-src/.
+|after - before| / (1 + before). Writes the JSON file --out
+(BENCH_10.json holds one run) with the medians of each side and worker
+count, nproc, the python, numpy and scipy versions and the line count of
+each src/.
 
-    python3 benchmarks/weyl_pieces.py [--src PARENT/src] [--runs 7] [--calls 30]
+    python3 benchmarks/weyl_pieces.py --out PATH [--src PARENT/src] [--runs 7] [--calls 30]
 
 Uses only the standard library and the package; src/ is put on the import
 path of each probe, nothing needs installing.
 """
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
-import statistics
-import subprocess
 import sys
-from importlib.metadata import version
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import harness
+
 SAMPLES, N, R = 512, 10_000, 2.0
 
 PROBE = """
@@ -99,38 +92,19 @@ print(json.dumps({
 """
 
 
-def probe(src: Path, workers: int, calls: int) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
-        [sys.executable, "-c", PROBE, str(workers), str(calls), str(SAMPLES), str(N), str(R)],
-        capture_output=True, text=True, env=env, check=True, timeout=600,
-    )
-    return json.loads(out.stdout.splitlines()[-1])
-
-
-def src_lines(src: Path) -> int:
-    return sum(len(path.read_text().splitlines()) for path in src.rglob("*.py"))
-
-
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--src", type=Path, help="src/ of the checkout to compare against")
-    parser.add_argument("--runs", type=int, default=7, help="fresh interpreters per side and worker count")
+    parser = harness.parser(__doc__, runs=7)
     parser.add_argument("--calls", type=int, default=30, help="timed calls of each kind per interpreter")
-    parser.add_argument("--out", default=str(ROOT / "BENCH_10.json"))
     args = parser.parse_args(argv)
 
-    sides = {"after": ROOT / "src"}
-    if args.src is not None:
-        sides = {"before": args.src.resolve(), **sides}
+    sides = harness.sides(args.src)
     probes = [(name, workers) for name in sides for workers in (1, 2)]
-    for name, workers in probes:
-        probe(sides[name], workers, 2)  # discarded: the first run also reads the files from disk
-    runs = {job: [] for job in probes}
-    for k in range(args.runs):
-        # alternate the order, so a drift in host speed hits every probe alike
-        for job in probes if k % 2 == 0 else probes[::-1]:
-            runs[job].append(probe(sides[job[0]], job[1], args.calls))
+
+    def measure(job):
+        name, workers = job
+        return harness.probe(PROBE, sides[name], workers, args.calls, SAMPLES, N, R)
+
+    runs = harness.interleave(probes, args.runs, measure)
     report = {
         "benchmark": f"weyl_values_batch and `theta-tails tail` at the weyl-deep shape: "
         f"{SAMPLES} uniform01 samples, pair (1/10, 1/10), N = {N}, r = {R}",
@@ -141,21 +115,15 @@ def main(argv=None) -> int:
         "interpreter per probe precedes the measured ones",
         "runs": args.runs,
         "calls": args.calls,
-        "nproc": len(os.sched_getaffinity(0)),
-        "python": platform.python_version(),
-        "numpy": version("numpy"),
-        "scipy": version("scipy"),
+        **harness.host(),
     }
     values = {}
     for name, src in sides.items():
-        side = {"src_lines": src_lines(src), "workers_keyword": runs[(name, 1)][0]["workers_keyword"]}
+        side = {"src_lines": harness.src_lines(src), "workers_keyword": runs[(name, 1)][0]["workers_keyword"]}
         for workers in (1, 2):
             rows = runs[(name, workers)]
             values[(name, workers)] = rows[0]["values"]
-            side[f"workers_{workers}"] = {
-                key: statistics.median(row[key] for row in rows)
-                for key in rows[0] if key not in ("values", "workers_keyword")
-            }
+            side[f"workers_{workers}"] = harness.medians(rows, skip=("values", "workers_keyword"))
         side["values_equal_across_workers"] = values[(name, 1)] == values[(name, 2)]
         report[name] = side
     if "before" in sides:
@@ -173,7 +141,7 @@ def main(argv=None) -> int:
             )
     if "max_rel_change" in report:
         print(f"max |after - before| / (1 + before): {report['max_rel_change']:.2e}")
-    Path(args.out).write_text(json.dumps(report, indent=2) + "\n")
+    harness.write(args.out, report)
     return 0
 
 

@@ -61,12 +61,17 @@ def D_rat_closed(r: float) -> float:
 
     2 log 2 at r = 1; for r > 1,
     2 r acoth(r) + (1/2) log(r^2 - 1) + (r^2/2) log(1 - 1/r^2).
-    Continuous as r -> 1+ (the last two terms cancel in the limit).
+    Continuous as r -> 1+ (the last two terms cancel in the limit). For
+    large r it is log r + 3/2 - r^-2/12 - r^-4/60 - ...; past r = 1e6 the
+    first three terms of that series are used, whose error is below the
+    rounding, so r^2 (which overflows above about 1.3e154) is never formed.
     """
     if not 1.0 <= r < math.inf:
         raise InvalidArgumentError(f"cutoff ratio must be finite and >= 1, got {r}")
     if r == 1.0:
         return 2.0 * math.log(2.0)
+    if r > 1e6:
+        return math.log(r) + 1.5 - (1.0 / r) ** 2 / 12.0
     return (
         2.0 * r * math.atanh(1.0 / r)
         + 0.5 * math.log(r * r - 1.0)

@@ -55,7 +55,6 @@ NEG_IDENTITY = GammaElement(-1, 0, 0, -1)
 # gamma2 gamma1 gamma2^{-1}: inversion in the circle |z - 2| = 1
 _INV_AT_TWO = GammaElement(2, -5, 1, -2)
 
-_SQRT3_HALF = math.sqrt(3.0) / 2.0
 _BELOW_ONE = 1.0 - 2.0**-53
 
 

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .thetagroup import IwasawaPoint
-from .weylsum import frac, reduced_product, two_prod
+from .weylsum import check_x_range, frac, reduced_product, two_prod
 
 _TWO_PI = 2.0 * math.pi
 _PI_MULTIPLE_TOL = 1e-9
@@ -296,11 +296,15 @@ def theta_f(
     own decay radius at level tol * min(1, sqrt(y))/8, which bounds the
     dropped tail by tol. For the Gaussian away from pi*Z the value carries
     the usual w-independent unimodular ambiguity; see the module docstring.
+    x, xi1 and xi2 must be below 2^30 in size (check_x_range), and the
+    phase error grows like their size times 2^-52 turns; other input
+    raises InvalidArgumentError.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     x, y = point.x, point.y
     xi1, xi2 = float(point.xi1), float(point.xi2)
+    check_x_range(x=x, xi1=xi1, xi2=xi2)
     term_tol = tol * min(1.0, math.sqrt(y)) / 8.0
     radius = weight.support_radius(term_tol)
     lo, hi = _lattice_range(xi2, y, radius)
@@ -342,8 +346,6 @@ _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # a side keeps its recurrence past j = +-1 only while its j = +-2 term,
 # exp(-2 pi y (1 + a)) of the anchor, is above exp(-43)
 _CHAIN_CUT = 43.0 / _TWO_PI
-# bound on |x|, |xi1|, |xi2|: a double this large has no fractional bit
-_PHASE_MAX = 2.0**52
 # samples per pass; the temporaries of one block stay in a core's L2 cache
 _BATCH_BLOCK = 8192
 # the batch sums the lattice terms n = k0 + j, |j| <= _HALFWIDTH
@@ -362,8 +364,8 @@ def theta_pair_gaussian_batch(
     independent of phi, summed over the fixed 13 terms n = k0 + j, |j| <= 6,
     around k0 = round(xi2).
 
-    Valid range: finite y >= 1/2 and finite x, xi1, xi2 of size at most
-    2^52; anything else raises InvalidArgumentError.
+    Valid range: finite y >= 1/2 and x, xi1, xi2 below 2^30 in size
+    (check_x_range); anything else raises InvalidArgumentError.
     With t = xi2 - k0 in [-1/2, 1/2], term j is exp(-pi y j (j - 2t)) times
     the anchor j = 0 in modulus, so at y >= 1/2 the first dropped term
     (|j| = 7) is below exp(-66) = 2e-29 of it. The sampler's points lie in that range:
@@ -382,15 +384,15 @@ def theta_pair_gaussian_batch(
     terms past j = +-1 are dropped where its j = +-2 term is below exp(-43)
     = 2e-19 of the anchor; at |j| <= 6 every kept term then stays above
     exp(-645), clear of slow subnormal arithmetic. Against the plain
-    13-term sum the result agrees to about 1e-15 (1 + value).
+    13-term sum the result agrees to about 1e-15 (1 + value) at |x| ~ 1.
+    The ratio phases x a/2 and x b/2 round to about |x| 2^-53 turns, so the
+    deviation grows in proportion to |x|: against theta_pair at y = 0.9,
+    xi = (0.3, 0.2) it is 3e-12 at x = 2^20 + 0.3 and 1e-8 at x = 2^30 - 0.7.
     """
     x, y, xi1, xi2 = np.broadcast_arrays(
         *(np.asarray(v, dtype=np.float64) for v in (x, y, xi1, xi2))
     )
-    if not all((np.abs(v) <= _PHASE_MAX).all() for v in (x, xi1, xi2)):
-        raise InvalidArgumentError(
-            "theta batch needs finite x, xi1 and xi2 of size at most 2^52"
-        )
+    check_x_range(x=x, xi1=xi1, xi2=xi2)
     if not (np.isfinite(y).all() and (y >= 0.5).all()):
         raise InvalidArgumentError("theta batch needs finite y >= 1/2")
     shape = x.shape

@@ -249,8 +249,11 @@ def test_exit_code_for_invalid_arguments(capsys):
 
 @pytest.mark.parametrize(
     "flags",
-    [["--N", "0"], ["--N", "-5"], ["--r", "inf"], ["--N", "95000001"]],
-    ids=["N0", "N-5", "r-inf", "N-beyond-phase-range"],
+    [
+        ["--N", "0"], ["--N", "-5"], ["--r", "inf"], ["--N", "95000001"],
+        ["--N", "5", "--r", "1e308"],
+    ],
+    ids=["N0", "N-5", "r-inf", "N-beyond-phase-range", "rN-beyond-a-float"],
 )
 def test_tail_rejects_out_of_range_inputs(capsys, flags):
     rc = cli.main(["tail", "--alpha", "1/2", "--samples", "100", *flags])
@@ -304,6 +307,15 @@ def test_curlicue_rejects_a_non_finite_x(capsys, x):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+
+
+def test_curlicue_rejects_x_beyond_the_phase_range(capsys):
+    # unchecked, x = 1e300 gives wrong rows and exit 0
+    rc = cli.main(["curlicue", "--x", "1e300", "--alpha", "1/3", "--N", "10"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: x must be finite with |x| < 2^30\n"
 
 
 def test_exit_code_for_an_unwritable_output_path(tmp_path, capsys):

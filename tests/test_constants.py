@@ -71,6 +71,21 @@ def test_closed_form_is_continuous_at_one_and_increasing():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize("r", [2.0, 1e5, 1e7, 1e20, 1e154, 1e155, 1e300])
+def test_closed_form_matches_mpmath_up_to_the_largest_float(r):
+    # r * r overflows above about 1.3e154, where the r^2 form is NaN
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        R = mpmath.mpf(r)
+        want = (
+            2 * R * mpmath.acoth(R)
+            + mpmath.log(R * R - 1) / 2
+            + R * R / 2 * mpmath.log1p(-1 / (R * R))
+        )
+        assert math.isclose(D_rat_closed(r), float(want), rel_tol=4e-16)
+    assert math.isfinite(tail_constant(Fraction(1, 3), r=r).value)
+
+
 def test_closed_form_rejects_r_below_one():
     with pytest.raises(InvalidArgumentError):
         D_rat_closed(0.5)
@@ -121,6 +136,7 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         lambda: tail_constant(Fraction(1, 3), r=math.inf),
         lambda: normalized_product(0.3, SPEC, r=math.nan),
         lambda: normalized_product(0.3, SPEC, r=math.inf),
+        lambda: normalized_product(0.3, SPEC, r=1e308),
         lambda: theta_f(GAUSS, POINT, tol=0.0),
         lambda: theta_f(GAUSS, POINT, tol=-1.0),
         lambda: theta_f(GAUSS, POINT, tol=math.nan),
@@ -133,7 +149,8 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
     ],
     ids=[
         "D_rat_closed-inf", "tail_constant-inf", "normalized_product-nan",
-        "normalized_product-inf", "theta_f-tol0", "theta_f-tol-1", "theta_f-tol-nan",
+        "normalized_product-inf", "normalized_product-rN-overflow", "theta_f-tol0",
+        "theta_f-tol-1", "theta_f-tol-nan",
         "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",
         "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
     ],

@@ -226,6 +226,24 @@ def test_gaussian_batch_rejects_inputs_outside_its_range():
             theta_pair_gaussian_batch(*args)
 
 
+def test_theta_paths_reject_x_and_xi_beyond_2_30():
+    # past 2^30 the phases drift: unchecked, the batch is 7.6% off
+    # theta_pair at x = 2^51 + 0.5, and theta_f gives 0.933 at x = 1e300
+    # against 1.67e-12 at x = 0
+    below = np.nextafter(2.0**30, 0)
+    theta_f(GAUSS, IwasawaPoint(below, 0.01, 0.0, below, below))
+    good = [np.array(v) for v in ([0.3, -0.1], [1.0, 0.9], [0.2, 0.4], [0.1, 0.5])]
+    for slot, name in ((0, "x"), (2, "xi1"), (3, "xi2")):
+        for bad in (2.0**30, 2.0**51 + 0.5, -1e300):
+            args = [v.copy() for v in good]
+            args[slot][1] = bad
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+                theta_pair_gaussian_batch(*args)
+            coords = {"x": 0.0, "y": 0.01, "phi": 0.0, "xi1": 0.3, "xi2": 0.0, name: bad}
+            with pytest.raises(InvalidArgumentError, match=f"{name} must be finite"):
+                theta_f(GAUSS, IwasawaPoint(**coords))
+
+
 def test_gaussian_batch_stays_finite_high_in_the_cusp():
     rng = np.random.default_rng(23)
     y = np.concatenate([np.geomspace(0.5, 1e300, 400), np.full(8, 1e300)])

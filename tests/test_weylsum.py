@@ -357,7 +357,7 @@ def test_batch_kernel_keeps_the_shape_of_its_input(shape):
     "N, r",
     [
         (0, 1.0), (-5, 1.0), (10, 0.9), (10, math.inf), (10, math.nan),
-        (2**27, 1.0), (10, 2.0**24), (95_000_001, 1.0),
+        (2**27, 1.0), (10, 2.0**24), (95_000_001, 1.0), (10, 1e308),
     ],
 )
 def test_batch_kernel_range_guard(N, r):
@@ -375,7 +375,7 @@ def test_every_weyl_path_rejects_n_beyond_the_exact_phase_range():
     assert 0.5 * np.float64(n) * n != Fraction(n * n, 2)
     assert 0.5 * np.float64(94_906_265) * 94_906_265 == Fraction(94_906_265**2, 2)
     spec = WeylSumSpec(alpha=Fraction(1, 8), beta=0, zeta=0.0, N=n)
-    weylsum._check_phase_range(94_906_265, spec)  # the largest n in range at b = 0
+    weylsum._check_phase_range(94_906_265, spec, 0.3)  # the largest n in range at b = 0
     for path in (weyl_sum, partial_sums):
         with pytest.raises(InvalidArgumentError):
             path(0.3, spec)
@@ -393,14 +393,35 @@ def test_every_weyl_path_rejects_numerators_or_q_beyond_the_integer_range():
     with pytest.raises(InvalidArgumentError, match="2\\^62"):
         weyl_sum(0.3, WeylSumSpec(alpha=Fraction(10**12, 3), N=10**7))
     edge = WeylSumSpec(alpha=Fraction(1, 2**40), N=2**22)
-    weylsum._check_phase_range(2**22 - 1, edge)
+    weylsum._check_phase_range(2**22 - 1, edge, 0.3)
     with pytest.raises(InvalidArgumentError):
-        weylsum._check_phase_range(2**22, edge)
+        weylsum._check_phase_range(2**22, edge, 0.3)
     huge_q = Fraction(1, 2**70)
     with pytest.raises(InvalidArgumentError):
         partial_sums(0.3, WeylSumSpec(alpha=huge_q, N=10))
     with pytest.raises(InvalidArgumentError):
         weyl_values_batch(np.array([0.3]), normalize_pair(huge_q, 0), 10)
+
+
+def test_every_weyl_path_rejects_x_beyond_2_30():
+    # the two_prod residue is never reduced mod 1, so far out the phase is
+    # wrong with no error: unchecked, weyl_sum gives 4.0 at x = 1e300
+    # against the exact -0.5 + 0.866i, and the Gaussian sum 2.23 against
+    # 6.1e-15 at the 2-periodic equivalent x = 0
+    spec = WeylSumSpec(alpha=Fraction(1, 3), N=10)
+    pair = normalize_pair(Fraction(1, 3), 0)
+    paths = [
+        weyl_sum,
+        partial_sums,
+        lambda x, s: weighted_weyl_sum(gaussian_weight(), x, s),
+        normalized_product,
+        lambda x, s: weyl_values_batch(np.array([0.3, x]), pair, s.N),
+    ]
+    weylsum._check_phase_range(10, spec, np.nextafter(2.0**30, 0))
+    for x in (1e300, -1e300, 2.0**30):
+        for path in paths:
+            with pytest.raises(InvalidArgumentError, match="2\\^30"):
+                path(x, spec)
 
 
 # ---------------------------------------------------------------------------
