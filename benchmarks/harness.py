@@ -22,6 +22,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src"
 
 
+def positive(text: str) -> int:
+    """argparse type of the count flags (--runs, --calls, --repeats,
+    --chunks): an int >= 1, else a one-line usage error and exit 2."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {text!r}")
+    return value
+
+
 def parser(doc: str, runs: int | None = None) -> argparse.ArgumentParser:
     """The shared flags: a required --out and, given a default number of
     runs, --src (another checkout's src/, run as "before") and --runs."""
@@ -29,7 +41,7 @@ def parser(doc: str, runs: int | None = None) -> argparse.ArgumentParser:
     out.add_argument("--out", required=True, help="JSON report to write")
     if runs is not None:
         out.add_argument("--src", type=Path, help="src/ of the checkout to compare against")
-        out.add_argument("--runs", type=int, default=runs, help="fresh interpreters per probe")
+        out.add_argument("--runs", type=positive, default=runs, help="fresh interpreters per probe")
     return out
 
 

@@ -50,7 +50,7 @@ def wall_and_peak(fn, repeats: int) -> dict:
 def main(argv=None) -> int:
     parser = harness.parser(__doc__)
     parser.add_argument("--q", type=int, nargs="+", default=[250, 500, 1000, 2000])
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--repeats", type=harness.positive, default=3)
     args = parser.parse_args(argv)
 
     rows = []

@@ -80,8 +80,8 @@ def import_probe(runs: int) -> dict:
 
 def main(argv=None) -> int:
     parser = harness.parser(__doc__)
-    parser.add_argument("--chunks", type=int, default=32)
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument("--chunks", type=harness.positive, default=32)
+    parser.add_argument("--repeats", type=harness.positive, default=5)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args(argv)
 

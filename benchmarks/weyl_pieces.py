@@ -94,7 +94,7 @@ print(json.dumps({
 
 def main(argv=None) -> int:
     parser = harness.parser(__doc__, runs=7)
-    parser.add_argument("--calls", type=int, default=30, help="timed calls of each kind per interpreter")
+    parser.add_argument("--calls", type=harness.positive, default=30, help="timed calls of each kind per interpreter")
     args = parser.parse_args(argv)
 
     sides = harness.sides(args.src)

@@ -38,7 +38,7 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .thetagroup import IwasawaPoint
-from .weylsum import check_x_range, frac, reduced_product, two_prod
+from .weylsum import _unit_phasor, check_x_range, frac, reduced_product, two_prod
 
 _TWO_PI = 2.0 * math.pi
 _PI_MULTIPLE_TOL = 1e-9
@@ -341,8 +341,6 @@ def theta_pair(
     return theta_f(w1, point) * theta_f(w2, point).conjugate()
 
 
-# e(k/4) for k mod 4, the exact quarter turns split off before cos and sin
-_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
 # a side keeps its recurrence past j = +-1 only while its j = +-2 term,
 # exp(-2 pi y (1 + a)) of the anchor, is above exp(-43)
 _CHAIN_CUT = 43.0 / _TWO_PI
@@ -379,12 +377,14 @@ def theta_pair_gaussian_batch(
     c = w_up w_down = exp(-2 pi y) e(x). Each ratio has modulus <= 1, so
     large y underflows to 0 and nothing overflows. The anchor's phase drops
     out of the modulus, and its size exp(-2 pi t^2 y) multiplies the result
-    as one real factor. Phases are reduced to within 1/8 of a quarter turn
-    before cos and sin, and the quarter turn is applied exactly. A side's
-    terms past j = +-1 are dropped where its j = +-2 term is below exp(-43)
-    = 2e-19 of the anchor; at |j| <= 6 every kept term then stays above
-    exp(-645), clear of slow subnormal arithmetic. Against the plain
-    13-term sum the result agrees to about 1e-15 (1 + value) at |x| ~ 1.
+    as one real factor. The ratios' unit phasors come from the Weyl
+    kernel's _unit_phasor, which reduces each phase exactly to within 1/8
+    turn before cos and sin and applies the quarter turn exactly; the real
+    factors then scale them. A side's terms past j = +-1 are dropped where
+    its j = +-2 term is below exp(-43) = 2e-19 of the anchor; at |j| <= 6
+    every kept term then stays above exp(-645), clear of slow subnormal
+    arithmetic. Against the plain 13-term sum the result agrees to about
+    1e-15 (1 + value) at |x| ~ 1.
     The ratio phases x a/2 and x b/2 round to about |x| 2^-53 turns, so the
     deviation grows in proportion to |x|: against theta_pair at y = 0.9,
     xi = (0.3, 0.2) it is 3e-12 at x = 2^20 + 0.3 and 1e-8 at x = 2^30 - 0.7.
@@ -410,15 +410,11 @@ def _theta_block(x, y, xi1, xi2):
     turns = 0.5 * x * side
     turns[0] += xi1
     turns[1] -= xi1
-    turns -= np.round(turns)
-    quarter = np.round(4.0 * turns)
-    turns -= 0.25 * quarter  # both steps exact; now within 1/8 of zero
-    ang = _TWO_PI * turns
-    mag = np.exp(-math.pi * y * side)
     w = np.empty(side.shape, dtype=np.complex128)
-    np.multiply(np.cos(ang), mag, out=w.real)
-    np.multiply(np.sin(ang), mag, out=w.imag)
-    w *= _QUARTER_TURNS[quarter.astype(np.intp) & 3]
+    _unit_phasor(turns, w)
+    mag = np.exp(-math.pi * y * side)
+    w.real *= mag
+    w.imag *= mag
     step = (w[0] * w[1]) * (y * (1.0 + side) <= _CHAIN_CUT)
     z = w.copy()
     acc = z[0] + z[1]

@@ -111,7 +111,9 @@ def weyl_values_per_term(xs, a: int, b: int, q: int, N: int, m: int, stride: int
     takes acc += t, t *= rho, rho *= w, and every `stride` terms t and rho
     restart from the phase (n^2/2 + (b/q) n) x + (a/q) n mod 1, with the
     integer part of the coefficient of x split off exactly and its product
-    with x carried as a Dekker two-product.
+    with x carried as a Dekker two-product. Each e(theta) takes cos and sin
+    of 2 pi (theta - k/4), k = rint(4 theta), times the exact quarter turn
+    i^k.
     """
     import numpy as np
 
@@ -136,11 +138,14 @@ def weyl_values_per_term(xs, a: int, b: int, q: int, N: int, m: int, stride: int
         return theta
 
     def unit(theta):
+        # cos and sin within 1/8 turn of zero, then the quarter turn
+        # e(k/4) exactly: theta - k/4 is exact with k = rint(4 theta)
+        k = np.rint(4.0 * theta)
+        ang = 2.0 * math.pi * (theta - k / 4.0)
         out = np.empty(theta.shape, dtype=np.complex128)
-        ang = 2.0 * math.pi * (theta - np.floor(theta))
         np.cos(ang, out=out.real)
         np.sin(ang, out=out.imag)
-        return out
+        return out * np.array([1.0, 1.0j, -1.0, -1.0j])[k.astype(np.int64) % 4]
 
     w = unit(xs)
     acc = np.zeros_like(w)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SCRIPTS = ["cold_start", "orbit_scaling", "theta_batch", "weyl_pieces"]
+SCRIPTS = ["cold_start", "orbit_scaling", "theta_batch", "weyl_anchors", "weyl_pieces"]
 
 
 @pytest.fixture
@@ -37,6 +37,20 @@ def test_each_script_has_help_and_requires_out(load, capsys, name):
     assert "--out" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, flag", [
+    ("cold_start", "--runs"), ("orbit_scaling", "--repeats"), ("theta_batch", "--chunks"),
+    ("theta_batch", "--repeats"), ("weyl_anchors", "--calls"), ("weyl_pieces", "--runs"),
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_count_flags_take_positive_ints_only(load, capsys, name, flag, value):
+    # --runs 0 once reached medians() with no rows and raised IndexError
+    with pytest.raises(SystemExit) as stop:
+        load(name).main(["--out", "unused.json", flag, value])
+    assert stop.value.code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+
+
 def test_interleave_warms_each_job_once_then_alternates_the_order(load):
     harness = load("harness")
     calls = []
@@ -61,3 +75,31 @@ def test_orbit_scaling_writes_the_key_tree_of_its_bench_file(load, tmp_path, cap
     assert load("orbit_scaling").main(["--q", "12", "--repeats", "1", "--out", str(out)]) == 0
     committed = json.loads((ROOT / "BENCH_5.json").read_text())
     assert key_tree(json.loads(out.read_text())) == key_tree(committed)
+
+
+def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(load, monkeypatch, tmp_path, capsys):
+    # both sides run this checkout, at shapes small enough for a smoke test;
+    # each shape's probe runs in one fresh interpreter and its row stands
+    # for every other run of that shape, so the test starts 2 interpreters
+    # rather than 8
+    module = load("weyl_anchors")
+    for shape in module.SHAPES.values():
+        monkeypatch.setitem(shape, "N", 70)
+        monkeypatch.setitem(shape, "samples", 64)
+    rows = {}
+
+    def probe_once(code, src, *args):
+        if args not in rows:
+            rows[args] = harness_probe(code, src, *args)
+        return rows[args]
+
+    harness_probe = module.harness.probe
+    monkeypatch.setattr(module.harness, "probe", probe_once)
+    out = tmp_path / "bench.json"
+    argv = ["--src", str(ROOT / "src"), "--runs", "1", "--calls", "1", "--out", str(out)]
+    assert module.main(argv) == 0
+    report = json.loads(out.read_text())
+    committed = json.loads((ROOT / "BENCH_13.json").read_text())
+    assert key_tree(report) == key_tree(committed)
+    assert report["max_rel_change"] == {"wide": 0.0, "deep": 0.0}
+    assert len(rows) == 2

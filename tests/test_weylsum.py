@@ -3,6 +3,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -239,6 +240,56 @@ def test_batch_kernel_is_the_per_term_recurrence_on_a_full_chunk(r):
     m = math.floor(r * 500)
     ref = oracles.weyl_values_per_term(xs, pair.a, pair.b, pair.q, 500, m, stride=K)
     assert np.array_equal(weyl_values_batch(xs, pair, 500, r=r), ref)
+
+
+def _phasor(phases):
+    theta = np.array(phases, dtype=np.float64)
+    out = np.empty(theta.shape, dtype=np.complex128)
+    weylsum._unit_phasor(theta, out)
+    return out
+
+
+def test_unit_phasor_is_within_3e_16_of_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    # k/8 are the ties of rint(4 theta); each side of them picks another quarter
+    ties = np.arange(-8, 41) / 8.0
+    phases = np.concatenate([
+        np.random.default_rng(13).uniform(-1.0, 5.0, 10_000),
+        ties, ties - 2.0**-52, ties + 2.0**-52,
+        np.nextafter(ties, -np.inf), np.nextafter(ties, np.inf),
+    ])
+    got = _phasor(phases)
+    worst = 0.0
+    with mpmath.workdps(30):
+        for v, z in zip(phases.tolist(), got.tolist()):
+            turn = 2 * mpmath.mpf(v)
+            worst = max(worst, float(abs(mpmath.mpc(z) - mpmath.mpc(mpmath.cospi(turn), mpmath.sinpi(turn)))))
+    assert worst <= 3e-16
+
+
+def test_unit_phasor_gives_quarter_turns_exactly():
+    k = np.arange(-8, 21)
+    assert np.array_equal(_phasor(k / 4.0), np.array([1.0, 1.0j, -1.0, -1.0j])[k % 4])
+
+
+def test_full_chunk_kernel_allocates_its_rows_once():
+    # One full-chunk call at (1/2, 0), N = 500 holds 6.5 rows of 32,768
+    # complex values and a 64 KB vector of quarter turns: the block (e(x),
+    # one share's t, rho, acc and scratch row, and the split of x) and the
+    # result. The bound leaves 64 KB for small arrays, so one phase or
+    # phasor temporary per group (half a row) fails it. Measured 3,480,480
+    # bytes; before the scratch rows the peak was 3,676,064 (a 4-row block
+    # plus per-group temporaries).
+    xs = np.random.default_rng(5).normal(size=32768)
+    pair = normalize_pair(Fraction(1, 2), 0)
+    weyl_values_batch(xs, pair, 500)
+    tracemalloc.start()
+    try:
+        weyl_values_batch(xs, pair, 500)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6.5 * 32768 * 16 + 2 * 64 * 1024
 
 
 # (g, N, r); every group is a piece, so these put N in the first, a middle
