@@ -61,10 +61,11 @@ def _fraction(text: str) -> Fraction:
 
 
 def _real(text: str) -> float:
-    """Exact rationals pass through Fraction; anything else parses as float."""
+    """Exact rationals pass through Fraction; anything else parses as float,
+    which also takes a value too large for one (1e400 gives inf)."""
     try:
         return float(Fraction(text))
-    except (ValueError, ZeroDivisionError):
+    except (ValueError, ZeroDivisionError, OverflowError):
         try:
             return float(text)
         except ValueError:

@@ -12,9 +12,9 @@ The Weyl curve samples x from an absolutely continuous law and evaluates
 |S_N(x) conj(S_{rN}(x))|/N through the batch kernel (a rotation recurrence
 re-anchored on the exact phase every 64 terms). The workers reach the
 kernel two ways: run_chunks gives each chunk a thread, and each chunk's
-kernel call gets workers // chunks (at least 1) threads for the pieces of
-a short chunk, so no more than `workers` threads run at once and a
-one-chunk run still uses them all. The theta curve samples
+kernel call gets workers // chunks (at least 1) threads for its anchor
+groups, so no more than `workers` threads run at once and a one-chunk run
+still uses them all. The theta curve samples
 the invariant measure attached to (alpha, beta) - Haar on the fundamental
 domain times uniform on the finite orbit - maps samples in the cusp-at-1
 horoball through the conjugating element (homog.conjugate_horoball) so
@@ -181,12 +181,8 @@ def simulate_weyl_tail(
     numerators making the pair compact-type it is zero.
     """
     pair = normalize_pair(alpha, beta)
-    if N < 1:
-        raise InvalidArgumentError(f"N must be >= 1, got {N}")
-    if not (math.isfinite(r) and r >= 1):
-        raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
     transform = sampling_law(law).transform
-    # workers that run_chunks leaves idle run pieces of a short chunk
+    # workers that run_chunks leaves idle run the anchor groups of each chunk
     kernel_workers = max(1, workers // max(1, -(-n_samples // CHUNK_SIZE)))
 
     def values(index: int, count: int) -> np.ndarray:

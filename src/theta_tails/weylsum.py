@@ -45,21 +45,24 @@ _GROUP_BUDGET = 2^14 complex elements per buffer; each step is then one
 set of ufunc calls for all rows instead of one per block, which is what
 dominates at a few hundred samples and large N (512 samples at
 N = 10^4, r = 2, same host: 13.3 -> 5.2 ns per term). A full
-32,768-sample chunk exceeds the budget on its own, so it keeps one block
-per step and the exact arithmetic of the ungrouped loop, one running sum.
+32,768-sample chunk exceeds the budget on its own, so its groups are
+single blocks.
 
-On a shorter batch each group of rows is a piece: it sums its terms from
-zero, and the piece totals are added in piece order. Pieces share
-nothing but e(x), so with workers > 1 they run in T = min(workers,
-pieces) shares, share k holding pieces k, k + T, ...: the calling thread
-runs share 0 and a pool of T - 1 threads the others. The values do not
-depend on the worker count. Adding the block sums in this order moves
-short-batch values from the one-running-sum loop by up to about
-2e-14 (1 + value). At 512 samples, N = 10^4, r = 2 two workers take
-the kernel from about 64 to 45 ms (BENCH_10.json). Splitting the rows
-of one group across threads instead keeps the values but is slower:
-each ufunc call then lasts about 10 us, and the threads queue on the
-GIL.
+The terms 1..N and N+1..floor(rN) are blocked separately, every group
+is summed from zero, and the group sums are added into one running total
+in group order, so S_N is the total at a group boundary and a call's
+memory does not depend on N. Groups share nothing but e(x), so with
+workers > 1 they run in rounds of T = min(workers, groups) threads:
+group k runs in share k mod T, the calling thread runs share 0 and a
+pool of T - 1 threads the others, and the caller adds each round's sums
+in order. The values do not depend on the worker count. Against one
+running sum carried through all the terms, this order moves values by at
+most 3.8e-15 (1 + value) on a weyl-wide chunk (32,768 normal draws,
+(1/2, 0), N = 500), 9.2e-14 at the weyl-deep shape (512 uniform draws,
+(1/10, 1/10), N = 10^4, r = 2) and 2.1e-13 on a full chunk at (3/7, 2/7),
+N = 300, r = 2.5. Splitting the rows of one group across threads instead
+keeps the values but is slower: each ufunc call then lasts about 10 us,
+and the threads queue on the GIL.
 """
 from __future__ import annotations
 
@@ -68,6 +71,7 @@ from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -446,151 +450,132 @@ def weyl_values_batch(
     rho restart from the exact integer-reduced phase of _phase_mod1, made a
     unit phasor within about 2e-16 of e(theta) by _unit_phasor, which keeps
     the deviation from weyl_sum near 1e-13 independent of N (the module
-    docstring has the error-versus-K table). Against anchors that took cos
-    and sin of 2 pi frac(theta) the values move by at most 1.6e-12
-    (1 + value) (BENCH_13.json). The phases of one call share one
-    _PhasePlan. The accumulation is a plain running sum (error ~ N eps,
-    orders of magnitude below the Monte-Carlo noise this feeds).
+    docstring has the error-versus-K table). The phases of one call share
+    one _PhasePlan.
 
-    Because each block of K terms starts from an exact anchor, g blocks run
-    side by side as the rows of (g, width) buffers, g = min(blocks,
-    _GROUP_BUDGET // width), so the interpreter makes K steps per g blocks.
-    Row 0 carries the running sum; after each group the other rows are
-    added into it in order. The budget bounds the buffers (256 KB each)
-    and leaves g = 1 at full chunks, where the whole batch is one piece
-    and the arithmetic is exactly the one-block-at-a-time loop. At g > 1
-    every group is a piece summed from zero, and S_N and S_floor(rN) are
-    the piece totals added in piece order, which moves values from the
-    running-sum loop by up to about 2e-14 (1 + value). The pieces run in
-    T = min(workers, pieces) shares, piece k in share k mod T, share 0 on
-    the calling thread and the others on a pool of T - 1 threads, so the
-    result is the same at every worker count and never more than T
-    threads run. Every buffer comes from one allocation per call: e(x) in
-    every row, shared and read only, then for each share t, rho, acc and a
-    scratch row that with rho's memory holds the anchor phases, their
-    residues and the phasors' k, then the split of x, the piece totals
-    and, when m > N, S_N, and for each share a vector of _ROTATION_BLOCK
-    quarter turns. No anchor allocates an array at the size of a group.
-    The batch is flattened and the result has the shape of xs.
+    The terms 1..N and N+1..m, m = floor(rN), are laid out separately in
+    blocks of K terms, the last block of each run short. Up to g blocks run
+    side by side as the rows of one group, g = min(the blocks of the longer
+    run, _GROUP_BUDGET // width), so the interpreter makes K steps per g
+    blocks (g = 1 at a full chunk). A short block in a group of several
+    rows is the group's last row, and its t is set to zero after its last
+    term. Each group is summed from zero, its rows added into row 0 in row
+    order, and the group sums are added into one running total in group
+    order: S_N is the total at the group boundary at N, and S_m the total
+    at the end.
+    This moves values from one running sum over all terms by at most about
+    2e-13 (1 + value) (module docstring).
 
-    Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52 with
-    m = floor(rN) (n up to about 9.49e7, where the anchor phase stops being
-    an exact half-integer plus a reduced product), max(|a|, |b|, q) m < 2^62,
-    and |x| < 2^30 (check_x_range), where the phase error is about
-    |x| 2^-52 turns; sampling laws satisfy the last by construction.
-    Out-of-range input raises InvalidArgumentError.
+    The groups run in rounds of T = min(workers, groups) threads, group k
+    in share k mod T, share 0 on the calling thread and the others on a
+    pool of T - 1 threads, so the result is the same at every worker count.
+    Every buffer comes from one allocation per call whose size does not
+    depend on N: e(x) in every row of a group, shared and read only, then
+    for each share t, rho and acc, whose memory also holds the anchor
+    phases, their residues and the phasors' k, then the running total and
+    the split of x, and for each share a vector of _ROTATION_BLOCK quarter
+    turns. The batch is flattened and the result has the shape of xs.
+
+    Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52
+    (n up to about 9.49e7, where the anchor phase stops being an exact
+    half-integer plus a reduced product), max(|a|, |b|, q) m < 2^62, and
+    |x| < 2^30 (check_x_range), where the phase error is about |x| 2^-52
+    turns; sampling laws satisfy the last by construction. Out-of-range
+    input raises InvalidArgumentError.
     """
-    if N < 1:
-        raise InvalidArgumentError(f"N must be >= 1, got {N}")
+    spec = WeylSumSpec.from_pair(pair, N=N)
     m = _floor_rN(N, r)
     if workers < 1:
         raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.reshape(-1)
-    spec = WeylSumSpec.from_pair(pair, N=N)
     rat = _check_phase_range(m, spec, flat)  # before any size that grows with m
-    full, tail = divmod(m, ANCHOR_STRIDE)
-    g = max(1, min(full + (tail > 0), _GROUP_BUDGET // max(flat.size, 1)))
-    # (first block, end block, steps); a partial last block runs alone so
-    # every row of a group takes the same number of steps
-    groups = [(b, min(b + g, full), ANCHOR_STRIDE) for b in range(0, full, g)]
-    if tail:
-        groups.append((full, full + 1, tail))
-    pieces = [groups[k : k + 1] for k in range(len(groups))] if g > 1 else [groups]
-    threads = min(workers, len(pieces))
-    n_sums = len(pieces) if len(pieces) > 1 else 0
+    g = max(1, min(-(-max(N, m - N) // ANCHOR_STRIDE), _GROUP_BUDGET // max(flat.size, 1)))
+    threads = len(list(islice(_groups(N, m, g), workers)))
     # One allocation: separate frees at the end of a call let glibc trim the
     # heap, and the next call page-faults it back in, and other arrays that
     # land in the freed space make the next call grow it. e(x) fills every
     # row because rho *= w is slower against a broadcast (1, width) w. Each
-    # share has four (g, width) rows, t, rho, acc and a scratch row, and a
-    # short vector for the phasors' quarter turns. One row holds the split
-    # of x. S_N needs a row of its own only when m > N; at m = N it is S_m.
-    rows = (1 + 4 * threads) * g
-    n_rows = rows + 1 + n_sums + (m > N)
+    # share has three (g, width) rows, t, rho and acc, and a short vector
+    # for the phasors' quarter turns; one row holds the running total and
+    # one the split of x.
+    rows = (1 + 3 * threads) * g
     rot = max(1, min(_ROTATION_BLOCK, g * flat.size))
-    memory = np.empty(n_rows * flat.size + threads * rot, dtype=np.complex128)
-    block = memory[: n_rows * flat.size].reshape(n_rows, flat.size)
-    rots = memory[n_rows * flat.size :].reshape(threads, rot)
-    plan = _phase_plan(spec, flat, rat, _halves(block[rows]))
-    w = block[:g]
-    shares = block[g:rows].reshape(threads, 4, g, flat.size)
-    # e(x) once, in share 0's scratch row, then copied to the other rows
-    theta_x, k_x = _halves(shares[0, 3, :1])
+    memory = np.empty((rows + 2) * flat.size + threads * rot, dtype=np.complex128)
+    block = memory[: (rows + 2) * flat.size].reshape(rows + 2, flat.size)
+    rots = memory[(rows + 2) * flat.size :].reshape(threads, rot)
+    plan = _phase_plan(spec, flat, rat, _halves(block[rows + 1]))
+    w, total = block[:g], block[rows]
+    shares = block[g:rows].reshape(threads, 3, g, flat.size)
+    bufs = [(*share, rot) for share, rot in zip(shares, rots)]
+    # e(x) once, in share 0's acc row, then copied to the other rows
+    theta_x, k_x = _halves(shares[0, 2, :1])
     theta_x[...] = flat
     _unit_phasor(theta_x, w[:1], (k_x, rots[0]))
     w[1:] = w[0]
-    sums = block[rows + 1 : rows + 1 + n_sums]
-    snap = block[-1] if m > N else None
+    total[...] = 0.0
     result = np.empty(flat.size)
-    parts = [None] * len(pieces)
-    n_at = divmod(N - 1, ANCHOR_STRIDE) if m > N else (-1, -1)
-
-    def share(j: int) -> np.ndarray:
-        for k in range(j, len(pieces), threads):
-            total, parts[k] = _run_groups(pieces[k], plan, w, (*shares[j], rots[j]), n_at, snap)
-            if n_sums:
-                sums[k] = total
-        return total
-
     with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
-        others = [pool.submit(share, j) for j in range(1, threads)]
-        total = share(0)
-        for job in others:
-            job.result()
-    # the piece totals in piece order, S_N on the way
-    s_m, s_n = sums[0] if n_sums else total, parts[0]
-    for k in range(1, len(pieces)):
-        if parts[k] is not None:
-            s_n = s_m + parts[k]
-        s_m += sums[k]
-    np.abs(s_m, out=result)
-    result *= result if m == N else np.abs(s_n)
+        groups = _groups(N, m, g)
+        while now := list(islice(groups, threads)):
+            jobs = [pool.submit(_run_group, now[j], plan, w, bufs[j]) for j in range(1, len(now))]
+            sums = [_run_group(now[0], plan, w, bufs[0])] + [job.result() for job in jobs]
+            for (first, height, last), part in zip(now, sums):
+                total += part
+                if first + ANCHOR_STRIDE * (height - 1) + last == N + 1:
+                    np.abs(total, out=result)  # |S_N|
+    result *= result if m == N else np.abs(total)
     result /= N
     return result.reshape(xs.shape)
 
 
-def _run_groups(groups, plan, w, bufs, n_at, snap):
-    """Sum the terms of consecutive anchor-block groups from zero.
+def _groups(N: int, m: int, g: int):
+    """(first term, rows, terms in the last row) of each group of
+    weyl_values_batch, in order: the terms 1..N, then N+1..m, in blocks of
+    ANCHOR_STRIDE terms, the last block of each run short, g blocks to a
+    group."""
+    for first, count in ((1, N), (N + 1, m - N)):
+        blocks = -(-count // ANCHOR_STRIDE)
+        for b in range(0, blocks, g):
+            rows = min(g, blocks - b)
+            last = min(ANCHOR_STRIDE, count - ANCHOR_STRIDE * (b + rows - 1))
+            yield first + ANCHOR_STRIDE * b, rows, last
 
-    Each step is acc += t; t *= rho; rho *= w on the rows of one group;
-    row 0 carries the running sum and the other rows are added into it, in
-    order, at the end of each group. Returns (total, partial): total is
-    row 0 of acc, valid until the next call on the same buffers, and
-    partial is the sum up to n = N (in snap) if N falls in these groups,
-    else None. n_at is (block, step) of n = N, or (-1, -1) for no snapshot.
+
+def _run_group(group, plan, w, bufs) -> np.ndarray:
+    """Sum the terms of one group from zero.
+
+    group is (first term, rows, last): row i holds the ANCHOR_STRIDE terms
+    from first + i ANCHOR_STRIDE on, the last row only `last` of them. Each
+    step is acc += t; t *= rho; rho *= w on the group's rows; a short last
+    row in a group of several gets t = 0 after its last term, so it adds
+    exact zeros from then on. At the end the other rows are added into
+    row 0 in order. Returns row 0 of acc, valid until the next call on the
+    same buffers (t, rho, acc, rot).
     """
-    t, rho, acc, spare, rot = bufs
-    acc[0] = 0.0
-    partial = None
-    for first, end, steps in groups:
-        rows = end - first
-        tv, rv, wv, av = t[:rows], rho[:rows], w[:rows], acc[:rows]
-        av[1:] = 0.0
-        starts = 1 + ANCHOR_STRIDE * np.arange(first, end)[:, None]
-        # The first phase waits in rho's memory, which is written last, and
-        # the step phase in the scratch row; the other halves of the two
-        # hold the phases' residues and then the phasors' k.
-        theta, free = _halves(rv)
-        step, k = _halves(spare[:rows])
-        _phase_mod1(starts, plan, theta, (free, k))
-        _phase_mod1(starts + 1, plan, step, (free, k))
-        step -= theta
-        _unit_phasor(theta, tv, (k, rot))
-        _unit_phasor(step, rv, (k, rot))
-        # the row and step where n = N, if it falls in this group
-        n_row = n_at[0] - first if first <= n_at[0] < end else -1
-        snap_at = n_at[1] if n_row >= 0 else -1
-        for j in range(steps):
-            av += tv
-            if j == snap_at:
-                partial = snap
-                partial[...] = av[n_row]
-            if j + 1 < steps:
-                tv *= rv
-                rv *= wv
-        for row in range(1, rows):
-            if row == n_row:
-                np.add(av[0], partial, out=partial)
-            av[0] += av[row]
-    return acc[0], partial
+    first, rows, last = group
+    steps = ANCHOR_STRIDE if rows > 1 else last
+    t, rho, acc, rot = bufs
+    tv, rv, wv, av = t[:rows], rho[:rows], w[:rows], acc[:rows]
+    starts = first + ANCHOR_STRIDE * np.arange(rows)[:, None]
+    # The first phase waits in rho's memory, which is written last, and the
+    # step phase in acc's, which is cleared after the anchors; the other
+    # halves of the two hold the phases' residues and then the phasors' k.
+    theta, free = _halves(rv)
+    step, k = _halves(av)
+    _phase_mod1(starts, plan, theta, (free, k))
+    _phase_mod1(starts + 1, plan, step, (free, k))
+    step -= theta
+    _unit_phasor(theta, tv, (k, rot))
+    _unit_phasor(step, rv, (k, rot))
+    av[...] = 0.0
+    for j in range(steps):
+        av += tv
+        if j + 1 == last < steps:
+            tv[-1] = 0.0
+        if j + 1 < steps:
+            tv *= rv
+            rv *= wv
+    for row in range(1, rows):
+        av[0] += av[row]
+    return av[0]

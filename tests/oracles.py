@@ -107,13 +107,15 @@ def weighted_weyl_sum_exact(weight_at, x, alpha, beta, zeta, N, half_range):
 def weyl_values_per_term(xs, a: int, b: int, q: int, N: int, m: int, stride: int = 64):
     """|S_N conj(S_m)|/N by the anchored rotation recurrence, one term at a time.
 
-    Vectorized over the samples xs only: term after term the running sum
-    takes acc += t, t *= rho, rho *= w, and every `stride` terms t and rho
-    restart from the phase (n^2/2 + (b/q) n) x + (a/q) n mod 1, with the
-    integer part of the coefficient of x split off exactly and its product
-    with x carried as a Dekker two-product. Each e(theta) takes cos and sin
-    of 2 pi (theta - k/4), k = rint(4 theta), times the exact quarter turn
-    i^k.
+    Vectorized over the samples xs only. The terms 1..N and N+1..m are cut
+    separately into blocks of `stride` terms, the last block of each short.
+    Each block restarts t and rho from the phase (n^2/2 + (b/q) n) x +
+    (a/q) n mod 1, with the integer part of the coefficient of x split off
+    exactly and its product with x carried as a Dekker two-product, and sums
+    its terms from zero by acc += t, t *= rho, rho *= w. The block sums are
+    added into one total in block order; S_N is the total after the blocks
+    of 1..N. Each e(theta) takes cos and sin of 2 pi (theta - k/4),
+    k = rint(4 theta), times the exact quarter turn i^k.
     """
     import numpy as np
 
@@ -148,18 +150,21 @@ def weyl_values_per_term(xs, a: int, b: int, q: int, N: int, m: int, stride: int
         return out * np.array([1.0, 1.0j, -1.0, -1.0j])[k.astype(np.int64) % 4]
 
     w = unit(xs)
-    acc = np.zeros_like(w)
-    for start in range(1, m + 1, stride):
-        theta = phase(start)
-        t = unit(theta)
-        rho = unit(phase(start + 1) - theta)
-        for n in range(start, min(start + stride, m + 1)):
-            acc += t
-            if n == N:
-                s_n = np.abs(acc)
-            t *= rho
-            rho *= w
-    return s_n * np.abs(acc) / N
+    total = np.zeros_like(w)
+    for lo, hi in ((1, N), (N + 1, m)):
+        for start in range(lo, hi + 1, stride):
+            theta = phase(start)
+            t = unit(theta)
+            rho = unit(phase(start + 1) - theta)
+            acc = np.zeros_like(w)
+            for _ in range(start, min(start + stride, hi + 1)):
+                acc += t
+                t *= rho
+                rho *= w
+            total += acc
+        if hi == N:
+            s_n = np.abs(total)
+    return s_n * np.abs(total) / N
 
 
 # ---------------------------------------------------------------------------

@@ -310,12 +310,14 @@ def test_curlicue_rejects_a_non_finite_x(capsys, x):
 
 
 def test_curlicue_rejects_x_beyond_the_phase_range(capsys):
-    # unchecked, x = 1e300 gives wrong rows and exit 0
-    rc = cli.main(["curlicue", "--x", "1e300", "--alpha", "1/3", "--N", "10"])
-    assert rc == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: x must be finite with |x| < 2^30\n"
+    # unchecked, x = 1e300 gives wrong rows and exit 0; 1e400 overflows a
+    # float and must reach the same check as inf, not raise OverflowError
+    for x in ("1e300", "1e400"):
+        rc = cli.main(["curlicue", "--x", x, "--alpha", "1/3", "--N", "10"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: x must be finite with |x| < 2^30\n"
 
 
 def test_exit_code_for_an_unwritable_output_path(tmp_path, capsys):

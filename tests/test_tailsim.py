@@ -133,12 +133,12 @@ def test_weyl_tail_keeps_values_on_request():
 @pytest.mark.parametrize(
     "n_samples, N, pools",
     [
-        (600, 2000, [1, 2, 3]),  # one short chunk of four pieces
-        (CHUNK_SIZE + 700, 300, [1]),  # a full chunk, then a short one of two pieces
+        (600, 2000, [1, 2, 3]),  # one short chunk of four groups
+        (CHUNK_SIZE + 700, 300, [1, 3]),  # a full chunk of ten groups, a short one of two
     ],
 )
 def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_samples, N, pools):
-    # workers that the chunks leave idle run the pieces of a short chunk
+    # workers that the chunks leave idle run the groups of each chunk
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     curves = [
         simulate_weyl_tail(
@@ -147,7 +147,7 @@ def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_sample
         )
         for workers in (1, 2, 3, 8)
     ]
-    assert pool_sizes == pools
+    assert sorted(pool_sizes) == pools  # the two chunks' pools start in either order
     for curve in curves[1:]:
         assert np.array_equal(curve.values, curves[0].values)
         assert np.array_equal(curve.counts, curves[0].counts)

@@ -275,11 +275,11 @@ def test_unit_phasor_gives_quarter_turns_exactly():
 def test_full_chunk_kernel_allocates_its_rows_once():
     # One full-chunk call at (1/2, 0), N = 500 holds 6.5 rows of 32,768
     # complex values and a 64 KB vector of quarter turns: the block (e(x),
-    # one share's t, rho, acc and scratch row, and the split of x) and the
-    # result. The bound leaves 64 KB for small arrays, so one phase or
-    # phasor temporary per group (half a row) fails it. Measured 3,480,480
-    # bytes; before the scratch rows the peak was 3,676,064 (a 4-row block
-    # plus per-group temporaries).
+    # one share's t, rho and acc, the running total and the split of x) and
+    # the result. The bound leaves 64 KB for small arrays, so one phase or
+    # phasor temporary per group (half a row) fails it. Measured 3,483,689
+    # bytes; before the anchors wrote into the block the peak was 3,676,064
+    # (a 4-row block plus per-group temporaries).
     xs = np.random.default_rng(5).normal(size=32768)
     pair = normalize_pair(Fraction(1, 2), 0)
     weyl_values_batch(xs, pair, 500)
@@ -292,16 +292,34 @@ def test_full_chunk_kernel_allocates_its_rows_once():
     assert peak <= 6.5 * 32768 * 16 + 2 * 64 * 1024
 
 
-# (g, N, r); every group is a piece, so these put N in the first, a middle
-# and the partial last piece
+def test_kernel_memory_does_not_grow_with_n():
+    # the groups are laid out one at a time and their sums go into one
+    # running total, so a call holds the same rows at any N (a row per
+    # piece total once made the peak 4.2 MB at N = 10^4 and 27.4 MB at 10^5)
+    xs = np.random.default_rng(5).normal(size=4096)
+    pair = normalize_pair(Fraction(1, 2), 0)
+    weyl_values_batch(xs, pair, 10**4)
+    peaks = []
+    for N in (10**4, 10**5):
+        tracemalloc.start()
+        try:
+            weyl_values_batch(xs, pair, N)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+
+
+# (g, N, r): the groups of 1..N; of N+1..floor(rN). "k + s" is a group of
+# k full rows and a short last row, "s" a short block alone; g caps the rows.
 GROUPED_CASES = [
-    (3, 3 * K + 10, 2.0),  # N in row 0 of the second group, m alone after it
-    (3, K + 30, 2.5),  # N in the middle row, m in the partial last block
-    (3, 3 * K, 1.0),  # N = m on the last step of the last row
-    (3, 3 * K, 2.5),  # N in the last row, m three groups later
-    (2, K + 36, 2.5),  # N in the last row; a one-row full group follows
-    (2, K + 6, 1.0),  # N = m in the partial last block
-    (2, 2 * K, 2.0),  # N and m both end a group
+    (3, 3 * K + 10, 2.0),  # 3, s; 3, s
+    (3, K + 30, 2.5),  # 1 + s; 2 + s
+    (3, 3 * K, 1.0),  # 3; none
+    (3, 3 * K, 2.5),  # 3; 3, 1 + s
+    (2, K + 36, 2.5),  # 1 + s; 2, s
+    (2, K + 6, 1.0),  # 1 + s; none
+    (2, 2 * K, 2.0),  # 2; 2
 ]
 GROUPED_PAIRS = [(Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))]
 
@@ -328,9 +346,8 @@ def test_grouped_pieces_on_two_workers_match_the_exact_oracle(
     pair = normalize_pair(alpha, beta)
     m = math.floor(r * N)
     got = weyl_values_batch(np.array(BATCH_XS), pair, N, r=r, workers=2)
-    full, tail = divmod(m, K)
-    pieces = -(-full // g) + (tail > 0)
-    assert pool_sizes == ([1] if pieces > 1 else [])
+    one_group = m == N and N <= g * K
+    assert pool_sizes == ([] if one_group else [1])
     assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, N, r=r))
     for x, v in zip(BATCH_XS, got):
         s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
@@ -338,18 +355,22 @@ def test_grouped_pieces_on_two_workers_match_the_exact_oracle(
         assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
 
 
-def test_one_row_groups_ignore_the_worker_count(pool_sizes):
-    # a full chunk has g = 1: one piece on the calling thread, no pool
+def test_full_chunk_groups_share_the_workers(pool_sizes):
+    # a full chunk has one-row groups, seven here (N = 150 is two full
+    # blocks and a short one, the 225 terms after it three and a short
+    # one); they run on T = min(workers, 7) threads with unchanged values
     xs = np.random.default_rng(6).normal(size=32768)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
-    got = weyl_values_batch(xs, pair, 150, r=2.5, workers=2)
-    assert np.array_equal(got, weyl_values_batch(xs, pair, 150, r=2.5))
-    assert pool_sizes == []
+    ref = weyl_values_batch(xs, pair, 150, r=2.5)
+    for workers in (2, 3, 8):
+        assert np.array_equal(weyl_values_batch(xs, pair, 150, r=2.5, workers=workers), ref)
+    assert pool_sizes == [1, 2, 6]
 
 
 def test_pieces_survive_fast_thread_switching(monkeypatch):
-    # 40 two-row pieces on 8 threads that switch every microsecond: each
-    # thread writes only its own piece totals, so nothing may get lost
+    # 40 two-row groups on 8 threads that switch every microsecond: each
+    # share writes only its own rows and the caller adds the sums after
+    # each round, so nothing may get lost
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     xs = np.array(BATCH_XS)
@@ -363,34 +384,38 @@ def test_pieces_survive_fast_thread_switching(monkeypatch):
         sys.setswitchinterval(interval)
 
 
-def test_each_piece_runs_once_in_share_k_mod_t(monkeypatch):
-    # g = 2 and m = 13 K: six two-row pieces and a one-row one, 3 shares
+def test_each_group_runs_once_in_share_k_mod_t(monkeypatch):
+    # g = 2 and m = N = 13 K: six two-row groups and a one-row one, 3 shares
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
     runs = []
-    real = weylsum._run_groups
+    real = weylsum._run_group
 
-    def recorder(groups, *args):
-        runs.append((groups[0][0], threading.get_ident()))
-        return real(groups, *args)
+    def recorder(group, plan, w, bufs):
+        runs.append((group[0], bufs[0].ctypes.data, threading.get_ident()))
+        return real(group, plan, w, bufs)
 
-    monkeypatch.setattr(weylsum, "_run_groups", recorder)
+    monkeypatch.setattr(weylsum, "_run_group", recorder)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     weyl_values_batch(np.array(BATCH_XS), pair, 13 * K, workers=3)
-    assert sorted(first for first, _ in runs) == [0, 2, 4, 6, 8, 10, 12]
-    # pool threads take shares 1 and 2 from a queue, so one may run both
-    thread_of = {first // 2: ident for first, ident in runs}
-    assert thread_of[0] == threading.get_ident()
-    assert threading.get_ident() not in (thread_of[1], thread_of[2])
+    assert sorted(first for first, _, _ in runs) == [1 + 2 * K * k for k in range(7)]
+    share_of = {(first - 1) // (2 * K): share for first, share, _ in runs}
+    assert len({share_of[k] for k in range(3)}) == 3
     for k in range(3, 7):
-        assert thread_of[k] == thread_of[k - 3]
+        assert share_of[k] == share_of[k - 3]
+    # share 0 runs on the calling thread; pool threads take shares 1 and 2
+    # from a queue, so one may run both
+    for first, _, ident in runs:
+        on_caller = (first - 1) // (2 * K) % 3 == 0
+        assert (ident == threading.get_ident()) == on_caller
 
 
 def test_kernel_threads_never_exceed_the_pieces(pool_sizes):
-    # 7 samples, m = K + 6: one full block and the partial one, two pieces
+    # 7 samples, N = K + 6, r = 2: one group of a full and a short block
+    # before N and one after it
     pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
-    got = weyl_values_batch(np.array(BATCH_XS), pair, K + 6, workers=64)
+    got = weyl_values_batch(np.array(BATCH_XS), pair, K + 6, r=2.0, workers=64)
     assert pool_sizes == [1]
-    assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, K + 6))
+    assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, K + 6, r=2.0))
     with pytest.raises(InvalidArgumentError):
         weyl_values_batch(np.array(BATCH_XS), pair, K + 6, workers=0)
 
