@@ -1,6 +1,7 @@
-"""Where the Weyl batch kernel spends a call: anchor phases, phasors, recurrence.
+"""Where the Weyl batch kernel spends a call, and what a `tail` call costs.
 
-Times weyl_values_batch in fresh interpreters at two shapes:
+Times weyl_values_batch and the `theta-tails tail` call that runs it in
+fresh interpreters at two shapes:
 
 - wide: perfbench's weyl-wide chunk, the 32,768 normal-law draws of
   chunk 0 at the default seed, pair (1/2, 0), N = 500, r = 1;
@@ -11,22 +12,26 @@ and records per interpreter and shape:
 
 - ms_per_call: median wall of one kernel call at one worker, and
   minflt_per_call its ru_minflt per call over the same calls;
-- phase_ms, phasor_ms, recurrence_ms: the split of one call, from a second
-  set of calls with timers round the module's _phase_mod1 and _unit_phasor
-  (the recurrence is the rest of that call's wall); split_ms is that wall
-  and phasor_share the phasors' part of it;
 - at the deep shape, ms_per_call_2_workers and workers_ratio, the
   two-worker over the one-worker median (1 would be no gain from the
   second thread, 0.5 a perfect split);
+- cli_samples_per_s: the samples over the median wall of one in-process
+  cli.main `tail` call with the shape's flags at one worker (JSON to a
+  temporary file), and cli_minflt_per_call its ru_minflt per call;
+- phase_ms, phasor_ms, recurrence_ms: the split of one call, from a last
+  set of calls with timers round the module's _phase_mod1 and _unit_phasor
+  (the recurrence is the rest of that call's wall); split_ms is that wall
+  and phasor_share the phasors' part of it;
 - ru_maxrss_mb: peak resident set size after all the calls.
 
 With --src pointing at the src/ directory of another checkout (the parent
 commit, say), the same probes run on it as "before", interleaved with this
 checkout's runs, and the values of the first call at each shape are
 compared as the largest |after - before| / (1 + before). Writes the JSON
-file --out (BENCH_13.json holds one run) with the medians of each side and
-shape, nproc, the python, numpy and scipy versions and the line count of
-each src/.
+file --out (BENCH_15.json holds one run; BENCH_10.json the older deep-shape
+run of the kernel and the CLI at one and two workers) with the medians of
+each side and shape, nproc, the python, numpy and scipy versions and the
+line count of each src/.
 
     python3 benchmarks/weyl_anchors.py --out PATH [--src PARENT/src] [--runs 7] [--calls 20]
 
@@ -45,12 +50,13 @@ SHAPES = {
 }
 
 PROBE = """
-import json, resource, statistics, sys
+import json, os, resource, statistics, sys, tempfile
 from fractions import Fraction
 from time import perf_counter
 
 from theta_tails import CHUNK_SIZE, DEFAULT_SEED, normalize_pair, sampling_law, weyl_values_batch
 from theta_tails import weylsum
+from theta_tails.cli import main
 from theta_tails.homog import chunk_generator, open_uniforms
 
 alpha, beta, law = sys.argv[1:4]
@@ -65,27 +71,32 @@ def run(workers=1):
     return weyl_values_batch(xs, pair, N, r, **({"workers": workers} if workers > 1 else {}))
 
 
-def walls(workers=1):
-    out = []
+def timed(call):
+    # the median wall of `calls` calls after one untimed call, and ru_minflt per timed call
+    call()
+    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    walls = []
     for _ in range(calls):
         mark = perf_counter()
-        run(workers)
-        out.append(perf_counter() - mark)
-    return statistics.median(out)
+        call()
+        walls.append(perf_counter() - mark)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
+    return statistics.median(walls), faults / calls
 
 
 values = run()
-run()
-start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-kernel_s = walls()
-row = {
-    "ms_per_call": kernel_s * 1e3,
-    "minflt_per_call": (resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / calls,
-}
+kernel_s, kernel_faults = timed(run)
+row = {"ms_per_call": kernel_s * 1e3, "minflt_per_call": kernel_faults}
 if two_workers:
-    run(2)
-    row["ms_per_call_2_workers"] = walls(2) * 1e3
+    row["ms_per_call_2_workers"] = timed(lambda: run(2))[0] * 1e3
     row["workers_ratio"] = row["ms_per_call_2_workers"] / row["ms_per_call"]
+with tempfile.TemporaryDirectory() as tmp:
+    argv = [
+        "tail", "--alpha", alpha, "--beta", beta, "--N", str(N), "--r", repr(r), "--law", law,
+        "--samples", str(samples), "--format", "json", "--out", os.path.join(tmp, "out.json"),
+    ]
+    cli_s, row["cli_minflt_per_call"] = timed(lambda: main(argv))
+row["cli_samples_per_s"] = samples / cli_s
 
 spent = {"_phase_mod1": 0.0, "_unit_phasor": 0.0}
 
@@ -144,14 +155,17 @@ def main(argv=None) -> int:
 
     runs = harness.interleave(probes, args.runs, measure)
     report = {
-        "benchmark": "weyl_values_batch at perfbench's two Weyl shapes, with the call "
-        "split into anchor phases (_phase_mod1), phasors (_unit_phasor) and the recurrence",
+        "benchmark": "weyl_values_batch and `theta-tails tail` at perfbench's two Weyl shapes, "
+        "with the kernel call split into anchor phases (_phase_mod1), phasors (_unit_phasor) "
+        "and the recurrence",
         "shapes": SHAPES,
         "note": "medians over `runs` fresh interpreters per side and shape, all interleaved; "
-        "each interpreter makes two untimed calls, `calls` timed calls at one worker (and at "
-        "two at the deep shape), then `calls` calls with timers round the two helpers. "
-        "minflt counts are ru_minflt per timed one-worker call; ru_maxrss_mb is read after "
-        "all calls. One discarded warm-up interpreter per probe precedes the measured ones",
+        "each interpreter makes two untimed kernel calls, `calls` timed ones at one worker "
+        "(then one untimed and `calls` timed at two at the deep shape), one untimed and "
+        "`calls` timed cli.main tail calls at one worker, then `calls` kernel calls with "
+        "timers round the two helpers. minflt counts are ru_minflt per timed call; "
+        "ru_maxrss_mb is read after all calls. One discarded warm-up interpreter per probe "
+        "precedes the measured ones",
         "runs": args.runs,
         "calls": args.calls,
         **harness.host(),
@@ -179,7 +193,9 @@ def main(argv=None) -> int:
                 f"{name} {shape}: kernel {row['ms_per_call']:.1f} ms "
                 f"({row['minflt_per_call']:.0f} faults/call); split of {row['split_ms']:.1f} ms: "
                 f"phase {row['phase_ms']:.1f}, phasor {row['phasor_ms']:.1f}, "
-                f"recurrence {row['recurrence_ms']:.1f}; ru_maxrss {row['ru_maxrss_mb']:.2f} MB"
+                f"recurrence {row['recurrence_ms']:.1f}; cli {row['cli_samples_per_s']:.0f} "
+                f"samples/s ({row['cli_minflt_per_call']:.0f} faults/call); "
+                f"ru_maxrss {row['ru_maxrss_mb']:.2f} MB"
             )
             if "workers_ratio" in row:
                 line += f"; 2 workers {row['ms_per_call_2_workers']:.1f} ms (x{row['workers_ratio']:.2f})"

@@ -46,6 +46,7 @@ from .thetagroup import (
     act_on_iwasawa,
     wrap_angle,
 )
+from .weylsum import check_workers
 
 DEFAULT_SEED = 0xC0FFEE
 CHUNK_SIZE = 1 << 15
@@ -87,9 +88,13 @@ def cusp_region(z: complex) -> str:
 @dataclass(frozen=True)
 class ReduceResult:
     point: IwasawaPoint
-    word_length: int
     word: tuple  # ((generator, power), ...) in order of application
     element: GammaElement
+
+    @property
+    def word_length(self) -> int:
+        """The letters of the word: the sum of |power| over it."""
+        return sum(abs(power) for _, power in self.word)
 
 
 def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> ReduceResult:
@@ -104,20 +109,17 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
     x, y = point.x, point.y
     total = IDENTITY
     word = []
-    letters = 0
     for _ in range(max_iterations):
         k = math.floor(x / 2.0)
         if k != 0:
             total = GammaElement(1, -2 * k, 0, 1) * total
             word.append((GAMMA2, -k))
-            letters += abs(k)
             x -= 2.0 * k
         r0 = x * x + y * y
         if r0 < 1.0:
             x, y = -x / r0, y / r0
             total = GAMMA1 * total
             word.append((GAMMA1, 1))
-            letters += 1
             continue
         wx = x - 2.0
         r2 = wx * wx + y * y
@@ -125,7 +127,6 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
             x, y = 2.0 - wx / r2, y / r2
             total = _INV_AT_TWO * total
             word.extend([(GAMMA2, -1), (GAMMA1, 1), (GAMMA2, 1)])
-            letters += 3
             continue
         break
     else:
@@ -137,7 +138,6 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
     if wrap_angle(reduced.phi) >= math.pi:
         total = NEG_IDENTITY * total
         word.append((GAMMA1, 2))
-        letters += 2
         reduced = act_on_iwasawa(total, point)
     k1 = math.floor(reduced.xi1 + 0.5)
     k2 = math.floor(reduced.xi2 + 0.5)
@@ -147,7 +147,6 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
             word.append((GAMMA3, -k1))
         if k2:
             word.append((GAMMA4, -k2))
-        letters += abs(k1) + abs(k2)
         reduced = act_on_iwasawa(total, point)
     final = IwasawaPoint(
         x=reduced.x,
@@ -156,7 +155,7 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
         xi1=reduced.xi1,
         xi2=reduced.xi2,
     )
-    return ReduceResult(point=final, word_length=letters, word=tuple(word), element=total)
+    return ReduceResult(point=final, word=tuple(word), element=total)
 
 
 def _frame(pt: IwasawaPoint):
@@ -241,10 +240,9 @@ def run_chunks(n_samples: int, chunk_fn, workers: int = 1, first: int = 0) -> li
     """chunk_fn(index, count) for the chunks first, first + 1, ... that cover
     n_samples, each CHUNK_SIZE long but the last; results in chunk order.
 
-    Runs on a pool of min(workers, chunks) threads; workers < 1 raises
-    InvalidArgumentError."""
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    Runs on a pool of min(workers, chunks) threads; workers outside
+    1..MAX_WORKERS raises InvalidArgumentError (check_workers)."""
+    check_workers(workers)
     plan = [
         (first + k, min(CHUNK_SIZE, n_samples - start))
         for k, start in enumerate(range(0, n_samples, CHUNK_SIZE))

@@ -16,8 +16,9 @@ The theta function built from a weight,
     Theta_f(z, phi; xi, zeta) = y^{1/4} e(zeta - xi1 xi2 / 2)
         * sum_n f_phi((n - xi2) sqrt(y)) e((n - xi2)^2 x / 2 + n xi1),
 
-is evaluated with the same error-free phase reduction as the Weyl sums, so
-the identity relating it to S_N^f holds to near machine precision in tests.
+takes its lattice phases from the Weyl sums' own exact path (a Weyl phase
+in m = n - round(xi2)), so the identity relating it to S_N^f holds to near
+machine precision in tests.
 
 The Gaussian weight is special-cased: its transform is again the Gaussian
 times a w-independent unimodular constant c(phi). This module drops c(phi)
@@ -38,7 +39,9 @@ from .errors import (
     UnsupportedOperationError,
 )
 from .thetagroup import IwasawaPoint
-from .weylsum import _unit_phasor, check_x_range, frac, reduced_product, two_prod
+from .weylsum import (
+    WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac, reduced_product,
+)
 
 _TWO_PI = 2.0 * math.pi
 _PI_MULTIPLE_TOL = 1e-9
@@ -277,13 +280,6 @@ def f_phi_numeric(
     return _e(sigma_phi(-phi) / 8.0) / math.sqrt(abs(s)) * complex(re, im)
 
 
-def _lattice_range(xi2: float, y: float, radius: float):
-    sq = math.sqrt(y)
-    lo = math.ceil(xi2 - radius / sq)
-    hi = math.floor(xi2 + radius / sq)
-    return lo, hi
-
-
 def theta_f(
     weight: WeightFunction,
     point: IwasawaPoint,
@@ -297,8 +293,10 @@ def theta_f(
     dropped tail by tol. For the Gaussian away from pi*Z the value carries
     the usual w-independent unimodular ambiguity; see the module docstring.
     x, xi1 and xi2 must be below 2^30 in size (check_x_range), and the
-    phase error grows like their size times 2^-52 turns; other input
-    raises InvalidArgumentError.
+    phase error grows like their size times 2^-52 turns. The lattice terms
+    are Weyl terms in m = n - round(xi2), summed in blocks, so the largest
+    |m| kept has weyl_sum's n bound (about 9.49e7): a tiny y exceeds it.
+    Other input raises InvalidArgumentError.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
@@ -306,26 +304,22 @@ def theta_f(
     xi1, xi2 = float(point.xi1), float(point.xi2)
     check_x_range(x=x, xi1=xi1, xi2=xi2)
     term_tol = tol * min(1.0, math.sqrt(y)) / 8.0
-    radius = weight.support_radius(term_tol)
-    lo, hi = _lattice_range(xi2, y, radius)
+    span = weight.support_radius(term_tol) / math.sqrt(y)
+    lo, hi = math.ceil(xi2 - span), math.floor(xi2 + span)
+    # with m = n - k0 and t = xi2 - k0, the phase (n - xi2)^2 x/2 + n xi1 is
+    # the Weyl phase (m^2/2 - t m + t^2/2) x + xi1 m, plus k0 xi1
+    k0 = round(xi2)
+    t = xi2 - k0  # |t| <= 1/2 + tiny, exact subtraction
     prefactor = y**0.25 * _e(frac(np.float64(zeta)) - 0.5 * xi1 * xi2)
+    prefactor *= _e(reduced_product(np.float64(k0), xi1))
     if lo > hi:
         return 0.0 * prefactor
-    k0 = float(round(xi2))
-    t = xi2 - k0  # |t| <= 1/2 + tiny, exact subtraction
-    ms = np.arange(lo - k0, hi - k0 + 1.0)  # n - k0 as exact small floats
-    w = (ms - t) * math.sqrt(y)
-    fvals = weight.f_phi(point.phi, w)
-    # (n - xi2)^2 x / 2 = m^2 x/2 - m (t x) + t^2 x / 2 with m = n - k0
-    theta = reduced_product(0.5 * ms * ms, np.float64(x))
-    tx, tx_err = two_prod(np.float64(t), np.float64(x))
-    theta -= reduced_product(ms, tx) + ms * tx_err
-    theta += frac(np.float64(0.5 * t * t * x))
-    # n xi1 = (k0 + m) xi1
-    theta += reduced_product(ms, np.float64(xi1))
-    theta += reduced_product(np.float64(k0), np.float64(xi1))
-    ang = _TWO_PI * frac(theta)
-    total = np.sum(fvals * (np.cos(ang) + 1j * np.sin(ang)))
+    spec = WeylSumSpec(alpha=xi1, beta=-t, zeta=0.5 * t * t)
+    plan = _phase_plan(spec, np.float64(x), max(k0 - lo, hi - k0))
+    total = 0.0j
+    for ms in _blocks(lo - k0, hi - k0):
+        re, im = _terms(plan, ms)
+        total += np.sum(weight.f_phi(point.phi, (ms - t) * math.sqrt(y)) * (re + 1j * im))
     return complex(prefactor * total)
 
 

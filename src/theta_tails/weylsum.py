@@ -9,8 +9,12 @@ rational alpha = a/q, beta = b/q the rational part of the phase is reduced
 in integer arithmetic, which makes the per-term phase error a few 1e-16
 independent of N at |x| ~ 1. Products with x keep a rounding residue of
 about |x| 2^-52 turns, so the phase error grows like |x| 2^-52, and every
-path accepts |x| < 2^30 only (check_x_range). Accumulation uses exact partial sums (math.fsum), so the
-relative error of the returned sum is dominated by the per-term phase error.
+path accepts |x| < 2^30 only (check_x_range).
+
+weyl_sum, partial_sums, weighted_weyl_sum and theta.theta_f share one exact
+path: _phase_plan checks n and x once per call, _terms gives cos and sin of
+each _blocks block, and _fsum adds the terms of the plain and the weighted
+sum exactly (math.fsum), so their error is dominated by the phase error.
 
 The Monte-Carlo batch kernel weyl_values_batch trades a little of that
 accuracy for speed. Consecutive terms differ by rho_n = e((n + 1/2 + beta) x
@@ -86,6 +90,7 @@ _CHUNK = 1 << 17
 ANCHOR_STRIDE = 64  # K: batch-kernel terms between exact re-anchorings
 _GROUP_BUDGET = 1 << 14  # complex elements per batch-kernel buffer
 _X_MAX = 2.0**30  # |x| bound of every phase path, see check_x_range
+MAX_WORKERS = 64  # threads of one call, see check_workers
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])  # e(k/4) for k mod 4
 _QUARTER_SHIFT = 1.5 * 2.0**52
 _ROTATION_BLOCK = 4096  # quarter turns gathered per pass of _unit_phasor
@@ -212,9 +217,29 @@ def check_x_range(**values) -> None:
             raise InvalidArgumentError(f"{name} must be finite with |{name}| < 2^30")
 
 
-def _check_phase_range(n_max: int, spec: WeylSumSpec, x):
-    """Raise InvalidArgumentError unless |n| <= n_max and x keep the phase
-    exact; return spec.rational_parts(), which the check needs anyway.
+def check_workers(workers: int) -> None:
+    """Raise InvalidArgumentError unless 1 <= workers <= MAX_WORKERS = 64, the
+    range of run_chunks and weyl_values_batch: it caps the threads a call
+    starts and the kernel's three buffer rows per thread."""
+    if not 1 <= workers <= MAX_WORKERS:
+        raise InvalidArgumentError(f"workers must be 1 to {MAX_WORKERS}, got {workers}")
+
+
+class _PhasePlan(NamedTuple):
+    """What every phase of one call shares, so that no phase redoes the
+    Fraction arithmetic or the split of x: the spec, x, the exact parts
+    (a, b, q) of alpha and beta (None for floats) and the Veltkamp split
+    of x."""
+
+    spec: WeylSumSpec
+    x: object
+    rat: tuple | None
+    x_split: tuple
+
+
+def _phase_plan(spec: WeylSumSpec, x, n_max: int, split=None) -> _PhasePlan:
+    """The plan of a call whose terms have |n| <= n_max; raise
+    InvalidArgumentError unless n_max and x keep the phase exact.
 
     For odd n, n^2/2 + floor(n b/q) is a half-integer, which float64 holds
     exactly only below 2^52: the range of every Weyl path is n_max^2/2 +
@@ -223,7 +248,8 @@ def _check_phase_range(n_max: int, spec: WeylSumSpec, x):
     alpha = a/q, beta = b/q it needs max(|a|, |b|, q) n_max < 2^62, which
     leaves room for the batch kernel's step phase at n_max + 1. x (a scalar
     or an array of samples) must pass check_x_range. This is the one place
-    that checks the bounds on n.
+    that checks the bounds on n. split, a pair of float arrays shaped like
+    x, receives the split of x (allocated when omitted).
     """
     check_x_range(x=x)
     rat = spec.rational_parts()
@@ -236,25 +262,6 @@ def _check_phase_range(n_max: int, spec: WeylSumSpec, x):
         raise InvalidArgumentError(
             f"n up to {n_max} exceeds the exact integer range max(|a|, |b|, q) n < 2^62"
         )
-    return rat
-
-
-class _PhasePlan(NamedTuple):
-    """What every phase of one call shares, so that no phase redoes the
-    Fraction arithmetic or the split of x: the spec, x, the exact parts
-    (a, b, q) of alpha and beta from _check_phase_range (None for floats)
-    and the Veltkamp split of x."""
-
-    spec: WeylSumSpec
-    x: object
-    rat: tuple | None
-    x_split: tuple
-
-
-def _phase_plan(spec: WeylSumSpec, x, rat, split=None) -> _PhasePlan:
-    """The plan of a call whose range _check_phase_range passed, rat being
-    what it returned; split, a pair of float arrays shaped like x, receives
-    the split of x (allocated when omitted)."""
     return _PhasePlan(spec, x, rat, veltkamp_split(x, out=split))
 
 
@@ -265,7 +272,7 @@ def _phase_mod1(ns: np.ndarray, plan: _PhasePlan, out: np.ndarray, scratch) -> n
     with a one-element ns or a (k, 1) column of ns. The phase is written
     into out, which has the broadcast shape, and returned; scratch holds two
     float arrays of that shape, so on the rational path nothing is
-    allocated at that shape. The plan bounds |n| (_check_phase_range).
+    allocated at that shape. The plan bounds |n| (_phase_plan).
     """
     half_sq = 0.5 * ns.astype(np.float64) * ns
     products = (out, *scratch)
@@ -293,10 +300,32 @@ def _phase_mod1(ns: np.ndarray, plan: _PhasePlan, out: np.ndarray, scratch) -> n
     return out
 
 
+def _blocks(lo: int, hi: int):
+    """The indices lo..hi as int64 arrays of up to _CHUNK terms, in order."""
+    for start in range(lo, hi + 1, _CHUNK):
+        yield np.arange(start, min(start + _CHUNK, hi + 1), dtype=np.int64)
+
+
 def _terms(plan: _PhasePlan, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """cos and sin of 2 pi times the phases of the terms ns."""
     theta = _phase_mod1(ns, plan, np.empty(ns.shape), np.empty((2,) + ns.shape))
     ang = _TWO_PI * frac(theta)
     return np.cos(ang), np.sin(ang)
+
+
+def _fsum(plan: _PhasePlan, lo: int, hi: int, weigh) -> complex:
+    """The sum over lo <= n <= hi of weigh(ns) e(phase), the real and the
+    imaginary part each added exactly by math.fsum, block by block and then
+    over the blocks; terms of weight zero are not evaluated."""
+    re_parts: list[float] = []
+    im_parts: list[float] = []
+    for ns in _blocks(lo, hi):
+        w = weigh(ns)
+        live = w != 0.0
+        re, im = _terms(plan, ns[live])
+        re_parts.append(math.fsum((w[live] * re).tolist()))
+        im_parts.append(math.fsum((w[live] * im).tolist()))
+    return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
 def weyl_sum(x: float, spec: WeylSumSpec) -> complex:
@@ -308,29 +337,20 @@ def weyl_sum(x: float, spec: WeylSumSpec) -> complex:
     N = 1000 the relative error is 2e-14 at x = 1.1 and 6e-7 at
     x = 1e9 + 0.1.
     """
-    plan = _phase_plan(spec, x, _check_phase_range(spec.N, spec, x))
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for start in range(1, spec.N + 1, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, spec.N + 1), dtype=np.int64)
-        re, im = _terms(plan, ns)
-        re_parts.append(math.fsum(re.tolist()))
-        im_parts.append(math.fsum(im.tolist()))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    return _fsum(_phase_plan(spec, x, spec.N), 1, spec.N, lambda ns: np.ones(ns.shape))
 
 
 def partial_sums(x: float, spec: WeylSumSpec) -> np.ndarray:
     """Prefix sums S_1..S_N as a complex array (the curlicue path), in the
     N and x range of weyl_sum."""
-    plan = _phase_plan(spec, x, _check_phase_range(spec.N, spec, x))
+    plan = _phase_plan(spec, x, spec.N)
     out = np.empty(spec.N, dtype=np.complex128)
     carry = 0.0 + 0.0j
-    for start in range(1, spec.N + 1, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, spec.N + 1), dtype=np.int64)
+    for ns in _blocks(1, spec.N):
         re, im = _terms(plan, ns)
         seg = np.cumsum(re + 1j * im)
         seg += carry
-        out[start - 1 : start - 1 + seg.size] = seg
+        out[ns[0] - 1 : ns[-1]] = seg
         carry = seg[-1]
     return out
 
@@ -349,27 +369,15 @@ def weighted_weyl_sum(weight, x: float, spec: WeylSumSpec) -> complex:
             f"weight {getattr(weight, 'name', weight)!r} does not decay; cannot truncate"
         )
     n_max = int(math.floor(radius * spec.N)) + 1
-    plan = _phase_plan(spec, x, _check_phase_range(n_max, spec, x))
-    re_parts: list[float] = []
-    im_parts: list[float] = []
-    for start in range(-n_max, n_max + 1, _CHUNK):
-        ns = np.arange(start, min(start + _CHUNK, n_max + 1), dtype=np.int64)
-        w = weight.evaluate(ns / float(spec.N))
-        live = w != 0.0
-        if not np.any(live):
-            continue
-        re, im = _terms(plan, ns[live])
-        wl = w[live]
-        re_parts.append(math.fsum((wl * re).tolist()))
-        im_parts.append(math.fsum((wl * im).tolist()))
-    return complex(math.fsum(re_parts), math.fsum(im_parts))
+    plan = _phase_plan(spec, x, n_max)
+    return _fsum(plan, -n_max, n_max, lambda ns: weight.evaluate(ns / float(spec.N)))
 
 
 def _floor_rN(N: int, r: float) -> int:
     """m = floor(r N), the length of the second sum, for finite r >= 1.
 
     Raises InvalidArgumentError for any other r and where r N overflows a
-    float (r = 1e308, say); _check_phase_range then bounds m itself.
+    float (r = 1e308, say); _phase_plan then bounds m itself.
     """
     if not (math.isfinite(r) and r >= 1):
         raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
@@ -485,11 +493,9 @@ def weyl_values_batch(
     """
     spec = WeylSumSpec.from_pair(pair, N=N)
     m = _floor_rN(N, r)
-    if workers < 1:
-        raise InvalidArgumentError(f"workers must be >= 1, got {workers}")
+    check_workers(workers)
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.reshape(-1)
-    rat = _check_phase_range(m, spec, flat)  # before any size that grows with m
     g = max(1, min(-(-max(N, m - N) // ANCHOR_STRIDE), _GROUP_BUDGET // max(flat.size, 1)))
     threads = len(list(islice(_groups(N, m, g), workers)))
     # One allocation: separate frees at the end of a call let glibc trim the
@@ -504,7 +510,7 @@ def weyl_values_batch(
     memory = np.empty((rows + 2) * flat.size + threads * rot, dtype=np.complex128)
     block = memory[: (rows + 2) * flat.size].reshape(rows + 2, flat.size)
     rots = memory[(rows + 2) * flat.size :].reshape(threads, rot)
-    plan = _phase_plan(spec, flat, rat, _halves(block[rows + 1]))
+    plan = _phase_plan(spec, flat, m, _halves(block[rows + 1]))
     w, total = block[:g], block[rows]
     shares = block[g:rows].reshape(threads, 3, g, flat.size)
     bufs = [(*share, rot) for share, rot in zip(shares, rots)]

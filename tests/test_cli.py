@@ -274,6 +274,15 @@ def test_simulations_reject_fewer_than_one_worker(capsys, command, workers):
 
 
 @pytest.mark.parametrize("command", ["tail", "theta-tail"])
+def test_simulations_reject_more_than_max_workers(capsys, command):
+    rc = cli.main([command, "--samples", "100", "--workers", "65"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: workers must be 1 to 64, got 65" in captured.err
+
+
+@pytest.mark.parametrize("command", ["tail", "theta-tail"])
 def test_simulations_reject_a_negative_seed(capsys, monkeypatch, command):
     monkeypatch.delenv("THETA_TAILS_SEED", raising=False)
     argv = [command, "--samples", "100"]

@@ -33,6 +33,8 @@ from theta_tails import (
     sample_haar,
     sampling_law,
 )
+from theta_tails.homog import run_chunks
+from theta_tails.weylsum import MAX_WORKERS
 
 
 def test_domain_membership_examples():
@@ -91,6 +93,21 @@ def test_reduction_lands_in_the_domain_and_is_a_retraction():
         # and the word spells the element, in order of application
         assert element_of(res.word) == res.element
         assert res.word_length >= 0
+
+
+def test_word_length_counts_the_letters_of_the_word():
+    # far-out x takes many translations by 2, small y many inversions
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        pt = IwasawaPoint(
+            x=float(rng.uniform(-500, 500)),
+            y=float(np.exp(rng.uniform(np.log(1e-4), np.log(1e2)))),
+            phi=float(rng.uniform(-10, 10)),
+            xi1=float(rng.uniform(-50, 50)),
+            xi2=float(rng.uniform(-50, 50)),
+        )
+        res = reduce(pt)
+        assert res.word_length == sum(abs(power) for _, power in res.word)
 
 
 def test_reduction_fixes_interior_points():
@@ -234,6 +251,14 @@ def test_haar_marginals_match_the_closed_forms():
 
 # ---------------------------------------------------------------------------
 # the lifted sampler
+
+@pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+def test_run_chunks_takes_1_to_max_workers(workers):
+    jobs = []
+    with pytest.raises(InvalidArgumentError, match="workers must be 1 to"):
+        run_chunks(10, lambda *job: jobs.append(job), workers)
+    assert jobs == []
+
 
 def test_sampler_is_prefix_stable_and_worker_independent():
     a = MuAbSampler(Fraction(1, 8), 0, seed=99).draw(1000)

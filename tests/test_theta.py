@@ -244,6 +244,15 @@ def test_theta_paths_reject_x_and_xi_beyond_2_30():
                 theta_f(GAUSS, IwasawaPoint(**coords))
 
 
+@pytest.mark.parametrize("y", [1e-30, 1e-300])
+def test_theta_f_rejects_a_y_whose_lattice_range_exceeds_the_phase_range(y):
+    # the Gaussian keeps |n - xi2| up to about 3.9 / sqrt(y): at y = 1e-30
+    # the lattice alone once asked for 64.3 PiB, at 1e-300 numpy refused
+    # the size; both now fail the Weyl paths' n bound before any array
+    with pytest.raises(InvalidArgumentError, match="exact phase range"):
+        theta_f(gaussian_weight(), IwasawaPoint(0.3, y, 0.0))
+
+
 def test_gaussian_batch_stays_finite_high_in_the_cusp():
     rng = np.random.default_rng(23)
     y = np.concatenate([np.geomspace(0.5, 1e300, 400), np.full(8, 1e300)])

@@ -28,6 +28,7 @@ from theta_tails import (
 )
 from theta_tails.weylsum import (
     ANCHOR_STRIDE as K,
+    MAX_WORKERS,
     frac,
     reduced_product,
     two_prod,
@@ -420,6 +421,17 @@ def test_kernel_threads_never_exceed_the_pieces(pool_sizes):
         weyl_values_batch(np.array(BATCH_XS), pair, K + 6, workers=0)
 
 
+@pytest.mark.parametrize("workers", [0, -4, MAX_WORKERS + 1, 10**5])
+def test_batch_kernel_takes_1_to_max_workers(pool_sizes, workers):
+    # unbounded, the kernel started min(workers, groups) threads and kept
+    # three rows per thread: 977 threads and about 833 MB at 512 samples,
+    # N = 10^6, r = 2
+    pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
+    with pytest.raises(InvalidArgumentError, match=f"workers must be 1 to {MAX_WORKERS}"):
+        weyl_values_batch(np.array(BATCH_XS), pair, K + 6, r=2.0, workers=workers)
+    assert pool_sizes == []
+
+
 @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (5,), (3, 4)])
 def test_batch_kernel_keeps_the_shape_of_its_input(shape):
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
@@ -451,7 +463,7 @@ def test_every_weyl_path_rejects_n_beyond_the_exact_phase_range():
     assert 0.5 * np.float64(n) * n != Fraction(n * n, 2)
     assert 0.5 * np.float64(94_906_265) * 94_906_265 == Fraction(94_906_265**2, 2)
     spec = WeylSumSpec(alpha=Fraction(1, 8), beta=0, zeta=0.0, N=n)
-    weylsum._check_phase_range(94_906_265, spec, 0.3)  # the largest n in range at b = 0
+    weylsum._phase_plan(spec, 0.3, 94_906_265)  # the largest n in range at b = 0
     for path in (weyl_sum, partial_sums):
         with pytest.raises(InvalidArgumentError):
             path(0.3, spec)
@@ -469,9 +481,9 @@ def test_every_weyl_path_rejects_numerators_or_q_beyond_the_integer_range():
     with pytest.raises(InvalidArgumentError, match="2\\^62"):
         weyl_sum(0.3, WeylSumSpec(alpha=Fraction(10**12, 3), N=10**7))
     edge = WeylSumSpec(alpha=Fraction(1, 2**40), N=2**22)
-    weylsum._check_phase_range(2**22 - 1, edge, 0.3)
+    weylsum._phase_plan(edge, 0.3, 2**22 - 1)
     with pytest.raises(InvalidArgumentError):
-        weylsum._check_phase_range(2**22, edge, 0.3)
+        weylsum._phase_plan(edge, 0.3, 2**22)
     huge_q = Fraction(1, 2**70)
     with pytest.raises(InvalidArgumentError):
         partial_sums(0.3, WeylSumSpec(alpha=huge_q, N=10))
@@ -493,7 +505,7 @@ def test_every_weyl_path_rejects_x_beyond_2_30():
         normalized_product,
         lambda x, s: weyl_values_batch(np.array([0.3, x]), pair, s.N),
     ]
-    weylsum._check_phase_range(10, spec, np.nextafter(2.0**30, 0))
+    weylsum._phase_plan(spec, np.nextafter(2.0**30, 0), 10)
     for x in (1e300, -1e300, 2.0**30):
         for path in paths:
             with pytest.raises(InvalidArgumentError, match="2\\^30"):
