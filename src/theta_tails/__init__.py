@@ -41,15 +41,11 @@ from .homog import (
     chunk_generator,
     conjugate_horoball,
     cusp_mass,
-    cusp_region,
-    geodesic_flow,
     haar_from_uniforms,
-    horocycle_flow,
     in_fundamental_domain,
     lower_boundary,
     open_uniforms,
     reduce,
-    sample_haar,
 )
 from .orbits import (
     DEFAULT_ORBIT_CAP,
@@ -72,7 +68,6 @@ from .tailsim import (
     SamplingLaw,
     TailCurve,
     TailFit,
-    compact_support_report,
     default_thresholds,
     fit_tail_constant,
     sampling_law,
@@ -102,11 +97,7 @@ from .thetagroup import (
     IDENTITY,
     GammaElement,
     IwasawaPoint,
-    TorusPoint,
     act_on_iwasawa,
-    act_on_torus,
-    generators,
-    is_theta_group,
     wrap_angle,
 )
 from .weylsum import (

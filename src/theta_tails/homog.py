@@ -1,4 +1,4 @@
-"""Fundamental domain of the theta group, reduction, flows, and samplers.
+"""Fundamental domain of the theta group, reduction, and samplers.
 
 The domain F is the region 0 <= x < 2 outside the open unit disks centred
 at 0 and 2; both boundary circles meet at (1, 0) and the lowest interior
@@ -9,8 +9,8 @@ is pi, so normalized Haar on F x [0, pi) factors as
 
 and both marginals invert in closed form: the x-marginal CDF is
 arcsin(x)/pi on [0, 1] (mirror on [1, 2]), and conditionally on x the height
-is h(x)/u for a uniform u. That gives an exact inverse-CDF sampler, no
-rejection step, one uniform triple per point.
+is h(x)/u for a uniform u. That gives an exact inverse-CDF sampler,
+haar_from_uniforms: no rejection step, one uniform triple per point.
 
 The cusp at 1 is carried to infinity by z -> 1/(1 - z), an SL(2, Z)
 element outside the theta group (its xi action needs an extra half shift
@@ -73,16 +73,6 @@ def in_fundamental_domain(z: complex) -> bool:
     if y <= 0.0 or not (0.0 <= x < 2.0):
         return False
     return x * x + y * y > 1.0 and (x - 2.0) ** 2 + y * y > 1.0
-
-
-def cusp_region(z: complex) -> str:
-    """Which cusp neighbourhood a domain point belongs to.
-
-    Points of F with |z - 1| >= 1 all have y >= sqrt(3)/2 and drift to the
-    cusp at infinity; the horoball |z - 1| < 1 belongs to the cusp at 1.
-    """
-    x, y = z.real, z.imag
-    return "one" if (x - 1.0) ** 2 + y * y < 1.0 else "infinity"
 
 
 @dataclass(frozen=True)
@@ -156,45 +146,6 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
         xi2=reduced.xi2,
     )
     return ReduceResult(point=final, word=tuple(word), element=total)
-
-
-def _frame(pt: IwasawaPoint):
-    """Matrix n_x a_y k_phi whose bottom row encodes (y, phi)."""
-    ry = math.sqrt(pt.y)
-    c, s = math.cos(pt.phi), math.sin(pt.phi)
-    return (
-        (ry * c + (pt.x / ry) * s, -ry * s + (pt.x / ry) * c),
-        (s / ry, c / ry),
-    )
-
-
-def _from_frame(m, phi_old: float, c_old: float, d_old: float, pt: IwasawaPoint):
-    c, d = m[1]
-    den = c * c + d * d
-    y = 1.0 / den
-    x = (m[0][0] * c + m[0][1] * d) * y
-    # right multiplications never move (c, d) across the atan2 cut, so this
-    # increment is the continuous lift of the frame angle
-    phi = phi_old + (math.atan2(c, d) - math.atan2(c_old, d_old))
-    return IwasawaPoint(x=x, y=y, phi=phi, xi1=pt.xi1, xi2=pt.xi2)
-
-
-def geodesic_flow(pt: IwasawaPoint, t: float) -> IwasawaPoint:
-    """Right multiplication by diag(e^(-t/2), e^(t/2)); xi is untouched."""
-    m = _frame(pt)
-    et = math.exp(-0.5 * t)
-    new = ((m[0][0] * et, m[0][1] / et), (m[1][0] * et, m[1][1] / et))
-    return _from_frame(new, pt.phi, m[1][0], m[1][1], pt)
-
-
-def horocycle_flow(pt: IwasawaPoint, u: float) -> IwasawaPoint:
-    """Right multiplication by the upper unipotent with parameter u."""
-    m = _frame(pt)
-    new = (
-        (m[0][0], m[0][0] * u + m[0][1]),
-        (m[1][0], m[1][0] * u + m[1][1]),
-    )
-    return _from_frame(new, pt.phi, m[1][0], m[1][1], pt)
 
 
 def _rho(x, y, xi1, xi2):
@@ -284,17 +235,6 @@ def haar_from_uniforms(u1, u2, u3):
     y = h / np.asarray(u2, dtype=np.float64)
     phi = np.pi * np.asarray(u3, dtype=np.float64)
     return x, y, phi
-
-
-def sample_haar(rng: np.random.Generator, size: int | None = None):
-    """(z, phi) Haar-distributed on F x [0, pi); scalars when size is None."""
-    n = 1 if size is None else int(size)
-    u = open_uniforms(rng, (3, n))
-    x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
-    z = x + 1j * y
-    if size is None:
-        return complex(z[0]), float(phi[0])
-    return z, phi
 
 
 class MuAbSampler:

@@ -286,27 +286,3 @@ def fit_tail_constant(
     stderr = float(np.std(boots)) if boots.size > 1 else math.inf
     return TailFit(constant=est, stderr=stderr, used_thresholds=used_r)
 
-
-def compact_support_report(values: np.ndarray) -> dict:
-    """Dyadic summary used to eyeball compact support of the limit law.
-
-    For a genuinely R^-4 tail the rescaled survival s(R) R^4 is flat in R;
-    for a compactly supported limit it collapses. The verdict compares the
-    rescaled survival at R = 4 against R = 2 with a factor-10 margin.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if values.size == 0:
-        raise InvalidArgumentError("no samples given")
-    n = float(values.size)
-    rows = []
-    for r in (1.0, 2.0, 4.0, 8.0):
-        surv = float(np.count_nonzero(values > r * r) / n)
-        rows.append({"R": r, "survival": surv, "rescaled": surv * r**4})
-    s2 = rows[1]["rescaled"]
-    s4 = rows[2]["rescaled"]
-    compact = s4 < 0.1 * s2 if s2 > 0 else True
-    return {
-        "max_value": float(np.max(values)),
-        "rows": rows,
-        "verdict": "compatible-with-compact-support" if compact else "heavy-tailed",
-    }

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 
 import numpy as np
 
@@ -292,11 +293,15 @@ def theta_f(
     own decay radius at level tol * min(1, sqrt(y))/8, which bounds the
     dropped tail by tol. For the Gaussian away from pi*Z the value carries
     the usual w-independent unimodular ambiguity; see the module docstring.
-    x, xi1 and xi2 must be below 2^30 in size (check_x_range), and the
-    phase error grows like their size times 2^-52 turns. The lattice terms
-    are Weyl terms in m = n - round(xi2), summed in blocks, so the largest
-    |m| kept has weyl_sum's n bound (about 9.49e7): a tiny y exceeds it.
-    Other input raises InvalidArgumentError.
+    x, xi1 and xi2 must be below 2^30 in size (check_x_range). Every
+    product in the phase is reduced mod 1 with its rounding residue, so the
+    phase error does not grow with xi1 or xi2: it is a few 2^-52 turns,
+    plus at most |x| 2^-56 from the rounding of t^2/2 (t = xi2 - round(xi2)),
+    which multiplies x. The lattice terms are Weyl terms in
+    m = n - round(xi2), summed in blocks, so the largest |m| kept has
+    weyl_sum's n bound (about 9.49e7): a tiny y exceeds it. The truncation
+    level must be a normal float, at least DBL_MIN = 2.2e-308 (tol = 5e-324
+    at y = 1 is not). Other input raises InvalidArgumentError.
     """
     if not 0 < tol < math.inf:
         raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
@@ -304,14 +309,18 @@ def theta_f(
     xi1, xi2 = float(point.xi1), float(point.xi2)
     check_x_range(x=x, xi1=xi1, xi2=xi2)
     term_tol = tol * min(1.0, math.sqrt(y)) / 8.0
+    if term_tol < sys.float_info.min:  # support_radius takes 1/term_tol
+        raise InvalidArgumentError(
+            f"tol = {tol} at y = {y} gives the truncation level {term_tol}, below DBL_MIN"
+        )
     span = weight.support_radius(term_tol) / math.sqrt(y)
     lo, hi = math.ceil(xi2 - span), math.floor(xi2 + span)
     # with m = n - k0 and t = xi2 - k0, the phase (n - xi2)^2 x/2 + n xi1 is
     # the Weyl phase (m^2/2 - t m + t^2/2) x + xi1 m, plus k0 xi1
     k0 = round(xi2)
     t = xi2 - k0  # |t| <= 1/2 + tiny, exact subtraction
-    prefactor = y**0.25 * _e(frac(np.float64(zeta)) - 0.5 * xi1 * xi2)
-    prefactor *= _e(reduced_product(np.float64(k0), xi1))
+    turn = frac(np.float64(zeta)) - reduced_product(np.float64(0.5 * xi1), xi2)
+    prefactor = y**0.25 * _e(turn) * _e(reduced_product(np.float64(k0), xi1))
     if lo > hi:
         return 0.0 * prefactor
     spec = WeylSumSpec(alpha=xi1, beta=-t, zeta=0.5 * t * t)

@@ -1,9 +1,9 @@
-"""The affine theta group: elements, generators, and its two actions.
+"""The affine theta group: elements, generators, and their action.
 
 Elements are pairs (M, v) of a unimodular integer matrix with even products
-ac and bd, and an integer shift vector. They act on exact rational torus
-points by (M, v).xi = v + M xi mod Z^2, and on Iwasawa coordinates
-(z, phi; xi) by the Moebius map with phi advanced by arg(cz + d).
+ac and bd, and an integer shift vector. They act on Iwasawa coordinates
+(z, phi; xi) by the Moebius map on z, with phi advanced by arg(cz + d) and
+xi sent to v + M xi.
 """
 from __future__ import annotations
 
@@ -59,55 +59,11 @@ class GammaElement:
 
 
 IDENTITY = GammaElement(1, 0, 0, 1)
+# the standard generators: inversion, translation by 2, the two shifts
 GAMMA1 = GammaElement(0, -1, 1, 0)
 GAMMA2 = GammaElement(1, 2, 0, 1)
 GAMMA3 = GammaElement(1, 0, 0, 1, 1, 0)
 GAMMA4 = GammaElement(1, 0, 0, 1, 0, 1)
-
-
-def generators() -> list[GammaElement]:
-    """The four standard generators: inversion, translation by 2, two shifts."""
-    return [GAMMA1, GAMMA2, GAMMA3, GAMMA4]
-
-
-def is_theta_group(matrix) -> bool:
-    """True iff the unimodular integer matrix has ac and bd both even.
-
-    Accepts ((a, b), (c, d)) nested pairs or a flat (a, b, c, d).
-    """
-    try:
-        (a, b), (c, d) = matrix
-    except (TypeError, ValueError):
-        try:
-            a, b, c, d = matrix
-        except (TypeError, ValueError) as exc:
-            raise InvalidArgumentError(f"not a 2x2 integer matrix: {matrix!r}") from exc
-    if a * d - b * c != 1:
-        raise InvalidArgumentError("matrix must have determinant 1")
-    return (a * c) % 2 == 0 and (b * d) % 2 == 0
-
-
-@dataclass(frozen=True)
-class TorusPoint:
-    """Exact point (r/q, s/q) of the rational torus, numerators mod q."""
-
-    r: int
-    s: int
-    q: int
-
-    def __post_init__(self):
-        if self.q < 1:
-            raise InvalidArgumentError("denominator must be positive")
-        object.__setattr__(self, "r", self.r % self.q)
-        object.__setattr__(self, "s", self.s % self.q)
-
-    def window_coords(self) -> tuple:
-        """Coordinates shifted to [-1/2, 1/2)^2, exact Fractions."""
-        from fractions import Fraction
-
-        r = self.r - self.q if 2 * self.r >= self.q else self.r
-        s = self.s - self.q if 2 * self.s >= self.q else self.s
-        return Fraction(r, self.q), Fraction(s, self.q)
 
 
 @dataclass(frozen=True)
@@ -127,13 +83,6 @@ class IwasawaPoint:
     @property
     def z(self) -> complex:
         return complex(self.x, self.y)
-
-
-def act_on_torus(g: GammaElement, p: TorusPoint) -> TorusPoint:
-    """Affine action v + M xi mod Z^2, exact on numerators mod q."""
-    r = g.v1 * p.q + g.a * p.r + g.b * p.s
-    s = g.v2 * p.q + g.c * p.r + g.d * p.s
-    return TorusPoint(r % p.q, s % p.q, p.q)
 
 
 def act_on_iwasawa(g: GammaElement, pt: IwasawaPoint) -> IwasawaPoint:

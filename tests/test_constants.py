@@ -140,6 +140,9 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         lambda: theta_f(GAUSS, POINT, tol=0.0),
         lambda: theta_f(GAUSS, POINT, tol=-1.0),
         lambda: theta_f(GAUSS, POINT, tol=math.nan),
+        lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=5e-324),
+        lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1e-200, phi=0.0), tol=1e-300),
+        lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=1e-310),
         lambda: cusp_mass(math.nan),
         lambda: bound_constant(math.nan),
         lambda: cusp_bound(GAUSS, GAUSS, y=math.nan),
@@ -150,7 +153,8 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
     ids=[
         "D_rat_closed-inf", "tail_constant-inf", "normalized_product-nan",
         "normalized_product-inf", "normalized_product-rN-overflow", "theta_f-tol0",
-        "theta_f-tol-1", "theta_f-tol-nan",
+        "theta_f-tol-1", "theta_f-tol-nan", "theta_f-tol-underflow",
+        "theta_f-tol-underflow-tiny-y", "theta_f-tol-subnormal",
         "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",
         "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
     ],

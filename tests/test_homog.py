@@ -1,4 +1,4 @@
-"""Fundamental domain reduction, flows, and the deterministic samplers."""
+"""Fundamental domain reduction and the deterministic samplers."""
 
 import math
 from fractions import Fraction
@@ -20,17 +20,13 @@ from theta_tails import (
     chunk_generator,
     conjugate_horoball,
     cusp_mass,
-    cusp_region,
     enumerate_orbit,
-    geodesic_flow,
     haar_from_uniforms,
-    horocycle_flow,
     in_fundamental_domain,
     lower_boundary,
     normalize_pair,
     open_uniforms,
     reduce,
-    sample_haar,
     sampling_law,
 )
 from theta_tails.homog import run_chunks
@@ -43,8 +39,6 @@ def test_domain_membership_examples():
     assert not in_fundamental_domain(0.5 + 0.2j)  # inside the circle at 0
     assert not in_fundamental_domain(1.9 + 0.1j)  # inside the circle at 2
     assert not in_fundamental_domain(-0.5 + 3j)  # left of the strip
-    assert cusp_region(1 + 0.3j) == "one"
-    assert cusp_region(0.2 + 5j) == "infinity"
 
 
 def test_lower_boundary_profile():
@@ -125,45 +119,6 @@ def test_reduction_iteration_cap():
         reduce(pt, max_iterations=3)
 
 
-# ---------------------------------------------------------------------------
-# flows
-
-def test_geodesic_flow_contracts_y_at_zero_angle():
-    pt = IwasawaPoint(x=0.3, y=2.0, phi=0.0, xi1=0.1, xi2=0.2)
-    out = geodesic_flow(pt, 0.7)
-    assert out.y == pytest.approx(2.0 * math.exp(-0.7), rel=1e-12)
-    assert out.x == pytest.approx(0.3, abs=1e-12)
-    assert out.phi == pytest.approx(0.0, abs=1e-12)
-
-
-def test_horocycle_flow_shears_x_at_zero_angle():
-    pt = IwasawaPoint(x=0.3, y=2.0, phi=0.0, xi1=0.1, xi2=0.2)
-    out = horocycle_flow(pt, 1.3)
-    assert out.x == pytest.approx(0.3 + 1.3 * 2.0, rel=1e-12)
-    assert out.y == pytest.approx(2.0, rel=1e-12)
-
-
-def test_flows_satisfy_the_one_parameter_group_law():
-    pt = IwasawaPoint(x=-0.4, y=0.8, phi=2.1, xi1=0.0, xi2=0.0)
-    for s, t in [(0.3, 0.9), (-0.5, 0.2), (1.4, -1.4)]:
-        a = geodesic_flow(geodesic_flow(pt, s), t)
-        b = geodesic_flow(pt, s + t)
-        assert abs(a.z - b.z) < 1e-12 and abs(a.phi - b.phi) < 1e-12
-        c = horocycle_flow(horocycle_flow(pt, s), t)
-        d = horocycle_flow(pt, s + t)
-        assert abs(c.z - d.z) < 1e-12 and abs(c.phi - d.phi) < 1e-12
-
-
-def test_flows_commute_the_standard_way():
-    # a_t n_u = n_{u e^t} a_t as right multiplications in this convention
-    pt = IwasawaPoint(x=0.6, y=1.7, phi=0.9, xi1=0.0, xi2=0.0)
-    t, u = 0.8, 0.45
-    a = horocycle_flow(geodesic_flow(pt, t), u)
-    b = geodesic_flow(horocycle_flow(pt, u * math.exp(-t)), t)
-    assert abs(a.z - b.z) < 1e-12
-    assert abs(a.phi - b.phi) < 1e-12
-
-
 def test_rho_rotates_the_cusps():
     pt = IwasawaPoint(x=1.0, y=0.01, phi=0.4, xi1=0.3, xi2=0.1)
     out = apply_rho(pt)
@@ -231,10 +186,8 @@ def test_haar_samples_live_in_the_domain():
 
 def test_haar_marginals_match_the_closed_forms():
     rng = chunk_generator(DEFAULT_SEED, 7)
-    z, phi = sample_haar(rng, size=1 << 16)
-    n = z.size
-    x = z.real
-    y = z.imag
+    n = 1 << 16
+    x, y, phi = haar_from_uniforms(*open_uniforms(rng, (3, n)))
     # P(X <= t) = asin(t)/pi for t in [0, 1], symmetric about 1
     for t, p in [(0.5, math.asin(0.5) / math.pi), (1.0, 0.5)]:
         emp = np.mean(x <= t)

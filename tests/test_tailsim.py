@@ -1,4 +1,4 @@
-"""Monte-Carlo survival curves, the R^-4 fit, and the support report."""
+"""Monte-Carlo survival curves and the R^-4 fit."""
 
 import math
 from fractions import Fraction
@@ -13,7 +13,6 @@ from theta_tails import (
     CHUNK_SIZE,
     InvalidArgumentError,
     TailCurve,
-    compact_support_report,
     default_thresholds,
     fit_tail_constant,
     leading_constant,
@@ -298,22 +297,3 @@ def test_fit_sorts_thresholds_and_rejects_increasing_counts():
     )
     with pytest.raises(InvalidArgumentError):
         fit_tail_constant(bad)
-
-
-def test_compact_support_report_verdicts():
-    rng = np.random.default_rng(2)
-    # bounded values: nothing survives past the support edge
-    bounded = rng.uniform(0, 5.0, size=200000)
-    rep = compact_support_report(bounded)
-    assert rep["verdict"] == "compatible-with-compact-support"
-    assert rep["max_value"] < 5.0
-    assert rep["rows"][0]["R"] == 1.0
-    # an exact R^-4 tail keeps the rescaled survival flat
-    u = rng.uniform(size=200000)
-    heavy = u**-0.5  # P(V > v) = v^-2, so P(V > R^2) = R^-4
-    rep2 = compact_support_report(heavy)
-    assert rep2["verdict"] == "heavy-tailed"
-    rescaled = [row["rescaled"] for row in rep2["rows"][1:3]]
-    assert rescaled[1] == pytest.approx(rescaled[0], rel=0.25)
-    with pytest.raises(InvalidArgumentError):
-        compact_support_report(np.array([]))

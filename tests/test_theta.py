@@ -82,6 +82,35 @@ def test_truncation_tolerance_is_honoured():
         assert abs(loose - tight) <= 1e-6 * (1 + abs(tight))
 
 
+BIG = 2.0**29 + 0.3
+TOP = float(np.nextafter(2.0**30, 0))
+
+
+@pytest.mark.parametrize(
+    "xi1, xi2, k1, k2",
+    [
+        (BIG, BIG, 2**29, 2**29),
+        (-BIG, BIG, -(2**29), 2**29),
+        (BIG, -BIG - 1.0, 2**29, -(2**29) - 1),
+        (TOP, TOP, 2**30 - 1, 2**30 - 1),
+        (250.3, 250.3, 250, 250),
+        (12345.3, -7.2, 12345, -7),
+    ],
+    ids=["big", "big-sign", "big-minus-one", "top", "250", "12345"],
+)
+def test_theta_f_prefactor_turn_matches_a_fraction_oracle(xi1, xi2, k1, k2):
+    # a shift of xi by integers (k1, k2) multiplies Theta_f by e(turn), with
+    # turn = (k2 xi1 - k1 xi2 - k1 k2)/2 at the small xi, exactly; at large xi
+    # the prefactor's -xi1 xi2/2 is huge and only its fraction of a turn counts
+    small = IwasawaPoint(0.3, 1.0, 0.0, xi1 - k1, xi2 - k2)
+    s1, s2 = Fraction(small.xi1), Fraction(small.xi2)
+    assert (s1 + k1, s2 + k2) == (Fraction(xi1), Fraction(xi2))
+    turn = (k2 * s1 - k1 * s2 - k1 * k2) / 2 % 1
+    ratio = theta_f(GAUSS, IwasawaPoint(0.3, 1.0, 0.0, xi1, xi2)) / theta_f(GAUSS, small)
+    assert abs(abs(ratio) - 1.0) < 1e-12
+    assert abs((cmath.phase(ratio) / (2 * math.pi) - float(turn) + 0.5) % 1 - 0.5) < 1e-12
+
+
 def test_weyl_sum_identity_gaussian():
     rng = random.Random(11)
     for _ in range(10):

@@ -1,8 +1,7 @@
-"""Exact group elements and their torus / upper-half-plane actions."""
+"""Exact group elements and their action on Iwasawa coordinates."""
 
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -17,11 +16,7 @@ from theta_tails import (
     GammaElement,
     InvalidArgumentError,
     IwasawaPoint,
-    TorusPoint,
     act_on_iwasawa,
-    act_on_torus,
-    generators,
-    is_theta_group,
     wrap_angle,
 )
 
@@ -39,7 +34,6 @@ def compose(indices):
 
 
 def test_generator_list_is_the_published_one():
-    assert generators() == [GAMMA1, GAMMA2, GAMMA3, GAMMA4]
     assert GAMMA1.matrix == ((0, -1), (1, 0))
     assert GAMMA2.matrix == ((1, 2), (0, 1))
     assert GAMMA3.shift == (1, 0) and GAMMA4.shift == (0, 1)
@@ -76,41 +70,10 @@ def test_invalid_elements_are_rejected():
 
 
 def test_membership_predicate():
-    assert is_theta_group(((1, 2), (0, 1)))
-    assert is_theta_group(((0, -1), (1, 0)))
-    assert is_theta_group(((1, 0), (2, 1)))
-    assert not is_theta_group(((1, 1), (0, 1)))
-    assert not is_theta_group(((1, 1), (1, 2)))  # parity fails, det 1
-
-
-# ---------------------------------------------------------------------------
-# torus action
-
-def test_torus_point_reduces_mod_q():
-    p = TorusPoint(7, -3, 5)
-    assert (p.r, p.s, p.q) == (2, 2, 5)
-    w1, w2 = p.window_coords()
-    assert w1 == Fraction(2, 5) and w2 == Fraction(2, 5)
-    assert TorusPoint(3, 4, 5).window_coords() == (Fraction(-2, 5), Fraction(-1, 5))
-
-
-@given(words, st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=11))
-def test_torus_action_agrees_with_the_affine_action(idx, r, s):
-    q = 12
-    g = compose(idx)
-    tp = act_on_torus(g, TorusPoint(r, s, q))
-    pt = IwasawaPoint(x=0.37, y=1.25, phi=0.0, xi1=Fraction(r, q), xi2=Fraction(s, q))
-    out = act_on_iwasawa(g, pt)
-    # exact Fractions all the way through the affine part
-    assert (out.xi1 - Fraction(tp.r, q)) % 1 == 0
-    assert (out.xi2 - Fraction(tp.s, q)) % 1 == 0
-
-
-@given(words, st.integers(min_value=0, max_value=11), st.integers(min_value=0, max_value=11))
-def test_torus_action_is_a_group_action(idx, r, s):
-    g = compose(idx)
-    p = TorusPoint(r, s, 12)
-    assert act_on_torus(g.inverse(), act_on_torus(g, p)) == p
+    for a, b, c, d in [(1, 2, 0, 1), (0, -1, 1, 0), (1, 0, 2, 1)]:
+        assert GammaElement(a, b, c, d).matrix == ((a, b), (c, d))
+    with pytest.raises(InvalidArgumentError):
+        GammaElement(1, 1, 1, 2)  # parity fails, det 1
 
 
 # ---------------------------------------------------------------------------
