@@ -128,10 +128,6 @@ class RationalPair:
     def beta(self) -> Fraction:
         return Fraction(self.b, self.q)
 
-    @property
-    def is_integer_pair(self) -> bool:
-        return self.q == 1
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"({self.a}/{self.q}, {self.b}/{self.q})[{self.kind}]"
 
@@ -139,9 +135,9 @@ class RationalPair:
 def normalize_pair(alpha, beta) -> RationalPair:
     """Canonicalize (alpha, beta) to (a, b, q) with gcd(a, b, q) = 1.
 
-    Inputs may be ints, Fractions, or (num, den) tuples, any sign. Floats are
-    rejected: the whole point of the pair is exactness. A RationalPair is
-    already canonical and comes back unchanged (beta is then ignored).
+    Inputs may be ints or Fractions, any sign. Floats are rejected: the
+    whole point of the pair is exactness. A RationalPair is already
+    canonical and comes back unchanged (beta is then ignored).
     """
     if isinstance(alpha, RationalPair):
         return alpha
@@ -161,13 +157,8 @@ def normalize_pair(alpha, beta) -> RationalPair:
 def _as_fraction(value, name: str) -> Fraction:
     if isinstance(value, float):
         raise InvalidArgumentError(
-            f"{name} must be an exact rational (int, Fraction, or (num, den)), got a float"
+            f"{name} must be an exact rational (int or Fraction), got a float"
         )
-    if isinstance(value, tuple):
-        num, den = value
-        if den == 0:
-            raise InvalidArgumentError(f"{name} has zero denominator")
-        return Fraction(num, den)
     try:
         return Fraction(value)
     except ZeroDivisionError as exc:

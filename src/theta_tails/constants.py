@@ -22,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import RationalPair, dedekind_psi, normalize_pair
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
@@ -92,30 +92,14 @@ def _oscillation_rate(w1, w2) -> float:
 def D_rat_numeric(w1, w2, tol: float = 1e-4) -> float:
     """D(f1, f2) by quadrature, independent of the closed forms.
 
-    Smooth pairs (both weights regular) go to an adaptive integrator over
-    the full interval. Pairs involving a sharp cutoff oscillate like
-    cot(phi) near the endpoints; there the integral over (eps, pi - eps) is
-    done on a graded Gauss-Legendre mesh holding about one Fresnel cycle
-    per panel, and the omitted endpoint mass is bounded by the weights'
-    documented edge bounds and absorbed into tol.
+    Every pair takes one graded mesh. The integral over (eps, pi - eps) is
+    done by Gauss-Legendre panels holding about one Fresnel cycle each, as a
+    sharp cutoff oscillates like cot(phi) near the endpoints; the omitted
+    endpoint mass, at most 2 eps times the weights' edge bounds, is
+    absorbed into tol.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
-    if w1.regular and w2.regular:
-        from scipy.integrate import quad  # only here, to keep the package import light
-
-        def smooth(phi):
-            v1 = abs(w1.f_phi0_value(phi)) ** 2
-            v2 = abs(w2.f_phi0_value(phi)) ** 2
-            return v1 * v2
-
-        val, err = quad(smooth, 0.0, math.pi, epsabs=tol / 2, epsrel=0.0, limit=200)
-        if err > tol:
-            raise NumericFailureError(
-                f"smooth variance integral stalled at error {err:.2e}"
-            )
-        return float(val)
-
     edge = w1.edge_sq_bound * w2.edge_sq_bound
     eps = min(1e-3, tol / (8.0 * edge))
     if eps >= 0.25 * math.pi:

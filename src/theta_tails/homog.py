@@ -37,9 +37,6 @@ from .errors import InvalidArgumentError, NumericFailureError
 from .orbits import OrbitData, orbit_contains
 from .thetagroup import (
     GAMMA1,
-    GAMMA2,
-    GAMMA3,
-    GAMMA4,
     GammaElement,
     IDENTITY,
     IwasawaPoint,
@@ -78,13 +75,7 @@ def in_fundamental_domain(z: complex) -> bool:
 @dataclass(frozen=True)
 class ReduceResult:
     point: IwasawaPoint
-    word: tuple  # ((generator, power), ...) in order of application
     element: GammaElement
-
-    @property
-    def word_length(self) -> int:
-        """The letters of the word: the sum of |power| over it."""
-        return sum(abs(power) for _, power in self.word)
 
 
 def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> ReduceResult:
@@ -98,25 +89,21 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
     """
     x, y = point.x, point.y
     total = IDENTITY
-    word = []
     for _ in range(max_iterations):
         k = math.floor(x / 2.0)
         if k != 0:
             total = GammaElement(1, -2 * k, 0, 1) * total
-            word.append((GAMMA2, -k))
             x -= 2.0 * k
         r0 = x * x + y * y
         if r0 < 1.0:
             x, y = -x / r0, y / r0
             total = GAMMA1 * total
-            word.append((GAMMA1, 1))
             continue
         wx = x - 2.0
         r2 = wx * wx + y * y
         if r2 < 1.0:
             x, y = 2.0 - wx / r2, y / r2
             total = _INV_AT_TWO * total
-            word.extend([(GAMMA2, -1), (GAMMA1, 1), (GAMMA2, 1)])
             continue
         break
     else:
@@ -127,16 +114,11 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
     reduced = act_on_iwasawa(total, point)
     if wrap_angle(reduced.phi) >= math.pi:
         total = NEG_IDENTITY * total
-        word.append((GAMMA1, 2))
         reduced = act_on_iwasawa(total, point)
     k1 = math.floor(reduced.xi1 + 0.5)
     k2 = math.floor(reduced.xi2 + 0.5)
     if k1 or k2:
         total = GammaElement(1, 0, 0, 1, -k1, -k2) * total
-        if k1:
-            word.append((GAMMA3, -k1))
-        if k2:
-            word.append((GAMMA4, -k2))
         reduced = act_on_iwasawa(total, point)
     final = IwasawaPoint(
         x=reduced.x,
@@ -145,7 +127,7 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
         xi1=reduced.xi1,
         xi2=reduced.xi2,
     )
-    return ReduceResult(point=final, word=tuple(word), element=total)
+    return ReduceResult(point=final, element=total)
 
 
 def _rho(x, y, xi1, xi2):

@@ -42,6 +42,7 @@ from .errors import (
 from .thetagroup import IwasawaPoint
 from .weylsum import (
     WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac, reduced_product,
+    two_prod,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -72,13 +73,11 @@ class WeightFunction:
     """Base class for weights; subclasses fill in the transform data, of
     f_phi only its value off pi*Z.
 
-    regular means eta-regular for some eta > 1: bounded kappa_eta, so the
-    cusp estimate applies. The sharp indicator is the standard non-regular
-    example.
+    eta is the cusp estimate's default regularity exponent, None for a
+    weight with no finite kappa_eta such as the sharp indicator.
     """
 
     name = "weight"
-    regular = False
     eta = 2.0
 
     def evaluate(self, w):
@@ -107,15 +106,9 @@ class WeightFunction:
     def _f_phi_off_pi(self, phi: float, w):
         raise NotImplementedError
 
-    def f_phi_modulus(self, phi: float, w):
-        return np.abs(self.f_phi(phi, w))
-
     def f_phi0_values(self, phis: np.ndarray) -> np.ndarray:
         """f_phi(0) for an array of angles (closed form, complex)."""
         raise NotImplementedError
-
-    def f_phi0_value(self, phi: float) -> complex:
-        return complex(self.f_phi0_values(np.asarray([phi]))[0])
 
     # crude upper bound for |f_phi(0)|^2 as phi -> 0 or pi, used to pick the
     # endpoint cutoff when integrating |f_phi(0)|^2 d(phi) numerically
@@ -131,7 +124,6 @@ class GaussianWeight(WeightFunction):
     """
 
     name = "gaussian"
-    regular = True
 
     def evaluate(self, w):
         return np.exp(-math.pi * np.square(w))
@@ -151,9 +143,6 @@ class GaussianWeight(WeightFunction):
 
     def _f_phi_off_pi(self, phi: float, w):
         return self.evaluate(w).astype(np.complex128)
-
-    def f_phi_modulus(self, phi: float, w):
-        return np.exp(-math.pi * np.square(w))
 
     def f_phi0_values(self, phis: np.ndarray) -> np.ndarray:
         phis = np.asarray(phis, dtype=np.float64)
@@ -175,7 +164,6 @@ class SharpIndicatorWeight(WeightFunction):
     """
 
     name = "indicator"
-    regular = False
     eta = None
 
     def __init__(self, r: float = 1.0):
@@ -295,9 +283,10 @@ def theta_f(
     the usual w-independent unimodular ambiguity; see the module docstring.
     x, xi1 and xi2 must be below 2^30 in size (check_x_range). Every
     product in the phase is reduced mod 1 with its rounding residue, so the
-    phase error does not grow with xi1 or xi2: it is a few 2^-52 turns,
-    plus at most |x| 2^-56 from the rounding of t^2/2 (t = xi2 - round(xi2)),
-    which multiplies x. The lattice terms are Weyl terms in
+    phase error does not grow with x, xi1 or xi2: it is a few 2^-52 turns.
+    The phase t^2 x/2 (t = xi2 - round(xi2)) that every lattice term shares
+    goes into the prefactor as (p/2) x + (e/2) x, from the exact split
+    t^2 = p + e of two_prod. The lattice terms are Weyl terms in
     m = n - round(xi2), summed in blocks, so the largest |m| kept has
     weyl_sum's n bound (about 9.49e7): a tiny y exceeds it. The truncation
     level must be a normal float, at least DBL_MIN = 2.2e-308 (tol = 5e-324
@@ -316,14 +305,16 @@ def theta_f(
     span = weight.support_radius(term_tol) / math.sqrt(y)
     lo, hi = math.ceil(xi2 - span), math.floor(xi2 + span)
     # with m = n - k0 and t = xi2 - k0, the phase (n - xi2)^2 x/2 + n xi1 is
-    # the Weyl phase (m^2/2 - t m + t^2/2) x + xi1 m, plus k0 xi1
+    # the Weyl phase (m^2/2 - t m) x + xi1 m, plus k0 xi1 and t^2 x/2
     k0 = round(xi2)
     t = xi2 - k0  # |t| <= 1/2 + tiny, exact subtraction
+    t_sq, t_sq_err = two_prod(t, t)
     turn = frac(np.float64(zeta)) - reduced_product(np.float64(0.5 * xi1), xi2)
+    turn += reduced_product(0.5 * t_sq, x) + reduced_product(0.5 * t_sq_err, x)
     prefactor = y**0.25 * _e(turn) * _e(reduced_product(np.float64(k0), xi1))
     if lo > hi:
         return 0.0 * prefactor
-    spec = WeylSumSpec(alpha=xi1, beta=-t, zeta=0.5 * t * t)
+    spec = WeylSumSpec(alpha=xi1, beta=-t)
     plan = _phase_plan(spec, np.float64(x), max(k0 - lo, hi - k0))
     total = 0.0j
     for ms in _blocks(lo - k0, hi - k0):
@@ -439,8 +430,8 @@ def cusp_main_term(
     high in the cusp.
     """
     theta = (float(point.xi2) - round(float(point.xi2))) * math.sqrt(point.y)
-    m1 = float(w1.f_phi_modulus(point.phi, np.asarray([-theta]))[0])
-    m2 = float(w2.f_phi_modulus(point.phi, np.asarray([-theta]))[0])
+    m1 = float(np.abs(w1.f_phi(point.phi, np.asarray([-theta])))[0])
+    m2 = float(np.abs(w2.f_phi(point.phi, np.asarray([-theta])))[0])
     return math.sqrt(point.y) * m1 * m2
 
 

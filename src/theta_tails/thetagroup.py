@@ -30,14 +30,6 @@ class GammaElement:
         if (self.a * self.c) % 2 or (self.b * self.d) % 2:
             raise InvalidArgumentError("matrix is not in the theta group")
 
-    @property
-    def matrix(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.a, self.b), (self.c, self.d))
-
-    @property
-    def shift(self) -> tuple[int, int]:
-        return (self.v1, self.v2)
-
     def __mul__(self, other: "GammaElement") -> "GammaElement":
         # (M, v)(M', v') = (MM', v + Mv'), all integer exact
         a, b, c, d = self.a, self.b, self.c, self.d

@@ -286,6 +286,20 @@ def gaussian_theta_mpmath(x: float, y: float) -> complex:
         return complex(val)
 
 
+def gaussian_theta_lattice_mpmath(x, y, xi1, xi2) -> complex:
+    """Theta_f at phi = 0 for the Gaussian, summed at 60 digits over the 25
+    terms n = round(xi2) + j, |j| <= 12, from the exact values of the floats."""
+    import mpmath
+
+    with mpmath.workdps(60):
+        x, y, xi1, xi2 = (mpmath.mpf(v) for v in (x, y, xi1, xi2))
+        total = mpmath.mpc(0)
+        for n in range(int(mpmath.nint(xi2)) - 12, int(mpmath.nint(xi2)) + 13):
+            m = n - xi2
+            total += mpmath.exp(-mpmath.pi * m * m * y) * mpmath.expjpi(m * m * x + 2 * n * xi1)
+        return complex(mpmath.power(y, mpmath.mpf(1) / 4) * mpmath.expjpi(-xi1 * xi2) * total)
+
+
 def gaussian_pair_lattice_sum(x, y, xi1, xi2):
     """sqrt(y) |sum_n exp(-pi (n - xi2)^2 y) e((n - xi2)^2 x/2 + n xi1)|^2
     over the 13 terms n = round(xi2) + j, |j| <= 6, each from its own exp."""

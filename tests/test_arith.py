@@ -153,6 +153,7 @@ def test_floats_are_rejected():
         normalize_pair(Fraction(1, 2), 0.25)
 
 
-def test_integer_pair_flag():
-    assert normalize_pair(3, -2).is_integer_pair
-    assert not normalize_pair(Fraction(1, 3), 0).is_integer_pair
+def test_tuples_are_rejected():
+    # a pair's entries are ints or Fractions; (num, den) is not one of them
+    with pytest.raises(InvalidArgumentError, match="cannot parse"):
+        normalize_pair((1, 3), 0)

@@ -9,7 +9,6 @@ import pytest
 from theta_tails import (
     CHUNK_SIZE,
     DEFAULT_SEED,
-    GAMMA2,
     IDENTITY,
     InvalidArgumentError,
     IwasawaPoint,
@@ -55,15 +54,6 @@ def test_lower_boundary_profile():
         lower_boundary(3.0)
 
 
-def element_of(word):
-    total = IDENTITY
-    for g, p in word:
-        step = g if p >= 0 else g.inverse()
-        for _ in range(abs(p)):
-            total = step * total
-    return total
-
-
 def test_reduction_lands_in_the_domain_and_is_a_retraction():
     rng = np.random.default_rng(17)
     for _ in range(300):
@@ -84,31 +74,12 @@ def test_reduction_lands_in_the_domain_and_is_a_retraction():
         # the element really carries the input to the output
         direct = act_on_iwasawa(res.element, pt)
         assert abs(direct.z - out.z) <= 1e-9 * (1 + abs(out.z))
-        # and the word spells the element, in order of application
-        assert element_of(res.word) == res.element
-        assert res.word_length >= 0
-
-
-def test_word_length_counts_the_letters_of_the_word():
-    # far-out x takes many translations by 2, small y many inversions
-    rng = np.random.default_rng(29)
-    for _ in range(200):
-        pt = IwasawaPoint(
-            x=float(rng.uniform(-500, 500)),
-            y=float(np.exp(rng.uniform(np.log(1e-4), np.log(1e2)))),
-            phi=float(rng.uniform(-10, 10)),
-            xi1=float(rng.uniform(-50, 50)),
-            xi2=float(rng.uniform(-50, 50)),
-        )
-        res = reduce(pt)
-        assert res.word_length == sum(abs(power) for _, power in res.word)
 
 
 def test_reduction_fixes_interior_points():
     pt = IwasawaPoint(x=0.7, y=2.0, phi=1.0, xi1=0.2, xi2=-0.3)
     res = reduce(pt)
     assert res.element == IDENTITY
-    assert res.word_length == 0
     assert res.point == pt
 
 

@@ -111,6 +111,15 @@ def test_theta_f_prefactor_turn_matches_a_fraction_oracle(xi1, xi2, k1, k2):
     assert abs((cmath.phase(ratio) / (2 * math.pi) - float(turn) + 0.5) % 1 - 0.5) < 1e-12
 
 
+@pytest.mark.parametrize("x", [0.3, 2.0**20 + 0.1, 2.0**29 + 0.1])
+@pytest.mark.parametrize("xi1, xi2", [(0.3, 0.2), (-0.45, 0.49)])
+def test_theta_f_matches_an_mpmath_lattice_sum_at_large_x(x, xi1, xi2):
+    # the shared phase t^2 x/2 is carried exactly, so the error does not grow with x
+    got = theta_f(GAUSS, IwasawaPoint(x, 1.0, 0.0, xi1, xi2), tol=1e-15)
+    want = oracles.gaussian_theta_lattice_mpmath(x, 1.0, xi1, xi2)
+    assert abs(got - want) <= 1e-13 * abs(want)
+
+
 def test_weyl_sum_identity_gaussian():
     rng = random.Random(11)
     for _ in range(10):
@@ -310,6 +319,24 @@ def test_package_import_leaves_scipy_integrate_unloaded():
     assert out.stdout.strip() == "False"
 
 
+def test_gaussian_pairing_integral_leaves_scipy_unloaded():
+    # D_rat_numeric takes one mesh for every pair; only the sharp window's
+    # Fresnel values need scipy
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    probe = (
+        "import sys\n"
+        "from theta_tails import D_rat_numeric, GaussianWeight\n"
+        "D_rat_numeric(GaussianWeight(), GaussianWeight())\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 def test_commands_off_the_normal_law_leave_scipy_special_unloaded(tmp_path):
     # after the import and after each command: only the normal law, the sharp
     # window's Fresnel values and bound_constant need scipy.special
@@ -353,7 +380,7 @@ def test_gaussian_transform_closed_form():
     # away from them the modulus is still exact
     for phi in (0.3, 1.1, 2.9, 4.0):
         assert np.allclose(
-            GAUSS.f_phi_modulus(phi, w), np.exp(-math.pi * w**2), rtol=1e-12
+            np.abs(GAUSS.f_phi(phi, w)), np.exp(-math.pi * w**2), rtol=1e-12
         )
 
 
@@ -368,7 +395,7 @@ def test_numeric_transform_agrees_with_the_gaussian_closed_form():
     for phi in (0.4, 1.0, 2.0, 2.8):
         for w in (0.0, 0.5, 1.3):
             got = f_phi_numeric(GAUSS, phi, w)
-            want = GAUSS.f_phi_modulus(phi, np.asarray([w]))[0]
+            want = abs(GAUSS.f_phi(phi, np.asarray([w]))[0])
             assert abs(abs(got) - want) < 1e-7
     exact = f_phi_numeric(GAUSS, math.pi, 0.7)
     want = GAUSS.f_phi(math.pi, np.asarray([0.7]))[0]
@@ -378,18 +405,18 @@ def test_numeric_transform_agrees_with_the_gaussian_closed_form():
 def test_numeric_transform_agrees_with_the_fresnel_closed_form():
     for phi in (0.4, 1.2, 2.0, 2.7):
         got = f_phi_numeric(CHI, phi, 0.0)
-        want = CHI.f_phi0_value(phi)
+        want = CHI.f_phi0_values(np.asarray([phi]))[0]
         assert abs(got - want) < 1e-6 * (1 + abs(want))
 
 
 def test_indicator_transform_limits():
     # halfway the rotation acts as a Fourier transform; the integral of the
     # indicator is its length
-    assert abs(abs(CHI.f_phi0_value(math.pi / 2)) - 1.0) < 1e-12
+    assert abs(abs(CHI.f_phi0_values(np.asarray([math.pi / 2]))[0]) - 1.0) < 1e-12
     chi3 = sharp_indicator_weight(3.0)
-    assert abs(abs(chi3.f_phi0_value(math.pi / 2)) - 3.0) < 1e-12
+    assert abs(abs(chi3.f_phi0_values(np.asarray([math.pi / 2]))[0]) - 3.0) < 1e-12
     # |f_phi(0)|^2 tends to 1/4 at the identity, Fresnel oscillations decay
-    assert abs(abs(CHI.f_phi0_value(1e-4)) ** 2 - 0.25) < 0.05
+    assert abs(abs(CHI.f_phi0_values(np.asarray([1e-4]))[0]) ** 2 - 0.25) < 0.05
     # on pi Z the sharp transform is the reflected indicator
     vals = CHI.f_phi(math.pi, np.array([-0.5, 0.5]))
     assert abs(vals[0] - cmath.exp(-2j * math.pi / 4)) < 1e-12

@@ -34,9 +34,10 @@ def compose(indices):
 
 
 def test_generator_list_is_the_published_one():
-    assert GAMMA1.matrix == ((0, -1), (1, 0))
-    assert GAMMA2.matrix == ((1, 2), (0, 1))
-    assert GAMMA3.shift == (1, 0) and GAMMA4.shift == (0, 1)
+    assert GAMMA1 == GammaElement(0, -1, 1, 0)
+    assert GAMMA2 == GammaElement(1, 2, 0, 1)
+    assert GAMMA3 == GammaElement(1, 0, 0, 1, 1, 0)
+    assert GAMMA4 == GammaElement(1, 0, 0, 1, 0, 1)
 
 
 @given(words)
@@ -71,7 +72,8 @@ def test_invalid_elements_are_rejected():
 
 def test_membership_predicate():
     for a, b, c, d in [(1, 2, 0, 1), (0, -1, 1, 0), (1, 0, 2, 1)]:
-        assert GammaElement(a, b, c, d).matrix == ((a, b), (c, d))
+        g = GammaElement(a, b, c, d)
+        assert (g.a, g.b, g.c, g.d) == (a, b, c, d)
     with pytest.raises(InvalidArgumentError):
         GammaElement(1, 1, 1, 2)  # parity fails, det 1
 

@@ -154,7 +154,6 @@ def test_gaussian_weighted_sum_matches_the_two_sided_oracle(x, alpha, beta, N):
 def test_nondecaying_weight_is_rejected():
     class Flat(WeightFunction):
         name = "flat"
-        regular = False
         eta = None
 
         def evaluate(self, w):
