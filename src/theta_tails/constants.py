@@ -79,24 +79,15 @@ def D_rat_closed(r: float) -> float:
     )
 
 
-def _oscillation_rate(w1, w2) -> float:
-    """Fresnel phase cycles per unit of cot(phi), summed over the pair."""
-    rate = 0.0
-    for w in (w1, w2):
-        r = getattr(w, "r", None)
-        if r is not None:
-            rate += r * r
-    return rate
-
-
 def D_rat_numeric(w1, w2, tol: float = 1e-4) -> float:
     """D(f1, f2) by quadrature, independent of the closed forms.
 
     Every pair takes one graded mesh. The integral over (eps, pi - eps) is
-    done by Gauss-Legendre panels holding about one Fresnel cycle each, as a
-    sharp cutoff oscillates like cot(phi) near the endpoints; the omitted
-    endpoint mass, at most 2 eps times the weights' edge bounds, is
-    absorbed into tol.
+    done by Gauss-Legendre panels holding about one Fresnel cycle each: a
+    sharp cutoff oscillates like rate * cot(phi) near the endpoints, where
+    rate is the sum of the two weights' declared oscillation_rate. A pair
+    with rate 0 takes panels of width 0.05. The omitted endpoint mass, at
+    most 2 eps times the weights' edge bounds, is absorbed into tol.
     """
     if not tol > 0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
@@ -104,14 +95,14 @@ def D_rat_numeric(w1, w2, tol: float = 1e-4) -> float:
     eps = min(1e-3, tol / (8.0 * edge))
     if eps >= 0.25 * math.pi:
         raise InvalidArgumentError(f"tol={tol} leaves no integration interval")
-    rate = max(_oscillation_rate(w1, w2), 1.0)
+    rate = w1.oscillation_rate + w2.oscillation_rate
 
     # integrand is even about pi/2 for real weights (moduli depend on |cot|)
     panels = [eps]
     phi = eps
     while phi < 0.5 * math.pi:
         s = math.sin(phi)
-        step = max(1e-9, min(0.05, 2.0 * s * s / rate))
+        step = max(1e-9, min(0.05, 2.0 * s * s / rate)) if rate else 0.05
         phi = min(phi + step, 0.5 * math.pi)
         panels.append(phi)
     edges = np.asarray(panels)

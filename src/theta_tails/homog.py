@@ -273,11 +273,12 @@ class MuAbSampler:
         sl = slice(0, count)
         return {"x": x[sl], "y": y[sl], "phi": phi[sl], "xi1": xi[0], "xi2": xi[1]}
 
-    def draw(self, n: int, workers: int = 1) -> dict:
-        """n samples as a dict of arrays x, y, phi, xi1, xi2."""
+    def draw(self, n: int) -> dict:
+        """The next n samples, chunk by chunk on one worker, as a dict of
+        arrays x, y, phi, xi1, xi2."""
         if n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
-        parts = run_chunks(n, self.chunk, workers, first=self._next_chunk)
+        parts = run_chunks(n, self.chunk, first=self._next_chunk)
         self._next_chunk += len(parts)
         return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 

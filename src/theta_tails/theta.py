@@ -71,14 +71,10 @@ def _e(t: float) -> complex:
 
 class WeightFunction:
     """Base class for weights; subclasses fill in the transform data, of
-    f_phi only its value off pi*Z.
-
-    eta is the cusp estimate's default regularity exponent, None for a
-    weight with no finite kappa_eta such as the sharp indicator.
-    """
+    f_phi only its value off pi*Z, and the edge data that D_rat_numeric
+    reads: edge_sq_bound and oscillation_rate."""
 
     name = "weight"
-    eta = 2.0
 
     def evaluate(self, w):
         raise NotImplementedError
@@ -87,7 +83,7 @@ class WeightFunction:
         """W such that |f(w)| <= tol for |w| > W (may ignore tol if compact)."""
         raise NotImplementedError
 
-    def kappa_eta(self, eta: float | None = None) -> float:
+    def kappa_eta(self, eta: float) -> float:
         """sup over phi, w of (1 + w^2)^(eta/2) |f_phi(w)|."""
         raise NotImplementedError
 
@@ -113,6 +109,9 @@ class WeightFunction:
     # crude upper bound for |f_phi(0)|^2 as phi -> 0 or pi, used to pick the
     # endpoint cutoff when integrating |f_phi(0)|^2 d(phi) numerically
     edge_sq_bound = 1.0
+    # cycles of f_phi(0) per unit of cot(phi) near pi*Z: r^2 for the
+    # indicator of (0, r], 0 where |f_phi(0)| does not oscillate
+    oscillation_rate = 0.0
 
 
 class GaussianWeight(WeightFunction):
@@ -133,8 +132,7 @@ class GaussianWeight(WeightFunction):
             return 0.0
         return math.sqrt(math.log(1.0 / tol) / math.pi)
 
-    def kappa_eta(self, eta: float | None = None) -> float:
-        eta = self.eta if eta is None else eta
+    def kappa_eta(self, eta: float) -> float:
         # maximize (1+w^2)^(eta/2) exp(-pi w^2): interior critical point
         # exists only when eta > 2 pi
         if eta <= _TWO_PI:
@@ -152,8 +150,6 @@ class GaussianWeight(WeightFunction):
         out[near] = np.exp(-0.5j * math.pi * k[near])
         return out
 
-    edge_sq_bound = 1.0
-
 
 class SharpIndicatorWeight(WeightFunction):
     """f = indicator of (0, r]; compactly supported, not eta-regular.
@@ -164,12 +160,12 @@ class SharpIndicatorWeight(WeightFunction):
     """
 
     name = "indicator"
-    eta = None
 
     def __init__(self, r: float = 1.0):
         if not (r >= 1.0) or not math.isfinite(r):
             raise InvalidArgumentError(f"indicator radius must satisfy r >= 1, got {r}")
         self.r = float(r)
+        self.oscillation_rate = self.r * self.r
         self.name = f"indicator({r:g})"
 
     def evaluate(self, w):
@@ -179,7 +175,7 @@ class SharpIndicatorWeight(WeightFunction):
     def support_radius(self, tol: float) -> float:
         return self.r
 
-    def kappa_eta(self, eta: float | None = None) -> float:
+    def kappa_eta(self, eta: float) -> float:
         return math.inf
 
     def _f_phi_off_pi(self, phi: float, w):
@@ -445,15 +441,10 @@ def bound_constant(eta: float) -> float:
     return 2.0 ** (6.0 * eta) * float(zeta(eta, 1.0)) ** 2
 
 
-def cusp_bound(
-    w1: WeightFunction, w2: WeightFunction, y: float, eta: float | None = None
-) -> float:
-    """C_eta kappa_eta(f1) kappa_eta(f2) y^(-(eta-1)/2), valid for y >= 1/2."""
-    if eta is None:
-        etas = [e for e in (w1.eta, w2.eta) if e is not None]
-        if not etas:
-            raise InvalidArgumentError("no regularity exponent available")
-        eta = min(etas)
+def cusp_bound(w1: WeightFunction, w2: WeightFunction, y: float, eta: float) -> float:
+    """C_eta kappa_eta(f1) kappa_eta(f2) y^(-(eta-1)/2), valid for y >= 1/2
+    and eta > 1; a weight with no finite kappa_eta (the sharp indicator)
+    raises InvalidArgumentError."""
     if not y >= 0.5:
         raise InvalidArgumentError(f"cusp estimate requires y >= 1/2, got y={y}")
     kappa = w1.kappa_eta(eta) * w2.kappa_eta(eta)

@@ -8,6 +8,7 @@ xi sent to v + M xi.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass
 
 from .errors import InvalidArgumentError
@@ -60,7 +61,8 @@ GAMMA4 = GammaElement(1, 0, 0, 1, 0, 1)
 
 @dataclass(frozen=True)
 class IwasawaPoint:
-    """Coordinates (x + iy, phi; xi1, xi2) with y > 0."""
+    """Coordinates (x + iy, phi; xi1, xi2), each finite, with y > 0; other
+    input raises InvalidArgumentError."""
 
     x: float
     y: float
@@ -69,8 +71,10 @@ class IwasawaPoint:
     xi2: float = 0.0
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise InvalidArgumentError(f"y must be positive, got {self.y}")
+        # one coordinate at a time: a sum of large finite values overflows
+        coords = (self.x, self.y, self.phi, self.xi1, self.xi2)
+        if not (all(map(math.isfinite, coords)) and self.y > 0):
+            raise InvalidArgumentError(f"coordinates must be finite with y > 0, got {coords}")
 
     @property
     def z(self) -> complex:
@@ -95,8 +99,8 @@ def act_on_iwasawa(g: GammaElement, pt: IwasawaPoint) -> IwasawaPoint:
     )
 
 
-def wrap_angle(phi: float, period: float = 2 * cmath.pi) -> float:
-    """Reduce an angle into [0, period)."""
-    out = phi % period
-    # fmod can return the period itself after rounding
-    return 0.0 if out >= period else out
+def wrap_angle(phi: float) -> float:
+    """Reduce an angle into [0, 2 pi)."""
+    out = phi % (2 * math.pi)
+    # fmod can return 2 pi itself after rounding
+    return 0.0 if out >= 2 * math.pi else out

@@ -10,16 +10,19 @@ from theta_tails import (
     C_of_q,
     D_rat_closed,
     D_rat_numeric,
+    GaussianWeight,
     InvalidArgumentError,
     IwasawaPoint,
     WeylSumSpec,
     bound_constant,
     cusp_bound,
+    cusp_main_term,
     cusp_mass,
     f_phi_numeric,
     gaussian_weight,
     normalize_pair,
     normalized_product,
+    reduce,
     sharp_indicator_weight,
     table_reciprocal_C,
     tail_constant,
@@ -96,6 +99,20 @@ def test_gaussian_pair_integral_is_pi():
     assert abs(D_rat_numeric(g, g, tol=1e-8) - math.pi) < 1e-8
 
 
+def test_gaussian_pair_mesh_stays_coarse():
+    # neither Gaussian oscillates, so the mesh has no reason to grade
+    sizes = []
+
+    class Counted(GaussianWeight):
+        def f_phi0_values(self, phis):
+            sizes.append(len(phis))
+            return super().f_phi0_values(phis)
+
+    g = Counted()
+    assert abs(D_rat_numeric(g, g, tol=1e-8) - math.pi) < 1e-8
+    assert len(sizes) == 2 and max(sizes) <= 2000
+
+
 def test_indicator_pair_integral_matches_the_closed_form():
     chi = sharp_indicator_weight(1.0)
     assert abs(D_rat_numeric(chi, chi) - oracles.TWO_LOG_TWO) < 1e-3
@@ -145,10 +162,15 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=1e-310),
         lambda: cusp_mass(math.nan),
         lambda: bound_constant(math.nan),
-        lambda: cusp_bound(GAUSS, GAUSS, y=math.nan),
+        lambda: cusp_bound(GAUSS, GAUSS, y=math.nan, eta=2.0),
         lambda: D_rat_numeric(GAUSS, GAUSS, tol=math.nan),
         lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=math.nan),
         lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=-1.0),
+        lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
+        lambda: cusp_main_term(GAUSS, GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
+        lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=1.0, phi=math.nan)),
+        lambda: reduce(IwasawaPoint(x=math.nan, y=1.0, phi=0.0)),
+        lambda: reduce(IwasawaPoint(x=math.inf, y=1.0, phi=0.0)),
     ],
     ids=[
         "D_rat_closed-inf", "tail_constant-inf", "normalized_product-nan",
@@ -157,6 +179,8 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         "theta_f-tol-underflow-tiny-y", "theta_f-tol-subnormal",
         "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",
         "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
+        "theta_f-y-inf", "cusp_main_term-y-inf", "theta_f-phi-nan", "reduce-x-nan",
+        "reduce-x-inf",
     ],
 )
 def test_scalar_entry_points_reject_non_finite_or_out_of_range_input(call):

@@ -439,10 +439,10 @@ def test_kappa_and_bound_constants():
 
 def test_cusp_bound_domain():
     with pytest.raises(InvalidArgumentError):
-        cusp_bound(GAUSS, GAUSS, 0.25)
-    with pytest.raises(InvalidArgumentError):
-        cusp_bound(GAUSS, CHI, 2.0)
-    assert cusp_bound(GAUSS, GAUSS, 2.0) == pytest.approx(
+        cusp_bound(GAUSS, GAUSS, 0.25, eta=2.0)
+    with pytest.raises(InvalidArgumentError, match="needs eta-regular weights"):
+        cusp_bound(GAUSS, CHI, 2.0, eta=2.0)
+    assert cusp_bound(GAUSS, GAUSS, 2.0, eta=2.0) == pytest.approx(
         oracles.CUSP_C2 / math.sqrt(2.0), rel=1e-12
     )
 
@@ -459,4 +459,4 @@ def test_cusp_approximation_spot_check():
         )
         value = abs(theta_pair(GAUSS, GAUSS, pt))
         main = cusp_main_term(GAUSS, GAUSS, pt)
-        assert abs(value - main) <= cusp_bound(GAUSS, GAUSS, pt.y) + 1e-9
+        assert abs(value - main) <= cusp_bound(GAUSS, GAUSS, pt.y, eta=2.0) + 1e-9

@@ -128,5 +128,3 @@ def test_wrap_angle_lands_in_the_period(phi):
     assert 0.0 <= w < 2 * math.pi
     d = (phi - w) / (2 * math.pi)
     assert abs(d - round(d)) < 1e-9
-    v = wrap_angle(phi, period=math.pi)
-    assert 0.0 <= v < math.pi
