@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from contextlib import contextmanager
@@ -183,7 +182,7 @@ def _curve_summary(curve) -> dict:
         fit = fit_tail_constant(curve)
         fit_payload = {
             "constant": _json_float(fit.constant),
-            "stderr": _json_float(fit.stderr) if math.isfinite(fit.stderr) else None,
+            "stderr": _json_float(fit.stderr),
             "bins": int(fit.used_thresholds.size),
         }
     except InvalidArgumentError:

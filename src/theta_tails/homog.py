@@ -86,6 +86,10 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
     exact integers and applied to the original point once at the end, so
     the returned point and element agree to machine precision. Points that
     land exactly on a boundary circle are accepted where they stand.
+
+    The element grows like 1/y, so at y of 1e-11 and below the float
+    reduction can lose the point; a result outside F (to within 1e-9), a zero
+    inversion radius or an invalid recomputed point raises NumericFailureError.
     """
     x, y = point.x, point.y
     total = IDENTITY
@@ -95,12 +99,14 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
             total = GammaElement(1, -2 * k, 0, 1) * total
             x -= 2.0 * k
         r0 = x * x + y * y
+        wx = x - 2.0
+        r2 = wx * wx + y * y
+        if r0 == 0.0 or r2 == 0.0:
+            raise NumericFailureError(f"reduction of {point} lost the point: radius underflow")
         if r0 < 1.0:
             x, y = -x / r0, y / r0
             total = GAMMA1 * total
             continue
-        wx = x - 2.0
-        r2 = wx * wx + y * y
         if r2 < 1.0:
             x, y = 2.0 - wx / r2, y / r2
             total = _INV_AT_TWO * total
@@ -111,7 +117,14 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
             f"reduction did not terminate within {max_iterations} iterations"
         )
 
-    reduced = act_on_iwasawa(total, point)
+    try:
+        reduced = act_on_iwasawa(total, point)
+    except InvalidArgumentError:
+        raise NumericFailureError(f"reduction of {point} lost the point: invalid result") from None
+    x, y = reduced.x, reduced.y
+    if not (0.0 <= x < 2.0 and min(x * x, (x - 2.0) ** 2) + y * y >= 1.0 - 1e-9):
+        raise NumericFailureError(f"reduction of {point} lost the point: ({x}, {y}) is outside F")
+    # -1 and the xi shifts below leave z as it is
     if wrap_angle(reduced.phi) >= math.pi:
         total = NEG_IDENTITY * total
         reduced = act_on_iwasawa(total, point)
@@ -120,13 +133,7 @@ def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> 
     if k1 or k2:
         total = GammaElement(1, 0, 0, 1, -k1, -k2) * total
         reduced = act_on_iwasawa(total, point)
-    final = IwasawaPoint(
-        x=reduced.x,
-        y=reduced.y,
-        phi=wrap_angle(reduced.phi),
-        xi1=reduced.xi1,
-        xi2=reduced.xi2,
-    )
+    final = IwasawaPoint(reduced.x, reduced.y, wrap_angle(reduced.phi), reduced.xi1, reduced.xi2)
     return ReduceResult(point=final, element=total)
 
 

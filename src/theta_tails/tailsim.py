@@ -244,45 +244,28 @@ def fit_tail_constant(
     """Least-squares intercept of log survival against the fixed slope -4.
 
     Zero-count bins carry no information at this tail order and are
-    excluded; fewer than three usable bins is an error. The standard error
-    comes from a Poisson bootstrap. The counts are nested (each one includes
-    every sample above the larger thresholds), so the bootstrap resamples
-    the disjoint cells [R_i, R_{i+1}) and the remainder beyond the last R
-    and accumulates them again; independent Poissons on the nested counts
-    themselves would understate the error about threefold on the default
-    grid.
+    excluded; fewer than three usable bins is an error. The estimate is the
+    geometric mean of c_i R_i^4 / n over the k used bins. Its standard error
+    is the delta method on the nested Poisson counts: with the bins in
+    ascending R, every sample above R_j is also above R_i for i < j, so
+    Cov(c_i, c_j) = c_j and Cov(log c_i, log c_j) = 1 / c_min(i,j), which
+    gives stderr = est sqrt(sum_i (2(k - i) - 1) / c_i) / k (i from 0).
+    Treating the counts as independent would keep only the diagonal and
+    understate the error about threefold on the default grid.
     """
     mask = curve.counts > 0
     if window is not None:
         lo, hi = window
         mask &= (curve.thresholds >= lo) & (curve.thresholds <= hi)
-    if np.count_nonzero(mask) < 3:
+    k = np.count_nonzero(mask)
+    if k < 3:
         raise InvalidArgumentError("need at least three nonzero bins to fit")
     order = np.argsort(curve.thresholds[mask], kind="stable")
     used_r = curve.thresholds[mask][order]
     used_counts = curve.counts[mask][order].astype(np.float64)
-    cells = used_counts - np.append(used_counts[1:], 0.0)
-    if np.any(cells < 0):
+    if np.any(np.diff(used_counts) > 0):
         raise InvalidArgumentError("exceedance counts must not increase with R")
-    n = float(curve.n_samples)
-
-    def intercepts(counts: np.ndarray) -> np.ndarray:
-        # one geometric-mean intercept per row over its nonzero bins; a row
-        # with none gives nan
-        live = np.count_nonzero(counts, axis=1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logs = np.log(counts / n) + 4.0 * np.log(used_r)
-            logs[counts == 0] = 0.0
-            return np.exp(logs.sum(axis=1) / live)
-
-    est = float(intercepts(used_counts[None, :])[0])
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0x5EED, 0))))
-    # 200 rounds in one call: the stream is the same as 200 calls of
-    # rng.poisson(cells), row after row
-    draws = rng.poisson(cells, size=(200, cells.size))
-    resampled = np.cumsum(draws[:, ::-1], axis=1)[:, ::-1].astype(np.float64)
-    boots = intercepts(resampled)
-    boots = boots[~np.isnan(boots)]
-    stderr = float(np.std(boots)) if boots.size > 1 else math.inf
+    logs = np.log(used_counts / float(curve.n_samples)) + 4.0 * np.log(used_r)
+    est = float(np.exp(logs.sum() / k))
+    stderr = est * math.sqrt(np.sum((2.0 * (k - np.arange(k)) - 1.0) / used_counts)) / k
     return TailFit(constant=est, stderr=stderr, used_thresholds=used_r)
-

@@ -236,11 +236,8 @@ def f_phi_numeric(
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
     from scipy.integrate import quad  # only here, to keep the package import light
 
-    k = _pi_multiple(phi)
-    if k is not None:
-        sign = 1.0 if k % 2 == 0 else -1.0
-        val = complex(float(weight.evaluate(np.asarray([sign * w]))[0]))
-        return val * _e(-k / 4.0) if k % 4 else val
+    if _pi_multiple(phi) is not None:
+        return complex(weight.f_phi(phi, np.asarray([w]))[0])
     s = math.sin(phi)
     c = math.cos(phi)
     radius = weight.support_radius(1e-16)

@@ -73,7 +73,11 @@ class IwasawaPoint:
     def __post_init__(self):
         # one coordinate at a time: a sum of large finite values overflows
         coords = (self.x, self.y, self.phi, self.xi1, self.xi2)
-        if not (all(map(math.isfinite, coords)) and self.y > 0):
+        try:
+            ok = all(map(math.isfinite, coords)) and self.y > 0
+        except OverflowError:  # an int or Fraction too large for a float
+            ok = False
+        if not ok:
             raise InvalidArgumentError(f"coordinates must be finite with y > 0, got {coords}")
 
     @property

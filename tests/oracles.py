@@ -168,31 +168,27 @@ def weyl_values_per_term(xs, a: int, b: int, q: int, N: int, m: int, stride: int
 
 
 # ---------------------------------------------------------------------------
-# the tail-fit bootstrap, one resample at a time
+# the tail-fit standard error from the full covariance matrix
 
-def bootstrap_stderr_loop(thresholds, counts, n_samples: int) -> float:
-    """Standard error of the slope -4 intercept by 200 Poisson resamples.
+def covariance_stderr(thresholds, counts, n_samples: int) -> float:
+    """Delta-method standard error of the slope -4 intercept.
 
     thresholds ascend and counts are the nonzero exceedance counts there.
-    Each round draws the disjoint cells [R_i, R_{i+1}) and the remainder
-    from the fixed bootstrap stream, accumulates them from the top, and
-    fits the geometric mean of count R^4 / n over its nonzero bins.
+    The nested Poisson counts have Cov(c_i, c_j) = c_max(i,j), so the logs
+    have the k x k covariance Sigma_ij = c_max(i,j) / (c_i c_j); the
+    intercept est is the geometric mean of count R^4 / n, and its standard
+    error is est sqrt(sum of Sigma) / k.
     """
     import numpy as np
 
     r = np.asarray(thresholds, dtype=np.float64)
     c = np.asarray(counts, dtype=np.float64)
-    cells = c - np.append(c[1:], 0.0)
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((0x5EED, 0))))
-    boots = []
-    for _ in range(200):
-        resampled = np.cumsum(rng.poisson(cells)[::-1])[::-1].astype(np.float64)
-        live = resampled > 0
-        if not np.any(live):
-            continue
-        logs = np.log(resampled[live] / n_samples) + 4.0 * np.log(r[live])
-        boots.append(float(np.exp(np.mean(logs))))
-    return float(np.std(boots)) if len(boots) > 1 else math.inf
+    k = c.size
+    idx = np.arange(k)
+    sigma = c[np.maximum.outer(idx, idx)] / np.outer(c, c)
+    logs = [math.log(ci / n_samples) + 4.0 * math.log(ri) for ci, ri in zip(c, r)]
+    est = math.exp(math.fsum(logs) / k)
+    return est * math.sqrt(sigma.sum()) / k
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from theta_tails import (
     cusp_mass,
     f_phi_numeric,
     gaussian_weight,
+    leading_constant,
     normalize_pair,
     normalized_product,
     reduce,
@@ -43,6 +44,15 @@ def test_arithmetic_factor_case_split():
     assert C_of_q(normalize_pair(Fraction(1, 8), 0)) == Fraction(1, 4)
     assert C_of_q(normalize_pair(Fraction(1, 8), Fraction(1, 8))) == Fraction(1, 4)
     assert C_of_q(normalize_pair(Fraction(1, 12), 0)) == Fraction(1, 8)
+
+
+def test_arithmetic_factor_equals_the_orbit_constant():
+    # tail predicts with C_of_q and theta-tail with leading_constant: both
+    # are the one arithmetic factor, in both parity classes at every q
+    for q in range(1, 10**4 + 1):
+        for beta in (0, Fraction(1, q)):
+            pair = normalize_pair(Fraction(1, q), beta)
+            assert C_of_q(pair) == leading_constant(pair), pair
 
 
 def test_reciprocal_table_matches_frozen_and_brute_force():
@@ -171,6 +181,9 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=1.0, phi=math.nan)),
         lambda: reduce(IwasawaPoint(x=math.nan, y=1.0, phi=0.0)),
         lambda: reduce(IwasawaPoint(x=math.inf, y=1.0, phi=0.0)),
+        lambda: IwasawaPoint(10**400, 1.0, 0.0),
+        lambda: IwasawaPoint(0.0, 10**400, 0.0),
+        lambda: IwasawaPoint(Fraction(10**400, 3), 1.0, 0.0),
     ],
     ids=[
         "D_rat_closed-inf", "tail_constant-inf", "normalized_product-nan",
@@ -180,7 +193,8 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",
         "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
         "theta_f-y-inf", "cusp_main_term-y-inf", "theta_f-phi-nan", "reduce-x-nan",
-        "reduce-x-inf",
+        "reduce-x-inf", "IwasawaPoint-x-overflow", "IwasawaPoint-y-overflow",
+        "IwasawaPoint-fraction-overflow",
     ],
 )
 def test_scalar_entry_points_reject_non_finite_or_out_of_range_input(call):

@@ -90,6 +90,14 @@ def test_reduction_iteration_cap():
         reduce(pt, max_iterations=3)
 
 
+@pytest.mark.parametrize("x, y", [(0.3, 1e-300), (0.3, 1e-12), (0.7, 1e-12), (0.3, 1e-160)])
+def test_reduction_that_loses_the_point_raises(x, y):
+    # at tiny y the element grows like 1/y and re-applying it to the input
+    # loses the point: a zero inversion radius, or a result outside F
+    with pytest.raises(NumericFailureError):
+        reduce(IwasawaPoint(x=x, y=y, phi=0.0))
+
+
 def test_rho_rotates_the_cusps():
     pt = IwasawaPoint(x=1.0, y=0.01, phi=0.4, xi1=0.3, xi2=0.1)
     out = apply_rho(pt)

@@ -244,25 +244,28 @@ def test_fit_requires_three_nonzero_bins():
 
 
 def test_fit_stderr_matches_the_spread_across_datasets():
-    # 150 multinomial samples of n = 2e5 draws from an exact T R^-4 law on
-    # the default grid: the reported stderr must track the estimator's
-    # actual spread (independent Poissons on the nested counts give 2.7)
-    T, n = 0.28, 200_000
+    # 150 multinomial samples of n draws from an exact T R^-4 law on the
+    # default grid: the reported stderr must track the estimator's actual
+    # spread (independent Poissons on the nested counts give 2.7). At
+    # n = 2e4 the top bin holds about 4 counts and only the ratio is checked
+    T = 0.28
     grid = default_thresholds()
     survival = T * grid**-4.0
     cells = np.append(-np.diff(survival), survival[-1])
     probs = np.append(cells, 1.0 - survival[0])
-    rng = np.random.default_rng(20261018)
-    constants, stderrs = [], []
-    for _ in range(150):
-        beyond = rng.multinomial(n, probs)[:-1]
-        counts = np.cumsum(beyond[::-1])[::-1]
-        fit = fit_tail_constant(TailCurve("weyl", grid, counts, n, 0, T))
-        constants.append(fit.constant)
-        stderrs.append(fit.stderr)
-    ratio = np.std(constants, ddof=1) / np.mean(stderrs)
-    assert 0.8 < ratio < 1.25
-    assert np.mean(constants) == pytest.approx(T, rel=0.01)
+    for n in (200_000, 20_000):
+        rng = np.random.default_rng(20261018)
+        constants, stderrs = [], []
+        for _ in range(150):
+            beyond = rng.multinomial(n, probs)[:-1]
+            counts = np.cumsum(beyond[::-1])[::-1]
+            fit = fit_tail_constant(TailCurve("weyl", grid, counts, n, 0, T))
+            constants.append(fit.constant)
+            stderrs.append(fit.stderr)
+        ratio = np.std(constants, ddof=1) / np.mean(stderrs)
+        assert 0.8 < ratio < 1.25, n
+        if n == 200_000:
+            assert np.mean(constants) == pytest.approx(T, rel=0.01)
 
 
 @pytest.mark.parametrize(
@@ -270,16 +273,16 @@ def test_fit_stderr_matches_the_spread_across_datasets():
     [
         ([18156, 13107, 9720, 7273, 5500, 4300, 3454, 2700, 2100, 1650], 10**6),
         ([11710, 6000, 2500, 800, 150, 20, 3, 0, 0, 0], 10**6),
-        ([40, 11, 4, 2, 1, 1, 0, 0, 0, 0], 1000),  # resamples hit zero
-        ([3, 2, 1, 1, 1, 1, 1, 1, 1, 1], 1000),  # some resamples are all zero
+        ([40, 11, 4, 2, 1, 1, 0, 0, 0, 0], 1000),
+        ([3, 2, 1, 1, 1, 1, 1, 1, 1, 1], 1000),
     ],
 )
-def test_fit_bootstrap_matches_the_loop_reference(counts, n):
+def test_fit_stderr_matches_the_covariance_reference(counts, n):
     grid = default_thresholds(2.0, 5.0, 10)
     counts = np.array(counts, dtype=np.int64)
     fit = fit_tail_constant(TailCurve("weyl", grid, counts, n, 0, 0.28))
     live = counts > 0
-    ref = oracles.bootstrap_stderr_loop(grid[live], counts[live], n)
+    ref = oracles.covariance_stderr(grid[live], counts[live], n)
     assert fit.stderr == pytest.approx(ref, rel=1e-12)
 
 

@@ -397,9 +397,12 @@ def test_numeric_transform_agrees_with_the_gaussian_closed_form():
             got = f_phi_numeric(GAUSS, phi, w)
             want = abs(GAUSS.f_phi(phi, np.asarray([w]))[0])
             assert abs(abs(got) - want) < 1e-7
-    exact = f_phi_numeric(GAUSS, math.pi, 0.7)
-    want = GAUSS.f_phi(math.pi, np.asarray([0.7]))[0]
-    assert abs(exact - want) < 1e-12
+    # at multiples of pi both take the exact dispatch
+    for weight in (GAUSS, CHI):
+        for k in range(-2, 4):
+            for w in (0.7, -0.3):
+                want = weight.f_phi(k * math.pi, np.asarray([w]))[0]
+                assert f_phi_numeric(weight, k * math.pi, w) == want
 
 
 def test_numeric_transform_agrees_with_the_fresnel_closed_form():
