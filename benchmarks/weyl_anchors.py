@@ -14,7 +14,10 @@ and records per interpreter and shape:
   minflt_per_call its ru_minflt per call over the same calls;
 - at the deep shape, ms_per_call_2_workers and workers_ratio, the
   two-worker over the one-worker median (1 would be no gain from the
-  second thread, 0.5 a perfect split);
+  second thread, 0.5 a perfect split), and cpu_ms_per_call_2_workers,
+  the process CPU time (user + system, from getrusage) per two-worker
+  call over the same timed calls: about twice the wall when the host
+  gives the second thread a core of its own, about the wall when not;
 - cli_samples_per_s: the samples over the median wall of one in-process
   cli.main `tail` call with the shape's flags at one worker (JSON to a
   temporary file), and cli_minflt_per_call its ru_minflt per call;
@@ -28,7 +31,7 @@ With --src pointing at the src/ directory of another checkout (the parent
 commit, say), the same probes run on it as "before", interleaved with this
 checkout's runs, and the values of the first call at each shape are
 compared as the largest |after - before| / (1 + before). Writes the JSON
-file --out (BENCH_15.json holds one run; BENCH_10.json the older deep-shape
+file --out (BENCH_20.json holds one run; BENCH_10.json the older deep-shape
 run of the kernel and the CLI at one and two workers) with the medians of
 each side and shape, nproc, the python, numpy and scipy versions and the
 line count of each src/.
@@ -72,30 +75,34 @@ def run(workers=1):
 
 
 def timed(call):
-    # the median wall of `calls` calls after one untimed call, and ru_minflt per timed call
+    # the median wall of `calls` calls after one untimed call, and ru_minflt
+    # and process CPU seconds (user + system) per timed call
     call()
-    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    start = resource.getrusage(resource.RUSAGE_SELF)
     walls = []
     for _ in range(calls):
         mark = perf_counter()
         call()
         walls.append(perf_counter() - mark)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start
-    return statistics.median(walls), faults / calls
+    end = resource.getrusage(resource.RUSAGE_SELF)
+    cpu = end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime
+    return statistics.median(walls), (end.ru_minflt - start.ru_minflt) / calls, cpu / calls
 
 
 values = run()
-kernel_s, kernel_faults = timed(run)
+kernel_s, kernel_faults, _ = timed(run)
 row = {"ms_per_call": kernel_s * 1e3, "minflt_per_call": kernel_faults}
 if two_workers:
-    row["ms_per_call_2_workers"] = timed(lambda: run(2))[0] * 1e3
+    wall_2, _, cpu_2 = timed(lambda: run(2))
+    row["ms_per_call_2_workers"] = wall_2 * 1e3
+    row["cpu_ms_per_call_2_workers"] = cpu_2 * 1e3
     row["workers_ratio"] = row["ms_per_call_2_workers"] / row["ms_per_call"]
 with tempfile.TemporaryDirectory() as tmp:
     argv = [
         "tail", "--alpha", alpha, "--beta", beta, "--N", str(N), "--r", repr(r), "--law", law,
         "--samples", str(samples), "--format", "json", "--out", os.path.join(tmp, "out.json"),
     ]
-    cli_s, row["cli_minflt_per_call"] = timed(lambda: main(argv))
+    cli_s, row["cli_minflt_per_call"], _ = timed(lambda: main(argv))
 row["cli_samples_per_s"] = samples / cli_s
 
 spent = {"_phase_mod1": 0.0, "_unit_phasor": 0.0}
@@ -163,7 +170,8 @@ def main(argv=None) -> int:
         "each interpreter makes two untimed kernel calls, `calls` timed ones at one worker "
         "(then one untimed and `calls` timed at two at the deep shape), one untimed and "
         "`calls` timed cli.main tail calls at one worker, then `calls` kernel calls with "
-        "timers round the two helpers. minflt counts are ru_minflt per timed call; "
+        "timers round the two helpers. minflt counts are ru_minflt per timed call, and "
+        "cpu_ms_per_call_2_workers the process's user + system time per timed two-worker call; "
         "ru_maxrss_mb is read after all calls. One discarded warm-up interpreter per probe "
         "precedes the measured ones",
         "runs": args.runs,
@@ -198,7 +206,10 @@ def main(argv=None) -> int:
                 f"ru_maxrss {row['ru_maxrss_mb']:.2f} MB"
             )
             if "workers_ratio" in row:
-                line += f"; 2 workers {row['ms_per_call_2_workers']:.1f} ms (x{row['workers_ratio']:.2f})"
+                line += (
+                    f"; 2 workers {row['ms_per_call_2_workers']:.1f} ms (x{row['workers_ratio']:.2f}, "
+                    f"cpu {row['cpu_ms_per_call_2_workers']:.1f} ms)"
+                )
             print(line)
     for shape, change in report.get("max_rel_change", {}).items():
         print(f"max |after - before| / (1 + before) at {shape}: {change:.2e}")

@@ -18,7 +18,6 @@ from .arith import (
     split_two_power,
 )
 from .constants import (
-    C_of_q,
     D_rat_closed,
     D_rat_numeric,
     TailConstant,

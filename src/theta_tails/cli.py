@@ -24,7 +24,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from .arith import normalize_pair
-from .constants import C_of_q, table_reciprocal_C
+from .constants import table_reciprocal_C
 from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError, ThetaTailsError
 from .homog import DEFAULT_SEED
 from .orbits import (
@@ -149,7 +149,7 @@ def cmd_orbit(args) -> int:
     pair = _pair_of(args)
     points = enumerate_orbit(pair, cap=args.orbit_cap).points if args.points else None
     report = orbit_report(pair, points)
-    report["C_of_q"] = str(C_of_q(pair))
+    report["C_of_q"] = report["leading_constant"]
     with _output(args.out) as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")

@@ -1,9 +1,10 @@
 """Closed-form tail constants and the variance integral behind them.
 
-The heavy-tail coefficient factors as T = C(q) * D / pi^2, where C(q) is a
+The heavy-tail coefficient factors as T = C(q) * D / pi^2. C(q) is a
 purely arithmetic rational depending on the denominator q = 2^l m (m odd)
-and on the parities of the numerators, and D is an integral over the circle
-of the paired transformed weights at the origin,
+and on the parities of the numerators: the orbit's (2|U| + |V|)/|S|, which
+orbits.leading_constant gives in closed form. D is an integral over the
+circle of the paired transformed weights at the origin,
 
     D(f1, f2) = integral over (0, pi) of |f1_phi(0)|^2 |f2_phi(0)|^2 dphi.
 
@@ -21,39 +22,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import RationalPair, dedekind_psi, normalize_pair
+from .arith import RationalPair, normalize_pair
 from .errors import InvalidArgumentError
+from .orbits import leading_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
-
-
-def C_of_q(pair: RationalPair) -> Fraction:
-    """Arithmetic factor of the tail constant, exact.
-
-    With q = 2^l m, m odd: 2/psi(m) when l = 0, or when l = 1 with at least
-    one even numerator; 0 when l = 1 with both numerators odd (the
-    compact-support case); 1/(2^(l-1) psi(m)) when l >= 2.
-    """
-    psi_m = dedekind_psi(pair.m)
-    if pair.ell == 0:
-        return Fraction(2, psi_m)
-    if pair.ell == 1:
-        if pair.a % 2 == 1 and pair.b % 2 == 1:
-            return Fraction(0)
-        return Fraction(2, psi_m)
-    return Fraction(1, 2 ** (pair.ell - 1) * psi_m)
 
 
 def table_reciprocal_C(q_max: int) -> list[Fraction]:
     """1/C(q) for q = 1..q_max under the generic-numerator convention.
 
-    Each entry is 1/C_of_q of the pair (1/q, 0), whose numerators never
-    trigger the vanishing l = 1 case, so every entry is finite: psi(m)/2
-    for l <= 1 and 2^(l-1) psi(m) for l >= 2.
+    Each entry is 1/leading_constant of the pair (1/q, 0), whose numerators
+    never trigger the vanishing l = 1 case, so every entry is finite:
+    psi(m)/2 for l <= 1 and 2^(l-1) psi(m) for l >= 2.
     """
     if q_max < 1:
         raise InvalidArgumentError(f"q_max must be >= 1, got {q_max}")
-    return [1 / C_of_q(normalize_pair(Fraction(1, q), 0)) for q in range(1, q_max + 1)]
+    return [1 / leading_constant(normalize_pair(Fraction(1, q), 0)) for q in range(1, q_max + 1)]
 
 
 def D_rat_closed(r: float) -> float:
@@ -130,7 +115,7 @@ class TailConstant:
 def tail_constant(alpha, beta=0, r: float = 1.0) -> TailConstant:
     """Coefficient of R^-4 in the survival function of |S_N conj(S_rN)|/N."""
     pair = normalize_pair(alpha, beta)
-    c = C_of_q(pair)
+    c = leading_constant(pair)
     d = D_rat_closed(r)
     return TailConstant(
         pair=pair, r=float(r), c_of_q=c, d_rat=d, value=float(c) * d / math.pi**2

@@ -29,7 +29,6 @@ from .arith import (
     factorize,
     jordan_j2,
     normalize_pair,
-    split_two_power,
 )
 from .errors import InvalidArgumentError, ResourceLimitError
 
@@ -247,45 +246,46 @@ def divisors(n: int) -> list[int]:
     return sorted(out)
 
 
+def _orbit_counts(pair: RationalPair) -> tuple[int, int, int]:
+    """(|S|, |U|, |V|) of a canonical pair's orbit, from q = 2^ell m.
+
+    Three classes: the origin at q = 1; the class of (1/q, 1/q) for even q
+    with both numerators odd; otherwise the class of (1/q, 0).
+    """
+    if pair.q == 1:
+        return 1, 1, 0
+    ell, m = pair.ell, pair.m
+    j2, phi_q = jordan_j2(m), euler_phi(m) << max(ell - 1, 0)
+    if ell and pair.a & pair.b & 1:  # the class of (1/q, 1/q)
+        return 4 ** (ell - 1) * j2, 0, phi_q if ell >= 2 else 0
+    # the class of (1/q, 0)
+    return (1 << max(2 * ell - 1, 0)) * j2, phi_q, 2 * phi_q if ell == 1 else 0
+
+
 def orbit_size_formula(pair: RationalPair) -> int:
     """Closed form for the orbit cardinality of a canonical pair."""
-    rep = which_representative(pair)
-    if rep.kind == "Origin":
-        return 1
-    ell, m = split_two_power(rep.q)
-    if rep.kind == "Rep10":
-        return jordan_j2(m) if ell == 0 else (1 << (2 * ell - 1)) * jordan_j2(m)
-    # diagonal representative exists only for even q'
-    return 4 ** (ell - 1) * jordan_j2(m)
+    return _orbit_counts(pair)[0]
 
 
 def count_U_formula(pair: RationalPair) -> int:
     """Closed form for the count of orbit points on the line xi2 = 0."""
-    rep = which_representative(pair)
-    if rep.kind == "Origin":
-        return 1
-    return euler_phi(rep.q) if rep.kind == "Rep10" else 0
+    return _orbit_counts(pair)[1]
 
 
 def count_V_formula(pair: RationalPair) -> int:
     """Closed form for the count of orbit points on xi2 - xi1 = +-1/2."""
-    rep = which_representative(pair)
-    if rep.kind == "Origin":
-        return 0
-    if rep.kind == "Rep10":
-        return 2 * euler_phi(rep.q) if rep.q % 4 == 2 else 0
-    return euler_phi(rep.q) if rep.q % 4 == 0 else 0
+    return _orbit_counts(pair)[2]
 
 
 def leading_constant(pair: RationalPair) -> Fraction:
-    """(2|U| + |V|)/|S| as an exact fraction, from the closed forms.
+    """C(q) = (2|U| + |V|)/|S|, the tail constant's arithmetic factor, exact.
 
-    Vanishes exactly for the compact-support class; equal to the arithmetic
-    tail factor of the pair's denominator otherwise.
+    With q = 2^ell m, m odd: 2/psi(m) when ell = 0, or ell = 1 with one even
+    numerator; 0 when ell = 1 with both numerators odd (the compact-support
+    class); 1/(2^(ell-1) psi(m)) when ell >= 2.
     """
-    return Fraction(
-        2 * count_U_formula(pair) + count_V_formula(pair), orbit_size_formula(pair)
-    )
+    size, on_u, on_v = _orbit_counts(pair)
+    return Fraction(2 * on_u + on_v, size)
 
 
 def orbit_representatives(q: int) -> list[tuple[RationalPair, int]]:
@@ -357,6 +357,7 @@ def orbit_report(pair: RationalPair, points: np.ndarray | None = None) -> dict:
     (exact values as strings), with the (r, s) rows of points appended when
     they are given."""
     t_inf, t_one = theta_mins(pair)
+    size, on_u, on_v = _orbit_counts(pair)
     report = {
         "pair": {
             "alpha": str(pair.alpha),
@@ -366,13 +367,9 @@ def orbit_report(pair: RationalPair, points: np.ndarray | None = None) -> dict:
             "q": pair.q,
             "kind": pair.kind,
         },
-        "sizes": {
-            "S": orbit_size_formula(pair),
-            "U": count_U_formula(pair),
-            "V": count_V_formula(pair),
-        },
+        "sizes": {"S": size, "U": on_u, "V": on_v},
         "representative": str(which_representative(pair)),
-        "leading_constant": str(leading_constant(pair)),
+        "leading_constant": str(Fraction(2 * on_u + on_v, size)),
         "theta_min_infty": None if t_inf is None else str(t_inf),
         "theta_min_one": str(t_one),
     }

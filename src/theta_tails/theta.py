@@ -49,19 +49,20 @@ _TWO_PI = 2.0 * math.pi
 _PI_MULTIPLE_TOL = 1e-9
 
 
-def _pi_multiple(phi: float):
-    """Nearest integer k with phi ~ k*pi, or None if phi is not that close."""
-    k = round(phi / math.pi)
-    if abs(phi - k * math.pi) < _PI_MULTIPLE_TOL:
-        return k
-    return None
+def _pi_multiples(phis):
+    """(k, near) for an angle or array of angles: k the nearest integers to
+    phis / pi (as floats, ties to even), near where phis lies within
+    _PI_MULTIPLE_TOL of k pi."""
+    phis = np.asarray(phis, dtype=np.float64)
+    k = np.round(phis / math.pi)
+    return k, np.abs(phis - k * math.pi) < _PI_MULTIPLE_TOL
 
 
 def sigma_phi(phi: float) -> int:
     """Maslov-type index: 2*nu at phi = nu*pi, 2*nu + 1 on (nu*pi, (nu+1)*pi)."""
-    k = _pi_multiple(phi)
-    if k is not None:
-        return 2 * k
+    k, near = _pi_multiples(phi)
+    if near:
+        return 2 * int(k)
     return 2 * math.floor(phi / math.pi) + 1
 
 
@@ -90,9 +91,10 @@ class WeightFunction:
     def f_phi(self, phi: float, w):
         """Transformed weight at angle phi, vectorized in w: exactly
         e(-k/4) f((-1)^k w) at phi = k pi, else _f_phi_off_pi(phi, w)."""
-        k = _pi_multiple(phi)
-        if k is None:
+        k, near = _pi_multiples(phi)
+        if not near:
             return self._f_phi_off_pi(phi, w)
+        k = int(k)
         sign = 1.0 if k % 2 == 0 else -1.0
         vals = self.evaluate(sign * np.asarray(w, dtype=np.float64)).astype(np.complex128)
         if k % 4:
@@ -144,8 +146,7 @@ class GaussianWeight(WeightFunction):
 
     def f_phi0_values(self, phis: np.ndarray) -> np.ndarray:
         phis = np.asarray(phis, dtype=np.float64)
-        k = np.round(phis / math.pi)
-        near = np.abs(phis - k * math.pi) < _PI_MULTIPLE_TOL
+        k, near = _pi_multiples(phis)
         out = np.ones(phis.shape, dtype=np.complex128)
         out[near] = np.exp(-0.5j * math.pi * k[near])
         return out
@@ -192,8 +193,7 @@ class SharpIndicatorWeight(WeightFunction):
         from scipy.special import fresnel  # only here, to keep the package import light
 
         phis = np.asarray(phis, dtype=np.float64)
-        k = np.round(phis / math.pi)
-        near = np.abs(phis - k * math.pi) < _PI_MULTIPLE_TOL
+        k, near = _pi_multiples(phis)
         s = np.sin(phis)
         c = np.cos(phis)
         safe_s = np.where(near, 1.0, s)
@@ -236,7 +236,7 @@ def f_phi_numeric(
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
     from scipy.integrate import quad  # only here, to keep the package import light
 
-    if _pi_multiple(phi) is not None:
+    if _pi_multiples(phi)[1]:
         return complex(weight.f_phi(phi, np.asarray([w]))[0])
     s = math.sin(phi)
     c = math.cos(phi)

@@ -99,7 +99,7 @@ def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(load, monkeypatch, t
     argv = ["--src", str(ROOT / "src"), "--runs", "1", "--calls", "1", "--out", str(out)]
     assert module.main(argv) == 0
     report = json.loads(out.read_text())
-    committed = json.loads((ROOT / "BENCH_15.json").read_text())
+    committed = json.loads((ROOT / "BENCH_20.json").read_text())
     assert key_tree(report) == key_tree(committed)
     assert report["max_rel_change"] == {"wide": 0.0, "deep": 0.0}
     assert len(rows) == 2

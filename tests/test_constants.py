@@ -7,7 +7,6 @@ import pytest
 
 import oracles
 from theta_tails import (
-    C_of_q,
     D_rat_closed,
     D_rat_numeric,
     GaussianWeight,
@@ -18,6 +17,7 @@ from theta_tails import (
     cusp_bound,
     cusp_main_term,
     cusp_mass,
+    dedekind_psi,
     f_phi_numeric,
     gaussian_weight,
     leading_constant,
@@ -33,26 +33,39 @@ from theta_tails import (
 
 def test_arithmetic_factor_case_split():
     # odd q
-    assert C_of_q(normalize_pair(Fraction(1, 5), 0)) == Fraction(1, 3)
+    assert leading_constant(normalize_pair(Fraction(1, 5), 0)) == Fraction(1, 3)
     # single factor of 2, one even numerator
-    assert C_of_q(normalize_pair(Fraction(1, 2), 0)) == Fraction(2)
-    assert C_of_q(normalize_pair(Fraction(1, 6), 0)) == Fraction(1, 2)
+    assert leading_constant(normalize_pair(Fraction(1, 2), 0)) == Fraction(2)
+    assert leading_constant(normalize_pair(Fraction(1, 6), 0)) == Fraction(1, 2)
     # single factor of 2, both numerators odd: compact support, zero constant
-    assert C_of_q(normalize_pair(Fraction(1, 2), Fraction(1, 2))) == 0
-    assert C_of_q(normalize_pair(Fraction(1, 6), Fraction(1, 6))) == 0
+    assert leading_constant(normalize_pair(Fraction(1, 2), Fraction(1, 2))) == 0
+    assert leading_constant(normalize_pair(Fraction(1, 6), Fraction(1, 6))) == 0
     # at least two factors of 2
-    assert C_of_q(normalize_pair(Fraction(1, 8), 0)) == Fraction(1, 4)
-    assert C_of_q(normalize_pair(Fraction(1, 8), Fraction(1, 8))) == Fraction(1, 4)
-    assert C_of_q(normalize_pair(Fraction(1, 12), 0)) == Fraction(1, 8)
+    assert leading_constant(normalize_pair(Fraction(1, 8), 0)) == Fraction(1, 4)
+    assert leading_constant(normalize_pair(Fraction(1, 8), Fraction(1, 8))) == Fraction(1, 4)
+    assert leading_constant(normalize_pair(Fraction(1, 12), 0)) == Fraction(1, 8)
 
 
-def test_arithmetic_factor_equals_the_orbit_constant():
-    # tail predicts with C_of_q and theta-tail with leading_constant: both
-    # are the one arithmetic factor, in both parity classes at every q
+def _arithmetic_factor(q: int, both_odd: bool) -> Fraction:
+    # reciprocal_c_brute's psi(m) case split, with psi from its closed form
+    ell, m = 0, q
+    while m % 2 == 0:
+        ell += 1
+        m //= 2
+    if ell == 1 and both_odd:
+        return Fraction(0)
+    if ell <= 1:
+        return Fraction(2, dedekind_psi(m))
+    return Fraction(1, 2 ** (ell - 1) * dedekind_psi(m))
+
+
+def test_orbit_constant_matches_the_psi_case_split():
+    # the orbit counts' (2|U| + |V|)/|S| is C(q) in both parity classes at
+    # every q: (1/q, 0) has an even numerator, (1/q, 1/q) two odd ones
     for q in range(1, 10**4 + 1):
         for beta in (0, Fraction(1, q)):
             pair = normalize_pair(Fraction(1, q), beta)
-            assert C_of_q(pair) == leading_constant(pair), pair
+            assert leading_constant(pair) == _arithmetic_factor(q, beta != 0), pair
 
 
 def test_reciprocal_table_matches_frozen_and_brute_force():
@@ -66,7 +79,7 @@ def test_reciprocal_table_agrees_with_the_pair_constant():
     # reciprocal beyond the frozen table
     for q in range(101, 301):
         pair = normalize_pair(Fraction(1, q), 0)
-        assert C_of_q(pair) * oracles.reciprocal_c_brute(q) == 1
+        assert leading_constant(pair) * oracles.reciprocal_c_brute(q) == 1
 
 
 # ---------------------------------------------------------------------------

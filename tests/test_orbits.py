@@ -215,6 +215,21 @@ def test_orbit_contains_matches_the_bfs_for_every_canonical_pair(q):
         assert np.array_equal(orbit_contains(pair, r, s), bfs)
 
 
+def test_the_compact_class_is_one_rule():
+    # normalize_pair's parity rule, the zero of the closed-form constant and
+    # a BFS class with no point on either line pick out the same pairs
+    for q in range(1, 61):
+        classes, labels = orbit_partition(q)
+        for pair in canonical_pairs(q):
+            cls = classes[labels[pair.a * q + pair.b]]
+            verdicts = {
+                pair.kind == "C",
+                leading_constant(pair) == 0,
+                cls.size_U == cls.size_V == 0,
+            }
+            assert len(verdicts) == 1, pair
+
+
 def test_orbit_contains_matches_the_brute_force_closure():
     rng = np.random.default_rng(3)
     for _ in range(80):
