@@ -1,4 +1,6 @@
-"""The Gaussian theta batch against the 13-term lattice formula it replaced.
+"""The Gaussian theta batch against the 13-term lattice formula it replaced,
+and the batch on every sample against the bound plus the batch on the
+samples the bound keeps.
 
 Draws 32 chunks of the (1/2000, 0) sampler, moves them through
 conjugate_horoball as the theta-tail simulation does, and times on each
@@ -7,9 +9,18 @@ sin over the chunk per term) and the library's theta_pair_gaussian_batch,
 alternating the two. Reports the median ns per sample of each over the
 chunks, the largest deviation |after - before| / (1 + before), and the
 median wall time of `import theta_tails` in 5 fresh interpreters with
-whether scipy.integrate got loaded. Writes the JSON file --out
-(BENCH_7.json holds one run) with those numbers, nproc, the python, numpy
-and scipy versions and the line count of src/.
+whether scipy.integrate got loaded.
+
+Then, on as many chunks of the (0, 0), (1/8, 0) and (1/2000, 0) samplers,
+it times the batch on the whole chunk against what simulate_theta_tail
+runs without keep_values: theta_pair_gaussian_bound, and the batch on the
+samples whose bound (1 + 1e-12) exceeds the default grid's smallest R^2 =
+2.25, alternating the two. Per pair it reports the median ns per sample of
+each, the kept fraction, how many values exceed their bound (1 + 1e-12),
+and whether the batch on the kept samples gives their full-chunk values bit
+for bit. Writes the JSON file --out (BENCH_7.json holds a run from before
+the bound, BENCH_21.json one with it) with those numbers, nproc, the
+python, numpy and scipy versions and the line count of src/.
 
     python3 benchmarks/theta_batch.py --out PATH [--chunks 32] [--repeats 5]
 
@@ -33,8 +44,13 @@ from theta_tails import (  # noqa: E402
     CHUNK_SIZE,
     MuAbSampler,
     conjugate_horoball,
+    default_thresholds,
     theta_pair_gaussian_batch,
+    theta_pair_gaussian_bound,
 )
+
+BOUND_PAIRS = ((0, 0), (Fraction(1, 8), 0), (Fraction(1, 2000), 0))
+FLOOR = default_thresholds()[0] ** 2  # the default grid's smallest R^2
 
 IMPORT_PROBE = """
 import json, sys, time
@@ -68,6 +84,46 @@ def best_ns_per_sample(fns, args, repeats: int) -> list:
             fn(*args)
             wall.append(perf_counter() - start)
     return [min(wall) / args[0].size * 1e9 for wall in walls]
+
+
+def bounded(x, y, xi1, xi2):
+    """The kept mask and values of a chunk as simulate_theta_tail evaluates
+    it without keep_values: the batch where bound (1 + 1e-12) > FLOOR."""
+    keep = theta_pair_gaussian_bound(x, y, xi1, xi2) * (1.0 + 1e-12) > FLOOR
+    return keep, theta_pair_gaussian_batch(x[keep], y[keep], xi1[keep], xi2[keep])
+
+
+def bound_rows(chunks: int, repeats: int, seed: int) -> dict:
+    """Per pair of BOUND_PAIRS: the full batch against the bounded one."""
+    rows = {}
+    for alpha, beta in BOUND_PAIRS:
+        sampler = MuAbSampler(alpha, beta, seed=seed)
+        full_ns, bounded_ns, kept, over, identical = [], [], 0, 0, True
+        for index in range(chunks):
+            data = sampler.chunk(index, CHUNK_SIZE)
+            chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+            full, part = best_ns_per_sample(
+                (theta_pair_gaussian_batch, bounded), chunk, repeats
+            )
+            full_ns.append(full)
+            bounded_ns.append(part)
+            values = theta_pair_gaussian_batch(*chunk)
+            over += int(np.count_nonzero(
+                values > theta_pair_gaussian_bound(*chunk) * (1.0 + 1e-12)
+            ))
+            keep, subset = bounded(*chunk)
+            kept += int(np.count_nonzero(keep))
+            identical &= bool(np.array_equal(subset, values[keep]))
+        row = {
+            "full_ns_per_sample": statistics.median(full_ns),
+            "bounded_ns_per_sample": statistics.median(bounded_ns),
+            "kept_fraction": kept / (chunks * CHUNK_SIZE),
+            "values_over_bound": over,
+            "kept_values_bit_identical": identical,
+        }
+        row["speedup"] = row["full_ns_per_sample"] / row["bounded_ns_per_sample"]
+        rows[f"({alpha}, {beta})"] = row
+    return rows
 
 
 def import_probe(runs: int) -> dict:
@@ -104,6 +160,7 @@ def main(argv=None) -> int:
         "max_deviation": deviation,
     }
     batch["speedup"] = batch["before_ns_per_sample"] / batch["after_ns_per_sample"]
+    bound = bound_rows(args.chunks, args.repeats, args.seed)
     imports = import_probe(5)
     print(
         f"batch: {batch['before_ns_per_sample']:.0f} -> "
@@ -112,6 +169,13 @@ def main(argv=None) -> int:
         f"import theta_tails {imports['median_s']:.3f} s, "
         f"scipy.integrate loaded: {imports['scipy_integrate_loaded']}"
     )
+    for pair, row in bound.items():
+        print(
+            f"bound {pair}: {row['full_ns_per_sample']:.0f} -> "
+            f"{row['bounded_ns_per_sample']:.0f} ns per sample (x{row['speedup']:.2f}), "
+            f"kept {row['kept_fraction']:.2%}, {row['values_over_bound']} values over "
+            f"the bound, kept values bit-identical: {row['kept_values_bit_identical']}"
+        )
     report = {
         "benchmark": "Gaussian theta batch on conjugated (1/2000, 0) sampler chunks",
         "note": "per chunk the best of `repeats` calls; medians over chunks. "
@@ -122,12 +186,19 @@ def main(argv=None) -> int:
         "repeats": args.repeats,
         "seed": args.seed,
         "theta_batch": batch,
+        "bound_note": "full is theta_pair_gaussian_batch on the whole chunk, bounded "
+        "is theta_pair_gaussian_bound plus the batch where bound (1 + 1e-12) > 2.25",
+        "bound": bound,
         "import_theta_tails": imports,
         **harness.host(),
         "src_lines": harness.src_lines(),
     }
     harness.write(args.out, report)
-    return 0 if deviation <= 2e-15 and not imports["scipy_integrate_loaded"] else 1
+    bound_ok = all(
+        row["values_over_bound"] == 0 and row["kept_values_bit_identical"]
+        for row in bound.values()
+    )
+    return 0 if deviation <= 2e-15 and bound_ok and not imports["scipy_integrate_loaded"] else 1
 
 
 if __name__ == "__main__":

@@ -87,6 +87,7 @@ from .theta import (
     theta_f,
     theta_pair,
     theta_pair_gaussian_batch,
+    theta_pair_gaussian_bound,
 )
 from .thetagroup import (
     GAMMA1,

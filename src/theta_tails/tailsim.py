@@ -1,12 +1,13 @@
 """Deterministic Monte-Carlo estimation of the two tail regimes.
 
 Both simulators run on one driver, _simulate: it draws in fixed chunks
-whose generators are derived from (seed, chunk_index), evaluates one value
-per sample, counts the values above each R^2, and adds the integer counts
-in chunk order. The result is bit-identical for any worker count and any
-machine with the same numpy/scipy builds, and a re-run with the same seed
-reproduces it exactly. A simulator only checks its own arguments and
-supplies the values of a chunk, its predicted constant and its metadata.
+whose generators are derived from (seed, chunk_index), evaluates each value
+that can exceed the smallest R^2 (all, if values are kept), counts the
+values above each R^2, and adds the integer counts in chunk order. The
+result is bit-identical for any worker count and any machine with the
+same numpy/scipy builds, and a re-run with the same seed reproduces it
+exactly. A simulator only checks its own arguments and supplies the values
+of a chunk, its predicted constant and its metadata.
 
 The Weyl curve samples x from an absolutely continuous law and evaluates
 |S_N(x) conj(S_{rN}(x))|/N through the batch kernel (a rotation recurrence
@@ -20,7 +21,8 @@ domain times uniform on the finite orbit - maps samples in the cusp-at-1
 horoball through the conjugating element (homog.conjugate_horoball) so
 every point has y >= sqrt(3)/2, and evaluates the Gaussian pairing
 |Theta_f conj Theta_f| with theta_pair_gaussian_batch (a rotation
-recurrence anchored at the nearest lattice term).
+recurrence anchored at the nearest lattice term) on the samples whose
+closed-form bound theta_pair_gaussian_bound reaches the smallest R^2.
 Orbit points are drawn by rejection against the closed membership test and
 the orbit size comes from its closed form, so the theta curve does no
 O(q^2) work and runs at any q < 2^63 that factorize accepts.
@@ -46,7 +48,7 @@ from .homog import (
     run_chunks,
 )
 from .orbits import leading_constant, orbit_size_formula
-from .theta import theta_pair_gaussian_batch
+from .theta import theta_pair_gaussian_batch, theta_pair_gaussian_bound
 from .weylsum import weyl_values_batch
 
 
@@ -131,8 +133,9 @@ def _count_exceedances(values: np.ndarray, squared_thresholds: np.ndarray) -> np
 
 
 def _simulate(kind, pair, values, constant, meta, n_samples, thresholds, seed, workers, keep_values):
-    """The survival curve of values(index, count), the per-sample values of
-    each chunk, with the checks, counts and metadata both simulators share."""
+    """The survival curve of values(index, count, floor), the values of
+    each chunk but any it proves are at most floor (the smallest R^2, or
+    -inf to keep all), with the checks, counts and metadata both share."""
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
     if thresholds is None:
@@ -144,9 +147,10 @@ def _simulate(kind, pair, values, constant, meta, n_samples, thresholds, seed, w
             f"thresholds must be 1 to {MAX_THRESHOLDS} finite values > 0 in a 1-D grid"
         )
     squared = thresholds**2
+    floor = -math.inf if keep_values else squared.min()
 
     def chunk(index: int, count: int):
-        vals = values(index, count)
+        vals = values(index, count, floor)
         return _count_exceedances(vals, squared), (vals if keep_values else None)
 
     results = run_chunks(n_samples, chunk, workers)
@@ -185,7 +189,7 @@ def simulate_weyl_tail(
     # workers that run_chunks leaves idle run the anchor groups of each chunk
     kernel_workers = max(1, workers // max(1, -(-n_samples // CHUNK_SIZE)))
 
-    def values(index: int, count: int) -> np.ndarray:
+    def values(index: int, count: int, floor: float) -> np.ndarray:
         u = open_uniforms(chunk_generator(seed, index), CHUNK_SIZE)
         return weyl_values_batch(transform(u)[:count], pair, N, r, workers=kernel_workers)
 
@@ -213,16 +217,19 @@ def simulate_theta_tail(
     sqrt(y) |sum_n exp(-pi w_n^2) e(theta_n)|^2. The predicted constant is
     (2|U| + |V|)/|S| * D / pi^2 with D = pi for this pair. Runs at any q
     below 2^63 that factorize accepts; other pairs of weights have no batch
-    evaluator here.
+    evaluator here. Without keep_values the batch runs only on the samples
+    whose theta_pair_gaussian_bound can exceed the smallest R^2.
     """
     pair = normalize_pair(alpha, beta)
     sampler = MuAbSampler(pair, seed=seed)
 
-    def values(index: int, count: int) -> np.ndarray:
+    def values(index: int, count: int, floor: float) -> np.ndarray:
         data = sampler.chunk(index, count)
-        return theta_pair_gaussian_batch(
-            *conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
-        )
+        chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+        # the bound checks the whole chunk's range, so an invalid sample
+        # raises rather than dropping out of the count
+        keep = theta_pair_gaussian_bound(*chunk) * (1.0 + 1e-12) > floor
+        return theta_pair_gaussian_batch(*(v[keep] for v in chunk))
 
     return _simulate(
         "theta", pair, values, float(leading_constant(pair)) / math.pi,

@@ -376,12 +376,7 @@ def theta_pair_gaussian_batch(
     deviation grows in proportion to |x|: against theta_pair at y = 0.9,
     xi = (0.3, 0.2) it is 3e-12 at x = 2^20 + 0.3 and 1e-8 at x = 2^30 - 0.7.
     """
-    x, y, xi1, xi2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (x, y, xi1, xi2))
-    )
-    check_x_range(x=x, xi1=xi1, xi2=xi2)
-    if not (np.isfinite(y).all() and (y >= 0.5).all()):
-        raise InvalidArgumentError("theta batch needs finite y >= 1/2")
+    x, y, xi1, xi2 = _batch_args(x, y, xi1, xi2)
     shape = x.shape
     x, y, xi1, xi2 = (v.ravel() for v in (x, y, xi1, xi2))
     out = np.empty(x.size)
@@ -389,6 +384,44 @@ def theta_pair_gaussian_batch(
         part = slice(start, start + _BATCH_BLOCK)
         out[part] = _theta_block(x[part], y[part], xi1[part], xi2[part])
     return out.reshape(shape)
+
+
+def _batch_args(x, y, xi1, xi2):
+    """The four coordinates as broadcast float64 arrays, checked against
+    the batch's valid range."""
+    x, y, xi1, xi2 = np.broadcast_arrays(
+        *(np.asarray(v, dtype=np.float64) for v in (x, y, xi1, xi2))
+    )
+    check_x_range(x=x, xi1=xi1, xi2=xi2)
+    if not (np.isfinite(y).all() and (y >= 0.5).all()):
+        raise InvalidArgumentError("theta batch needs finite y >= 1/2")
+    return x, y, xi1, xi2
+
+
+def theta_pair_gaussian_bound(x, y, xi1, xi2) -> np.ndarray:
+    """An upper bound of theta_pair_gaussian_batch(x, y, xi1, xi2) in three
+    exps per sample, with the batch's range checks:
+
+        B = sqrt(y) exp(-2 pi t^2 y) (1 + 2a / (1 - exp(-2 pi y)))^2,
+        a = exp(-pi y (1 - 2|t|)),  t = xi2 - round(xi2).
+
+    Proof: term n = k0 + j of the lattice sum is exp(-pi y j (j - 2t)) times
+    the anchor exp(-pi y t^2) in modulus, and for k = |j| >= 1,
+    j (j - 2t) >= k (k - 2|t|) >= (1 - 2|t|) + 2(k - 1), the difference
+    being (k - 1)(k - 1 - 2|t|) >= 0. So each side of the anchor sums in
+    modulus to at most a (1 + exp(-2 pi y) + ...) = a / (1 - exp(-2 pi y)),
+    and the triangle inequality, squared, gives B. It bounds any subset of
+    the terms, the batch's included, and is tight where the pairing is its
+    nearest lattice term, high in the cusp. B computes the batch's factor
+    sqrt(y) exp(-2 pi t^2 y) the same way, and the batch stays below
+    B (1 + 1e-12) after rounding; where that factor underflows (y = 1e6 at
+    |t| > 0.011) both are 0.
+    """
+    _, y, _, xi2 = _batch_args(x, y, xi1, xi2)
+    t = xi2 - np.round(xi2)
+    a = np.exp(-math.pi * y * (1.0 - 2.0 * np.abs(t)))
+    factor = 1.0 + 2.0 * a / (1.0 - np.exp(-_TWO_PI * y))
+    return np.sqrt(y) * np.exp(-_TWO_PI * t * t * y) * (factor * factor)
 
 
 def _theta_block(x, y, xi1, xi2):

@@ -103,3 +103,15 @@ def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(load, monkeypatch, t
     assert key_tree(report) == key_tree(committed)
     assert report["max_rel_change"] == {"wide": 0.0, "deep": 0.0}
     assert len(rows) == 2
+
+
+def test_theta_batch_writes_the_key_tree_of_its_bench_file(load, monkeypatch, tmp_path, capsys):
+    # one chunk per pair; the import probe's fresh interpreters are stubbed out
+    module = load("theta_batch")
+    monkeypatch.setattr(module.harness, "probe", lambda code, src: [0.1, False])
+    out = tmp_path / "bench.json"
+    assert module.main(["--chunks", "1", "--repeats", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert key_tree(report) == key_tree(json.loads((ROOT / "BENCH_21.json").read_text()))
+    for row in report["bound"].values():
+        assert row["values_over_bound"] == 0 and row["kept_values_bit_identical"]

@@ -12,6 +12,7 @@ import oracles
 from theta_tails import (
     CHUNK_SIZE,
     InvalidArgumentError,
+    MuAbSampler,
     TailCurve,
     default_thresholds,
     fit_tail_constant,
@@ -197,6 +198,45 @@ def test_theta_tail_values_do_not_depend_on_the_worker_count():
     assert np.array_equal(runs[0].counts, runs[1].counts)
     assert np.array_equal(runs[0].values, runs[1].values)
     assert runs[0].values.shape == (2**18,) and np.all(np.isfinite(runs[0].values))
+
+
+@pytest.mark.parametrize(
+    "pair", [(0, 0), (Fraction(1, 8), 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2000), 0)],
+    ids=str,
+)
+@pytest.mark.parametrize("lo", [1.5, 0.5])
+def test_theta_tail_counts_match_with_and_without_the_values(pair, lo):
+    # without the values only the samples whose bound reaches the smallest
+    # R^2 are evaluated; from R = 0.5 the bound keeps nearly all of them
+    grid = default_thresholds(lo, 6.0, 20)
+    n = 3 * CHUNK_SIZE + 321
+    full = simulate_theta_tail(*pair, n_samples=n, thresholds=grid, keep_values=True)
+    assert np.array_equal(full.counts, _count_exceedances(full.values, grid**2))
+    assert full.counts[0] > 100
+    for workers in (1, 2):
+        bounded = simulate_theta_tail(*pair, n_samples=n, thresholds=grid, workers=workers)
+        assert bounded.values is None
+        assert np.array_equal(bounded.counts, full.counts)
+
+
+@pytest.mark.parametrize("key", ["x", "y", "xi1", "xi2"])
+@pytest.mark.parametrize("keep_values", [False, True])
+def test_theta_tail_raises_on_a_nan_sample(monkeypatch, key, keep_values):
+    # NaN > R^2 is False: a NaN that only the kept samples were checked for
+    # would drop out of the counts without an error
+    chunk = MuAbSampler.chunk
+
+    def poisoned(self, index, count):
+        data = chunk(self, index, count)
+        if index == 1:
+            data[key][100] = math.nan
+        return data
+
+    monkeypatch.setattr(MuAbSampler, "chunk", poisoned)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        simulate_theta_tail(
+            Fraction(1, 8), 0, n_samples=2 * CHUNK_SIZE, keep_values=keep_values
+        )
 
 
 def test_theta_tail_runs_beyond_the_enumeration_cap():

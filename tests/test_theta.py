@@ -14,6 +14,7 @@ import pytest
 
 import oracles
 from theta_tails import (
+    CHUNK_SIZE,
     GAMMA1,
     GAMMA2,
     GAMMA3,
@@ -36,6 +37,7 @@ from theta_tails import (
     theta_f,
     theta_pair,
     theta_pair_gaussian_batch,
+    theta_pair_gaussian_bound,
     weighted_weyl_sum,
 )
 
@@ -244,24 +246,72 @@ def test_gaussian_batch_matches_the_lattice_oracle_on_sampler_chunks(q):
 
 
 def test_gaussian_batch_rejects_inputs_outside_its_range():
+    # the bound runs the batch's checks: a sample it rejects never reaches
+    # the batch unseen
     good = [np.array(v) for v in ([0.3, -0.1], [1.0, 0.9], [0.2, 0.4], [0.1, 0.5])]
-    theta_pair_gaussian_batch(*good)
-    for slot in range(4):
-        for bad in (math.nan, math.inf, -math.inf):
+    for evaluate in (theta_pair_gaussian_batch, theta_pair_gaussian_bound):
+        evaluate(*good)
+        for slot in range(4):
+            for bad in (math.nan, math.inf, -math.inf):
+                args = [v.copy() for v in good]
+                args[slot][1] = bad
+                with pytest.raises(InvalidArgumentError):
+                    evaluate(*args)
+        for slot in (0, 2, 3):
             args = [v.copy() for v in good]
-            args[slot][1] = bad
+            args[slot][0] = 2.0**53
             with pytest.raises(InvalidArgumentError):
-                theta_pair_gaussian_batch(*args)
-    for slot in (0, 2, 3):
-        args = [v.copy() for v in good]
-        args[slot][0] = 2.0**53
-        with pytest.raises(InvalidArgumentError):
-            theta_pair_gaussian_batch(*args)
-    for low_y in (0.4999, 0.0, -1.0):
-        args = [v.copy() for v in good]
-        args[1][0] = low_y
-        with pytest.raises(InvalidArgumentError):
-            theta_pair_gaussian_batch(*args)
+                evaluate(*args)
+        for low_y in (0.4999, 0.0, -1.0):
+            args = [v.copy() for v in good]
+            args[1][0] = low_y
+            with pytest.raises(InvalidArgumentError):
+                evaluate(*args)
+
+
+BOUND_PAIRS = [(0, 0), (Fraction(1, 8), 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2000), 0)]
+
+
+@pytest.mark.parametrize("pair", BOUND_PAIRS, ids=str)
+def test_gaussian_bound_holds_on_sampler_chunks_and_keeps_the_batch_bits(pair):
+    for index in range(2):
+        data = MuAbSampler(*pair, seed=5).chunk(index, CHUNK_SIZE)
+        chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+        values = theta_pair_gaussian_batch(*chunk)
+        bound = theta_pair_gaussian_bound(*chunk)
+        assert np.all(values <= bound * (1.0 + 1e-12))
+        keep = bound * (1.0 + 1e-12) > 1.5**2
+        assert 0 < np.count_nonzero(keep) < keep.size // 5
+        # numpy's SIMD loops might round an element by its place in the
+        # array; the batch on the kept samples must give their full-chunk bits
+        assert np.array_equal(theta_pair_gaussian_batch(*(v[keep] for v in chunk)), values[keep])
+
+
+@pytest.mark.parametrize("y", [0.5, 0.9, 3.0, 1e6])
+def test_gaussian_bound_holds_at_the_edges_of_its_range(y):
+    rng = np.random.default_rng(31)
+    t = np.concatenate([[0.5, -0.5, 0.0, 0.01, 0.011, 0.4999999], rng.uniform(-0.5, 0.5, 58)])
+    xi2 = 3.0 + t
+    for x, xi1 in ((np.zeros(t.size), np.zeros(t.size)), rng.uniform(-1, 1, (2, t.size))):
+        # at x = xi1 = 0 every term is real and positive: the triangle
+        # inequality is an equality, and only the bound on the exponents is loose
+        values = theta_pair_gaussian_batch(x, y, xi1, xi2)
+        bound = theta_pair_gaussian_bound(x, y, xi1, xi2)
+        assert np.all(values <= bound * (1.0 + 1e-12))
+        for i in range(t.size):
+            want = oracles.gaussian_pair_lattice_sum(x[i], y, xi1[i], xi2[i])
+            assert want <= bound[i] * (1.0 + 1e-12)
+    if y == 1e6:
+        # the anchor's size exp(-2 pi t^2 y) underflows past |t| = 0.0109:
+        # both are 0 there, and at t = 0 both are the anchor term sqrt(y)
+        assert np.all((values == 0) == (bound == 0))
+        assert np.count_nonzero(bound == 0) > 50 and bound[2] == values[2] == 1e3
+    elif y == 0.5:
+        # where the terms line up the bound is not far off: 1.02 times the
+        # value at t = 0, and 2.19 at t = +-1/2, where it takes both sides
+        # of the anchor to be the nearer one
+        ratio = bound[:3] / theta_pair_gaussian_batch(0.0, y, 0.0, xi2[:3])
+        assert np.all(ratio < [2.2, 2.2, 1.03])
 
 
 def test_theta_paths_reject_x_and_xi_beyond_2_30():
