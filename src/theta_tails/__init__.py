@@ -102,7 +102,6 @@ from .thetagroup import (
 )
 from .weylsum import (
     WeylSumSpec,
-    normalized_product,
     partial_sums,
     weighted_weyl_sum,
     weyl_sum,

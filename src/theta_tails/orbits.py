@@ -328,7 +328,8 @@ def orbit_partition(q: int) -> tuple[tuple[OrbitClass, ...], np.ndarray]:
     Returns (classes, labels) where labels[r*q + s] indexes into classes.
     Each orbit is enumerated once; the class equation (sizes summing to q^2)
     is asserted. Shared by the bulk formula-vs-enumeration checks, which
-    would otherwise rerun the BFS for every pair in the same orbit.
+    would otherwise rerun the BFS for every pair in the same orbit; the
+    result is cached, so labels is read-only.
     """
     labels = np.full(q * q, -1, dtype=np.int32)
     classes: list[OrbitClass] = []
@@ -349,6 +350,7 @@ def orbit_partition(q: int) -> tuple[tuple[OrbitClass, ...], np.ndarray]:
         )
     if np.any(labels < 0):
         raise AssertionError(f"orbit partition of q={q} did not cover the torus")
+    labels.flags.writeable = False
     return tuple(classes), labels
 
 

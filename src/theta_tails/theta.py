@@ -41,8 +41,8 @@ from .errors import (
 )
 from .thetagroup import IwasawaPoint
 from .weylsum import (
-    WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac, reduced_product,
-    two_prod,
+    _QUARTER_TURNS, WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac,
+    reduced_product, two_prod,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -97,8 +97,7 @@ class WeightFunction:
         k = int(k)
         sign = 1.0 if k % 2 == 0 else -1.0
         vals = self.evaluate(sign * np.asarray(w, dtype=np.float64)).astype(np.complex128)
-        if k % 4:
-            vals *= _e(-k / 4.0)
+        vals *= _QUARTER_TURNS[-k % 4]  # e(-k/4), exactly
         return vals
 
     def _f_phi_off_pi(self, phi: float, w):
@@ -148,7 +147,7 @@ class GaussianWeight(WeightFunction):
         phis = np.asarray(phis, dtype=np.float64)
         k, near = _pi_multiples(phis)
         out = np.ones(phis.shape, dtype=np.complex128)
-        out[near] = np.exp(-0.5j * math.pi * k[near])
+        out[near] = _QUARTER_TURNS[np.mod(-k[near], 4).astype(np.intp)]  # e(-k/4), exactly
         return out
 
 

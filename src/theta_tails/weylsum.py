@@ -387,20 +387,6 @@ def _floor_rN(N: int, r: float) -> int:
         raise InvalidArgumentError(f"r N overflows a float at r = {r}, N = {N}") from None
 
 
-def normalized_product(x: float, spec: WeylSumSpec, r: float = 1.0) -> complex:
-    """S_N(x) conj(S_{floor(rN)}(x)) / N, for finite r >= 1, in the N and x
-    range of weyl_sum with N replaced by floor(rN)."""
-    m = _floor_rN(spec.N, r)
-    s_n = weyl_sum(x, spec)
-    if m == spec.N:
-        s_m = s_n
-    else:
-        s_m = weyl_sum(
-            x, WeylSumSpec(alpha=spec.alpha, beta=spec.beta, zeta=spec.zeta, N=m)
-        )
-    return s_n * s_m.conjugate() / spec.N
-
-
 def _unit_phasor(theta: np.ndarray, out: np.ndarray, scratch=None) -> None:
     """Write e(theta) into the complex array out; theta is overwritten.
 

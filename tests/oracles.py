@@ -270,6 +270,16 @@ def theta_mins_brute(points, q):
 
 
 # ---------------------------------------------------------------------------
+# the map z -> 1/(1 - z) that carries the cusp at 1 to infinity
+
+def rho_map(x: float, y: float, xi1: float, xi2: float) -> tuple[float, float, float, float]:
+    """z -> 1/(1 - z) by Python's complex division, and
+    (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2)."""
+    z = 1 / (1 - complex(x, y))
+    return z.real, z.imag, xi2, -xi1 + xi2 + 0.5
+
+
+# ---------------------------------------------------------------------------
 # theta values through mpmath
 
 def gaussian_theta_mpmath(x: float, y: float) -> complex:

@@ -12,7 +12,6 @@ from theta_tails import (
     GaussianWeight,
     InvalidArgumentError,
     IwasawaPoint,
-    WeylSumSpec,
     bound_constant,
     cusp_bound,
     cusp_main_term,
@@ -22,12 +21,12 @@ from theta_tails import (
     gaussian_weight,
     leading_constant,
     normalize_pair,
-    normalized_product,
     reduce,
     sharp_indicator_weight,
     table_reciprocal_C,
     tail_constant,
     theta_f,
+    weyl_values_batch,
 )
 
 
@@ -166,7 +165,7 @@ def test_tail_constant_assembly():
 
 GAUSS = gaussian_weight()
 POINT = IwasawaPoint(x=0.1, y=1.2, phi=0.0)
-SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
+PAIR = normalize_pair(Fraction(1, 3), 0)
 
 
 @pytest.mark.parametrize(
@@ -174,9 +173,9 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
     [
         lambda: D_rat_closed(math.inf),
         lambda: tail_constant(Fraction(1, 3), r=math.inf),
-        lambda: normalized_product(0.3, SPEC, r=math.nan),
-        lambda: normalized_product(0.3, SPEC, r=math.inf),
-        lambda: normalized_product(0.3, SPEC, r=1e308),
+        lambda: weyl_values_batch([0.3], PAIR, 10, r=math.nan),
+        lambda: weyl_values_batch([0.3], PAIR, 10, r=math.inf),
+        lambda: weyl_values_batch([0.3], PAIR, 10, r=1e308),
         lambda: theta_f(GAUSS, POINT, tol=0.0),
         lambda: theta_f(GAUSS, POINT, tol=-1.0),
         lambda: theta_f(GAUSS, POINT, tol=math.nan),
@@ -199,8 +198,8 @@ SPEC = WeylSumSpec(alpha=Fraction(1, 3), N=10)
         lambda: IwasawaPoint(Fraction(10**400, 3), 1.0, 0.0),
     ],
     ids=[
-        "D_rat_closed-inf", "tail_constant-inf", "normalized_product-nan",
-        "normalized_product-inf", "normalized_product-rN-overflow", "theta_f-tol0",
+        "D_rat_closed-inf", "tail_constant-inf", "weyl_values_batch-r-nan",
+        "weyl_values_batch-r-inf", "weyl_values_batch-rN-overflow", "theta_f-tol0",
         "theta_f-tol-1", "theta_f-tol-nan", "theta_f-tol-underflow",
         "theta_f-tol-underflow-tiny-y", "theta_f-tol-subnormal",
         "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",

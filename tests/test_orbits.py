@@ -196,6 +196,37 @@ def test_representatives_cover_the_square():
         assert sum(size for _, size in reps) == q * q
 
 
+def test_cached_partition_labels_are_read_only():
+    _, labels = orbit_partition(6)
+    before = labels.copy()
+    with pytest.raises(ValueError):
+        labels[0] = 99
+    assert np.array_equal(orbit_partition(6)[1], before)
+
+
+def test_orbit_marginals_depend_on_gcd_and_parity_only():
+    # the cusp at infinity sees an orbit through its s marginal and the cusp
+    # at 1 through its (s - r) mod q marginal: in every class of exact
+    # denominator q, the points on a given value v of either number depend
+    # only on (gcd(v, q), v mod 2)
+    classes = cells = 0
+    for q in range(1, 61):
+        v = np.arange(q)
+        cell_of = np.gcd(v, q) * 2 + v % 2
+        for pair, _ in orbit_representatives(q):
+            if pair.q != q:
+                continue
+            classes += 1
+            r, s = enumerate_orbit(pair).points.T
+            for marginal in (s, (s - r) % q):
+                counts = np.bincount(marginal, minlength=q)
+                for cell in np.unique(cell_of):
+                    in_cell = counts[cell_of == cell]
+                    assert np.all(in_cell == in_cell[0]), (pair, cell)
+                    cells += 1
+    assert (classes, cells) == (90, 984)
+
+
 # ---------------------------------------------------------------------------
 # the closed membership test
 

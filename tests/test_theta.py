@@ -422,11 +422,15 @@ def test_commands_off_the_normal_law_leave_scipy_special_unloaded(tmp_path):
 
 def test_gaussian_transform_closed_form():
     w = np.linspace(-2, 2, 9)
-    # at multiples of pi the transform is exact: e(-k/4) f((-1)^k w)
-    for k in (-2, -1, 0, 1, 2):
-        got = GAUSS.f_phi(k * math.pi, w)
-        want = cmath.exp(-2j * math.pi * k / 4) * np.exp(-math.pi * w**2)
-        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+    # at multiples of pi the transform is exactly e(-k/4) f((-1)^k w), with
+    # e(-k/4) from a table: cmath.exp(-0.5j * math.pi) is 6.1e-17 - 1j
+    quarter = [1.0, -1.0j, -1.0, 1.0j]
+    ks = list(range(-8, 9))
+    for k in ks:
+        want = quarter[k % 4] * np.exp(-math.pi * w**2)
+        assert np.array_equal(GAUSS.f_phi(k * math.pi, w), want)
+    want = np.array([quarter[k % 4] for k in ks])
+    assert np.array_equal(GAUSS.f_phi0_values(np.array(ks) * math.pi), want)
     # away from them the modulus is still exact
     for phi in (0.3, 1.1, 2.9, 4.0):
         assert np.allclose(

@@ -18,7 +18,6 @@ from theta_tails import (
     WeylSumSpec,
     gaussian_weight,
     normalize_pair,
-    normalized_product,
     partial_sums,
     sharp_indicator_weight,
     weighted_weyl_sum,
@@ -168,19 +167,7 @@ def test_nondecaying_weight_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# normalized products and the batch kernel
-
-def test_normalized_product_consistency():
-    x = 2.718281828459045
-    spec = WeylSumSpec(alpha=Fraction(1, 2), beta=Fraction(0), zeta=0.0, N=100)
-    val = normalized_product(x, spec)
-    assert abs(val - weyl_sum(x, spec) * weyl_sum(x, spec).conjugate() / 100) < 1e-12
-    big = WeylSumSpec(alpha=Fraction(1, 2), beta=Fraction(0), zeta=0.0, N=250)
-    val2 = normalized_product(x, spec, r=2.5)
-    assert abs(val2 - weyl_sum(x, spec) * weyl_sum(x, big).conjugate() / 100) < 1e-12
-    with pytest.raises(InvalidArgumentError):
-        normalized_product(x, spec, r=0.9)
-
+# the batch kernel
 
 @pytest.mark.parametrize("r", [1.0, 2.0])
 def test_batch_kernel_matches_the_scalar_route(r):
@@ -188,9 +175,9 @@ def test_batch_kernel_matches_the_scalar_route(r):
     xs = np.concatenate([rng.normal(size=12) * 3, rng.uniform(0, 1, size=8)])
     pair = normalize_pair(Fraction(1, 2), 0)
     got = weyl_values_batch(xs, pair, 60, r=r)
+    spec, spec_m = WeylSumSpec.from_pair(pair, 60), WeylSumSpec.from_pair(pair, math.floor(r * 60))
     for x, v in zip(xs, got):
-        spec = WeylSumSpec(alpha=pair.alpha, beta=pair.beta, zeta=0.0, N=60)
-        assert abs(v - abs(normalized_product(float(x), spec, r=r))) < 1e-9
+        assert abs(v - abs(weyl_sum(x, spec)) * abs(weyl_sum(x, spec_m)) / 60) < 1e-9
 
 
 def test_batch_kernel_rejects_huge_arguments():
@@ -501,7 +488,6 @@ def test_every_weyl_path_rejects_x_beyond_2_30():
         weyl_sum,
         partial_sums,
         lambda x, s: weighted_weyl_sum(gaussian_weight(), x, s),
-        normalized_product,
         lambda x, s: weyl_values_batch(np.array([0.3, x]), pair, s.N),
     ]
     weylsum._phase_plan(spec, np.nextafter(2.0**30, 0), 10)
