@@ -35,16 +35,10 @@ from .homog import (
     CHUNK_SIZE,
     DEFAULT_SEED,
     MuAbSampler,
-    ReduceResult,
-    apply_rho,
     chunk_generator,
     conjugate_horoball,
-    cusp_mass,
     haar_from_uniforms,
-    in_fundamental_domain,
-    lower_boundary,
     open_uniforms,
-    reduce,
 )
 from .orbits import (
     DEFAULT_ORBIT_CAP,
@@ -75,6 +69,7 @@ from .tailsim import (
 )
 from .theta import (
     GaussianWeight,
+    IwasawaPoint,
     SharpIndicatorWeight,
     WeightFunction,
     bound_constant,
@@ -88,17 +83,6 @@ from .theta import (
     theta_pair,
     theta_pair_gaussian_batch,
     theta_pair_gaussian_bound,
-)
-from .thetagroup import (
-    GAMMA1,
-    GAMMA2,
-    GAMMA3,
-    GAMMA4,
-    IDENTITY,
-    GammaElement,
-    IwasawaPoint,
-    act_on_iwasawa,
-    wrap_angle,
 )
 from .weylsum import (
     WeylSumSpec,

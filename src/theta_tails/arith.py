@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
+from numbers import Integral
 
 from .errors import InvalidArgumentError
 
@@ -20,6 +21,13 @@ _PRIME_BOUND = 10 ** 6
 # orbit_contains), so a larger table replaces this tuple whole; it is never
 # extended in place.
 _PRIME_TABLE: tuple[int, list[int]] = (1, [])
+
+
+def check_integer(name: str, value) -> None:
+    """Raise InvalidArgumentError unless value is an integer: Python or
+    numpy, but not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def _primes(bound: int) -> list[int]:
@@ -45,10 +53,12 @@ def _primes(bound: int) -> list[int]:
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization {p: exponent} by trial division.
 
-    Raises InvalidArgumentError for n < 1 or n beyond the supported range.
+    Raises InvalidArgumentError for a non-integer n, n < 1, or n beyond the
+    supported range.
     The trial divisors are the primes up to isqrt(n) + 1, capped at 10^6, so
     n < 10^12 is safe.
     """
+    check_integer("n", n)
     if n < 1:
         raise InvalidArgumentError(f"factorize expects a positive integer, got {n}")
     out: dict[int, int] = {}

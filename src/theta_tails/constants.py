@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import RationalPair, normalize_pair
+from .arith import RationalPair, check_integer, normalize_pair
 from .errors import InvalidArgumentError
 from .orbits import leading_constant
 
@@ -36,6 +36,7 @@ def table_reciprocal_C(q_max: int) -> list[Fraction]:
     never trigger the vanishing l = 1 case, so every entry is finite:
     psi(m)/2 for l <= 1 and 2^(l-1) psi(m) for l >= 2.
     """
+    check_integer("q_max", q_max)
     if q_max < 1:
         raise InvalidArgumentError(f"q_max must be >= 1, got {q_max}")
     return [1 / leading_constant(normalize_pair(Fraction(1, q), 0)) for q in range(1, q_max + 1)]

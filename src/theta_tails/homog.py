@@ -1,4 +1,4 @@
-"""Fundamental domain of the theta group, reduction, and samplers.
+"""Haar measure on the fundamental domain of the theta group, and samplers.
 
 The domain F is the region 0 <= x < 2 outside the open unit disks centred
 at 0 and 2; both boundary circles meet at (1, 0) and the lowest interior
@@ -15,8 +15,7 @@ haar_from_uniforms: no rejection step, one uniform triple per point.
 The cusp at 1 is carried to infinity by z -> 1/(1 - z), an SL(2, Z)
 element outside the theta group (its xi action needs an extra half shift
 in the second slot); images of the horoball |z - 1| < 1 in F have
-y >= sqrt(3)/2. apply_rho maps one point and conjugate_horoball the
-horoball points of a batch, with the same arithmetic.
+y >= sqrt(3)/2. conjugate_horoball maps the horoball points of a batch.
 
 Randomness is consumed in fixed-size chunks, each owning the generator
 seeded by (seed, chunk_index) with seed >= 0; results are concatenated in
@@ -26,145 +25,30 @@ MuAbSampler.chunk is one such chunk, the unit the tail simulators run on.
 """
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import normalize_pair
-from .errors import InvalidArgumentError, NumericFailureError
+from .errors import InvalidArgumentError
 from .orbits import OrbitData, orbit_contains
-from .thetagroup import (
-    GAMMA1,
-    GammaElement,
-    IDENTITY,
-    IwasawaPoint,
-    act_on_iwasawa,
-    wrap_angle,
-)
 from .weylsum import check_workers
 
 DEFAULT_SEED = 0xC0FFEE
 CHUNK_SIZE = 1 << 15
-MAX_REDUCE_ITERATIONS = 100_000
-
-NEG_IDENTITY = GammaElement(-1, 0, 0, -1)
-# gamma2 gamma1 gamma2^{-1}: inversion in the circle |z - 2| = 1
-_INV_AT_TWO = GammaElement(2, -5, 1, -2)
 
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
-def lower_boundary(x: float) -> float:
-    """Height of the floor of F above x in [0, 2]: the two unit circles."""
-    if not 0.0 <= x <= 2.0:
-        raise InvalidArgumentError(f"floor is defined for 0 <= x <= 2, got {x}")
-    w = 1.0 - abs(1.0 - x)  # distance to the nearer of the centres 0, 2
-    return math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
-
-
-def in_fundamental_domain(z: complex) -> bool:
-    """Strict interior test: 0 <= Re z < 2, outside both closed unit disks."""
-    x, y = z.real, z.imag
-    if y <= 0.0 or not (0.0 <= x < 2.0):
-        return False
-    return x * x + y * y > 1.0 and (x - 2.0) ** 2 + y * y > 1.0
-
-
-@dataclass(frozen=True)
-class ReduceResult:
-    point: IwasawaPoint
-    element: GammaElement
-
-
-def reduce(point: IwasawaPoint, max_iterations: int = MAX_REDUCE_ITERATIONS) -> ReduceResult:
-    """Move a point into F x [0, pi) x [-1/2, 1/2)^2 by a group element.
-
-    The z-part alternates translations by 2 with inversions in whichever
-    unit circle the point fell inside; the group element is composed in
-    exact integers and applied to the original point once at the end, so
-    the returned point and element agree to machine precision. Points that
-    land exactly on a boundary circle are accepted where they stand.
-
-    The element grows like 1/y, so at y of 1e-11 and below the float
-    reduction can lose the point; a result outside F (to within 1e-9), a zero
-    inversion radius or an invalid recomputed point raises NumericFailureError.
-    """
-    x, y = point.x, point.y
-    total = IDENTITY
-    for _ in range(max_iterations):
-        k = math.floor(x / 2.0)
-        if k != 0:
-            total = GammaElement(1, -2 * k, 0, 1) * total
-            x -= 2.0 * k
-        r0 = x * x + y * y
-        wx = x - 2.0
-        r2 = wx * wx + y * y
-        if r0 == 0.0 or r2 == 0.0:
-            raise NumericFailureError(f"reduction of {point} lost the point: radius underflow")
-        if r0 < 1.0:
-            x, y = -x / r0, y / r0
-            total = GAMMA1 * total
-            continue
-        if r2 < 1.0:
-            x, y = 2.0 - wx / r2, y / r2
-            total = _INV_AT_TWO * total
-            continue
-        break
-    else:
-        raise NumericFailureError(
-            f"reduction did not terminate within {max_iterations} iterations"
-        )
-
-    try:
-        reduced = act_on_iwasawa(total, point)
-    except InvalidArgumentError:
-        raise NumericFailureError(f"reduction of {point} lost the point: invalid result") from None
-    x, y = reduced.x, reduced.y
-    if not (0.0 <= x < 2.0 and min(x * x, (x - 2.0) ** 2) + y * y >= 1.0 - 1e-9):
-        raise NumericFailureError(f"reduction of {point} lost the point: ({x}, {y}) is outside F")
-    # -1 and the xi shifts below leave z as it is
-    if wrap_angle(reduced.phi) >= math.pi:
-        total = NEG_IDENTITY * total
-        reduced = act_on_iwasawa(total, point)
-    k1 = math.floor(reduced.xi1 + 0.5)
-    k2 = math.floor(reduced.xi2 + 0.5)
-    if k1 or k2:
-        total = GammaElement(1, 0, 0, 1, -k1, -k2) * total
-        reduced = act_on_iwasawa(total, point)
-    final = IwasawaPoint(reduced.x, reduced.y, wrap_angle(reduced.phi), reduced.xi1, reduced.xi2)
-    return ReduceResult(point=final, element=total)
-
-
-def _rho(x, y, xi1, xi2):
-    """z -> 1/(1 - z), (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2) on floats or arrays."""
+def conjugate_horoball(x, y, xi1, xi2):
+    """z -> 1/(1 - z), (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2) on the points of
+    (x, y, xi1, xi2) in the horoball |z - 1| < 1, the rest unchanged; phi is
+    left out, as the Gaussian pairing does not depend on it."""
+    inside = (x - 1.0) ** 2 + y * y < 1.0
     wr = 1.0 - x
     den = wr * wr + y * y
-    return wr / den, y / den, xi2, -xi1 + xi2 + 0.5
-
-
-def apply_rho(pt: IwasawaPoint) -> IwasawaPoint:
-    """(z, phi; xi) -> (1/(1-z), phi + arg(1-z); (xi2, -xi1 + xi2 + 1/2))."""
-    x, y, xi1, xi2 = _rho(pt.x, pt.y, pt.xi1, pt.xi2)
-    phi = pt.phi + math.atan2(-pt.y, 1.0 - pt.x)
-    return IwasawaPoint(x=x, y=y, phi=phi, xi1=xi1, xi2=xi2)
-
-
-def conjugate_horoball(x, y, xi1, xi2):
-    """apply_rho on the points of (x, y, xi1, xi2) in the horoball
-    |z - 1| < 1, the rest unchanged; phi is left out, as the Gaussian
-    pairing does not depend on it."""
-    inside = (x - 1.0) ** 2 + y * y < 1.0
-    moved = _rho(x, y, xi1, xi2)
+    moved = (wr / den, y / den, xi2, -xi1 + xi2 + 0.5)
     return tuple(np.where(inside, new, old) for new, old in zip(moved, (x, y, xi1, xi2)))
-
-
-def cusp_mass(T: float) -> float:
-    """Haar mass of {y > T} in F, equal to 2/(pi T) once T >= 1."""
-    if not T >= 1.0:
-        raise InvalidArgumentError(f"closed form requires T >= 1, got {T}")
-    return 2.0 / (math.pi * T)
 
 
 def chunk_generator(seed: int, index: int) -> np.random.Generator:

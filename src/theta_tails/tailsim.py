@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import normalize_pair
+from .arith import check_integer, normalize_pair
 from .constants import tail_constant
 from .errors import InvalidArgumentError
 from .homog import (
@@ -84,7 +84,8 @@ MAX_THRESHOLDS = 1024
 
 def default_thresholds(lo: float = 1.5, hi: float = 6.0, count: int = 20) -> np.ndarray:
     """Geometric grid of R values for survival curves: finite 0 < lo < hi and
-    2 <= count <= MAX_THRESHOLDS."""
+    an integer 2 <= count <= MAX_THRESHOLDS."""
+    check_integer("count", count)
     if not (0 < lo < hi < math.inf) or not 2 <= count <= MAX_THRESHOLDS:
         raise InvalidArgumentError(
             f"bad threshold grid ({lo}, {hi}, {count}): need finite 0 < lo < hi"
@@ -136,6 +137,7 @@ def _simulate(kind, pair, values, constant, meta, n_samples, thresholds, seed, w
     """The survival curve of values(index, count, floor), the values of
     each chunk but any it proves are at most floor (the smallest R^2, or
     -inf to keep all), with the checks, counts and metadata both share."""
+    check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
     if thresholds is None:

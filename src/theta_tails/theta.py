@@ -31,6 +31,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +40,6 @@ from .errors import (
     NumericFailureError,
     UnsupportedOperationError,
 )
-from .thetagroup import IwasawaPoint
 from .weylsum import (
     _QUARTER_TURNS, WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac,
     reduced_product, two_prod,
@@ -47,6 +47,32 @@ from .weylsum import (
 
 _TWO_PI = 2.0 * math.pi
 _PI_MULTIPLE_TOL = 1e-9
+
+
+@dataclass(frozen=True)
+class IwasawaPoint:
+    """Coordinates (x + iy, phi; xi1, xi2), each finite, with y > 0; other
+    input raises InvalidArgumentError."""
+
+    x: float
+    y: float
+    phi: float
+    xi1: float = 0.0
+    xi2: float = 0.0
+
+    def __post_init__(self):
+        # one coordinate at a time: a sum of large finite values overflows
+        coords = (self.x, self.y, self.phi, self.xi1, self.xi2)
+        try:
+            ok = all(map(math.isfinite, coords)) and self.y > 0
+        except OverflowError:  # an int or Fraction too large for a float
+            ok = False
+        if not ok:
+            raise InvalidArgumentError(f"coordinates must be finite with y > 0, got {coords}")
+
+    @property
+    def z(self) -> complex:
+        return complex(self.x, self.y)
 
 
 def _pi_multiples(phis):
@@ -85,7 +111,7 @@ class WeightFunction:
         raise NotImplementedError
 
     def kappa_eta(self, eta: float) -> float:
-        """sup over phi, w of (1 + w^2)^(eta/2) |f_phi(w)|."""
+        """sup over phi, w of (1 + w^2)^(eta/2) |f_phi(w)|, for finite eta."""
         raise NotImplementedError
 
     def f_phi(self, phi: float, w):
@@ -136,6 +162,8 @@ class GaussianWeight(WeightFunction):
     def kappa_eta(self, eta: float) -> float:
         # maximize (1+w^2)^(eta/2) exp(-pi w^2): interior critical point
         # exists only when eta > 2 pi
+        if not math.isfinite(eta):
+            raise InvalidArgumentError(f"eta must be finite, got {eta}")
         if eta <= _TWO_PI:
             return 1.0
         return (eta / _TWO_PI) ** (eta / 2.0) * math.exp(math.pi - eta / 2.0)
@@ -476,7 +504,8 @@ def cusp_bound(w1: WeightFunction, w2: WeightFunction, y: float, eta: float) -> 
     raises InvalidArgumentError."""
     if not y >= 0.5:
         raise InvalidArgumentError(f"cusp estimate requires y >= 1/2, got y={y}")
+    c_eta = bound_constant(eta)  # checks eta before any weight reads it
     kappa = w1.kappa_eta(eta) * w2.kappa_eta(eta)
     if not math.isfinite(kappa):
         raise InvalidArgumentError("cusp estimate needs eta-regular weights")
-    return bound_constant(eta) * kappa * y ** (-(eta - 1.0) / 2.0)
+    return c_eta * kappa * y ** (-(eta - 1.0) / 2.0)

@@ -80,7 +80,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import RationalPair
+from .arith import RationalPair, check_integer
 from .errors import InvalidArgumentError
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitter
@@ -171,7 +171,8 @@ class WeylSumSpec:
     """Parameters of S_N: exact rational alpha/beta when possible.
 
     alpha and beta may be ints, Fractions, or floats; exact inputs take the
-    integer-reduced fast path. zeta is an ordinary real. N >= 1.
+    integer-reduced fast path. zeta is an ordinary real. N is an integer
+    >= 1 (not a bool).
     """
 
     alpha: object = 0
@@ -180,6 +181,7 @@ class WeylSumSpec:
     N: int = 1
 
     def __post_init__(self):
+        check_integer("N", self.N)
         if self.N < 1:
             raise InvalidArgumentError(f"N must be >= 1, got {self.N}")
 
@@ -218,9 +220,11 @@ def check_x_range(**values) -> None:
 
 
 def check_workers(workers: int) -> None:
-    """Raise InvalidArgumentError unless 1 <= workers <= MAX_WORKERS = 64, the
-    range of run_chunks and weyl_values_batch: it caps the threads a call
-    starts and the kernel's three buffer rows per thread."""
+    """Raise InvalidArgumentError unless workers is an integer with
+    1 <= workers <= MAX_WORKERS = 64, the range of run_chunks and
+    weyl_values_batch: it caps the threads a call starts and the kernel's
+    three buffer rows per thread."""
+    check_integer("workers", workers)
     if not 1 <= workers <= MAX_WORKERS:
         raise InvalidArgumentError(f"workers must be 1 to {MAX_WORKERS}, got {workers}")
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 # ---------------------------------------------------------------------------
@@ -277,6 +278,97 @@ def rho_map(x: float, y: float, xi1: float, xi2: float) -> tuple[float, float, f
     (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2)."""
     z = 1 / (1 - complex(x, y))
     return z.real, z.imag, xi2, -xi1 + xi2 + 0.5
+
+
+# ---------------------------------------------------------------------------
+# the affine theta group, its action on Iwasawa coordinates, and its
+# fundamental domain
+
+@dataclass(frozen=True)
+class GammaElement:
+    """((a, b; c, d); (v1, v2)) with det = 1, ac and bd even and an integer
+    shift; anything else raises ValueError."""
+
+    a: int
+    b: int
+    c: int
+    d: int
+    v1: int = 0
+    v2: int = 0
+
+    def __post_init__(self):
+        if self.a * self.d - self.b * self.c != 1:
+            raise ValueError("matrix must be unimodular")
+        if (self.a * self.c) % 2 or (self.b * self.d) % 2:
+            raise ValueError("matrix is not in the theta group")
+
+    def __mul__(self, other: "GammaElement") -> "GammaElement":
+        # (M, v)(M', v') = (MM', v + Mv'), all integer exact
+        a, b, c, d = self.a, self.b, self.c, self.d
+        return GammaElement(
+            a * other.a + b * other.c,
+            a * other.b + b * other.d,
+            c * other.a + d * other.c,
+            c * other.b + d * other.d,
+            self.v1 + a * other.v1 + b * other.v2,
+            self.v2 + c * other.v1 + d * other.v2,
+        )
+
+    def inverse(self) -> "GammaElement":
+        a, b, c, d = self.a, self.b, self.c, self.d
+        # M^-1 = (d, -b; -c, a); shift maps to -M^-1 v
+        return GammaElement(
+            d, -b, -c, a, -(d * self.v1 - b * self.v2), -(-c * self.v1 + a * self.v2)
+        )
+
+
+IDENTITY = GammaElement(1, 0, 0, 1)
+# the standard generators: inversion, translation by 2, the two shifts
+GAMMA1 = GammaElement(0, -1, 1, 0)
+GAMMA2 = GammaElement(1, 2, 0, 1)
+GAMMA3 = GammaElement(1, 0, 0, 1, 1, 0)
+GAMMA4 = GammaElement(1, 0, 0, 1, 0, 1)
+
+
+def act_on_iwasawa(g: GammaElement, point: tuple) -> tuple:
+    """g on the coordinates (x, y, phi, xi1, xi2), returned as the same tuple:
+    the Moebius map on z = x + iy, phi plus the principal arg(cz + d) (not
+    reduced mod 2 pi), and xi -> v + M xi."""
+    x, y, phi, xi1, xi2 = point
+    z = complex(x, y)
+    w = g.c * z + g.d
+    z2 = (g.a * z + g.b) / w
+    return (
+        z2.real,
+        z2.imag,
+        phi + cmath.phase(w),
+        g.v1 + g.a * xi1 + g.b * xi2,
+        g.v2 + g.c * xi1 + g.d * xi2,
+    )
+
+
+def wrap_angle(phi: float) -> float:
+    """Reduce an angle into [0, 2 pi)."""
+    out = phi % (2 * math.pi)
+    # fmod can return 2 pi itself after rounding
+    return 0.0 if out >= 2 * math.pi else out
+
+
+def lower_boundary(x: float) -> float:
+    """Height of the floor of F above x in [0, 2], the two unit circles at 0
+    and 2; other x raises ValueError."""
+    if not 0.0 <= x <= 2.0:
+        raise ValueError(f"floor is defined for 0 <= x <= 2, got {x}")
+    w = 1.0 - abs(1.0 - x)  # distance to the nearer of the centres 0, 2
+    return math.sqrt(max(0.0, (1.0 - w) * (1.0 + w)))
+
+
+def in_fundamental_domain(z: complex) -> bool:
+    """Strict interior test: 0 <= Re z < 2, outside both closed unit disks."""
+    x, y = z.real, z.imag
+    if y <= 0.0 or not (0.0 <= x < 2.0):
+        return False
+    return x * x + y * y > 1.0 and (x - 2.0) ** 2 + y * y > 1.0
 
 
 # ---------------------------------------------------------------------------

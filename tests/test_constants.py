@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
@@ -12,17 +13,20 @@ from theta_tails import (
     GaussianWeight,
     InvalidArgumentError,
     IwasawaPoint,
+    WeylSumSpec,
     bound_constant,
     cusp_bound,
     cusp_main_term,
-    cusp_mass,
     dedekind_psi,
+    default_thresholds,
     f_phi_numeric,
+    factorize,
     gaussian_weight,
     leading_constant,
     normalize_pair,
-    reduce,
     sharp_indicator_weight,
+    simulate_theta_tail,
+    simulate_weyl_tail,
     table_reciprocal_C,
     tail_constant,
     theta_f,
@@ -182,7 +186,6 @@ PAIR = normalize_pair(Fraction(1, 3), 0)
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=5e-324),
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1e-200, phi=0.0), tol=1e-300),
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=1e-310),
-        lambda: cusp_mass(math.nan),
         lambda: bound_constant(math.nan),
         lambda: cusp_bound(GAUSS, GAUSS, y=math.nan, eta=2.0),
         lambda: D_rat_numeric(GAUSS, GAUSS, tol=math.nan),
@@ -191,24 +194,56 @@ PAIR = normalize_pair(Fraction(1, 3), 0)
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
         lambda: cusp_main_term(GAUSS, GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
         lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=1.0, phi=math.nan)),
-        lambda: reduce(IwasawaPoint(x=math.nan, y=1.0, phi=0.0)),
-        lambda: reduce(IwasawaPoint(x=math.inf, y=1.0, phi=0.0)),
         lambda: IwasawaPoint(10**400, 1.0, 0.0),
         lambda: IwasawaPoint(0.0, 10**400, 0.0),
         lambda: IwasawaPoint(Fraction(10**400, 3), 1.0, 0.0),
+        lambda: GAUSS.kappa_eta(math.nan),
+        lambda: GAUSS.kappa_eta(math.inf),
+        lambda: WeylSumSpec(N=1.5),
+        lambda: WeylSumSpec(N=True),
+        lambda: weyl_values_batch([0.3], PAIR, 2.5),
+        lambda: weyl_values_batch([0.3], PAIR, 10, workers=1.5),
+        lambda: simulate_weyl_tail(Fraction(1, 3), N=2.5, n_samples=10),
+        lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10.5),
+        lambda: simulate_theta_tail(Fraction(1, 3), n_samples=True),
+        lambda: factorize(1.5),
+        lambda: factorize(True),
+        lambda: table_reciprocal_C(1.5),
+        lambda: default_thresholds(1.5, 6, 2.5),
     ],
     ids=[
         "D_rat_closed-inf", "tail_constant-inf", "weyl_values_batch-r-nan",
         "weyl_values_batch-r-inf", "weyl_values_batch-rN-overflow", "theta_f-tol0",
         "theta_f-tol-1", "theta_f-tol-nan", "theta_f-tol-underflow",
         "theta_f-tol-underflow-tiny-y", "theta_f-tol-subnormal",
-        "cusp_mass-nan", "bound_constant-nan", "cusp_bound-y-nan",
+        "bound_constant-nan", "cusp_bound-y-nan",
         "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
-        "theta_f-y-inf", "cusp_main_term-y-inf", "theta_f-phi-nan", "reduce-x-nan",
-        "reduce-x-inf", "IwasawaPoint-x-overflow", "IwasawaPoint-y-overflow",
-        "IwasawaPoint-fraction-overflow",
+        "theta_f-y-inf", "cusp_main_term-y-inf", "theta_f-phi-nan",
+        "IwasawaPoint-x-overflow", "IwasawaPoint-y-overflow",
+        "IwasawaPoint-fraction-overflow", "kappa_eta-nan", "kappa_eta-inf",
+        "WeylSumSpec-N-float", "WeylSumSpec-N-bool", "weyl_values_batch-N-float",
+        "weyl_values_batch-workers-float", "simulate_weyl_tail-N-float",
+        "simulate_weyl_tail-n_samples-float", "simulate_theta_tail-n_samples-bool",
+        "factorize-float", "factorize-bool", "table_reciprocal_C-float",
+        "default_thresholds-count-float",
     ],
 )
 def test_scalar_entry_points_reject_non_finite_or_out_of_range_input(call):
     with pytest.raises(InvalidArgumentError):
         call()
+
+
+def test_cusp_bound_names_a_non_finite_eta():
+    # eta is checked before a weight reads it, so the error names eta, not
+    # the weights
+    for eta in (math.nan, math.inf):
+        with pytest.raises(InvalidArgumentError, match="eta must be finite"):
+            cusp_bound(GAUSS, GAUSS, y=1.0, eta=eta)
+
+
+def test_counts_accept_numpy_integers():
+    assert WeylSumSpec(N=np.int64(7)).N == 7
+    assert factorize(np.int64(12)) == {2: 2, 3: 1}
+    assert len(table_reciprocal_C(np.int32(5))) == 5
+    assert default_thresholds(1.5, 6.0, np.int64(4)).size == 4
+    assert weyl_values_batch([0.3], PAIR, np.int64(10), workers=np.int64(2)).shape == (1,)

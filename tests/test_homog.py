@@ -1,4 +1,4 @@
-"""Fundamental domain reduction and the deterministic samplers."""
+"""The fundamental domain, the horoball map, and the deterministic samplers."""
 
 import math
 from fractions import Fraction
@@ -10,23 +10,14 @@ import oracles
 from theta_tails import (
     CHUNK_SIZE,
     DEFAULT_SEED,
-    IDENTITY,
     InvalidArgumentError,
-    IwasawaPoint,
     MuAbSampler,
-    NumericFailureError,
-    act_on_iwasawa,
-    apply_rho,
     chunk_generator,
     conjugate_horoball,
-    cusp_mass,
     enumerate_orbit,
     haar_from_uniforms,
-    in_fundamental_domain,
-    lower_boundary,
     normalize_pair,
     open_uniforms,
-    reduce,
     sampling_law,
 )
 from theta_tails.homog import run_chunks
@@ -34,90 +25,43 @@ from theta_tails.weylsum import MAX_WORKERS
 
 
 def test_domain_membership_examples():
-    assert in_fundamental_domain(2j)
-    assert in_fundamental_domain(1 + 5j)
-    assert not in_fundamental_domain(0.5 + 0.2j)  # inside the circle at 0
-    assert not in_fundamental_domain(1.9 + 0.1j)  # inside the circle at 2
-    assert not in_fundamental_domain(-0.5 + 3j)  # left of the strip
+    assert oracles.in_fundamental_domain(2j)
+    assert oracles.in_fundamental_domain(1 + 5j)
+    assert not oracles.in_fundamental_domain(0.5 + 0.2j)  # inside the circle at 0
+    assert not oracles.in_fundamental_domain(1.9 + 0.1j)  # inside the circle at 2
+    assert not oracles.in_fundamental_domain(-0.5 + 3j)  # left of the strip
 
 
 def test_lower_boundary_profile():
     # the two circles touch the axis at x = 1 and reach height 1 at 0 and 2
-    assert lower_boundary(1.0) == pytest.approx(0.0, abs=1e-12)
-    assert lower_boundary(0.5) == pytest.approx(math.sqrt(3) / 2)
-    assert lower_boundary(1.5) == pytest.approx(math.sqrt(3) / 2)
-    assert lower_boundary(0.0) == pytest.approx(1.0)
-    assert lower_boundary(2.0) == pytest.approx(1.0)
+    assert oracles.lower_boundary(1.0) == pytest.approx(0.0, abs=1e-12)
+    assert oracles.lower_boundary(0.5) == pytest.approx(math.sqrt(3) / 2)
+    assert oracles.lower_boundary(1.5) == pytest.approx(math.sqrt(3) / 2)
+    assert oracles.lower_boundary(0.0) == pytest.approx(1.0)
+    assert oracles.lower_boundary(2.0) == pytest.approx(1.0)
     # the floor is only defined over the strip
-    with pytest.raises(InvalidArgumentError):
-        lower_boundary(-1.0)
-    with pytest.raises(InvalidArgumentError):
-        lower_boundary(3.0)
-
-
-def test_reduction_lands_in_the_domain_and_is_a_retraction():
-    rng = np.random.default_rng(17)
-    for _ in range(300):
-        pt = IwasawaPoint(
-            x=float(rng.uniform(-40, 40)),
-            y=float(np.exp(rng.uniform(np.log(1e-3), np.log(1e3)))),
-            phi=float(rng.uniform(-10, 10)),
-            xi1=float(rng.uniform(-8, 8)),
-            xi2=float(rng.uniform(-8, 8)),
-        )
-        res = reduce(pt)
-        out = res.point
-        assert out.y >= lower_boundary(out.x) - 1e-9
-        assert -1e-9 <= out.x < 2 + 1e-9
-        assert 0 <= out.phi < math.pi
-        assert -0.5 - 1e-12 <= out.xi1 < 0.5 + 1e-12
-        assert -0.5 - 1e-12 <= out.xi2 < 0.5 + 1e-12
-        # the element really carries the input to the output
-        direct = act_on_iwasawa(res.element, pt)
-        assert abs(direct.z - out.z) <= 1e-9 * (1 + abs(out.z))
-
-
-def test_reduction_fixes_interior_points():
-    pt = IwasawaPoint(x=0.7, y=2.0, phi=1.0, xi1=0.2, xi2=-0.3)
-    res = reduce(pt)
-    assert res.element == IDENTITY
-    assert res.point == pt
-
-
-def test_reduction_iteration_cap():
-    # a point hugging the real axis needs many inversion rounds
-    pt = IwasawaPoint(x=1.6180339887, y=1e-12, phi=0.0)
-    with pytest.raises(NumericFailureError):
-        reduce(pt, max_iterations=3)
-
-
-@pytest.mark.parametrize("x, y", [(0.3, 1e-300), (0.3, 1e-12), (0.7, 1e-12), (0.3, 1e-160)])
-def test_reduction_that_loses_the_point_raises(x, y):
-    # at tiny y the element grows like 1/y and re-applying it to the input
-    # loses the point: a zero inversion radius, or a result outside F
-    with pytest.raises(NumericFailureError):
-        reduce(IwasawaPoint(x=x, y=y, phi=0.0))
+    with pytest.raises(ValueError):
+        oracles.lower_boundary(-1.0)
+    with pytest.raises(ValueError):
+        oracles.lower_boundary(3.0)
 
 
 def test_rho_rotates_the_cusps():
-    pt = IwasawaPoint(x=1.0, y=0.01, phi=0.4, xi1=0.3, xi2=0.1)
-    out = apply_rho(pt)
-    assert abs(out.z - 1 / (1 - pt.z)) < 1e-12
-    assert out.y == pytest.approx(100.0, rel=1e-9)
-    assert (out.xi1, out.xi2) == (pt.xi2, -pt.xi1 + pt.xi2 + 0.5)
-    # three applications return to the start on z; xi returns up to integers
-    # and a sign that the pairing cannot see
-    back = apply_rho(apply_rho(out))
-    assert abs(back.z - pt.z) < 1e-9
-    assert abs(back.xi1 + pt.xi1 - round(back.xi1 + pt.xi1)) < 1e-9
-    assert abs(back.xi2 + pt.xi2 - round(back.xi2 + pt.xi2)) < 1e-9
-
-
-def test_cusp_mass_closed_form():
-    assert cusp_mass(1.0) == pytest.approx(2 / math.pi)
-    assert cusp_mass(4.0) == pytest.approx(0.5 / math.pi)
-    with pytest.raises(InvalidArgumentError):
-        cusp_mass(0.5)
+    # one step of conjugate_horoball: the point below the cusp at 1 goes
+    # high into the cusp at infinity
+    x, y, xi1, xi2 = (np.array([v]) for v in (1.0, 0.01, 0.3, 0.1))
+    out = conjugate_horoball(x, y, xi1, xi2)
+    assert abs(complex(out[0][0], out[1][0]) - 1 / (1 - complex(1.0, 0.01))) < 1e-12
+    assert out[1][0] == pytest.approx(100.0, rel=1e-9)
+    assert (out[2][0], out[3][0]) == (0.1, -0.3 + 0.1 + 0.5)
+    # the point has left the horoball, so the threefold return is checked on
+    # the oracle map: z comes back; xi comes back up to integers and a sign
+    # that the pairing cannot see
+    pt = (1.0, 0.01, 0.3, 0.1)
+    back = oracles.rho_map(*oracles.rho_map(*oracles.rho_map(*pt)))
+    assert abs(complex(back[0], back[1]) - complex(pt[0], pt[1])) < 1e-9
+    for got, start in zip(back[2:], pt[2:]):
+        assert abs(got + start - round(got + start)) < 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +103,7 @@ def test_open_uniforms_clamp_the_top_integer_below_one():
 def test_haar_samples_live_in_the_domain():
     u = open_uniforms(chunk_generator(DEFAULT_SEED, 0), (3, 4096))
     x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
-    assert np.all(y >= np.array([lower_boundary(v) for v in x]) - 1e-12)
+    assert np.all(y >= np.array([oracles.lower_boundary(v) for v in x]) - 1e-12)
     assert np.all((0 <= phi) & (phi < math.pi))
     assert np.all((0 <= x) & (x < 2))
 
@@ -172,9 +116,9 @@ def test_haar_marginals_match_the_closed_forms():
     for t, p in [(0.5, math.asin(0.5) / math.pi), (1.0, 0.5)]:
         emp = np.mean(x <= t)
         assert abs(emp - p) < 5 * math.sqrt(p * (1 - p) / n)
-    # normalized cusp mass: P(Y > T) = 2/(pi T), which is cusp_mass(T)
+    # normalized cusp mass: P(Y > T) = 2/(pi T) for T >= 1
     for T in (1.0, 2.0, 4.0):
-        p = cusp_mass(T)
+        p = 2.0 / (math.pi * T)
         emp = np.mean(y > T)
         assert abs(emp - p) < 5 * math.sqrt(p * (1 - p) / n)
     # phi is uniform on [0, pi)
@@ -334,10 +278,8 @@ def test_conjugate_horoball_is_apply_rho_inside_and_the_identity_outside():
     ulps = 4 * 2.0**-52
     for i in np.flatnonzero(inside):
         want = oracles.rho_map(x[i], y[i], xi1[i], xi2[i])
-        pt = apply_rho(IwasawaPoint(x=x[i], y=y[i], phi=0.0, xi1=xi1[i], xi2=xi2[i]))
-        for got in (tuple(v[i] for v in out), (pt.x, pt.y, pt.xi1, pt.xi2)):
-            for g, w in zip(got, want):
-                assert abs(g - w) <= ulps * abs(w)
+        for g, w in zip((v[i] for v in out), want):
+            assert abs(g - w) <= ulps * abs(w)
         assert out[1][i] >= math.sqrt(3.0) / 2.0 - 1e-12
     for got, given in zip(out, (x, y, xi1, xi2)):
         assert np.array_equal(got[~inside], given[~inside])

@@ -1,24 +1,27 @@
-"""Exact group elements and their action on Iwasawa coordinates."""
+"""The theta-group oracles: exact elements and their action on Iwasawa
+coordinates, which the invariance tests of the pairing rest on."""
 
+import ast
 import cmath
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from theta_tails import (
+import oracles
+from oracles import (
     GAMMA1,
     GAMMA2,
     GAMMA3,
     GAMMA4,
     IDENTITY,
     GammaElement,
-    InvalidArgumentError,
-    IwasawaPoint,
     act_on_iwasawa,
     wrap_angle,
 )
+from theta_tails import InvalidArgumentError, IwasawaPoint
 
 LETTERS = [GAMMA1, GAMMA2, GAMMA3, GAMMA4]
 LETTERS += [g.inverse() for g in LETTERS]
@@ -31,6 +34,19 @@ def compose(indices):
     for i in indices:
         g = g * LETTERS[i]
     return g
+
+
+def test_oracles_import_nothing_from_the_package():
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert imported, "the walk found no import at all"
+    bad = [m for m in imported if m.startswith(".") or m.split(".")[0] == "theta_tails"]
+    assert bad == []
 
 
 def test_generator_list_is_the_published_one():
@@ -62,11 +78,11 @@ def test_multiplication_is_associative(i1, i2, i3):
 
 
 def test_invalid_elements_are_rejected():
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError):
         GammaElement(1, 1, 0, 1)  # b*d odd
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError):
         GammaElement(1, 0, 1, 1)  # a*c odd
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError):
         GammaElement(2, 0, 0, 1)  # determinant 2
 
 
@@ -74,34 +90,33 @@ def test_membership_predicate():
     for a, b, c, d in [(1, 2, 0, 1), (0, -1, 1, 0), (1, 0, 2, 1)]:
         g = GammaElement(a, b, c, d)
         assert (g.a, g.b, g.c, g.d) == (a, b, c, d)
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(ValueError):
         GammaElement(1, 1, 1, 2)  # parity fails, det 1
 
 
 # ---------------------------------------------------------------------------
-# upper-half-plane action
+# upper-half-plane action on (x, y, phi, xi1, xi2)
 
-points = st.builds(
-    IwasawaPoint,
-    x=st.floats(min_value=-3, max_value=3),
-    y=st.floats(min_value=0.05, max_value=20),
-    phi=st.floats(min_value=-6, max_value=6),
-    xi1=st.floats(min_value=-2, max_value=2),
-    xi2=st.floats(min_value=-2, max_value=2),
+points = st.tuples(
+    st.floats(min_value=-3, max_value=3),
+    st.floats(min_value=0.05, max_value=20),
+    st.floats(min_value=-6, max_value=6),
+    st.floats(min_value=-2, max_value=2),
+    st.floats(min_value=-2, max_value=2),
 )
 
 
 @given(words, points)
 def test_moebius_action_on_z(idx, pt):
     g = compose(idx)
+    x, y, phi, _, _ = pt
     out = act_on_iwasawa(g, pt)
-    w = g.c * pt.z + g.d
-    expect = (g.a * pt.z + g.b) / w
-    assert cmath.isclose(out.z, expect, rel_tol=1e-12, abs_tol=1e-12)
-    assert math.isclose(out.y, pt.y / abs(w) ** 2, rel_tol=1e-12)
-    assert math.isclose(
-        wrap_angle(out.phi), wrap_angle(pt.phi + cmath.phase(w)), abs_tol=1e-12
-    )
+    z = complex(x, y)
+    w = g.c * z + g.d
+    expect = (g.a * z + g.b) / w
+    assert cmath.isclose(complex(out[0], out[1]), expect, rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(out[1], y / abs(w) ** 2, rel_tol=1e-12)
+    assert math.isclose(wrap_angle(out[2]), wrap_angle(phi + cmath.phase(w)), abs_tol=1e-12)
 
 
 @given(words, words, points)
@@ -109,11 +124,12 @@ def test_action_is_compatible_with_composition(i1, i2, pt):
     g1, g2 = compose(i1), compose(i2)
     once = act_on_iwasawa(g1 * g2, pt)
     twice = act_on_iwasawa(g1, act_on_iwasawa(g2, pt))
-    assert cmath.isclose(once.z, twice.z, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(once.xi1, twice.xi1, rel_tol=1e-9, abs_tol=1e-9)
-    assert math.isclose(once.xi2, twice.xi2, rel_tol=1e-9, abs_tol=1e-9)
+    z_once, z_twice = complex(once[0], once[1]), complex(twice[0], twice[1])
+    assert cmath.isclose(z_once, z_twice, rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(once[3], twice[3], rel_tol=1e-9, abs_tol=1e-9)
+    assert math.isclose(once[4], twice[4], rel_tol=1e-9, abs_tol=1e-9)
     # phases agree up to the 2 pi ambiguity of arg accumulation
-    d = (once.phi - twice.phi) / (2 * math.pi)
+    d = (once[2] - twice[2]) / (2 * math.pi)
     assert abs(d - round(d)) < 1e-9
 
 
