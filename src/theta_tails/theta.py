@@ -32,6 +32,7 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +112,8 @@ class WeightFunction:
         raise NotImplementedError
 
     def kappa_eta(self, eta: float) -> float:
-        """sup over phi, w of (1 + w^2)^(eta/2) |f_phi(w)|, for finite eta."""
+        """sup over phi, w of (1 + w^2)^(eta/2) |f_phi(w)|, for finite eta;
+        InvalidArgumentError where it is too large for a float."""
         raise NotImplementedError
 
     def f_phi(self, phi: float, w):
@@ -166,7 +168,10 @@ class GaussianWeight(WeightFunction):
             raise InvalidArgumentError(f"eta must be finite, got {eta}")
         if eta <= _TWO_PI:
             return 1.0
-        return (eta / _TWO_PI) ** (eta / 2.0) * math.exp(math.pi - eta / 2.0)
+        try:
+            return (eta / _TWO_PI) ** (eta / 2.0) * math.exp(math.pi - eta / 2.0)
+        except OverflowError:  # the power leaves the floats from eta of about 352 on
+            raise InvalidArgumentError(f"kappa_eta overflows a float at eta = {eta}") from None
 
     def _f_phi_off_pi(self, phi: float, w):
         return self.evaluate(w).astype(np.complex128)
@@ -420,7 +425,7 @@ def _batch_args(x, y, xi1, xi2):
         *(np.asarray(v, dtype=np.float64) for v in (x, y, xi1, xi2))
     )
     check_x_range(x=x, xi1=xi1, xi2=xi2)
-    if not (np.isfinite(y).all() and (y >= 0.5).all()):
+    if y.size and not (y.min() >= 0.5 and y.max() < math.inf):
         raise InvalidArgumentError("theta batch needs finite y >= 1/2")
     return x, y, xi1, xi2
 
@@ -449,6 +454,53 @@ def theta_pair_gaussian_bound(x, y, xi1, xi2) -> np.ndarray:
     a = np.exp(-math.pi * y * (1.0 - 2.0 * np.abs(t)))
     factor = 1.0 + 2.0 * a / (1.0 - np.exp(-_TWO_PI * y))
     return np.sqrt(y) * np.exp(-_TWO_PI * t * t * y) * (factor * factor)
+
+
+def theta_pair_gaussian_height_bound(y) -> np.ndarray:
+    """An upper bound of theta_pair_gaussian_batch at height y for every x,
+    xi1 and xi2, in one exp per sample:
+
+        B0 = sqrt(y) (1 + 2e / (1 - e))^2,  e = exp(-pi y).
+
+    Proof: the batch is at most sqrt(y) J(t)^2, with J(t) the Jacobi sum
+    sum_n exp(-pi (n - t)^2 y) of its terms' moduli and t = xi2. Poisson
+    summation gives J(t) = y^(-1/2) sum_k exp(-pi k^2 / y) cos(2 pi k t), a
+    cosine series with positive coefficients, so J is largest at t = 0,
+    where 1 + 2 sum_(n >= 1) exp(-pi n^2 y) <= 1 + 2(e + e^2 + ...) as
+    n^2 >= n. The batch stays below B0 (1 + 1e-12) after rounding. Unlike
+    theta_pair_gaussian_bound it runs no range check: y must be finite and
+    at least 1/2, as for the batch.
+    """
+    e = np.exp(-math.pi * np.asarray(y, dtype=np.float64))
+    factor = 1.0 + 2.0 * e / (1.0 - e)
+    return np.sqrt(y) * (factor * factor)
+
+
+@lru_cache(maxsize=64)
+def theta_pair_gaussian_screen_height(floor: float) -> float:
+    """A height Y such that theta_pair_gaussian_batch stays below floor at
+    every y in [1/2, Y], whatever x, xi1 and xi2; -inf where floor is below
+    B0(1/2) (1 + 1e-9), B0 being theta_pair_gaussian_height_bound.
+
+    d log B0 / dy = 1/(2y) - 2 pi / sinh(pi y) changes sign once, as
+    sinh(pi y) / (pi y) increases, so B0 falls and then rises (its minimum
+    is near y = 1.04) and its largest value on [1/2, Y] is at an end.
+    Bisection on the rising branch from y = 2, where B0 is below B0(1/2),
+    gives Y with B0(Y) (1 + 1e-9) <= floor. So on [1/2, Y] the batch is at
+    most B0 (1 + 1e-12) < floor, and the samples with y <= Y can be dropped
+    without evaluating them: one comparison per sample in place of B0.
+    """
+    margin = 1.0 + 1e-9
+    if not float(theta_pair_gaussian_height_bound(0.5)) * margin <= floor:
+        return -math.inf
+    lo, hi = 2.0, floor * floor + 1.0  # B0(y) > sqrt(y), so B0(hi) > floor
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        if float(theta_pair_gaussian_height_bound(mid)) * margin <= floor:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def _theta_block(x, y, xi1, xi2):
@@ -490,9 +542,12 @@ def cusp_main_term(
 
 def bound_constant(eta: float) -> float:
     """C_eta = 2^(6 eta) zeta(eta)^2 in the cusp approximation estimate,
-    for finite eta > 1."""
-    if not 1 < eta < math.inf:
-        raise InvalidArgumentError(f"eta must be finite and exceed 1, got {eta}")
+    for finite eta > 1 with 6 eta < 1024, beyond which 2^(6 eta) is no
+    float."""
+    if not (1 < eta and 6.0 * eta < 1024.0):
+        raise InvalidArgumentError(
+            f"eta must be finite, exceed 1 and keep 6 eta below 1024, got {eta}"
+        )
     from scipy.special import zeta  # only here, to keep the package import light
 
     return 2.0 ** (6.0 * eta) * float(zeta(eta, 1.0)) ** 2

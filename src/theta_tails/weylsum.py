@@ -215,7 +215,8 @@ def check_x_range(**values) -> None:
     |x| 2^-52 turns; at 2^30 it is about 2^-22. Non-finite values fail too.
     """
     for name, v in values.items():
-        if not np.all(np.abs(v) < _X_MAX):
+        v = np.asarray(v)  # a NaN makes min and max NaN, failing both tests
+        if v.size and not (-_X_MAX < v.min() and v.max() < _X_MAX):
             raise InvalidArgumentError(f"{name} must be finite with |{name}| < 2^30")
 
 

@@ -39,7 +39,8 @@ def test_each_script_has_help_and_requires_out(load, capsys, name):
 
 @pytest.mark.parametrize("name, flag", [
     ("cold_start", "--runs"), ("orbit_scaling", "--repeats"), ("theta_batch", "--chunks"),
-    ("theta_batch", "--repeats"), ("weyl_anchors", "--calls"),
+    ("theta_batch", "--repeats"), ("theta_chunk", "--chunks"), ("theta_chunk", "--repeats"),
+    ("weyl_anchors", "--calls"),
 ])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_count_flags_take_positive_ints_only(load, capsys, name, flag, value):
@@ -115,3 +116,13 @@ def test_theta_batch_writes_the_key_tree_of_its_bench_file(load, monkeypatch, tm
     assert key_tree(report) == key_tree(json.loads((ROOT / "BENCH_21.json").read_text()))
     for row in report["bound"].values():
         assert row["values_over_bound"] == 0 and row["kept_values_bit_identical"]
+
+
+def test_theta_chunk_writes_the_key_tree_of_its_bench_file(load, tmp_path, capsys):
+    out = tmp_path / "bench.json"
+    assert load("theta_chunk").main(["--chunks", "1", "--repeats", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert key_tree(report) == key_tree(json.loads((ROOT / "BENCH_24.json").read_text()))
+    for row in report["pairs"].values():
+        drawn = row["candidate_pairs_per_sample"]
+        assert row["counted_values_exact"] and 1.0 <= drawn["after"] <= drawn["before"]

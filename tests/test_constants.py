@@ -199,6 +199,9 @@ PAIR = normalize_pair(Fraction(1, 3), 0)
         lambda: IwasawaPoint(Fraction(10**400, 3), 1.0, 0.0),
         lambda: GAUSS.kappa_eta(math.nan),
         lambda: GAUSS.kappa_eta(math.inf),
+        lambda: bound_constant(200.0),
+        lambda: GAUSS.kappa_eta(1000.0),
+        lambda: cusp_bound(GAUSS, GAUSS, y=1.0, eta=200.0),
         lambda: WeylSumSpec(N=1.5),
         lambda: WeylSumSpec(N=True),
         lambda: weyl_values_batch([0.3], PAIR, 2.5),
@@ -221,6 +224,7 @@ PAIR = normalize_pair(Fraction(1, 3), 0)
         "theta_f-y-inf", "cusp_main_term-y-inf", "theta_f-phi-nan",
         "IwasawaPoint-x-overflow", "IwasawaPoint-y-overflow",
         "IwasawaPoint-fraction-overflow", "kappa_eta-nan", "kappa_eta-inf",
+        "bound_constant-eta-200", "kappa_eta-1000", "cusp_bound-eta-200",
         "WeylSumSpec-N-float", "WeylSumSpec-N-bool", "weyl_values_batch-N-float",
         "weyl_values_batch-workers-float", "simulate_weyl_tail-N-float",
         "simulate_weyl_tail-n_samples-float", "simulate_theta_tail-n_samples-bool",

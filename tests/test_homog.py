@@ -20,6 +20,7 @@ from theta_tails import (
     open_uniforms,
     sampling_law,
 )
+from theta_tails import homog
 from theta_tails.homog import run_chunks
 from theta_tails.weylsum import MAX_WORKERS
 
@@ -172,15 +173,52 @@ def window_numerators(out, q):
 
 
 def test_sampler_xi_is_uniform_on_the_orbit():
-    pair = normalize_pair(Fraction(1, 8), 0)
-    orbit = enumerate_orbit(pair)
-    out = MuAbSampler(pair, seed=3).draw(1 << 16)
-    r, s = window_numerators(out, pair.q)
-    counts = np.bincount(r * pair.q + s, minlength=pair.q**2)
-    hit = counts[orbit.points[:, 0] * pair.q + orbit.points[:, 1]]
-    assert hit.sum() == out["xi1"].size  # nothing off the orbit
-    mean = out["xi1"].size / orbit.size_S
-    assert np.all(np.abs(hit - mean) < 5 * math.sqrt(mean))
+    # candidates are drawn straight into the pair's parity class, a 2-to-1
+    # map that must keep the draw uniform on the orbit: one odd numerator,
+    # both odd, and at q = 30 the parity class and the odd primes 3 and 5
+    for alpha, beta in ((Fraction(1, 8), 0), (Fraction(1, 8), Fraction(1, 8)), (Fraction(1, 30), 0)):
+        pair = normalize_pair(alpha, beta)
+        orbit = enumerate_orbit(pair)
+        out = MuAbSampler(pair, seed=3).draw(1 << 16)
+        r, s = window_numerators(out, pair.q)
+        counts = np.bincount(r * pair.q + s, minlength=pair.q**2)
+        hit = counts[orbit.points[:, 0] * pair.q + orbit.points[:, 1]]
+        assert hit.sum() == out["xi1"].size  # nothing off the orbit
+        mean = out["xi1"].size / orbit.size_S
+        assert np.all(np.abs(hit - mean) < 5 * math.sqrt(mean)), (alpha, beta)
+
+
+class CountingGenerator:
+    """A Generator that adds the candidate pairs it draws to tally[0]."""
+
+    def __init__(self, rng, tally):
+        self.rng, self.tally = rng, tally
+
+    def integers(self, low, high, size):
+        if size[0] == 2:  # (2, n): n candidate pairs; the uniforms are (3, n)
+            self.tally[0] += size[1]
+        return self.rng.integers(low, high, size=size)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, most",
+    [(Fraction(1, 2000), 0, 1.1), (Fraction(1, 2002), Fraction(1, 2002), 1.1),
+     (Fraction(1, 30030), 0, 1.3)],
+    ids=["q2000", "q2002-both-odd", "q30030"],
+)
+def test_sampler_draws_about_one_candidate_pair_per_sample(monkeypatch, alpha, beta, most):
+    # drawn in the parity class, a candidate fails only on an odd prime
+    # (acceptance 0.96, 0.97 and 0.82 here), and each block after the first
+    # is the shortfall; full blocks on all of (Z/q)^2 drew 3, 5 and 3 per sample
+    tally = [0]
+    plain = homog.chunk_generator
+    monkeypatch.setattr(
+        homog, "chunk_generator", lambda seed, index: CountingGenerator(plain(seed, index), tally)
+    )
+    sampler = MuAbSampler(alpha, beta, seed=5)
+    for index in range(3):
+        sampler.chunk(index, CHUNK_SIZE)
+    assert CHUNK_SIZE * 3 < tally[0] <= most * CHUNK_SIZE * 3
 
 
 @pytest.mark.parametrize(

@@ -201,13 +201,16 @@ def test_theta_tail_values_do_not_depend_on_the_worker_count():
 
 
 @pytest.mark.parametrize(
-    "pair", [(0, 0), (Fraction(1, 8), 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2000), 0)],
+    "pair",
+    [(0, 0), (Fraction(1, 8), 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 2000), 0),
+     (Fraction(1, 2002), Fraction(1, 2002))],
     ids=str,
 )
-@pytest.mark.parametrize("lo", [1.5, 0.5])
+@pytest.mark.parametrize("lo", [1.5, 0.5, 2.5])
 def test_theta_tail_counts_match_with_and_without_the_values(pair, lo):
-    # without the values only the samples whose bound reaches the smallest
-    # R^2 are evaluated; from R = 0.5 the bound keeps nearly all of them
+    # without the values only the samples that pass the height screen and
+    # then the bound at the smallest R^2 are evaluated; from R = 0.5 the
+    # screen keeps all of them and the bound nearly all
     grid = default_thresholds(lo, 6.0, 20)
     n = 3 * CHUNK_SIZE + 321
     full = simulate_theta_tail(*pair, n_samples=n, thresholds=grid, keep_values=True)

@@ -33,8 +33,10 @@ from theta_tails import (
     theta_pair,
     theta_pair_gaussian_batch,
     theta_pair_gaussian_bound,
+    theta_pair_gaussian_height_bound,
     weighted_weyl_sum,
 )
+from theta_tails.theta import theta_pair_gaussian_screen_height
 
 GAUSS = gaussian_weight()
 CHI = sharp_indicator_weight(1.0)
@@ -310,6 +312,42 @@ def test_gaussian_bound_holds_at_the_edges_of_its_range(y):
         # of the anchor to be the nearer one
         ratio = bound[:3] / theta_pair_gaussian_batch(0.0, y, 0.0, xi2[:3])
         assert np.all(ratio < [2.2, 2.2, 1.03])
+
+
+def test_gaussian_height_bound_holds_for_every_shift():
+    # B0 takes the Jacobi sum at t = 0, its largest by Poisson summation;
+    # x = xi1 = 0 makes every term real and positive, the tightest case
+    y = np.geomspace(0.5, 1e6, 400)
+    bound = theta_pair_gaussian_height_bound(y) * (1.0 + 1e-12)
+    rng = np.random.default_rng(41)
+    for t in np.concatenate([[0.0, 0.5, -0.5, 1e-9], np.linspace(-0.5, 0.5, 201)]):
+        for x, xi1 in ((0.0, 0.0), tuple(rng.uniform(-1, 1, 2))):
+            values = theta_pair_gaussian_batch(x, y, xi1, 2.0 + t)
+            assert np.all(values <= bound), t
+    # at t = 0 the bound is tight high in the cusp: one term is left
+    values = theta_pair_gaussian_batch(0.0, y, 0.0, 0.0)
+    assert np.all(values > bound * (1 - 1e-6) * np.where(y > 3, 1.0, 0.8))
+
+
+@pytest.mark.parametrize("pair", [(0, 0), (Fraction(1, 2000), 0), (Fraction(1, 2002), Fraction(1, 2002))],
+                         ids=str)
+def test_gaussian_height_bound_holds_on_sampler_points(pair):
+    data = MuAbSampler(*pair, seed=9).draw(1 << 16)
+    chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+    values = theta_pair_gaussian_batch(*chunk)
+    assert np.all(values <= theta_pair_gaussian_height_bound(chunk[1]) * (1.0 + 1e-12))
+
+
+@pytest.mark.parametrize("floor", [1.6, 1.7, 2.25, 4.0, 36.0, 1e6])
+def test_screen_height_is_where_the_height_bound_reaches_the_floor(floor):
+    height = theta_pair_gaussian_screen_height(floor)
+    if floor < 1.65:  # below B0(1/2) = 1.644 nothing is screened out
+        assert height == -math.inf
+        return
+    # B0 falls then rises: on [1/2, Y] it stays below the floor, just past Y not
+    y = np.concatenate([np.linspace(0.5, min(height, 3.0), 2001), np.geomspace(0.5, height, 2001)])
+    assert np.all(theta_pair_gaussian_height_bound(y) * (1.0 + 1e-12) < floor)
+    assert theta_pair_gaussian_height_bound(height * (1 + 1e-8)) > floor
 
 
 def test_theta_paths_reject_x_and_xi_beyond_2_30():
