@@ -1,10 +1,9 @@
-"""What the benchmarks/ scripts share: paths, host block, probes, report.
+"""What a benchmarks/ script needs: paths, host block, probes, report.
 
 A script builds its parser with `parser`, runs its fresh-interpreter
-probes through `probe` and `interleave` (or times in process), and writes
-one JSON report with `write`; every report carries `host()` and the line
-count of each src/ it ran. The scripts run from a checkout without
-installing anything.
+probes through `probe` and `interleave`, and writes one JSON report with
+`write`; every report carries `host()` and the line count of each src/ it
+ran. The scripts run from a checkout without installing anything.
 """
 from __future__ import annotations
 
@@ -23,8 +22,8 @@ SRC = ROOT / "src"
 
 
 def positive(text: str) -> int:
-    """argparse type of the count flags (--runs, --calls, --repeats,
-    --chunks): an int >= 1, else a one-line usage error and exit 2."""
+    """argparse type of the count flags (--runs, --repeats): an int >= 1,
+    else a one-line usage error and exit 2."""
     try:
         value = int(text)
     except ValueError:
@@ -34,14 +33,13 @@ def positive(text: str) -> int:
     return value
 
 
-def parser(doc: str, runs: int | None = None) -> argparse.ArgumentParser:
-    """The shared flags: a required --out and, given a default number of
-    runs, --src (another checkout's src/, run as "before") and --runs."""
+def parser(doc: str, runs: int) -> argparse.ArgumentParser:
+    """The shared flags: a required --out, --src (another checkout's src/,
+    run as "before") and --runs, by default `runs`."""
     out = argparse.ArgumentParser(description=doc.splitlines()[0])
     out.add_argument("--out", required=True, help="JSON report to write")
-    if runs is not None:
-        out.add_argument("--src", type=Path, help="src/ of the checkout to compare against")
-        out.add_argument("--runs", type=positive, default=runs, help="fresh interpreters per probe")
+    out.add_argument("--src", type=Path, help="src/ of the checkout to compare against")
+    out.add_argument("--runs", type=positive, default=runs, help="fresh interpreters per side")
     return out
 
 

@@ -33,7 +33,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .arith import normalize_pair
+from .arith import check_integer, normalize_pair
 from .errors import InvalidArgumentError
 from .orbits import OrbitData, orbit_contains
 from .weylsum import check_workers
@@ -61,10 +61,16 @@ def conjugate_horoball(x, y, xi1, xi2):
     return x, y, np.where(inside, xi2, xi1), np.where(inside, -xi1 + xi2 + 0.5, xi2)
 
 
-def chunk_generator(seed: int, index: int) -> np.random.Generator:
-    """The generator owning chunk `index` >= 0 of the stream rooted at `seed` >= 0."""
+def check_seed(seed) -> None:
+    """Raise InvalidArgumentError unless seed is an integer >= 0 (check_integer)."""
+    check_integer("seed", seed)
     if seed < 0:
         raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
+
+
+def chunk_generator(seed: int, index: int) -> np.random.Generator:
+    """The generator owning chunk `index` >= 0 of the stream rooted at `seed` >= 0."""
+    check_seed(seed)
     if index < 0:
         raise InvalidArgumentError(f"chunk index must be >= 0, got {index}")
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
@@ -110,11 +116,9 @@ def haar_from_uniforms(u1, u2, u3):
     is consistent to the last bit; y = h/u2; phi = pi u3.
     """
     u1 = np.asarray(u1, dtype=np.float64)
-    lo = u1 < 0.5
-    t = np.where(lo, u1, 1.0 - u1)
-    s = np.sin(np.pi * t)
-    h = np.cos(np.pi * t)
-    x = np.where(lo, s, 2.0 - s)
+    angle = np.pi * np.minimum(u1, 1.0 - u1)  # 1 - u1 > u1 exactly when u1 < 1/2
+    s, h = np.sin(angle), np.cos(angle)
+    x = np.where(u1 < 0.5, s, 2.0 - s)
     y = h / np.asarray(u2, dtype=np.float64)
     phi = np.pi * np.asarray(u3, dtype=np.float64)
     return x, y, phi
@@ -157,12 +161,14 @@ class MuAbSampler:
             raise InvalidArgumentError(
                 f"orbit of {orbit.pair} given for the pair {self.pair}"
             )
-        self.seed = int(seed)
+        check_seed(seed)
+        self.seed = seed
         self._next_chunk = 0
 
     def chunk(self, index: int, count: int) -> dict:
         """The first 0 <= count <= CHUNK_SIZE samples of chunk `index` >= 0,
         as in draw."""
+        check_integer("count", count)
         if not 0 <= count <= CHUNK_SIZE:
             raise InvalidArgumentError(f"count must be 0 to {CHUNK_SIZE}, got {count}")
         rng = chunk_generator(self.seed, index)
@@ -186,6 +192,7 @@ class MuAbSampler:
     def draw(self, n: int) -> dict:
         """The next n samples, chunk by chunk on one worker, as a dict of
         arrays x, y, phi, xi1, xi2."""
+        check_integer("sample count", n)
         if n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
         parts = run_chunks(n, self.chunk, first=self._next_chunk)

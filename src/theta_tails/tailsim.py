@@ -48,6 +48,7 @@ from .homog import (
     CHUNK_SIZE,
     DEFAULT_SEED,
     MuAbSampler,
+    check_seed,
     chunk_generator,
     conjugate_horoball,
     conjugate_z,
@@ -94,16 +95,28 @@ def sampling_law(name: str) -> SamplingLaw:
 MAX_THRESHOLDS = 1024
 
 
-def default_thresholds(lo: float = 1.5, hi: float = 6.0, count: int = 20) -> np.ndarray:
-    """Geometric grid of R values for survival curves: finite 0 < lo < hi and
-    an integer 2 <= count <= MAX_THRESHOLDS."""
-    check_integer("count", count)
-    if not (0 < lo < hi < math.inf) or not 2 <= count <= MAX_THRESHOLDS:
+def _check_grid(thresholds) -> np.ndarray:
+    """thresholds as a float array, if a 1-D grid of 1 to MAX_THRESHOLDS R in
+    1e-75 <= R <= 1e75 (R^4, R^-4 finite nonzero); else InvalidArgumentError."""
+    r = np.asarray(thresholds, dtype=np.float64)
+    in_range = np.all((r >= 1e-75) & (r <= 1e75))
+    if not (r.ndim == 1 and 0 < r.size <= MAX_THRESHOLDS and in_range):
         raise InvalidArgumentError(
-            f"bad threshold grid ({lo}, {hi}, {count}): need finite 0 < lo < hi"
+            f"thresholds must be 1 to {MAX_THRESHOLDS} values 1e-75 <= R <= 1e75 in a 1-D grid"
+        )
+    return r
+
+
+def default_thresholds(lo: float = 1.5, hi: float = 6.0, count: int = 20) -> np.ndarray:
+    """Geometric grid of R values for survival curves: 1e-75 <= lo < hi <=
+    1e75 (_check_grid) and an integer 2 <= count <= MAX_THRESHOLDS."""
+    check_integer("count", count)
+    if not (lo < hi and 2 <= count <= MAX_THRESHOLDS):
+        raise InvalidArgumentError(
+            f"bad threshold grid ({lo}, {hi}, {count}): need lo < hi"
             f" and 2 to {MAX_THRESHOLDS} steps"
         )
-    return np.geomspace(lo, hi, count)
+    return np.geomspace(*_check_grid([lo, hi]), count)
 
 
 @dataclass
@@ -148,18 +161,13 @@ def _count_exceedances(values: np.ndarray, squared_thresholds: np.ndarray) -> np
 def _simulate(kind, pair, values, constant, meta, n_samples, thresholds, seed, workers, keep_values):
     """The survival curve of values(index, count, floor), the values of
     each chunk but any it proves are at most floor (the smallest R^2, or
-    -inf to keep all), with the checks, counts and metadata both share."""
+    -inf to keep all), with the checks, counts and metadata both share. Each
+    R must lie in 1e-75 <= R <= 1e75; all is checked before any chunk runs."""
     check_integer("n_samples", n_samples)
     if n_samples < 1:
         raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
-    if thresholds is None:
-        thresholds = default_thresholds()
-    thresholds = np.asarray(thresholds, dtype=np.float64)
-    grid_ok = thresholds.ndim == 1 and 0 < thresholds.size <= MAX_THRESHOLDS
-    if not (grid_ok and np.all((thresholds > 0) & (thresholds < math.inf))):
-        raise InvalidArgumentError(
-            f"thresholds must be 1 to {MAX_THRESHOLDS} finite values > 0 in a 1-D grid"
-        )
+    check_seed(seed)
+    thresholds = default_thresholds() if thresholds is None else _check_grid(thresholds)
     squared = thresholds**2
     floor = -math.inf if keep_values else squared.min()
 

@@ -17,15 +17,6 @@ def load(monkeypatch):
     return importlib.import_module
 
 
-def key_tree(value):
-    """The nested keys of a JSON value; a list stands for its first item."""
-    if isinstance(value, dict):
-        return {key: key_tree(item) for key, item in value.items()}
-    if isinstance(value, list):
-        return [key_tree(item) for item in value[:1]]
-    return None
-
-
 @pytest.mark.parametrize("name", SCRIPTS)
 def test_each_script_has_help_and_requires_out(load, capsys, name):
     # with a default --out, a bare run would overwrite a committed BENCH_<n>.json
@@ -37,11 +28,7 @@ def test_each_script_has_help_and_requires_out(load, capsys, name):
     assert "--out" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("name, flag", [
-    ("cold_start", "--runs"), ("orbit_scaling", "--repeats"), ("theta_batch", "--chunks"),
-    ("theta_batch", "--repeats"), ("theta_chunk", "--chunks"), ("theta_chunk", "--repeats"),
-    ("weyl_anchors", "--calls"),
-])
+@pytest.mark.parametrize("name, flag", [("layers", "--runs"), ("layers", "--repeats")])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_count_flags_take_positive_ints_only(load, capsys, name, flag, value):
     # --runs 0 once reached medians() with no rows and raised IndexError
@@ -71,58 +58,30 @@ def test_sides_put_the_other_checkout_first(load, tmp_path):
     assert list(harness.sides(tmp_path)) == ["before", "after"]
 
 
-def test_orbit_scaling_writes_the_key_tree_of_its_bench_file(load, tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert load("orbit_scaling").main(["--q", "12", "--repeats", "1", "--out", str(out)]) == 0
-    committed = json.loads((ROOT / "BENCH_5.json").read_text())
-    assert key_tree(json.loads(out.read_text())) == key_tree(committed)
-
-
-def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(load, monkeypatch, tmp_path, capsys):
-    # both sides run this checkout, at shapes small enough for a smoke test;
-    # each shape's probe runs in one fresh interpreter and its row stands
-    # for every other run of that shape, so the test starts 2 interpreters
-    # rather than 8
-    module = load("weyl_anchors")
-    for shape in module.SHAPES.values():
+def test_layers_a_a_run_reports_every_stage_with_equal_digests(load, monkeypatch, tmp_path,
+                                                               capsys):
+    # both sides run this checkout, at sizes small enough for a smoke test;
+    # the interpreters receive the shrunk module constants
+    module = load("layers")
+    for shape in module.WEYL.values():
         monkeypatch.setitem(shape, "N", 70)
         monkeypatch.setitem(shape, "samples", 64)
-    rows = {}
-
-    def probe_once(code, src, *args):
-        if args not in rows:
-            rows[args] = harness_probe(code, src, *args)
-        return rows[args]
-
-    harness_probe = module.harness.probe
-    monkeypatch.setattr(module.harness, "probe", probe_once)
-    out = tmp_path / "bench.json"
-    argv = ["--src", str(ROOT / "src"), "--runs", "1", "--calls", "1", "--out", str(out)]
+        monkeypatch.setitem(shape, "law", "uniform01")
+    monkeypatch.setattr(module, "THETA_SAMPLES", 256)
+    monkeypatch.setattr(module, "ORBIT_Q", [12, 20])
+    out = tmp_path / "aa.json"
+    argv = ["--src", str(ROOT / "src"), "--runs", "1", "--repeats", "1", "--out", str(out)]
     assert module.main(argv) == 0
     report = json.loads(out.read_text())
-    committed = json.loads((ROOT / "BENCH_20.json").read_text())
-    assert key_tree(report) == key_tree(committed)
-    assert report["max_rel_change"] == {"wide": 0.0, "deep": 0.0}
-    assert len(rows) == 2
-
-
-def test_theta_batch_writes_the_key_tree_of_its_bench_file(load, monkeypatch, tmp_path, capsys):
-    # one chunk per pair; the import probe's fresh interpreters are stubbed out
-    module = load("theta_batch")
-    monkeypatch.setattr(module.harness, "probe", lambda code, src: [0.1, False])
-    out = tmp_path / "bench.json"
-    assert module.main(["--chunks", "1", "--repeats", "1", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert key_tree(report) == key_tree(json.loads((ROOT / "BENCH_21.json").read_text()))
-    for row in report["bound"].values():
-        assert row["values_over_bound"] == 0 and row["kept_values_bit_identical"]
-
-
-def test_theta_chunk_writes_the_key_tree_of_its_bench_file(load, tmp_path, capsys):
-    out = tmp_path / "bench.json"
-    assert load("theta_chunk").main(["--chunks", "1", "--repeats", "1", "--out", str(out)]) == 0
-    report = json.loads(out.read_text())
-    assert key_tree(report) == key_tree(json.loads((ROOT / "BENCH_24.json").read_text()))
-    for row in report["pairs"].values():
-        drawn = row["candidate_pairs_per_sample"]
-        assert row["counted_values_exact"] and 1.0 <= drawn["after"] <= drawn["before"]
+    stages = ["import", "draw_x", "weyl wide", "weyl deep", "count", "fit", "orbit q=12",
+              "orbit q=20"]
+    stages += [
+        f"{kind} ({a}, {b})" for a, b in module.PAIRS for kind in ("chunk", "theta_values", "batch")
+    ]
+    for side in ("before", "after"):
+        assert report[side]["src_lines"] == report["after"]["src_lines"] > 0
+        assert sorted(report[side]["stages"]) == sorted(stages)
+        assert all(row is not None for row in report[side]["stages"].values())
+    assert report["same_values"] == dict.fromkeys(report["after"]["stages"], True)
+    assert report["after"]["stages"]["weyl deep"]["ms_per_call_2_workers"] > 0
+    assert {"nproc", "python", "numpy", "scipy"} <= set(report)

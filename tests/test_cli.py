@@ -206,9 +206,10 @@ def test_argparse_rejects_bad_rationals(capsys):
         cli.main(["tail", "--thresholds", "2-4-4"])
     assert exc.value.code == 2
     capsys.readouterr()
-    # grids must be finite and hold at most MAX_THRESHOLDS values; a range
-    # error is one error line, not the usage block
-    for grid in ("1:inf:5", "1:1e400:3", "1:2:100000000"):
+    # grids must keep R^4 and R^-4 finite and nonzero and hold at most
+    # MAX_THRESHOLDS values; a range error is one error line, not the usage
+    # block (1e-300 once wrote "predicted": Infinity, 1e308 squared to inf)
+    for grid in ("1:inf:5", "1:1e400:3", "1:2:100000000", "1e-300:1e-299:3", "1:1e308:3"):
         assert cli.main(["tail", "--thresholds", grid]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -209,6 +209,9 @@ PAIR = normalize_pair(Fraction(1, 3), 0)
         lambda: simulate_weyl_tail(Fraction(1, 3), N=2.5, n_samples=10),
         lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10.5),
         lambda: simulate_theta_tail(Fraction(1, 3), n_samples=True),
+        lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10, seed=1.5),
+        lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=1.5),
+        lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=True),
         lambda: factorize(1.5),
         lambda: factorize(True),
         lambda: table_reciprocal_C(1.5),
@@ -228,6 +231,8 @@ PAIR = normalize_pair(Fraction(1, 3), 0)
         "WeylSumSpec-N-float", "WeylSumSpec-N-bool", "weyl_values_batch-N-float",
         "weyl_values_batch-workers-float", "simulate_weyl_tail-N-float",
         "simulate_weyl_tail-n_samples-float", "simulate_theta_tail-n_samples-bool",
+        "simulate_weyl_tail-seed-float", "simulate_theta_tail-seed-float",
+        "simulate_theta_tail-seed-bool",
         "factorize-float", "factorize-bool", "table_reciprocal_C-float",
         "default_thresholds-count-float",
     ],
@@ -251,3 +256,9 @@ def test_counts_accept_numpy_integers():
     assert len(table_reciprocal_C(np.int32(5))) == 5
     assert default_thresholds(1.5, 6.0, np.int64(4)).size == 4
     assert weyl_values_batch([0.3], PAIR, np.int64(10), workers=np.int64(2)).shape == (1,)
+    for simulate in (simulate_weyl_tail, simulate_theta_tail):
+        runs = [
+            simulate(Fraction(1, 3), n_samples=10, seed=s, keep_values=True)
+            for s in (np.uint32(3), 3)
+        ]
+        assert np.array_equal(runs[0].values, runs[1].values)

@@ -268,6 +268,17 @@ def test_sampler_draw_validation():
         chunk_generator(-1, 0)
     with pytest.raises(InvalidArgumentError):
         MuAbSampler(Fraction(1, 6), seed=-1).draw(1)
+    # int(seed) once ran seed 1.5 as 1 and took True as 1; a float count
+    # raised a bare TypeError
+    for seed in (1.5, True):
+        with pytest.raises(InvalidArgumentError, match="seed"):
+            MuAbSampler(Fraction(1, 6), seed=seed)
+    sampler = MuAbSampler(Fraction(1, 6), seed=np.int64(5))
+    for call in (lambda: sampler.draw(2.5), lambda: sampler.chunk(0, 2.5)):
+        with pytest.raises(InvalidArgumentError, match="count"):
+            call()
+    plain = MuAbSampler(Fraction(1, 6), seed=5).draw(100)
+    assert all(np.array_equal(plain[key], value) for key, value in sampler.draw(100).items())
 
 
 def test_sampler_rejects_a_denominator_beyond_int64():

@@ -47,16 +47,20 @@ def test_default_thresholds_grid():
     with pytest.raises(InvalidArgumentError):
         default_thresholds(1.0, 2.0, 1)
     assert default_thresholds(1.0, 2.0, MAX_THRESHOLDS).size == MAX_THRESHOLDS
-    for bad in ((1.0, math.inf, 5), (math.nan, 2.0, 5), (1.0, 2.0, MAX_THRESHOLDS + 1)):
+    # R beyond 1e-75..1e75 once gave "predicted": Infinity, or R^2 = inf
+    for bad in ((1.0, math.inf, 5), (math.nan, 2.0, 5), (1.0, 2.0, MAX_THRESHOLDS + 1),
+                (1e-300, 1e-299, 3), (1e-76, 1.0, 3), (1.0, 1e76, 3), (1.0, 1e308, 3)):
         with pytest.raises(InvalidArgumentError):
             default_thresholds(*bad)
+    edges = default_thresholds(1e-75, 1e75, 3)
+    assert np.all(np.isfinite(edges**4) & np.isfinite(edges**-4.0) & (edges**-4.0 > 0))
 
 
 @pytest.mark.parametrize(
     "grid",
     [[], [[2.0, 3.0]], [2.0, math.inf], [2.0, math.nan], [0.0, 2.0], [-1.0],
-     np.full(MAX_THRESHOLDS + 1, 2.0)],
-    ids=["empty", "2-D", "inf", "nan", "zero", "negative", "too-many"],
+     np.full(MAX_THRESHOLDS + 1, 2.0), [1e-300, 1e-299], [1.0, 1e308]],
+    ids=["empty", "2-D", "inf", "nan", "zero", "negative", "too-many", "R^-4-inf", "R^4-inf"],
 )
 @pytest.mark.parametrize("simulate", [simulate_weyl_tail, simulate_theta_tail])
 def test_simulators_reject_bad_threshold_grids(simulate, grid):
@@ -343,3 +347,4 @@ def test_fit_sorts_thresholds_and_rejects_increasing_counts():
     )
     with pytest.raises(InvalidArgumentError):
         fit_tail_constant(bad)
+
