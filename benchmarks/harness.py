@@ -35,8 +35,11 @@ def positive(text: str) -> int:
 
 def parser(doc: str, runs: int) -> argparse.ArgumentParser:
     """The shared flags: a required --out, --src (another checkout's src/,
-    run as "before") and --runs, by default `runs`."""
-    out = argparse.ArgumentParser(description=doc.splitlines()[0])
+    run as "before") and --runs, by default `runs`; --help prints the
+    script's docstring as it stands, the list of what it times included."""
+    out = argparse.ArgumentParser(
+        description=doc, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     out.add_argument("--out", required=True, help="JSON report to write")
     out.add_argument("--src", type=Path, help="src/ of the checkout to compare against")
     out.add_argument("--runs", type=positive, default=runs, help="fresh interpreters per side")

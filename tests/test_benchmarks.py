@@ -2,12 +2,23 @@
 
 import importlib
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = sorted(p.stem for p in (ROOT / "benchmarks").glob("*.py") if p.stem != "harness")
+# the scripts layers.py replaced (their BENCH_<n>.json files stay as records),
+# each with what layers.py's --help names of the job it took over; a case
+# under a retired name runs layers.py
+RETIRED = {
+    "cold_start": ["`import theta_tails`", "enumerate_orbit"],
+    "orbit_scaling": ["enumerate_orbit", "tracemalloc peak"],
+    "theta_batch": ["theta_pair_gaussian_batch"],
+    "theta_chunk": ["MuAbSampler.chunk", "tailsim.theta_values"],
+    "weyl_anchors": ["weyl_values_batch", "two-worker", "ru_maxrss"],
+}
 
 
 @pytest.fixture
@@ -17,23 +28,58 @@ def load(monkeypatch):
     return importlib.import_module
 
 
-@pytest.mark.parametrize("name", SCRIPTS)
+@pytest.fixture(scope="module")
+def a_a(tmp_path_factory):
+    """layers.py's A/A report at sizes small enough for a smoke test: both
+    sides run this checkout, and the interpreters receive the shrunk module
+    constants, which the report's config holds."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "benchmarks"))
+        module = importlib.import_module("layers")
+        for shape in module.WEYL.values():
+            patch.setitem(shape, "N", 70)
+            patch.setitem(shape, "samples", 64)
+            patch.setitem(shape, "law", "uniform01")
+        patch.setattr(module, "THETA_SAMPLES", 256)
+        patch.setattr(module, "ORBIT_Q", [12, 20])
+        out = tmp_path_factory.mktemp("layers") / "aa.json"
+        argv = ["--src", str(ROOT / "src"), "--runs", "1", "--repeats", "1", "--out", str(out)]
+        assert module.main(argv) == 0
+        return json.loads(out.read_text())
+
+
+def rows(report: dict, prefix: str) -> dict:
+    """{stage: row} of the after side's stages whose name starts with prefix,
+    after checking that the before side computed the same values."""
+    out = {name: row for name, row in report["after"]["stages"].items()
+           if name.startswith(prefix)}
+    assert out and all(report["same_values"][name] for name in out)
+    return out
+
+
+@pytest.mark.parametrize("name", SCRIPTS + sorted(RETIRED))
 def test_each_script_has_help_and_requires_out(load, capsys, name):
     # with a default --out, a bare run would overwrite a committed BENCH_<n>.json
-    main = load(name).main
+    main = load("layers" if name in RETIRED else name).main
     for argv, code in ((["--help"], 0), ([], 2)):
         with pytest.raises(SystemExit) as stop:
             main(argv)
         assert stop.value.code == code
-    assert "--out" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "--out" in err
+    assert all(text in out for text in RETIRED.get(name, []))
 
 
-@pytest.mark.parametrize("name, flag", [("layers", "--runs"), ("layers", "--repeats")])
+# layers.py's own count flags, and those of the retired scripts that it kept
+@pytest.mark.parametrize("name, flag", [
+    ("cold_start", "--runs"), ("layers", "--runs"), ("layers", "--repeats"),
+    ("orbit_scaling", "--repeats"), ("theta_batch", "--repeats"), ("theta_chunk", "--repeats"),
+])
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_count_flags_take_positive_ints_only(load, capsys, name, flag, value):
     # --runs 0 once reached medians() with no rows and raised IndexError
     with pytest.raises(SystemExit) as stop:
-        load(name).main(["--out", "unused.json", flag, value])
+        load("layers" if name in RETIRED else name).main(["--out", "unused.json", flag, value])
     assert stop.value.code == 2
     errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
     assert len(errors) == 1 and flag in errors[0]
@@ -58,30 +104,87 @@ def test_sides_put_the_other_checkout_first(load, tmp_path):
     assert list(harness.sides(tmp_path)) == ["before", "after"]
 
 
-def test_layers_a_a_run_reports_every_stage_with_equal_digests(load, monkeypatch, tmp_path,
-                                                               capsys):
-    # both sides run this checkout, at sizes small enough for a smoke test;
-    # the interpreters receive the shrunk module constants
-    module = load("layers")
-    for shape in module.WEYL.values():
-        monkeypatch.setitem(shape, "N", 70)
-        monkeypatch.setitem(shape, "samples", 64)
-        monkeypatch.setitem(shape, "law", "uniform01")
-    monkeypatch.setattr(module, "THETA_SAMPLES", 256)
-    monkeypatch.setattr(module, "ORBIT_Q", [12, 20])
-    out = tmp_path / "aa.json"
-    argv = ["--src", str(ROOT / "src"), "--runs", "1", "--repeats", "1", "--out", str(out)]
-    assert module.main(argv) == 0
-    report = json.loads(out.read_text())
-    stages = ["import", "draw_x", "weyl wide", "weyl deep", "count", "fit", "orbit q=12",
-              "orbit q=20"]
+def test_layers_a_a_run_reports_every_stage_with_equal_digests(load, a_a):
+    config = a_a["config"]
+    stages = ["import", "draw_x", "weyl wide", "weyl deep", "count", "fit"]
+    stages += [f"orbit q={q}" for q in config["orbit_q"]]
     stages += [
-        f"{kind} ({a}, {b})" for a, b in module.PAIRS for kind in ("chunk", "theta_values", "batch")
+        f"{kind} ({a}, {b})" for a, b in config["pairs"] for kind in ("chunk", "theta_values", "batch")
     ]
+    assert config["orbit_q"] == [12, 20] and config["pairs"] == load("layers").PAIRS
     for side in ("before", "after"):
-        assert report[side]["src_lines"] == report["after"]["src_lines"] > 0
-        assert sorted(report[side]["stages"]) == sorted(stages)
-        assert all(row is not None for row in report[side]["stages"].values())
-    assert report["same_values"] == dict.fromkeys(report["after"]["stages"], True)
-    assert report["after"]["stages"]["weyl deep"]["ms_per_call_2_workers"] > 0
-    assert {"nproc", "python", "numpy", "scipy"} <= set(report)
+        assert a_a[side]["src_lines"] == a_a["after"]["src_lines"] > 0
+        assert sorted(a_a[side]["stages"]) == sorted(stages)
+        assert all(row is not None for row in a_a[side]["stages"].values())
+    assert a_a["same_values"] == dict.fromkeys(a_a["after"]["stages"], True)
+    assert {"nproc", "python", "numpy", "scipy"} <= set(a_a)
+
+
+# The keys of a retired script's BENCH_<n>.json that the ROADMAP and README
+# cite live on in the rows of layers.py's stages for the same layer; each
+# test below checks those rows in the A/A report and, where a digest can be
+# recomputed here, that the stage timed the values it names.
+
+
+def test_orbit_scaling_writes_the_key_tree_of_its_bench_file(a_a):
+    from theta_tails import enumerate_orbit, normalize_pair
+
+    committed = json.loads((ROOT / "BENCH_5.json").read_text())["rows"][0]
+    assert {"wall_s", "alloc_peak_mb"} <= set(committed["enumerate_orbit"])
+    orbit = rows(a_a, "orbit q=")
+    assert sorted(orbit) == [f"orbit q={q}" for q in a_a["config"]["orbit_q"]]
+    for name, row in orbit.items():
+        q = int(name.removeprefix("orbit q="))
+        assert row["s"] > 0 and row["alloc_peak_mb"] > 0
+        assert row["points"] == len(enumerate_orbit(normalize_pair(Fraction(1, q), 0)).points)
+
+
+def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(a_a):
+    # the deep-shape numbers the ROADMAP's pool and arena notes cite
+    cited = {"ms_per_call", "minflt_per_call", "ms_per_call_2_workers",
+             "cpu_ms_per_call_2_workers", "ru_maxrss_mb"}
+    committed = json.loads((ROOT / "BENCH_20.json").read_text())
+    assert cited <= set(committed["after"]["deep"])
+    weyl = rows(a_a, "weyl ")
+    assert sorted(weyl) == ["weyl deep", "weyl wide"]
+    assert cited <= set(weyl["weyl deep"])
+    assert {"ns_per_term_sample", "ms_per_call", "minflt_per_call"} <= set(weyl["weyl wide"])
+    assert weyl["weyl deep"]["ms_per_call_2_workers"] > 0 and weyl["weyl deep"]["ru_maxrss_mb"] > 0
+
+
+def test_theta_batch_writes_the_key_tree_of_its_bench_file(load, a_a):
+    from theta_tails import MuAbSampler, conjugate_horoball, theta_pair_gaussian_batch
+
+    committed = json.loads((ROOT / "BENCH_21.json").read_text())
+    assert "after_ns_per_sample" in committed["theta_batch"]
+    config = a_a["config"]
+    batch = rows(a_a, "batch (")
+    assert sorted(batch) == sorted(f"batch ({a}, {b})" for a, b in config["pairs"])
+    for (alpha, beta) in config["pairs"]:
+        sampler = MuAbSampler(Fraction(alpha), Fraction(beta), seed=config["seed"])
+        data = sampler.chunk(0, config["theta_samples"])
+        moved = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+        row = batch[f"batch ({alpha}, {beta})"]
+        assert row["ns_per_sample"] > 0
+        assert row["digest"] == load("layers").digest(theta_pair_gaussian_batch(*moved))
+
+
+def test_theta_chunk_writes_the_key_tree_of_its_bench_file(load, a_a):
+    from theta_tails import MuAbSampler, default_thresholds
+    from theta_tails.tailsim import theta_values
+
+    committed = json.loads((ROOT / "BENCH_24.json").read_text())
+    for row in committed["pairs"].values():
+        assert "after_ns_per_sample" in row["chunk"] and "after_ns_per_sample" in row["values"]
+    config, floor = a_a["config"], float(default_thresholds()[0] ** 2)
+    chunk, values = rows(a_a, "chunk ("), rows(a_a, "theta_values (")
+    assert len(chunk) == len(values) == len(config["pairs"])
+    for (alpha, beta) in config["pairs"]:
+        sampler = MuAbSampler(Fraction(alpha), Fraction(beta), seed=config["seed"])
+        n = config["theta_samples"]
+        row = chunk[f"chunk ({alpha}, {beta})"]
+        assert row["ns_per_sample"] > 0
+        assert row["digest"] == load("layers").digest(*sampler.chunk(0, n).values())
+        row = values[f"theta_values ({alpha}, {beta})"]
+        assert row["ns_per_sample"] > 0
+        assert row["digest"] == load("layers").digest(theta_values(sampler, 0, n, floor))
