@@ -118,9 +118,9 @@ class RationalPair:
 
     a/q and b/q are the fractional parts of alpha and beta with the smallest
     common denominator: 0 <= a, b < q and gcd(a, b, q) = 1. ell and m give
-    q = 2^ell * m with m odd. kind is "C" exactly when ell = 1 and both
-    numerators are odd (the compact-support class); every other pair is "H"
-    (the heavy-tail class).
+    q = 2^ell * m with m odd. diagonal is the parity rule: q even and both
+    numerators odd, the class of (1/q, 1/q). kind is "C" for a diagonal pair
+    with ell = 1 (the compact-support class), else "H" (the heavy-tail class).
     """
 
     a: int
@@ -128,7 +128,14 @@ class RationalPair:
     q: int
     ell: int
     m: int
-    kind: str
+
+    @property
+    def diagonal(self) -> bool:
+        return self.q % 2 == 0 and self.a & self.b & 1 == 1
+
+    @property
+    def kind(self) -> str:
+        return "C" if self.ell == 1 and self.diagonal else "H"
 
     @property
     def alpha(self) -> Fraction:
@@ -160,8 +167,7 @@ def normalize_pair(alpha, beta) -> RationalPair:
     b = fb.numerator * (q // fb.denominator)
     # Fraction already reduced a/q and b/q separately, so gcd(a, b, q) = 1
     ell, m = split_two_power(q)
-    kind = "C" if (ell == 1 and a % 2 == 1 and b % 2 == 1) else "H"
-    return RationalPair(a=a, b=b, q=q, ell=ell, m=m, kind=kind)
+    return RationalPair(a=a, b=b, q=q, ell=ell, m=m)
 
 
 def _as_fraction(value, name: str) -> Fraction:

@@ -9,9 +9,9 @@ printed as "p/q" strings, floats at 9 significant digits.
 `orbit --points` enumerates, under --orbit-cap.
 
 Exit codes: 0 success, 2 invalid arguments or unsupported request,
-3 resource limit (only `orbit --points`, whose point list is capped),
-4 numeric failure, 5 operating-system error such as an --out path that
-cannot be written.
+3 resource limit (`orbit --points`, whose point list is capped) or out of
+memory, 4 numeric failure, 5 operating-system error such as an --out path
+that cannot be written.
 """
 from __future__ import annotations
 
@@ -41,7 +41,7 @@ from .weylsum import WeylSumSpec, partial_sums
 
 FLOAT_DIGITS = ".9g"
 # exit codes other than 2, the code of every other ThetaTailsError
-_EXIT_CODES = ((ResourceLimitError, 3), (NumericFailureError, 4), (OSError, 5))
+_EXIT_CODES = ((ResourceLimitError, 3), (MemoryError, 3), (NumericFailureError, 4), (OSError, 5))
 
 
 def _fmt(value) -> str:
@@ -313,8 +313,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ThetaTailsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ThetaTailsError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return next((code for kind, code in _EXIT_CODES if isinstance(exc, kind)), 2)
 
 

@@ -16,16 +16,16 @@ The cusp at 1 is carried to infinity by z -> 1/(1 - z), an SL(2, Z)
 element outside the theta group (its xi action needs an extra half shift
 in the second slot); images of the horoball |z - 1| < 1 in F have
 y >= sqrt(3)/2. conjugate_horoball maps the horoball points of a batch,
-conjugate_z their z alone.
+z and xi together, in one pass over it.
 
 Randomness is consumed in fixed-size chunks, each owning the generator
 seeded by (seed, chunk_index) with seed >= 0; results are concatenated in
 chunk order, so the output stream is bit-identical no matter how many
 threads execute the chunks, and a short draw is a prefix of a longer one.
 MuAbSampler.chunk is one such chunk, the unit the tail simulators run on:
-its orbit points are drawn in the pair's parity class, so a chunk of C
-samples draws about C / 0.96 candidate pairs at q = 2000, and on average
-at most about C / 0.81 at any q.
+its orbit points are drawn in the pair's parity class (RationalPair.diagonal),
+so a chunk of C samples draws about C / 0.96 candidate pairs at q = 2000,
+and on average at most about C / 0.81 at any q.
 """
 from __future__ import annotations
 
@@ -44,21 +44,15 @@ CHUNK_SIZE = 1 << 15
 _BELOW_ONE = 1.0 - 2.0**-53
 
 
-def conjugate_z(x, y):
-    """(inside, x', y'): the points of (x, y) in the horoball |z - 1| < 1,
-    and z moved by z -> 1/(1 - z) on them, the rest unchanged."""
-    wr = 1.0 - x
-    den = wr * wr + y * y
-    inside = den < 1.0
-    return inside, np.where(inside, wr / den, x), np.where(inside, y / den, y)
-
-
 def conjugate_horoball(x, y, xi1, xi2):
     """z -> 1/(1 - z), (xi1, xi2) -> (xi2, -xi1 + xi2 + 1/2) on the points of
     (x, y, xi1, xi2) in the horoball |z - 1| < 1, the rest unchanged; phi is
     left out, as the Gaussian pairing does not depend on it."""
-    inside, x, y = conjugate_z(x, y)
-    return x, y, np.where(inside, xi2, xi1), np.where(inside, -xi1 + xi2 + 0.5, xi2)
+    wr = 1.0 - x
+    den = wr * wr + y * y
+    inside = den < 1.0
+    return (np.where(inside, wr / den, x), np.where(inside, y / den, y),
+            np.where(inside, xi2, xi1), np.where(inside, -xi1 + xi2 + 0.5, xi2))
 
 
 def check_seed(seed) -> None:
@@ -76,17 +70,15 @@ def chunk_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
-def run_chunks(n_samples: int, chunk_fn, workers: int = 1, first: int = 0) -> list:
-    """chunk_fn(index, count) for the chunks first, first + 1, ... that cover
-    n_samples, each CHUNK_SIZE long but the last; results in chunk order.
+def run_chunks(n_samples: int, chunk_fn, workers: int = 1) -> list:
+    """chunk_fn(index, count) for the chunks 0, 1, ... that cover n_samples,
+    each CHUNK_SIZE long but the last; results in chunk order.
 
     Runs on a pool of min(workers, chunks) threads; workers outside
     1..MAX_WORKERS raises InvalidArgumentError (check_workers)."""
     check_workers(workers)
-    plan = [
-        (first + k, min(CHUNK_SIZE, n_samples - start))
-        for k, start in enumerate(range(0, n_samples, CHUNK_SIZE))
-    ]
+    starts = range(0, n_samples, CHUNK_SIZE)
+    plan = [(k, min(CHUNK_SIZE, n_samples - start)) for k, start in enumerate(starts)]
     workers = min(workers, len(plan))
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -178,7 +170,7 @@ class MuAbSampler:
         kept, accepted = [], 0
         while accepted < CHUNK_SIZE:
             cand = rng.integers(0, q, size=(2, CHUNK_SIZE - accepted))
-            if q % 2 == 0 and pair.a & pair.b & 1:
+            if pair.diagonal:
                 cand |= 1  # both odd
             elif q % 2 == 0:
                 cand[1] ^= ~(cand[0] ^ cand[1]) & 1  # s of the other parity than r
@@ -195,7 +187,7 @@ class MuAbSampler:
         check_integer("sample count", n)
         if n < 1:
             raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
-        parts = run_chunks(n, self.chunk, first=self._next_chunk)
+        parts = run_chunks(n, lambda k, count: self.chunk(self._next_chunk + k, count))
         self._next_chunk += len(parts)
         return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}
 

@@ -123,7 +123,7 @@ def which_representative(pair: RationalPair) -> Representative:
     """
     if pair.q == 1:
         return Representative("Origin", 1)
-    if pair.q % 2 == 0 and pair.a % 2 == 1 and pair.b % 2 == 1:
+    if pair.diagonal:
         return Representative("Rep11", pair.q)
     return Representative("Rep10", pair.q)
 
@@ -147,7 +147,7 @@ def orbit_contains(pair: RationalPair, r, s) -> np.ndarray:
     s = np.asarray(s, dtype=np.int64)
     if pair.q % 2:
         inside = np.ones(np.broadcast(r, s).shape, dtype=bool)
-    elif pair.a & pair.b & 1:
+    elif pair.diagonal:
         inside = (r & s & 1).astype(bool)  # both odd
     else:
         inside = ((r ^ s) & 1).astype(bool)  # exactly one odd
@@ -256,7 +256,7 @@ def _orbit_counts(pair: RationalPair) -> tuple[int, int, int]:
         return 1, 1, 0
     ell, m = pair.ell, pair.m
     j2, phi_q = jordan_j2(m), euler_phi(m) << max(ell - 1, 0)
-    if ell and pair.a & pair.b & 1:  # the class of (1/q, 1/q)
+    if pair.diagonal:  # the class of (1/q, 1/q)
         return 4 ** (ell - 1) * j2, 0, phi_q if ell >= 2 else 0
     # the class of (1/q, 0)
     return (1 << max(2 * ell - 1, 0)) * j2, phi_q, 2 * phi_q if ell == 1 else 0
@@ -371,7 +371,7 @@ def orbit_report(pair: RationalPair, points: np.ndarray | None = None) -> dict:
         },
         "sizes": {"S": size, "U": on_u, "V": on_v},
         "representative": str(which_representative(pair)),
-        "leading_constant": str(Fraction(2 * on_u + on_v, size)),
+        "leading_constant": str(leading_constant(pair)),
         "theta_min_infty": None if t_inf is None else str(t_inf),
         "theta_min_one": str(t_one),
     }

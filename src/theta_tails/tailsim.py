@@ -15,18 +15,17 @@ re-anchored on the exact phase every 64 terms). The workers reach the
 kernel two ways: run_chunks gives each chunk a thread, and each chunk's
 kernel call gets workers // chunks (at least 1) threads for its anchor
 groups, so no more than `workers` threads run at once and a one-chunk run
-still uses them all. The theta curve samples
-the invariant measure attached to (alpha, beta) - Haar on the fundamental
-domain times uniform on the finite orbit - maps samples in the cusp-at-1
-horoball through the conjugating element (homog.conjugate_horoball) so
-every point has y >= sqrt(3)/2, and evaluates the Gaussian pairing
-|Theta_f conj Theta_f| with theta_pair_gaussian_batch (a rotation
-recurrence anchored at the nearest lattice term). A large value needs a
-point high in the cusp, so theta_values screens each chunk twice before
-the batch: by the conjugated height y alone, against the height where the
-t-free bound theta_pair_gaussian_height_bound reaches the smallest R^2
-(19% of the samples pass on the default grid), and on those by the
-closed-form bound theta_pair_gaussian_bound (2.3% at q = 2000).
+still uses them all. The theta curve samples the invariant measure
+attached to (alpha, beta) - Haar on the fundamental domain times uniform on
+the finite orbit. theta_values makes three calls per chunk:
+MuAbSampler.chunk draws it, homog.conjugate_horoball moves its points in
+the cusp-at-1 horoball so every point has y >= sqrt(3)/2, and
+theta.theta_pair_gaussian_screened evaluates the Gaussian pairing
+|Theta_f conj Theta_f| (theta_pair_gaussian_batch, a rotation recurrence
+anchored at the nearest lattice term) where it can exceed the smallest R^2.
+A large value needs a point high in the cusp, so a height screen (19% of
+the samples pass on the default grid) and then a closed-form bound (2.3%
+at q = 2000) drop the rest unevaluated.
 Orbit points are drawn in their parity class and kept by the closed
 membership test, and the orbit size comes from its closed form, so the
 theta curve does no O(q^2) work and runs at any q < 2^63 that factorize
@@ -51,17 +50,11 @@ from .homog import (
     check_seed,
     chunk_generator,
     conjugate_horoball,
-    conjugate_z,
     open_uniforms,
     run_chunks,
 )
 from .orbits import leading_constant, orbit_size_formula
-from .theta import (
-    _batch_args,
-    theta_pair_gaussian_batch,
-    theta_pair_gaussian_bound,
-    theta_pair_gaussian_screen_height,
-)
+from .theta import theta_pair_gaussian_screened
 from .weylsum import weyl_values_batch
 
 
@@ -223,24 +216,12 @@ def simulate_weyl_tail(
 
 
 def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> np.ndarray:
-    """The Gaussian pairing on sampler.chunk(index, count), but on the samples
-    it proves are at most floor; simulate_theta_tail's values.
-
-    Every sample is range-checked (conjugated z, xi as drawn), so an invalid
-    one raises rather than dropping out of the count. Two screens come
-    before the batch. The first needs no xi: it keeps the samples whose
-    conjugated y exceeds theta_pair_gaussian_screen_height(floor), where
-    the t-free height bound reaches floor. Only those move their xi, and
-    theta_pair_gaussian_bound keeps the ones whose bound (1 + 1e-12)
-    exceeds floor.
-    """
+    """The Gaussian pairing on sampler.chunk(index, count), moved by
+    conjugate_horoball, but on the samples it proves are at most floor
+    (theta_pair_gaussian_screened); simulate_theta_tail's values."""
     data = sampler.chunk(index, count)
-    _, x, y = conjugate_z(data["x"], data["y"])
-    _batch_args(x, y, data["xi1"], data["xi2"])
-    kept = np.flatnonzero(y > theta_pair_gaussian_screen_height(floor))
-    chunk = conjugate_horoball(*(data[key].take(kept) for key in ("x", "y", "xi1", "xi2")))
-    keep = theta_pair_gaussian_bound(*chunk) * (1.0 + 1e-12) > floor
-    return theta_pair_gaussian_batch(*(v[keep] for v in chunk))
+    chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+    return theta_pair_gaussian_screened(*chunk, floor)
 
 
 def simulate_theta_tail(
@@ -261,8 +242,7 @@ def simulate_theta_tail(
     (2|U| + |V|)/|S| * D / pi^2 with D = pi for this pair. Runs at any q
     below 2^63 that factorize accepts; other pairs of weights have no batch
     evaluator here. Without keep_values the batch runs only on the samples
-    whose height bound and then theta_pair_gaussian_bound can exceed the
-    smallest R^2 (theta_values).
+    that can exceed the smallest R^2 (theta_values).
     """
     pair = normalize_pair(alpha, beta)
     sampler = MuAbSampler(pair, seed=seed)

@@ -503,6 +503,19 @@ def theta_pair_gaussian_screen_height(floor: float) -> float:
     return lo
 
 
+def theta_pair_gaussian_screened(x, y, xi1, xi2, floor: float) -> np.ndarray:
+    """theta_pair_gaussian_batch on the samples, in order, but on those the
+    bounds above prove are at most floor (-inf keeps all): y at most
+    theta_pair_gaussian_screen_height(floor), or theta_pair_gaussian_bound
+    B (1 + 1e-12) <= floor, the batch's rounding margin. Every sample is
+    range-checked first, so an invalid one raises and never drops out."""
+    x, y, xi1, xi2 = _batch_args(x, y, xi1, xi2)
+    kept = np.flatnonzero(y > theta_pair_gaussian_screen_height(floor))
+    chunk = [v.take(kept) for v in (x, y, xi1, xi2)]
+    keep = theta_pair_gaussian_bound(*chunk) * (1.0 + 1e-12) > floor
+    return theta_pair_gaussian_batch(*(v[keep] for v in chunk))
+
+
 def _theta_block(x, y, xi1, xi2):
     t = xi2 - np.round(xi2)
     side = np.stack((1.0 - 2.0 * t, 1.0 + 2.0 * t))  # a, b

@@ -261,11 +261,11 @@ def _phase_plan(spec: WeylSumSpec, x, n_max: int, split=None) -> _PhasePlan:
     shift = n_max * abs(rat[1]) // rat[2] if rat is not None else 0
     if n_max * n_max + 2 * shift >= 1 << 53:
         raise InvalidArgumentError(
-            f"n up to {n_max} exceeds the exact phase range n^2/2 + floor(n |b|/q) < 2^52"
+            f"n up to {_short(n_max)} exceeds the exact phase range n^2/2 + floor(n |b|/q) < 2^52"
         )
     if rat is not None and max(abs(rat[0]), abs(rat[1]), rat[2]) * n_max >= 1 << 62:
         raise InvalidArgumentError(
-            f"n up to {n_max} exceeds the exact integer range max(|a|, |b|, q) n < 2^62"
+            f"n up to {_short(n_max)} exceeds the exact integer range max(|a|, |b|, q) n < 2^62"
         )
     return _PhasePlan(spec, x, rat, veltkamp_split(x, out=split))
 
@@ -389,7 +389,13 @@ def _floor_rN(N: int, r: float) -> int:
     try:
         return math.floor(r * N)
     except OverflowError:
-        raise InvalidArgumentError(f"r N overflows a float at r = {r}, N = {N}") from None
+        raise InvalidArgumentError(f"r N overflows a float at r = {r}, N = {_short(N)}") from None
+
+
+def _short(n: int) -> str:
+    """An integer n >= 0 for a message: in full below 10^15, else as d.dde+k."""
+    k = math.floor(math.log10(n)) if n >= 10**15 else 0
+    return f"{n / 10**k:.2f}e+{k}" if k else str(n)
 
 
 def _unit_phasor(theta: np.ndarray, out: np.ndarray, scratch=None) -> None:

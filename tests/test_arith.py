@@ -136,6 +136,21 @@ def test_normalization_is_canonical_and_idempotent(alpha, beta):
         assert p.ell != 1 or p.a % 2 == 0 or p.b % 2 == 0
 
 
+def test_diagonal_is_the_parity_rule_it_replaced():
+    # every canonical pair with q <= 60, against the expressions that
+    # normalize_pair, the orbit code and the sampler each wrote out before
+    for q in range(1, 61):
+        for a in range(q):
+            for b in range(q):
+                if math.gcd(a, b, q) != 1:
+                    continue
+                p = normalize_pair(Fraction(a, q), Fraction(b, q))
+                assert (p.a, p.b, p.q) == (a, b, q)
+                assert p.diagonal is (q % 2 == 0 and a % 2 == 1 and b % 2 == 1)
+                assert p.diagonal == bool(p.ell and a & b & 1)
+                assert p.kind == ("C" if p.ell == 1 and a % 2 == 1 and b % 2 == 1 else "H")
+
+
 @given(rationals, rationals)
 def test_sign_flips_preserve_denominator_and_kind(alpha, beta):
     base = normalize_pair(alpha, beta)

@@ -226,6 +226,21 @@ def test_exit_code_for_resource_limits(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 931. GiB for an array", ""])
+def test_out_of_memory_exits_3_with_one_error_line(capsys, monkeypatch, message):
+    # a numpy allocation past the machine's memory raises MemoryError; it is
+    # raised here without allocating, since a host that overcommits would
+    # rather be killed than raise
+    def exhaust(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "enumerate_orbit", exhaust)
+    assert cli.main(["orbit", "--alpha", "1/6", "--points"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message or 'MemoryError'}\n"
+
+
 @pytest.mark.parametrize("q", [2003, 10**9 + 7])
 def test_orbit_answers_above_the_cap_without_points(capsys, q):
     rc, out = run_cli(capsys, ["orbit", "--alpha", f"1/{q}"])
@@ -252,9 +267,9 @@ def test_exit_code_for_invalid_arguments(capsys):
     "flags",
     [
         ["--N", "0"], ["--N", "-5"], ["--r", "inf"], ["--N", "95000001"],
-        ["--N", "5", "--r", "1e308"],
+        ["--N", "5", "--r", "1e308"], ["--N", "5", "--r", "1e300"],
     ],
-    ids=["N0", "N-5", "r-inf", "N-beyond-phase-range", "rN-beyond-a-float"],
+    ids=["N0", "N-5", "r-inf", "N-beyond-phase-range", "rN-beyond-a-float", "rN-of-301-digits"],
 )
 def test_tail_rejects_out_of_range_inputs(capsys, flags):
     rc = cli.main(["tail", "--alpha", "1/2", "--samples", "100", *flags])
@@ -262,6 +277,8 @@ def test_tail_rejects_out_of_range_inputs(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error:" in captured.err
+    # one short line: r N = 5e300 used to print as a 301-digit integer
+    assert captured.err.count("\n") == 1 and len(captured.err) < 120
 
 
 @pytest.mark.parametrize("workers", ["0", "-4"])

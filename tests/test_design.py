@@ -1,0 +1,57 @@
+"""Design rules of the package source that no behaviour test would notice."""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "theta_tails"
+# the Weyl phase kernel, which theta's lattice sums and Gaussian batch share
+PHASE_KERNEL = {"_QUARTER_TURNS", "_blocks", "_phase_plan", "_terms", "_unit_phasor"}
+
+
+def _underscore_imports(root: Path = SRC) -> set[tuple[str, str, str]]:
+    """(importing module, imported module, name) for each underscore name a
+    module in root takes from another module of the package, by
+    `from .m import _x` or by `from . import m` and then `m._x`."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("theta_tails"):
+                continue
+            source = (node.module or "").rpartition(".")[2]
+            for alias in node.names:
+                if not source:
+                    modules[alias.asname or alias.name] = alias.name
+                elif alias.name.startswith("_"):
+                    found.add((path.stem, source, alias.name))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules
+                and node.attr.startswith("_")
+            ):
+                found.add((path.stem, modules[node.value.id], node.attr))
+    return found
+
+
+def test_no_module_imports_another_modules_underscore_name():
+    found = _underscore_imports()
+    assert ("theta", "weylsum", "_phase_plan") in found  # the scan sees imports
+    assert found - {("theta", "weylsum", name) for name in PHASE_KERNEL} == set()
+
+
+def test_the_scan_sees_both_import_forms(tmp_path):
+    (tmp_path / "probe.py").write_text(
+        "from .theta import _batch_args, theta_f\n"
+        "from theta_tails.weylsum import _terms\n"
+        "from numpy import _core\n"
+        "from . import homog\n"
+        "homog._BELOW_ONE, homog.run_chunks\n"
+    )
+    assert _underscore_imports(tmp_path) == {
+        ("probe", "theta", "_batch_args"), ("probe", "weylsum", "_terms"), ("probe", "homog", "_BELOW_ONE"),
+    }

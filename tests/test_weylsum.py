@@ -462,6 +462,16 @@ def test_every_weyl_path_rejects_n_beyond_the_exact_phase_range():
         weighted_weyl_sum(g, 0.3, WeylSumSpec(alpha=Fraction(1, 8), beta=0, zeta=0.0, N=N))
 
 
+def test_range_errors_print_a_large_n_in_three_digits():
+    # past 4300 digits str(n) itself raised ValueError, not the range error
+    for N, short in ((10**20, "1.00e+20"), (10**5000, "1.00e+5000"), (123456789, "123456789")):
+        with pytest.raises(InvalidArgumentError) as info:
+            weyl_sum(0.3, WeylSumSpec(alpha=Fraction(1, 8), N=N))
+        assert f"n up to {short} " in str(info.value) and len(str(info.value)) < 120
+    with pytest.raises(InvalidArgumentError, match="N = 1.00e\\+400$"):
+        weyl_values_batch(np.array([0.3]), normalize_pair(0, 0), 10**400, r=2.0)
+
+
 def test_every_weyl_path_rejects_numerators_or_q_beyond_the_integer_range():
     # n a and n b are reduced mod q in int64: max(|a|, |b|, q) n < 2^62
     with pytest.raises(InvalidArgumentError, match="2\\^62"):
