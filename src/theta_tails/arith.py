@@ -12,22 +12,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt
-from numbers import Integral
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer, short
 
 _PRIME_BOUND = 10 ** 6
 # (limit, every prime <= limit). factorize runs in worker threads (through
 # orbit_contains), so a larger table replaces this tuple whole; it is never
 # extended in place.
 _PRIME_TABLE: tuple[int, list[int]] = (1, [])
-
-
-def check_integer(name: str, value) -> None:
-    """Raise InvalidArgumentError unless value is an integer: Python or
-    numpy, but not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise InvalidArgumentError(f"{name} must be an integer, got {value!r}")
 
 
 def _primes(bound: int) -> list[int]:
@@ -58,9 +50,7 @@ def factorize(n: int) -> dict[int, int]:
     The trial divisors are the primes up to isqrt(n) + 1, capped at 10^6, so
     n < 10^12 is safe.
     """
-    check_integer("n", n)
-    if n < 1:
-        raise InvalidArgumentError(f"factorize expects a positive integer, got {n}")
+    check_integer("n", n, 1)
     out: dict[int, int] = {}
     rem = n
     for p in _primes(isqrt(n) + 1):
@@ -71,7 +61,7 @@ def factorize(n: int) -> dict[int, int]:
             rem //= p
     if rem > 1:
         if rem >= _PRIME_BOUND * _PRIME_BOUND:
-            raise InvalidArgumentError(f"{n} is beyond the factorization range")
+            raise InvalidArgumentError(f"{short(n)} is beyond the factorization range")
         out[rem] = out.get(rem, 0) + 1
     return out
 
@@ -105,9 +95,8 @@ def jordan_j2(n: int) -> int:
 
 
 def split_two_power(q: int) -> tuple[int, int]:
-    """Write q = 2^ell * m with m odd; returns (ell, m)."""
-    if q < 1:
-        raise InvalidArgumentError(f"split_two_power expects q >= 1, got {q}")
+    """Write an integer q >= 1 as 2^ell * m with m odd; returns (ell, m)."""
+    check_integer("q", q, 1)
     ell = (q & -q).bit_length() - 1
     return ell, q >> ell
 
@@ -180,4 +169,4 @@ def _as_fraction(value, name: str) -> Fraction:
     except ZeroDivisionError as exc:
         raise InvalidArgumentError(f"{name} has zero denominator") from exc
     except (TypeError, ValueError) as exc:
-        raise InvalidArgumentError(f"cannot parse {name}={value!r} as a rational") from exc
+        raise InvalidArgumentError(f"cannot parse {name}={short(value)} as a rational") from exc

@@ -25,7 +25,7 @@ from fractions import Fraction
 
 from .arith import normalize_pair
 from .constants import table_reciprocal_C
-from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError, ThetaTailsError
+from .errors import InvalidArgumentError, NumericFailureError, ResourceLimitError, ThetaTailsError, short
 from .homog import DEFAULT_SEED
 from .orbits import (
     DEFAULT_ORBIT_CAP,
@@ -56,7 +56,7 @@ def _fraction(text: str) -> Fraction:
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an exact rational: {short(text)}")
 
 
 def _real(text: str) -> float:
@@ -68,14 +68,14 @@ def _real(text: str) -> float:
         try:
             return float(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"not a real number: {text!r}")
+            raise argparse.ArgumentTypeError(f"not a real number: {short(text)}")
 
 
 def _seed_value(text: str) -> int:
     try:
         return int(text, 0)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer seed: {text!r}")
+        raise argparse.ArgumentTypeError(f"not an integer seed: {short(text)}")
 
 
 def _thresholds(text: str) -> tuple[float, float, int]:
@@ -86,7 +86,7 @@ def _thresholds(text: str) -> tuple[float, float, int]:
         return float(lo), float(hi), int(steps)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"thresholds must be 'lo:hi:steps', got {text!r}"
+            f"thresholds must be 'lo:hi:steps', got {short(text)}"
         )
 
 
@@ -94,14 +94,10 @@ def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
     env = os.environ.get("THETA_TAILS_SEED")
-    if env is not None:
-        try:
-            return int(env, 0)
-        except ValueError:
-            raise InvalidArgumentError(
-                f"THETA_TAILS_SEED is not an integer: {env!r}"
-            )
-    return DEFAULT_SEED
+    try:
+        return DEFAULT_SEED if env is None else int(env, 0)
+    except ValueError:
+        raise InvalidArgumentError(f"THETA_TAILS_SEED is not an integer: {short(env)}") from None
 
 
 @contextmanager

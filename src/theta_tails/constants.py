@@ -22,8 +22,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import RationalPair, check_integer, normalize_pair
-from .errors import InvalidArgumentError
+from .arith import RationalPair, normalize_pair
+from .errors import InvalidArgumentError, check_integer, check_real
 from .orbits import leading_constant
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
@@ -34,11 +34,10 @@ def table_reciprocal_C(q_max: int) -> list[Fraction]:
 
     Each entry is 1/leading_constant of the pair (1/q, 0), whose numerators
     never trigger the vanishing l = 1 case, so every entry is finite:
-    psi(m)/2 for l <= 1 and 2^(l-1) psi(m) for l >= 2.
+    psi(m)/2 for l <= 1 and 2^(l-1) psi(m) for l >= 2. q_max is an
+    integer from 1 to 10^12, the range where factorize takes every q.
     """
-    check_integer("q_max", q_max)
-    if q_max < 1:
-        raise InvalidArgumentError(f"q_max must be >= 1, got {q_max}")
+    check_integer("q_max", q_max, 1, 10**12)
     return [1 / leading_constant(normalize_pair(Fraction(1, q), 0)) for q in range(1, q_max + 1)]
 
 
@@ -52,8 +51,7 @@ def D_rat_closed(r: float) -> float:
     first three terms of that series are used, whose error is below the
     rounding, so r^2 (which overflows above about 1.3e154) is never formed.
     """
-    if not 1.0 <= r < math.inf:
-        raise InvalidArgumentError(f"cutoff ratio must be finite and >= 1, got {r}")
+    check_real("r", r, 1)
     if r == 1.0:
         return 2.0 * math.log(2.0)
     if r > 1e6:
@@ -75,8 +73,7 @@ def D_rat_numeric(w1, w2, tol: float = 1e-4) -> float:
     with rate 0 takes panels of width 0.05. The omitted endpoint mass, at
     most 2 eps times the weights' edge bounds, is absorbed into tol.
     """
-    if not tol > 0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol}")
+    tol = check_real("tol", tol, 0, strict=True)
     edge = w1.edge_sq_bound * w2.edge_sq_bound
     eps = min(1e-3, tol / (8.0 * edge))
     if eps >= 0.25 * math.pi:

@@ -19,8 +19,8 @@ y >= sqrt(3)/2. conjugate_horoball maps the horoball points of a batch,
 z and xi together, in one pass over it.
 
 Randomness is consumed in fixed-size chunks, each owning the generator
-seeded by (seed, chunk_index) with seed >= 0; results are concatenated in
-chunk order, so the output stream is bit-identical no matter how many
+seeded by (seed, chunk_index), both below 2^64; results are concatenated
+in chunk order, so the output stream is bit-identical no matter how many
 threads execute the chunks, and a short draw is a prefix of a longer one.
 MuAbSampler.chunk is one such chunk, the unit the tail simulators run on:
 its orbit points are drawn in the pair's parity class (RationalPair.diagonal),
@@ -33,13 +33,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .arith import check_integer, normalize_pair
-from .errors import InvalidArgumentError
+from .arith import normalize_pair
+from .errors import InvalidArgumentError, check_integer
 from .orbits import OrbitData, orbit_contains
-from .weylsum import check_workers
+from .weylsum import MAX_WORKERS
 
 DEFAULT_SEED = 0xC0FFEE
 CHUNK_SIZE = 1 << 15
+MAX_SEED = (1 << 64) - 1  # of a seed or a chunk index: one 64-bit word each
+MAX_SAMPLES = (1 << 63) - 1  # of a sample count: the tail curves count in int64
 
 _BELOW_ONE = 1.0 - 2.0**-53
 
@@ -55,18 +57,11 @@ def conjugate_horoball(x, y, xi1, xi2):
             np.where(inside, xi2, xi1), np.where(inside, -xi1 + xi2 + 0.5, xi2))
 
 
-def check_seed(seed) -> None:
-    """Raise InvalidArgumentError unless seed is an integer >= 0 (check_integer)."""
-    check_integer("seed", seed)
-    if seed < 0:
-        raise InvalidArgumentError(f"seed must be >= 0, got {seed}")
-
-
 def chunk_generator(seed: int, index: int) -> np.random.Generator:
-    """The generator owning chunk `index` >= 0 of the stream rooted at `seed` >= 0."""
-    check_seed(seed)
-    if index < 0:
-        raise InvalidArgumentError(f"chunk index must be >= 0, got {index}")
+    """The generator owning chunk `index` of the stream rooted at `seed`,
+    integers with 0 <= seed, index < 2^64."""
+    check_integer("seed", seed, 0, MAX_SEED)
+    check_integer("chunk index", index, 0, MAX_SEED)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, index))))
 
 
@@ -74,9 +69,9 @@ def run_chunks(n_samples: int, chunk_fn, workers: int = 1) -> list:
     """chunk_fn(index, count) for the chunks 0, 1, ... that cover n_samples,
     each CHUNK_SIZE long but the last; results in chunk order.
 
-    Runs on a pool of min(workers, chunks) threads; workers outside
-    1..MAX_WORKERS raises InvalidArgumentError (check_workers)."""
-    check_workers(workers)
+    Runs on a pool of min(workers, chunks) threads; workers must be an
+    integer from 1 to MAX_WORKERS."""
+    check_integer("workers", workers, 1, MAX_WORKERS)
     starts = range(0, n_samples, CHUNK_SIZE)
     plan = [(k, min(CHUNK_SIZE, n_samples - start)) for k, start in enumerate(starts)]
     workers = min(workers, len(plan))
@@ -147,22 +142,19 @@ class MuAbSampler:
         orbit: OrbitData | None = None,
     ):
         self.pair = normalize_pair(alpha, beta)
-        if self.pair.q >= 1 << 63:
-            raise InvalidArgumentError(f"the sampler needs q < 2^63, got q = {self.pair.q}")
+        check_integer("the sampler's q", self.pair.q, hi=(1 << 63) - 1)
         if orbit is not None and orbit.pair != self.pair:
             raise InvalidArgumentError(
                 f"orbit of {orbit.pair} given for the pair {self.pair}"
             )
-        check_seed(seed)
+        check_integer("seed", seed, 0, MAX_SEED)
         self.seed = seed
         self._next_chunk = 0
 
     def chunk(self, index: int, count: int) -> dict:
         """The first 0 <= count <= CHUNK_SIZE samples of chunk `index` >= 0,
         as in draw."""
-        check_integer("count", count)
-        if not 0 <= count <= CHUNK_SIZE:
-            raise InvalidArgumentError(f"count must be 0 to {CHUNK_SIZE}, got {count}")
+        check_integer("count", count, 0, CHUNK_SIZE)
         rng = chunk_generator(self.seed, index)
         u = open_uniforms(rng, (3, CHUNK_SIZE))
         x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
@@ -184,9 +176,7 @@ class MuAbSampler:
     def draw(self, n: int) -> dict:
         """The next n samples, chunk by chunk on one worker, as a dict of
         arrays x, y, phi, xi1, xi2."""
-        check_integer("sample count", n)
-        if n < 1:
-            raise InvalidArgumentError(f"sample count must be >= 1, got {n}")
+        check_integer("sample count", n, 1, MAX_SAMPLES)
         parts = run_chunks(n, lambda k, count: self.chunk(self._next_chunk + k, count))
         self._next_chunk += len(parts)
         return {key: np.concatenate([p[key] for p in parts]) for key in parts[0]}

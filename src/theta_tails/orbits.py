@@ -30,7 +30,7 @@ from .arith import (
     jordan_j2,
     normalize_pair,
 )
-from .errors import InvalidArgumentError, ResourceLimitError
+from .errors import ResourceLimitError, check_integer, short
 
 DEFAULT_ORBIT_CAP = 2000
 # mask entries scanned per block when enumerate_orbit fills its point list
@@ -181,12 +181,14 @@ def enumerate_orbit(pair: RationalPair, cap: int = DEFAULT_ORBIT_CAP) -> OrbitDa
     (r, s) depends on r only through gcd(r, q) (for even q that gcd also
     fixes the parity of r), so one orbit_contains row per divisor of q,
     fancy-indexed by gcd(r, q), gives the (q, q) membership mask. The cap
-    bounds that mask and the point list, both of which grow like q^2.
+    bounds that mask and the point list, both of which grow like q^2; it is
+    an integer from 1 to 2^63 - 1, as the points are int64.
     """
+    check_integer("cap", cap, 1, (1 << 63) - 1)
     q = pair.q
     if q > cap:
         raise ResourceLimitError(
-            f"q={q} exceeds the enumeration cap {cap} (memory grows like q^2)"
+            f"q={short(q)} exceeds the enumeration cap {short(cap)} (memory grows like q^2)"
         )
     r = np.arange(q, dtype=np.int64)
     keys, row_of = np.unique(np.gcd(r, q), return_inverse=True)
@@ -293,10 +295,9 @@ def orbit_representatives(q: int) -> list[tuple[RationalPair, int]]:
 
     One orbit per divisor q' > 1 with representative (1/q', 0), one per even
     divisor with representative (1/q', 1/q'), plus the fixed origin. Sizes
-    come from the closed form and sum to q^2.
+    come from the closed form and sum to q^2. q is an integer >= 1.
     """
-    if q < 1:
-        raise InvalidArgumentError("q must be a positive integer")
+    check_integer("q", q, 1)
     reps: list[tuple[RationalPair, int]] = []
     origin = normalize_pair(0, 0)
     reps.append((origin, 1))

@@ -40,14 +40,15 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .arith import check_integer, normalize_pair
+from .arith import normalize_pair
 from .constants import tail_constant
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, check_integer, check_real, short
 from .homog import (
     CHUNK_SIZE,
     DEFAULT_SEED,
+    MAX_SAMPLES,
+    MAX_SEED,
     MuAbSampler,
-    check_seed,
     chunk_generator,
     conjugate_horoball,
     open_uniforms,
@@ -80,7 +81,7 @@ def sampling_law(name: str) -> SamplingLaw:
         return SamplingLaw(name, ndtri)
     if name == "uniform01":
         return SamplingLaw(name, _identity)
-    raise InvalidArgumentError(f"law must be 'normal' or 'uniform01', got {name!r}")
+    raise InvalidArgumentError(f"law must be 'normal' or 'uniform01', got {short(name)}")
 
 
 # the exceedance count compares a (grid, CHUNK_SIZE) array: 32 MB of bools
@@ -91,25 +92,20 @@ MAX_THRESHOLDS = 1024
 def _check_grid(thresholds) -> np.ndarray:
     """thresholds as a float array, if a 1-D grid of 1 to MAX_THRESHOLDS R in
     1e-75 <= R <= 1e75 (R^4, R^-4 finite nonzero); else InvalidArgumentError."""
-    r = np.asarray(thresholds, dtype=np.float64)
-    in_range = np.all((r >= 1e-75) & (r <= 1e75))
-    if not (r.ndim == 1 and 0 < r.size <= MAX_THRESHOLDS and in_range):
-        raise InvalidArgumentError(
-            f"thresholds must be 1 to {MAX_THRESHOLDS} values 1e-75 <= R <= 1e75 in a 1-D grid"
-        )
-    return r
+    grid = np.asarray(thresholds, dtype=object)  # holds any value, a huge int too
+    if not (grid.ndim == 1 and 0 < grid.size <= MAX_THRESHOLDS):
+        raise InvalidArgumentError(f"thresholds must be 1 to {MAX_THRESHOLDS} values in a 1-D grid")
+    return np.array([check_real("R", r, 1e-75, 1e75) for r in grid])
 
 
 def default_thresholds(lo: float = 1.5, hi: float = 6.0, count: int = 20) -> np.ndarray:
     """Geometric grid of R values for survival curves: 1e-75 <= lo < hi <=
     1e75 (_check_grid) and an integer 2 <= count <= MAX_THRESHOLDS."""
-    check_integer("count", count)
-    if not (lo < hi and 2 <= count <= MAX_THRESHOLDS):
-        raise InvalidArgumentError(
-            f"bad threshold grid ({lo}, {hi}, {count}): need lo < hi"
-            f" and 2 to {MAX_THRESHOLDS} steps"
-        )
-    return np.geomspace(*_check_grid([lo, hi]), count)
+    check_integer("count", count, 2, MAX_THRESHOLDS)
+    lo, hi = _check_grid([lo, hi])
+    if not lo < hi:
+        raise InvalidArgumentError(f"the threshold grid needs lo < hi, got {lo} and {hi}")
+    return np.geomspace(lo, hi, count)
 
 
 @dataclass
@@ -156,10 +152,8 @@ def _simulate(kind, pair, values, constant, meta, n_samples, thresholds, seed, w
     each chunk but any it proves are at most floor (the smallest R^2, or
     -inf to keep all), with the checks, counts and metadata both share. Each
     R must lie in 1e-75 <= R <= 1e75; all is checked before any chunk runs."""
-    check_integer("n_samples", n_samples)
-    if n_samples < 1:
-        raise InvalidArgumentError(f"n_samples must be >= 1, got {n_samples}")
-    check_seed(seed)
+    check_integer("n_samples", n_samples, 1, MAX_SAMPLES)
+    check_integer("seed", seed, 0, MAX_SEED)
     thresholds = default_thresholds() if thresholds is None else _check_grid(thresholds)
     squared = thresholds**2
     floor = -math.inf if keep_values else squared.min()

@@ -37,9 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import (
-    InvalidArgumentError,
-    NumericFailureError,
-    UnsupportedOperationError,
+    InvalidArgumentError, NumericFailureError, UnsupportedOperationError, check_real, short,
 )
 from .weylsum import (
     _QUARTER_TURNS, WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac,
@@ -62,14 +60,9 @@ class IwasawaPoint:
     xi2: float = 0.0
 
     def __post_init__(self):
-        # one coordinate at a time: a sum of large finite values overflows
-        coords = (self.x, self.y, self.phi, self.xi1, self.xi2)
-        try:
-            ok = all(map(math.isfinite, coords)) and self.y > 0
-        except OverflowError:  # an int or Fraction too large for a float
-            ok = False
-        if not ok:
-            raise InvalidArgumentError(f"coordinates must be finite with y > 0, got {coords}")
+        for name in ("x", "phi", "xi1", "xi2"):
+            check_real(name, getattr(self, name))
+        check_real("y", self.y, 0, strict=True)
 
     @property
     def z(self) -> complex:
@@ -164,8 +157,7 @@ class GaussianWeight(WeightFunction):
     def kappa_eta(self, eta: float) -> float:
         # maximize (1+w^2)^(eta/2) exp(-pi w^2): interior critical point
         # exists only when eta > 2 pi
-        if not math.isfinite(eta):
-            raise InvalidArgumentError(f"eta must be finite, got {eta}")
+        eta = check_real("eta", eta)
         if eta <= _TWO_PI:
             return 1.0
         try:
@@ -195,11 +187,9 @@ class SharpIndicatorWeight(WeightFunction):
     name = "indicator"
 
     def __init__(self, r: float = 1.0):
-        if not (r >= 1.0) or not math.isfinite(r):
-            raise InvalidArgumentError(f"indicator radius must satisfy r >= 1, got {r}")
-        self.r = float(r)
+        self.r = check_real("r", r, 1)
         self.oscillation_rate = self.r * self.r
-        self.name = f"indicator({r:g})"
+        self.name = f"indicator({self.r:g})"
 
     def evaluate(self, w):
         w = np.asarray(w, dtype=np.float64)
@@ -264,8 +254,7 @@ def f_phi_numeric(
     like 1/sin(phi); intended as a cross-check at moderate angles, with a
     NumericFailureError if the integrator cannot certify tol.
     """
-    if not tol > 0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol}")
+    tol = check_real("tol", tol, 0, strict=True)
     from scipy.integrate import quad  # only here, to keep the package import light
 
     if _pi_multiples(phi)[1]:
@@ -317,15 +306,14 @@ def theta_f(
     level must be a normal float, at least DBL_MIN = 2.2e-308 (tol = 5e-324
     at y = 1 is not). Other input raises InvalidArgumentError.
     """
-    if not 0 < tol < math.inf:
-        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+    tol = check_real("tol", tol, 0, strict=True)
     x, y = point.x, point.y
     xi1, xi2 = float(point.xi1), float(point.xi2)
     check_x_range(x=x, xi1=xi1, xi2=xi2)
     term_tol = tol * min(1.0, math.sqrt(y)) / 8.0
     if term_tol < sys.float_info.min:  # support_radius takes 1/term_tol
         raise InvalidArgumentError(
-            f"tol = {tol} at y = {y} gives the truncation level {term_tol}, below DBL_MIN"
+            f"tol = {tol} at y = {short(y)} gives the truncation level {term_tol}, below DBL_MIN"
         )
     span = weight.support_radius(term_tol) / math.sqrt(y)
     lo, hi = math.ceil(xi2 - span), math.floor(xi2 + span)
@@ -557,10 +545,7 @@ def bound_constant(eta: float) -> float:
     """C_eta = 2^(6 eta) zeta(eta)^2 in the cusp approximation estimate,
     for finite eta > 1 with 6 eta < 1024, beyond which 2^(6 eta) is no
     float."""
-    if not (1 < eta and 6.0 * eta < 1024.0):
-        raise InvalidArgumentError(
-            f"eta must be finite, exceed 1 and keep 6 eta below 1024, got {eta}"
-        )
+    eta = check_real("eta", eta, 1, 1024 / 6, strict=True)
     from scipy.special import zeta  # only here, to keep the package import light
 
     return 2.0 ** (6.0 * eta) * float(zeta(eta, 1.0)) ** 2
@@ -570,8 +555,7 @@ def cusp_bound(w1: WeightFunction, w2: WeightFunction, y: float, eta: float) -> 
     """C_eta kappa_eta(f1) kappa_eta(f2) y^(-(eta-1)/2), valid for y >= 1/2
     and eta > 1; a weight with no finite kappa_eta (the sharp indicator)
     raises InvalidArgumentError."""
-    if not y >= 0.5:
-        raise InvalidArgumentError(f"cusp estimate requires y >= 1/2, got y={y}")
+    check_real("y", y, 0.5)
     c_eta = bound_constant(eta)  # checks eta before any weight reads it
     kappa = w1.kappa_eta(eta) * w2.kappa_eta(eta)
     if not math.isfinite(kappa):

@@ -80,8 +80,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .arith import RationalPair, check_integer
-from .errors import InvalidArgumentError
+from .arith import RationalPair
+from .errors import InvalidArgumentError, check_integer, check_real, short
 
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp splitter
 _TWO_PI = 2.0 * math.pi
@@ -90,7 +90,7 @@ _CHUNK = 1 << 17
 ANCHOR_STRIDE = 64  # K: batch-kernel terms between exact re-anchorings
 _GROUP_BUDGET = 1 << 14  # complex elements per batch-kernel buffer
 _X_MAX = 2.0**30  # |x| bound of every phase path, see check_x_range
-MAX_WORKERS = 64  # threads of one call, see check_workers
+MAX_WORKERS = 64  # threads of a run_chunks or weyl_values_batch call
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])  # e(k/4) for k mod 4
 _QUARTER_SHIFT = 1.5 * 2.0**52
 _ROTATION_BLOCK = 4096  # quarter turns gathered per pass of _unit_phasor
@@ -181,9 +181,7 @@ class WeylSumSpec:
     N: int = 1
 
     def __post_init__(self):
-        check_integer("N", self.N)
-        if self.N < 1:
-            raise InvalidArgumentError(f"N must be >= 1, got {self.N}")
+        check_integer("N", self.N, 1)
 
     @classmethod
     def from_pair(cls, pair: RationalPair, N: int = 1) -> "WeylSumSpec":
@@ -220,16 +218,6 @@ def check_x_range(**values) -> None:
             raise InvalidArgumentError(f"{name} must be finite with |{name}| < 2^30")
 
 
-def check_workers(workers: int) -> None:
-    """Raise InvalidArgumentError unless workers is an integer with
-    1 <= workers <= MAX_WORKERS = 64, the range of run_chunks and
-    weyl_values_batch: it caps the threads a call starts and the kernel's
-    three buffer rows per thread."""
-    check_integer("workers", workers)
-    if not 1 <= workers <= MAX_WORKERS:
-        raise InvalidArgumentError(f"workers must be 1 to {MAX_WORKERS}, got {workers}")
-
-
 class _PhasePlan(NamedTuple):
     """What every phase of one call shares, so that no phase redoes the
     Fraction arithmetic or the split of x: the spec, x, the exact parts
@@ -261,11 +249,11 @@ def _phase_plan(spec: WeylSumSpec, x, n_max: int, split=None) -> _PhasePlan:
     shift = n_max * abs(rat[1]) // rat[2] if rat is not None else 0
     if n_max * n_max + 2 * shift >= 1 << 53:
         raise InvalidArgumentError(
-            f"n up to {_short(n_max)} exceeds the exact phase range n^2/2 + floor(n |b|/q) < 2^52"
+            f"n up to {short(n_max)} exceeds the exact phase range n^2/2 + floor(n |b|/q) < 2^52"
         )
     if rat is not None and max(abs(rat[0]), abs(rat[1]), rat[2]) * n_max >= 1 << 62:
         raise InvalidArgumentError(
-            f"n up to {_short(n_max)} exceeds the exact integer range max(|a|, |b|, q) n < 2^62"
+            f"n up to {short(n_max)} exceeds the exact integer range max(|a|, |b|, q) n < 2^62"
         )
     return _PhasePlan(spec, x, rat, veltkamp_split(x, out=split))
 
@@ -384,18 +372,11 @@ def _floor_rN(N: int, r: float) -> int:
     Raises InvalidArgumentError for any other r and where r N overflows a
     float (r = 1e308, say); _phase_plan then bounds m itself.
     """
-    if not (math.isfinite(r) and r >= 1):
-        raise InvalidArgumentError(f"r must be finite and >= 1, got {r}")
+    check_real("r", r, 1)
     try:
         return math.floor(r * N)
     except OverflowError:
-        raise InvalidArgumentError(f"r N overflows a float at r = {r}, N = {_short(N)}") from None
-
-
-def _short(n: int) -> str:
-    """An integer n >= 0 for a message: in full below 10^15, else as d.dde+k."""
-    k = math.floor(math.log10(n)) if n >= 10**15 else 0
-    return f"{n / 10**k:.2f}e+{k}" if k else str(n)
+        raise InvalidArgumentError(f"r N overflows a float at r = {short(r)}, N = {short(N)}") from None
 
 
 def _unit_phasor(theta: np.ndarray, out: np.ndarray, scratch=None) -> None:
@@ -490,7 +471,7 @@ def weyl_values_batch(
     """
     spec = WeylSumSpec.from_pair(pair, N=N)
     m = _floor_rN(N, r)
-    check_workers(workers)
+    check_integer("workers", workers, 1, MAX_WORKERS)
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.reshape(-1)
     g = max(1, min(-(-max(N, m - N) // ANCHOR_STRIDE), _GROUP_BUDGET // max(flat.size, 1)))

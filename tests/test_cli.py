@@ -226,6 +226,22 @@ def test_exit_code_for_resource_limits(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "cap, message",
+    [("0", "cap must be >= 1, got 0"), ("-1", "cap must be >= 1, got -1"),
+     (str(10**23), "cap must be < 2^63, got 1.00e+23")],
+)
+def test_orbit_points_reject_a_cap_out_of_range_with_exit_2(capsys, cap, message):
+    # a cap below 1 is an invalid argument, not a resource limit (exit 3);
+    # one past int64 once let q = 2^62 * 10 reach numpy's arange, whose
+    # ValueError ended the command in a traceback
+    argv = ["orbit", "--alpha", f"1/{2**62 * 10}", "--points", "--orbit-cap", cap]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("message", ["Unable to allocate 931. GiB for an array", ""])
 def test_out_of_memory_exits_3_with_one_error_line(capsys, monkeypatch, message):
     # a numpy allocation past the machine's memory raises MemoryError; it is
@@ -311,6 +327,26 @@ def test_simulations_reject_a_negative_seed(capsys, monkeypatch, command):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: seed must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["tail", "theta-tail"])
+def test_simulations_reject_a_seed_of_2_to_the_64_or_more(capsys, monkeypatch, command):
+    # a seed of 4000 hex digits once ran, then failed to print its JSON
+    # "seed" past Python's 4300-digit int-to-str limit, leaving half a file
+    monkeypatch.delenv("THETA_TAILS_SEED", raising=False)
+    argv = [command, "--samples", "10", "--format", "json"]
+    for seed in (hex(2**64), "0x" + "f" * 4000):
+        for env, flags in ((None, ["--seed", seed]), (seed, [])):
+            if env is not None:
+                monkeypatch.setenv("THETA_TAILS_SEED", env)
+            assert cli.main(argv + flags) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: seed must be < 2^64, got ")
+            assert captured.err.count("\n") == 1 and len(captured.err) < 200
+        monkeypatch.delenv("THETA_TAILS_SEED")
+    rc, out = run_cli(capsys, argv + ["--seed", hex(2**64 - 1)])
+    assert rc == 0 and json.loads(out)["seed"] == 2**64 - 1
 
 
 @pytest.mark.parametrize(

@@ -13,25 +13,32 @@ from theta_tails import (
     GaussianWeight,
     InvalidArgumentError,
     IwasawaPoint,
+    MuAbSampler,
     WeylSumSpec,
     bound_constant,
+    chunk_generator,
     cusp_bound,
     cusp_main_term,
     dedekind_psi,
     default_thresholds,
+    enumerate_orbit,
     f_phi_numeric,
     factorize,
     gaussian_weight,
     leading_constant,
     normalize_pair,
+    orbit_representatives,
     sharp_indicator_weight,
     simulate_theta_tail,
     simulate_weyl_tail,
+    split_two_power,
     table_reciprocal_C,
     tail_constant,
     theta_f,
+    weyl_sum,
     weyl_values_batch,
 )
+from theta_tails.homog import run_chunks
 
 
 def test_arithmetic_factor_case_split():
@@ -172,74 +179,108 @@ POINT = IwasawaPoint(x=0.1, y=1.2, phi=0.0)
 PAIR = normalize_pair(Fraction(1, 3), 0)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: D_rat_closed(math.inf),
-        lambda: tail_constant(Fraction(1, 3), r=math.inf),
-        lambda: weyl_values_batch([0.3], PAIR, 10, r=math.nan),
-        lambda: weyl_values_batch([0.3], PAIR, 10, r=math.inf),
-        lambda: weyl_values_batch([0.3], PAIR, 10, r=1e308),
-        lambda: theta_f(GAUSS, POINT, tol=0.0),
-        lambda: theta_f(GAUSS, POINT, tol=-1.0),
-        lambda: theta_f(GAUSS, POINT, tol=math.nan),
-        lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=5e-324),
-        lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1e-200, phi=0.0), tol=1e-300),
-        lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=1e-310),
-        lambda: bound_constant(math.nan),
-        lambda: cusp_bound(GAUSS, GAUSS, y=math.nan, eta=2.0),
-        lambda: D_rat_numeric(GAUSS, GAUSS, tol=math.nan),
-        lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=math.nan),
-        lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=-1.0),
-        lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
-        lambda: cusp_main_term(GAUSS, GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
-        lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=1.0, phi=math.nan)),
-        lambda: IwasawaPoint(10**400, 1.0, 0.0),
-        lambda: IwasawaPoint(0.0, 10**400, 0.0),
-        lambda: IwasawaPoint(Fraction(10**400, 3), 1.0, 0.0),
-        lambda: GAUSS.kappa_eta(math.nan),
-        lambda: GAUSS.kappa_eta(math.inf),
-        lambda: bound_constant(200.0),
-        lambda: GAUSS.kappa_eta(1000.0),
-        lambda: cusp_bound(GAUSS, GAUSS, y=1.0, eta=200.0),
-        lambda: WeylSumSpec(N=1.5),
-        lambda: WeylSumSpec(N=True),
-        lambda: weyl_values_batch([0.3], PAIR, 2.5),
-        lambda: weyl_values_batch([0.3], PAIR, 10, workers=1.5),
-        lambda: simulate_weyl_tail(Fraction(1, 3), N=2.5, n_samples=10),
-        lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10.5),
-        lambda: simulate_theta_tail(Fraction(1, 3), n_samples=True),
-        lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10, seed=1.5),
-        lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=1.5),
-        lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=True),
-        lambda: factorize(1.5),
-        lambda: factorize(True),
-        lambda: table_reciprocal_C(1.5),
-        lambda: default_thresholds(1.5, 6, 2.5),
-    ],
-    ids=[
-        "D_rat_closed-inf", "tail_constant-inf", "weyl_values_batch-r-nan",
-        "weyl_values_batch-r-inf", "weyl_values_batch-rN-overflow", "theta_f-tol0",
-        "theta_f-tol-1", "theta_f-tol-nan", "theta_f-tol-underflow",
-        "theta_f-tol-underflow-tiny-y", "theta_f-tol-subnormal",
-        "bound_constant-nan", "cusp_bound-y-nan",
-        "D_rat_numeric-tol-nan", "f_phi_numeric-tol-nan", "f_phi_numeric-tol-1",
-        "theta_f-y-inf", "cusp_main_term-y-inf", "theta_f-phi-nan",
-        "IwasawaPoint-x-overflow", "IwasawaPoint-y-overflow",
-        "IwasawaPoint-fraction-overflow", "kappa_eta-nan", "kappa_eta-inf",
-        "bound_constant-eta-200", "kappa_eta-1000", "cusp_bound-eta-200",
-        "WeylSumSpec-N-float", "WeylSumSpec-N-bool", "weyl_values_batch-N-float",
-        "weyl_values_batch-workers-float", "simulate_weyl_tail-N-float",
-        "simulate_weyl_tail-n_samples-float", "simulate_theta_tail-n_samples-bool",
-        "simulate_weyl_tail-seed-float", "simulate_theta_tail-seed-float",
-        "simulate_theta_tail-seed-bool",
-        "factorize-float", "factorize-bool", "table_reciprocal_C-float",
-        "default_thresholds-count-float",
-    ],
-)
+REJECTED = {
+    "D_rat_closed-inf": lambda: D_rat_closed(math.inf),
+    "tail_constant-inf": lambda: tail_constant(Fraction(1, 3), r=math.inf),
+    "weyl_values_batch-r-nan": lambda: weyl_values_batch([0.3], PAIR, 10, r=math.nan),
+    "weyl_values_batch-r-inf": lambda: weyl_values_batch([0.3], PAIR, 10, r=math.inf),
+    "weyl_values_batch-rN-overflow": lambda: weyl_values_batch([0.3], PAIR, 10, r=1e308),
+    "theta_f-tol0": lambda: theta_f(GAUSS, POINT, tol=0.0),
+    "theta_f-tol-1": lambda: theta_f(GAUSS, POINT, tol=-1.0),
+    "theta_f-tol-nan": lambda: theta_f(GAUSS, POINT, tol=math.nan),
+    "theta_f-tol-underflow": lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=5e-324),
+    "theta_f-tol-underflow-tiny-y": lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1e-200, phi=0.0), tol=1e-300),
+    "theta_f-tol-subnormal": lambda: theta_f(GAUSS, IwasawaPoint(x=0.3, y=1.0, phi=0.0), tol=1e-310),
+    "bound_constant-nan": lambda: bound_constant(math.nan),
+    "cusp_bound-y-nan": lambda: cusp_bound(GAUSS, GAUSS, y=math.nan, eta=2.0),
+    "D_rat_numeric-tol-nan": lambda: D_rat_numeric(GAUSS, GAUSS, tol=math.nan),
+    "f_phi_numeric-tol-nan": lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=math.nan),
+    "f_phi_numeric-tol-1": lambda: f_phi_numeric(GAUSS, 0.7, 0.3, tol=-1.0),
+    "theta_f-y-inf": lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
+    "cusp_main_term-y-inf": lambda: cusp_main_term(GAUSS, GAUSS, IwasawaPoint(x=0.1, y=math.inf, phi=0.0)),
+    "theta_f-phi-nan": lambda: theta_f(GAUSS, IwasawaPoint(x=0.1, y=1.0, phi=math.nan)),
+    "IwasawaPoint-x-overflow": lambda: IwasawaPoint(10**400, 1.0, 0.0),
+    "IwasawaPoint-y-overflow": lambda: IwasawaPoint(0.0, 10**400, 0.0),
+    "IwasawaPoint-fraction-overflow": lambda: IwasawaPoint(Fraction(10**400, 3), 1.0, 0.0),
+    "kappa_eta-nan": lambda: GAUSS.kappa_eta(math.nan),
+    "kappa_eta-inf": lambda: GAUSS.kappa_eta(math.inf),
+    "bound_constant-eta-200": lambda: bound_constant(200.0),
+    "kappa_eta-1000": lambda: GAUSS.kappa_eta(1000.0),
+    "cusp_bound-eta-200": lambda: cusp_bound(GAUSS, GAUSS, y=1.0, eta=200.0),
+    "WeylSumSpec-N-float": lambda: WeylSumSpec(N=1.5),
+    "WeylSumSpec-N-bool": lambda: WeylSumSpec(N=True),
+    "weyl_values_batch-N-float": lambda: weyl_values_batch([0.3], PAIR, 2.5),
+    "weyl_values_batch-workers-float": lambda: weyl_values_batch([0.3], PAIR, 10, workers=1.5),
+    "simulate_weyl_tail-N-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=2.5, n_samples=10),
+    "simulate_weyl_tail-n_samples-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10.5),
+    "simulate_theta_tail-n_samples-bool": lambda: simulate_theta_tail(Fraction(1, 3), n_samples=True),
+    "simulate_weyl_tail-seed-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10, seed=1.5),
+    "simulate_theta_tail-seed-float": lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=1.5),
+    "simulate_theta_tail-seed-bool": lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=True),
+    "factorize-float": lambda: factorize(1.5),
+    "factorize-bool": lambda: factorize(True),
+    "table_reciprocal_C-float": lambda: table_reciprocal_C(1.5),
+    "default_thresholds-count-float": lambda: default_thresholds(1.5, 6, 2.5),
+}
+
+BIG = 10**5000
+# each scalar parameter at 10^5000, -10^5000 and 10^5000/3: past Python's
+# 4300-digit int-to-str limit and too large for a float. q = 10^5000 is
+# valid for split_two_power and left out, and 10^5000 + 1 stands in for
+# 10^5000 = 2^5000 5^5000 where factorize would take it.
+SCALAR_PARAMETERS = [
+    ("factorize-n", factorize, (BIG + 1, -BIG, Fraction(BIG, 3))),
+    ("split_two_power-q", split_two_power, (-BIG, Fraction(BIG, 3))),
+    ("chunk_generator-seed", lambda v: chunk_generator(v, 0), None),
+    ("chunk_generator-index", lambda v: chunk_generator(0, v), None),
+    ("run_chunks-workers", lambda v: run_chunks(10, lambda *job: job, v), None),
+    ("MuAbSampler-q", lambda v: MuAbSampler(Fraction(1, v)), None),
+    ("MuAbSampler-seed", lambda v: MuAbSampler(PAIR, seed=v), None),
+    ("MuAbSampler.chunk-count", lambda v: MuAbSampler(PAIR).chunk(0, v), None),
+    ("MuAbSampler.draw-n", lambda v: MuAbSampler(PAIR).draw(v), None),
+    ("WeylSumSpec-N", lambda v: weyl_sum(0.3, WeylSumSpec(N=v)), None),
+    ("weyl_values_batch-workers", lambda v: weyl_values_batch([0.3], PAIR, 10, workers=v), None),
+    ("weyl_values_batch-r", lambda v: weyl_values_batch([0.3], PAIR, 10, r=v), None),
+    ("default_thresholds-count", lambda v: default_thresholds(1.5, 6, v), None),
+    ("default_thresholds-lo", lambda v: default_thresholds(v, 6, 5), None),
+    ("simulate_weyl_tail-n_samples", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=v), None),
+    ("simulate_weyl_tail-seed", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=10, seed=v), None),
+    ("simulate_weyl_tail-thresholds", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=10, thresholds=[v]), None),
+    ("table_reciprocal_C-q_max", table_reciprocal_C, None),
+    ("enumerate_orbit-cap", lambda v: enumerate_orbit(PAIR, cap=v), None),
+    ("orbit_representatives-q", orbit_representatives, (BIG + 1, -BIG, Fraction(BIG, 3))),
+    ("IwasawaPoint-x", lambda v: IwasawaPoint(v, 1.0, 0.0), None),
+    ("IwasawaPoint-y", lambda v: IwasawaPoint(0.0, v, 0.0), None),
+    ("IwasawaPoint-xi2", lambda v: IwasawaPoint(0.0, 1.0, 0.0, 0.0, v), None),
+    ("kappa_eta-eta", GAUSS.kappa_eta, None),
+    ("sharp_indicator_weight-r", sharp_indicator_weight, None),
+    ("f_phi_numeric-tol", lambda v: f_phi_numeric(GAUSS, 0.7, 0.3, tol=v), None),
+    ("theta_f-tol", lambda v: theta_f(GAUSS, POINT, tol=v), None),
+    ("bound_constant-eta", bound_constant, None),
+    ("cusp_bound-y", lambda v: cusp_bound(GAUSS, GAUSS, y=v, eta=2.0), None),
+    ("D_rat_closed-r", D_rat_closed, None),
+    ("tail_constant-r", lambda v: tail_constant(PAIR, r=v), None),
+    ("D_rat_numeric-tol", lambda v: D_rat_numeric(GAUSS, GAUSS, tol=v), None),
+]
+for parameter, call, values in SCALAR_PARAMETERS:
+    for label, value in zip(("big", "minus-big", "big-over-3"), values or (BIG, -BIG, Fraction(BIG, 3))):
+        REJECTED[f"{parameter}-{label}"] = lambda call=call, value=value: call(value)
+REJECTED.update({
+    "chunk_generator-index-float": lambda: chunk_generator(0, 1.5),
+    "chunk_generator-index-bool": lambda: chunk_generator(0, True),
+    "enumerate_orbit-cap-None": lambda: enumerate_orbit(PAIR, cap=None),
+    "enumerate_orbit-cap-0": lambda: enumerate_orbit(PAIR, cap=0),
+    "split_two_power-float": lambda: split_two_power(2.5),
+})
+
+
+@pytest.mark.parametrize("call", list(REJECTED.values()), ids=list(REJECTED))
 def test_scalar_entry_points_reject_non_finite_or_out_of_range_input(call):
-    with pytest.raises(InvalidArgumentError):
+    with pytest.raises(InvalidArgumentError) as caught:
         call()
+    # one line, short: no value is printed in full
+    message = str(caught.value)
+    assert "\n" not in message and len(message) < 200
 
 
 def test_cusp_bound_names_a_non_finite_eta():

@@ -55,3 +55,25 @@ def test_the_scan_sees_both_import_forms(tmp_path):
     assert _underscore_imports(tmp_path) == {
         ("probe", "theta", "_batch_args"), ("probe", "weylsum", "_terms"), ("probe", "homog", "_BELOW_ONE"),
     }
+
+
+def _check_functions(root: Path = SRC) -> set[tuple[str, str]]:
+    """(module, name) for each top-level function of a module in root
+    whose name starts with check_."""
+    return {
+        (path.stem, node.name)
+        for path in sorted(root.glob("*.py"))
+        for node in ast.parse(path.read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    }
+
+
+def test_only_errors_defines_scalar_checks():
+    # every scalar argument is checked by errors.check_integer or
+    # errors.check_real; weylsum.check_x_range is the array range of the
+    # phase paths
+    found = _check_functions()
+    assert {("errors", "check_integer"), ("errors", "check_real")} <= found
+    assert {(module, name) for module, name in found if module != "errors"} == {
+        ("weylsum", "check_x_range")
+    }

@@ -157,6 +157,21 @@ def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_sample
         assert np.array_equal(curve.counts, curves[0].counts)
 
 
+@pytest.mark.parametrize("r", [2.0, 4.0])
+def test_weyl_tail_at_r_above_1_follows_T_of_r(r):
+    # T(q; r) = C(q) D_rat(r) / pi^2 at a cutoff ratio r > 1: every bin's
+    # count within 3 sqrt(count) of n T R^-4 (the default seed read
+    # |z| <= 1.41 in all ten bins)
+    n = 1 << 18
+    grid = np.array([3.0, 3.5, 4.0, 4.5, 5.0])
+    curve = simulate_weyl_tail(
+        Fraction(1, 2), N=500, r=r, n_samples=n, thresholds=grid, workers=2
+    )
+    expected = n * tail_constant(Fraction(1, 2), r=r).value * grid**-4.0
+    assert np.all(curve.counts > 0)
+    assert np.all(np.abs(curve.counts - expected) <= 3.0 * np.sqrt(curve.counts))
+
+
 def test_weyl_tail_uniform_law_and_validation():
     pair = normalize_pair(Fraction(1, 3), Fraction(1, 3))
     curve = simulate_weyl_tail(
