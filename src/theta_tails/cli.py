@@ -71,6 +71,15 @@ def _real(text: str) -> float:
             raise argparse.ArgumentTypeError(f"not a real number: {short(text)}")
 
 
+def _integer(text: str) -> int:
+    """A decimal integer; the commands range-check it. Past Python's
+    4300-digit limit int() refuses it too, and the message stays short."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer of at most 4300 digits: {short(text)}")
+
+
 def _seed_value(text: str) -> int:
     try:
         return int(text, 0)
@@ -244,10 +253,10 @@ def _add_output_flags(parser) -> None:
 
 
 def _add_sim_flags(parser) -> None:
-    parser.add_argument("--samples", type=int, default=10**6)
+    parser.add_argument("--samples", type=_integer, default=10**6)
     parser.add_argument("--seed", type=_seed_value, default=None, help="default 0xC0FFEE or THETA_TAILS_SEED")
     parser.add_argument("--thresholds", type=_thresholds, default=None, help="grid 'lo:hi:steps'")
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--workers", type=_integer, default=1)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,32 +273,32 @@ def build_parser() -> argparse.ArgumentParser:
         "of 2 the table lists the generic branch; numerators that are both odd "
         "give C = 0 and are not tabulated.",
     )
-    p.add_argument("--q-max", type=int, required=True)
+    p.add_argument("--q-max", type=_integer, required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_constants)
 
     p = sub.add_parser("orbit", help="orbit report for a rational pair (JSON)")
     _add_pair_flags(p)
     p.add_argument("--points", action="store_true", help="include the full point list")
-    p.add_argument("--orbit-cap", type=int, default=DEFAULT_ORBIT_CAP)
+    p.add_argument("--orbit-cap", type=_integer, default=DEFAULT_ORBIT_CAP)
     p.add_argument("--out", default=None, help="output path (default stdout)")
     p.set_defaults(func=cmd_orbit)
 
     p = sub.add_parser("partition", help="orbit classes of the q-division points")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_integer, required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("curlicue", help="partial-sum trajectory of a Weyl sum")
     _add_pair_flags(p)
     p.add_argument("--x", type=_real, required=True)
-    p.add_argument("--N", type=int, required=True)
+    p.add_argument("--N", type=_integer, required=True)
     _add_output_flags(p)
     p.set_defaults(func=cmd_curlicue)
 
     p = sub.add_parser("tail", help="Monte-Carlo tail of |S_N conj(S_rN)|/N")
     _add_pair_flags(p)
-    p.add_argument("--N", type=int, default=500)
+    p.add_argument("--N", type=_integer, default=500)
     p.add_argument("--r", type=float, default=1.0)
     p.add_argument("--law", choices=("normal", "uniform01"), default="normal")
     _add_sim_flags(p)

@@ -16,16 +16,21 @@ The cusp at 1 is carried to infinity by z -> 1/(1 - z), an SL(2, Z)
 element outside the theta group (its xi action needs an extra half shift
 in the second slot); images of the horoball |z - 1| < 1 in F have
 y >= sqrt(3)/2. conjugate_horoball maps the horoball points of a batch,
-z and xi together, in one pass over it.
+z and xi together, in one pass over it. Whether a point can end above a
+height Y in either cusp shows in its uniforms (u1, u2) already:
+cusp_candidates keeps, before any map, a superset of those draws, so a
+caller that needs only them maps no others.
 
 Randomness is consumed in fixed-size chunks, each owning the generator
 seeded by (seed, chunk_index), both below 2^64; results are concatenated
 in chunk order, so the output stream is bit-identical no matter how many
 threads execute the chunks, and a short draw is a prefix of a longer one.
 MuAbSampler.chunk is one such chunk, the unit the tail simulators run on:
-its orbit points are drawn in the pair's parity class (RationalPair.diagonal),
-so a chunk of C samples draws about C / 0.96 candidate pairs at q = 2000,
-and on average at most about C / 0.81 at any q.
+MuAbSampler.raw_chunk draws its uniforms and orbit candidates in full, and
+MuAbSampler.points maps any columns of them, so mapping fewer samples
+never changes the stream. Its orbit points are drawn in the pair's parity
+class (RationalPair.diagonal), so a chunk of C samples draws about C / 0.96
+candidate pairs at q = 2000, and on average at most about C / 0.81 at any q.
 """
 from __future__ import annotations
 
@@ -44,6 +49,10 @@ MAX_SEED = (1 << 64) - 1  # of a seed or a chunk index: one 64-bit word each
 MAX_SAMPLES = (1 << 63) - 1  # of a sample count: the tail curves count in int64
 
 _BELOW_ONE = 1.0 - 2.0**-53
+# cusp_candidates' slack: relative, for rounding, and absolute, for the
+# computed floor height h
+_MARGIN = 1.0 + 1e-9
+_H_SLACK = 1e-15
 
 
 def conjugate_horoball(x, y, xi1, xi2):
@@ -111,6 +120,47 @@ def haar_from_uniforms(u1, u2, u3):
     return x, y, phi
 
 
+def cusp_candidates(u1, u2, height: float) -> np.ndarray:
+    """The indices, in order, of the uniform pairs (u1, u2) whose Haar point
+    from haar_from_uniforms, moved by conjugate_horoball, can lie above
+    height > 0; every index if height is not > 0 (-inf: keep all).
+
+    Proof of the superset. Write d = |u1 - 1/2|. Then the point's floor
+    height is h = cos(pi min(u1, 1 - u1)) = sin(pi d), with
+    2d <= h <= min(1, pi d) as sin is concave on [0, pi/2], and y = h/u2.
+    With Y = height:
+    - outside the horoball the point keeps y, and y > Y gives
+      Y u2 < h <= min(1, pi d);
+    - inside it, den = (1 - x)^2 + y^2 < 1 and den >= y^2, so y/den > Y
+      gives 1/y > Y, and u2 > Y h >= 2 Y d.
+    A pair is dropped only where both tests fail. y comes from h as
+    computed, whose angle is off pi/2 - pi d by up to one ulp of pi/2: so
+    at u1 = 1/2 - 2^-54, h is 1.6 pi d, but it is within 1e-15 of
+    sin(pi d) everywhere (1.8e-16 at most against mpmath). Each test is
+    widened by that 1e-15 and by a factor 1 + 1e-9 for the rounding of y,
+    den, y/den and its own. The drop test is written so that a NaN fails
+    it: such a pair is kept and reaches the range checks.
+
+    At Y >= 2 the two sets are disjoint (2Y d < u2 < pi d / Y has no
+    solution), and uniform pairs land in them at rates (1 - 1/pi)/Y and
+    1/(2Y), against 3/(pi Y) for the exact screen: 23.4% and 18.9% at the
+    default grid's Y = 5.06.
+    """
+    u1 = np.asarray(u1, dtype=np.float64)
+    u2 = np.asarray(u2, dtype=np.float64)
+    if not height > 0:
+        return np.arange(u1.size)
+    d = np.abs(u1 - 0.5)
+    scale = _MARGIN / height
+    reach = d * (np.pi * scale)  # outside: (min(1, pi d) + 1e-15) (1 + 1e-9) / Y
+    reach += _H_SLACK * scale
+    drop = u2 >= np.minimum(reach, (1.0 + _H_SLACK) * scale, out=reach)
+    d *= 2.0 / scale  # inside: (2d - 1e-15) Y / (1 + 1e-9)
+    d -= _H_SLACK / scale
+    drop &= u2 <= d
+    return np.flatnonzero(~drop)
+
+
 class MuAbSampler:
     """Deterministic sampler for the lifted measure attached to (alpha, beta).
 
@@ -127,7 +177,8 @@ class MuAbSampler:
     CHUNK_SIZE candidate pairs and after it blocks the size of the
     shortfall, until CHUNK_SIZE are accepted, whatever count it returns; so
     draw(k) is a prefix of draw(k') for k < k', and worker count never
-    changes the stream.
+    changes the stream. raw_chunk is that draw, points the elementwise map
+    from it to samples, and chunk the two together.
 
     orbit, an enumerated orbit the caller already holds, must belong to the
     same pair; it is checked, never read, so the stream is the same with or
@@ -151,13 +202,13 @@ class MuAbSampler:
         self.seed = seed
         self._next_chunk = 0
 
-    def chunk(self, index: int, count: int) -> dict:
-        """The first 0 <= count <= CHUNK_SIZE samples of chunk `index` >= 0,
-        as in draw."""
+    def raw_chunk(self, index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+        """The draws of chunk `index` >= 0 before any map: its (3, CHUNK_SIZE)
+        Haar uniforms and its first 0 <= count <= CHUNK_SIZE accepted orbit
+        candidates (r, s), shape (2, count)."""
         check_integer("count", count, 0, CHUNK_SIZE)
         rng = chunk_generator(self.seed, index)
         u = open_uniforms(rng, (3, CHUNK_SIZE))
-        x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
         pair, q = self.pair, self.pair.q
         kept, accepted = [], 0
         while accepted < CHUNK_SIZE:
@@ -168,10 +219,22 @@ class MuAbSampler:
                 cand[1] ^= ~(cand[0] ^ cand[1]) & 1  # s of the other parity than r
             kept.append(np.compress(orbit_contains(pair, cand[0], cand[1]), cand, axis=1))
             accepted += kept[-1].shape[1]
-        rs = np.concatenate(kept, axis=1)[:, :count]
+        return u, np.concatenate(kept, axis=1)[:, :count]
+
+    def points(self, u, rs) -> dict:
+        """The samples of uniform triples u (3, n) and orbit candidates rs
+        (2, n) from raw_chunk, as in draw: every map is elementwise, so the
+        samples of any columns, in any order, are those columns of the whole."""
+        q = self.pair.q
+        x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
         xi = (rs - q * (rs >= q - q // 2)) / float(q)  # window [-1/2, 1/2); 2 rs may overflow
-        sl = slice(0, count)
-        return {"x": x[sl], "y": y[sl], "phi": phi[sl], "xi1": xi[0], "xi2": xi[1]}
+        return {"x": x, "y": y, "phi": phi, "xi1": xi[0], "xi2": xi[1]}
+
+    def chunk(self, index: int, count: int) -> dict:
+        """The first 0 <= count <= CHUNK_SIZE samples of chunk `index` >= 0,
+        as in draw."""
+        u, rs = self.raw_chunk(index, count)
+        return self.points(u[:, :count], rs)
 
     def draw(self, n: int) -> dict:
         """The next n samples, chunk by chunk on one worker, as a dict of

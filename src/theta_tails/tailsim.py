@@ -17,15 +17,18 @@ kernel call gets workers // chunks (at least 1) threads for its anchor
 groups, so no more than `workers` threads run at once and a one-chunk run
 still uses them all. The theta curve samples the invariant measure
 attached to (alpha, beta) - Haar on the fundamental domain times uniform on
-the finite orbit. theta_values makes three calls per chunk:
-MuAbSampler.chunk draws it, homog.conjugate_horoball moves its points in
-the cusp-at-1 horoball so every point has y >= sqrt(3)/2, and
+the finite orbit. A large value needs a point high in a cusp, so
+theta_values works on one chunk in four steps:
+MuAbSampler.raw_chunk draws its uniforms and orbit candidates in full;
+homog.cusp_candidates keeps, from the uniforms alone, the draws that can
+end above the screen height (23% on the default grid); MuAbSampler.points
+and homog.conjugate_horoball map only those, moving the points in the
+cusp-at-1 horoball so every point has y >= sqrt(3)/2; and
 theta.theta_pair_gaussian_screened evaluates the Gaussian pairing
 |Theta_f conj Theta_f| (theta_pair_gaussian_batch, a rotation recurrence
 anchored at the nearest lattice term) where it can exceed the smallest R^2.
-A large value needs a point high in the cusp, so a height screen (19% of
-the samples pass on the default grid) and then a closed-form bound (2.3%
-at q = 2000) drop the rest unevaluated.
+Its exact height screen keeps 19% of the chunk and its closed-form bound
+2.3% at q = 2000; the rest are dropped unevaluated.
 Orbit points are drawn in their parity class and kept by the closed
 membership test, and the orbit size comes from its closed form, so the
 theta curve does no O(q^2) work and runs at any q < 2^63 that factorize
@@ -51,11 +54,12 @@ from .homog import (
     MuAbSampler,
     chunk_generator,
     conjugate_horoball,
+    cusp_candidates,
     open_uniforms,
     run_chunks,
 )
 from .orbits import leading_constant, orbit_size_formula
-from .theta import theta_pair_gaussian_screened
+from .theta import theta_pair_gaussian_screen_height, theta_pair_gaussian_screened
 from .weylsum import weyl_values_batch
 
 
@@ -212,10 +216,14 @@ def simulate_weyl_tail(
 def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> np.ndarray:
     """The Gaussian pairing on sampler.chunk(index, count), moved by
     conjugate_horoball, but on the samples it proves are at most floor
-    (theta_pair_gaussian_screened); simulate_theta_tail's values."""
-    data = sampler.chunk(index, count)
-    chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
-    return theta_pair_gaussian_screened(*chunk, floor)
+    (theta_pair_gaussian_screened); simulate_theta_tail's values. The maps
+    run only on the samples that cusp_candidates keeps: the rest end at
+    most at the screen height, so the screen would drop them too."""
+    u, rs = sampler.raw_chunk(index, count)
+    kept = cusp_candidates(u[0, :count], u[1, :count], theta_pair_gaussian_screen_height(floor))
+    data = sampler.points(u.take(kept, axis=1), rs.take(kept, axis=1))
+    moved = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+    return theta_pair_gaussian_screened(*moved, floor)
 
 
 def simulate_theta_tail(

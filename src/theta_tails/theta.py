@@ -396,7 +396,11 @@ def theta_pair_gaussian_batch(
     deviation grows in proportion to |x|: against theta_pair at y = 0.9,
     xi = (0.3, 0.2) it is 3e-12 at x = 2^20 + 0.3 and 1e-8 at x = 2^30 - 0.7.
     """
-    x, y, xi1, xi2 = _batch_args(x, y, xi1, xi2)
+    return _batch(*_batch_args(x, y, xi1, xi2))
+
+
+def _batch(x, y, xi1, xi2):
+    """theta_pair_gaussian_batch of arguments that passed _batch_args."""
     shape = x.shape
     x, y, xi1, xi2 = (v.ravel() for v in (x, y, xi1, xi2))
     out = np.empty(x.size)
@@ -438,6 +442,11 @@ def theta_pair_gaussian_bound(x, y, xi1, xi2) -> np.ndarray:
     |t| > 0.011) both are 0.
     """
     _, y, _, xi2 = _batch_args(x, y, xi1, xi2)
+    return _bound(y, xi2)
+
+
+def _bound(y, xi2):
+    """theta_pair_gaussian_bound of arguments that passed _batch_args."""
     t = xi2 - np.round(xi2)
     a = np.exp(-math.pi * y * (1.0 - 2.0 * np.abs(t)))
     factor = 1.0 + 2.0 * a / (1.0 - np.exp(-_TWO_PI * y))
@@ -496,12 +505,13 @@ def theta_pair_gaussian_screened(x, y, xi1, xi2, floor: float) -> np.ndarray:
     bounds above prove are at most floor (-inf keeps all): y at most
     theta_pair_gaussian_screen_height(floor), or theta_pair_gaussian_bound
     B (1 + 1e-12) <= floor, the batch's rounding margin. Every sample is
-    range-checked first, so an invalid one raises and never drops out."""
-    x, y, xi1, xi2 = _batch_args(x, y, xi1, xi2)
-    kept = np.flatnonzero(y > theta_pair_gaussian_screen_height(floor))
-    chunk = [v.take(kept) for v in (x, y, xi1, xi2)]
-    keep = theta_pair_gaussian_bound(*chunk) * (1.0 + 1e-12) > floor
-    return theta_pair_gaussian_batch(*(v[keep] for v in chunk))
+    range-checked first, and only once, so an invalid one raises and never
+    drops out."""
+    chunk = _batch_args(x, y, xi1, xi2)
+    kept = np.flatnonzero(chunk[1] > theta_pair_gaussian_screen_height(floor))
+    x, y, xi1, xi2 = (v.take(kept) for v in chunk)
+    kept = np.flatnonzero(_bound(y, xi2) * (1.0 + 1e-12) > floor)
+    return _batch(*(v.take(kept) for v in (x, y, xi1, xi2)))
 
 
 def _theta_block(x, y, xi1, xi2):

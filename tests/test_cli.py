@@ -20,6 +20,7 @@ from theta_tails import (
     orbit_partition,
     orbit_size_formula,
 )
+from theta_tails.errors import short
 from theta_tails.weylsum import WeylSumSpec, partial_sums
 
 from oracles import RECIPROCAL_C_FIRST_100
@@ -347,6 +348,27 @@ def test_simulations_reject_a_seed_of_2_to_the_64_or_more(capsys, monkeypatch, c
         monkeypatch.delenv("THETA_TAILS_SEED")
     rc, out = run_cli(capsys, argv + ["--seed", hex(2**64 - 1)])
     assert rc == 0 and json.loads(out)["seed"] == 2**64 - 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tail", "--samples"], ["theta-tail", "--workers"], ["constants", "--q-max"],
+     ["partition", "--q"], ["orbit", "--points", "--orbit-cap"],
+     ["curlicue", "--x", "0.3", "--N"], ["tail", "--N"]],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+@pytest.mark.parametrize("value", ["1" * 5000, "-" + "9" * 5000, "12x"], ids=["5000 digits", "-5000 digits", "12x"])
+def test_integer_flags_reject_a_non_integer_in_one_short_line(capsys, argv, value):
+    # past Python's 4300-digit limit int() fails, and argparse once wrote
+    # the whole value back in a 5000-character error line
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, value])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) < 200
+    assert errors[0].endswith(f"argument {argv[-1]}: not an integer of at most 4300 digits: {short(value)}")
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from theta_tails import (
@@ -14,6 +16,7 @@ from theta_tails import (
     MuAbSampler,
     chunk_generator,
     conjugate_horoball,
+    default_thresholds,
     enumerate_orbit,
     haar_from_uniforms,
     normalize_pair,
@@ -21,7 +24,8 @@ from theta_tails import (
     sampling_law,
 )
 from theta_tails import homog
-from theta_tails.homog import run_chunks
+from theta_tails.homog import cusp_candidates, run_chunks
+from theta_tails.theta import theta_pair_gaussian_screen_height
 from theta_tails.weylsum import MAX_WORKERS
 
 
@@ -332,3 +336,82 @@ def test_conjugate_horoball_is_apply_rho_inside_and_the_identity_outside():
         assert out[1][i] >= math.sqrt(3.0) / 2.0 - 1e-12
     for got, given in zip(out, (x, y, xi1, xi2)):
         assert np.array_equal(got[~inside], given[~inside])
+
+
+def _missed(u1, u2, height):
+    """The pairs whose moved Haar point lies above height but that
+    cusp_candidates drops."""
+    u1, u2 = np.broadcast_arrays(np.asarray(u1, dtype=float), np.asarray(u2, dtype=float))
+    with np.errstate(over="ignore", invalid="ignore"):  # u2 near 0: y = inf
+        x, y, _ = haar_from_uniforms(u1, u2, u1)
+        above = conjugate_horoball(x, y, x, y)[1] > height
+    kept = np.zeros(u1.shape, dtype=bool)
+    kept[cusp_candidates(u1, u2, height)] = True
+    return np.flatnonzero(above & ~kept)
+
+
+unit_open = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300)
+@given(unit_open, unit_open, st.floats(min_value=1.0, max_value=100.0))
+def test_cusp_candidates_keep_every_point_above_the_screen_height(u1, u2, floor):
+    # floors 1.0-100 give Y = -inf (keep all) up to Y = 1e4
+    height = theta_pair_gaussian_screen_height(floor)
+    assert height == -math.inf or 2.0 <= height <= 1e4
+    assert _missed([u1], [u2], height).size == 0
+    if height == -math.inf:
+        assert cusp_candidates([u1], [u2], height).tolist() == [0]
+
+
+@pytest.mark.parametrize("floor", [1.7, 2.25, 4.0, 36.0, 100.0])
+def test_cusp_candidates_keep_the_points_on_the_edges_of_both_cusps(floor):
+    height = theta_pair_gaussian_screen_height(floor)
+    ulps = np.arange(-64, 65)
+    u1 = np.concatenate([
+        0.5 + ulps * 2.0**-54,  # u1 -> 1/2: the cusp at 1
+        np.linspace(1e-6, 1 - 1e-6, 2001),
+        np.geomspace(1e-300, 0.4, 500), 1 - np.geomspace(2.0**-53, 0.4, 500),
+    ])
+    x, h, _ = haar_from_uniforms(u1, np.ones(u1.size), np.zeros(u1.size))
+    # heights y at which the point reaches Y: above the floor of the cusp
+    # at infinity, on the horoball |z - 1| = 1, and on the circle where
+    # conjugate_horoball lifts it to Y exactly
+    w2 = (1.0 - x) ** 2
+    disk = np.sqrt(np.maximum(1.0 / height**2 - 4.0 * w2, 0.0))
+    edges = [np.full(u1.size, height), np.sqrt(np.maximum(1.0 - w2, 0.0)),
+             (1.0 / height + disk) / 2.0, (1.0 / height - disk) / 2.0]
+    for y in edges:
+        for eps in (-1e-15, -2**-53, 0.0, 2**-53, 1e-15):
+            with np.errstate(divide="ignore"):
+                u2 = h / y * (1.0 + eps)
+            ok = (u2 > 0) & (u2 < 1)
+            assert _missed(u1[ok], u2[ok], height).size == 0
+
+
+def test_cusp_candidates_keep_a_nan_and_everything_without_a_height():
+    u = np.array([0.3, np.nan, 0.3, 0.5])
+    v = np.array([0.9, 0.9, np.nan, 0.9])
+    assert cusp_candidates(u, v, 5.0).tolist() == [1, 2, 3]  # u1 = 1/2 is the cusp at 1
+    for height in (-math.inf, 0.0, math.nan):
+        assert cusp_candidates(u, v, height).tolist() == [0, 1, 2, 3]
+
+
+def test_cusp_candidates_keep_a_quarter_of_the_default_grid_draws():
+    # at (1/2000, 0) on the default grid the exact screen keeps 3/(pi Y) =
+    # 18.9% of 2^20 draws and cusp_candidates 23.4%; a bound that fell back
+    # to keeping all would still pass every test above
+    floor = float(default_thresholds()[0] ** 2)
+    height = theta_pair_gaussian_screen_height(floor)
+    sampler = MuAbSampler(Fraction(1, 2000), 0)
+    kept = above = 0
+    for index in range(32):
+        u, _ = sampler.raw_chunk(index, CHUNK_SIZE)
+        candidates = cusp_candidates(u[0], u[1], height)
+        x, y, _ = haar_from_uniforms(u[0], u[1], u[2])
+        moved = np.flatnonzero(conjugate_horoball(x, y, x, y)[1] > height)
+        assert np.isin(moved, candidates).all()
+        kept += candidates.size
+        above += moved.size
+    assert above / 2**20 == pytest.approx(3 / (math.pi * height), rel=0.02)
+    assert kept / 2**20 <= 0.25

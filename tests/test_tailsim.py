@@ -24,7 +24,9 @@ from theta_tails import (
     simulate_weyl_tail,
     tail_constant,
 )
-from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances
+from theta_tails.homog import conjugate_horoball
+from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances, theta_values
+from theta_tails.theta import theta_pair_gaussian_screened
 
 
 def test_sampling_laws():
@@ -241,20 +243,64 @@ def test_theta_tail_counts_match_with_and_without_the_values(pair, lo):
         assert np.array_equal(bounded.counts, full.counts)
 
 
+@pytest.mark.parametrize(
+    "pair",
+    [(Fraction(1, 2000), 0), (Fraction(1, 2002), Fraction(1, 2002)), (Fraction(1, 2003), 0),
+     (Fraction(1, 8), 0), (0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 10), Fraction(1, 10))],
+    ids=str,
+)
+def test_theta_values_equal_the_screen_of_the_whole_moved_chunk(pair):
+    # theta_values maps only what cusp_candidates keeps; the screen of the
+    # whole chunk must give the same values bit for bit. Floor 1.0 has no
+    # screen height (Y = -inf), so nothing is pre-screened there
+    sampler = MuAbSampler(*pair, seed=11)
+    for floor in (-math.inf, 1.0, 2.25, 36.0):
+        for index, count in ((0, CHUNK_SIZE), (3, 1000), (4, 1)):
+            data = sampler.chunk(index, count)
+            moved = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
+            whole = theta_pair_gaussian_screened(*moved, floor)
+            values = theta_values(sampler, index, count, floor)
+            assert values.dtype == whole.dtype
+            assert values.tobytes() == whole.tobytes()
+
+
 @pytest.mark.parametrize("key", ["x", "y", "xi1", "xi2"])
 @pytest.mark.parametrize("keep_values", [False, True])
 def test_theta_tail_raises_on_a_nan_sample(monkeypatch, key, keep_values):
     # NaN > R^2 is False: a NaN that only the kept samples were checked for
-    # would drop out of the counts without an error
-    chunk = MuAbSampler.chunk
+    # would drop out of the counts without an error. theta_values maps the
+    # samples that cusp_candidates keeps; one of them turns NaN here
+    points = MuAbSampler.points
+    calls = []
 
-    def poisoned(self, index, count):
-        data = chunk(self, index, count)
-        if index == 1:
+    def poisoned(self, u, rs):
+        data = points(self, u, rs)
+        calls.append(None)
+        if len(calls) == 2:
             data[key][100] = math.nan
         return data
 
-    monkeypatch.setattr(MuAbSampler, "chunk", poisoned)
+    monkeypatch.setattr(MuAbSampler, "points", poisoned)
+    with pytest.raises(InvalidArgumentError, match="finite"):
+        simulate_theta_tail(
+            Fraction(1, 8), 0, n_samples=2 * CHUNK_SIZE, keep_values=keep_values
+        )
+
+
+@pytest.mark.parametrize("row", [0, 1], ids=["u1", "u2"])
+@pytest.mark.parametrize("keep_values", [False, True])
+def test_theta_tail_raises_on_a_nan_uniform(monkeypatch, row, keep_values):
+    # the pre-screen on the uniforms keeps what it cannot prove is dropped,
+    # so a NaN uniform is mapped and reaches the range checks
+    raw_chunk = MuAbSampler.raw_chunk
+
+    def poisoned(self, index, count):
+        u, rs = raw_chunk(self, index, count)
+        if index == 1:
+            u[row, 100] = math.nan
+        return u, rs
+
+    monkeypatch.setattr(MuAbSampler, "raw_chunk", poisoned)
     with pytest.raises(InvalidArgumentError, match="finite"):
         simulate_theta_tail(
             Fraction(1, 8), 0, n_samples=2 * CHUNK_SIZE, keep_values=keep_values
