@@ -91,15 +91,13 @@ def run_chunks(n_samples: int, chunk_fn, workers: int = 1) -> list:
 
 
 def open_uniforms(rng: np.random.Generator, shape) -> np.ndarray:
-    """Uniforms in the open interval (0, 1): 53-bit integers k shifted by 1/2.
-
-    (k + 1/2) 2^-53 rounds to 1.0 at k = 2^53 - 1 alone; that one value is
-    clamped to 1 - 2^-53, the largest double below 1, and every other value
-    is unchanged.
+    """Uniforms in the open interval (0, 1): (k + 1/2) 2^-53 for the 53-bit
+    integers k of rng.random, the top bits of one PCG64 output each, as
+    rng.integers(0, 2^53) draws them. That rounds to 1.0 at k = 2^53 - 1
+    alone, which is clamped to 1 - 2^-53, the largest double below 1.
     """
-    u = rng.integers(0, 1 << 53, size=shape).astype(np.float64)
-    u += 0.5  # in place: each fresh chunk-sized array costs page faults
-    u *= 2.0**-53
+    u = rng.random(shape)
+    u += 2.0**-54  # in place: each fresh chunk-sized array costs page faults
     return np.minimum(u, _BELOW_ONE, out=u)
 
 
@@ -143,8 +141,8 @@ def cusp_candidates(u1, u2, height: float) -> np.ndarray:
 
     At Y >= 2 the two sets are disjoint (2Y d < u2 < pi d / Y has no
     solution), and uniform pairs land in them at rates (1 - 1/pi)/Y and
-    1/(2Y), against 3/(pi Y) for the exact screen: 23.4% and 18.9% at the
-    default grid's Y = 5.06.
+    1/(2Y), against 3/(pi Y) for the points that end above Y: 23.4% and
+    18.9% at the default grid's Y = 5.06.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)

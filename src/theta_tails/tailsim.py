@@ -26,9 +26,8 @@ and homog.conjugate_horoball map only those, moving the points in the
 cusp-at-1 horoball so every point has y >= sqrt(3)/2; and
 theta.theta_pair_gaussian_screened evaluates the Gaussian pairing
 |Theta_f conj Theta_f| (theta_pair_gaussian_batch, a rotation recurrence
-anchored at the nearest lattice term) where it can exceed the smallest R^2.
-Its exact height screen keeps 19% of the chunk and its closed-form bound
-2.3% at q = 2000; the rest are dropped unevaluated.
+anchored at the nearest lattice term) where its closed-form bound can
+exceed the smallest R^2: 2.3% of the chunk at q = 2000.
 Orbit points are drawn in their parity class and kept by the closed
 membership test, and the orbit size comes from its closed form, so the
 theta curve does no O(q^2) work and runs at any q < 2^63 that factorize
@@ -215,10 +214,10 @@ def simulate_weyl_tail(
 
 def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> np.ndarray:
     """The Gaussian pairing on sampler.chunk(index, count), moved by
-    conjugate_horoball, but on the samples it proves are at most floor
-    (theta_pair_gaussian_screened); simulate_theta_tail's values. The maps
-    run only on the samples that cusp_candidates keeps: the rest end at
-    most at the screen height, so the screen would drop them too."""
+    conjugate_horoball, but on the samples proved at most floor;
+    simulate_theta_tail's values. The maps run only on the samples that
+    cusp_candidates keeps: the rest end at most at the screen height, where
+    the pairing is at most floor."""
     u, rs = sampler.raw_chunk(index, count)
     kept = cusp_candidates(u[0, :count], u[1, :count], theta_pair_gaussian_screen_height(floor))
     data = sampler.points(u.take(kept, axis=1), rs.take(kept, axis=1))

@@ -40,8 +40,8 @@ from .errors import (
     InvalidArgumentError, NumericFailureError, UnsupportedOperationError, check_real, short,
 )
 from .weylsum import (
-    _QUARTER_TURNS, WeylSumSpec, _blocks, _phase_plan, _terms, _unit_phasor, check_x_range, frac,
-    reduced_product, two_prod,
+    _QUARTER_TURNS, WeylSumSpec, _unit_phasor, check_x_range, frac, phase_sum, reduced_product,
+    two_prod,
 )
 
 _TWO_PI = 2.0 * math.pi
@@ -63,10 +63,6 @@ class IwasawaPoint:
         for name in ("x", "phi", "xi1", "xi2"):
             check_real(name, getattr(self, name))
         check_real("y", self.y, 0, strict=True)
-
-    @property
-    def z(self) -> complex:
-        return complex(self.x, self.y)
 
 
 def _pi_multiples(phis):
@@ -301,21 +297,26 @@ def theta_f(
     The phase t^2 x/2 (t = xi2 - round(xi2)) that every lattice term shares
     goes into the prefactor as (p/2) x + (e/2) x, from the exact split
     t^2 = p + e of two_prod. The lattice terms are Weyl terms in
-    m = n - round(xi2), summed in blocks, so the largest |m| kept has
-    weyl_sum's n bound (about 9.49e7): a tiny y exceeds it. The truncation
-    level must be a normal float, at least DBL_MIN = 2.2e-308 (tol = 5e-324
-    at y = 1 is not). Other input raises InvalidArgumentError.
+    m = n - round(xi2) weighted by f_phi, summed by weyl_sum's phase_sum,
+    so the largest |m| kept has weyl_sum's n bound (about 9.49e7): a tiny
+    y exceeds it. The truncation level must be a normal float, at least
+    DBL_MIN = 2.2e-308 (tol = 5e-324 at y = 1 is not), and support_radius
+    finite. Other input raises InvalidArgumentError.
     """
     tol = check_real("tol", tol, 0, strict=True)
     x, y = point.x, point.y
     xi1, xi2 = float(point.xi1), float(point.xi2)
     check_x_range(x=x, xi1=xi1, xi2=xi2)
-    term_tol = tol * min(1.0, math.sqrt(y)) / 8.0
+    root_y = math.sqrt(y)
+    term_tol = tol * min(1.0, root_y) / 8.0
     if term_tol < sys.float_info.min:  # support_radius takes 1/term_tol
         raise InvalidArgumentError(
             f"tol = {tol} at y = {short(y)} gives the truncation level {term_tol}, below DBL_MIN"
         )
-    span = weight.support_radius(term_tol) / math.sqrt(y)
+    radius = weight.support_radius(term_tol)
+    if not math.isfinite(radius):
+        raise InvalidArgumentError(f"weight {short(weight.name)} does not decay; cannot truncate")
+    span = radius / root_y
     lo, hi = math.ceil(xi2 - span), math.floor(xi2 + span)
     # with m = n - k0 and t = xi2 - k0, the phase (n - xi2)^2 x/2 + n xi1 is
     # the Weyl phase (m^2/2 - t m) x + xi1 m, plus k0 xi1 and t^2 x/2
@@ -327,12 +328,10 @@ def theta_f(
     prefactor = y**0.25 * _e(turn) * _e(reduced_product(np.float64(k0), xi1))
     if lo > hi:
         return 0.0 * prefactor
-    spec = WeylSumSpec(alpha=xi1, beta=-t)
-    plan = _phase_plan(spec, np.float64(x), max(k0 - lo, hi - k0))
-    total = 0.0j
-    for ms in _blocks(lo - k0, hi - k0):
-        re, im = _terms(plan, ms)
-        total += np.sum(weight.f_phi(point.phi, (ms - t) * math.sqrt(y)) * (re + 1j * im))
+    total = phase_sum(
+        WeylSumSpec(alpha=xi1, beta=-t), np.float64(x), lo - k0, hi - k0,
+        lambda ms: weight.f_phi(point.phi, (ms - t) * root_y),
+    )
     return complex(prefactor * total)
 
 
@@ -484,8 +483,8 @@ def theta_pair_gaussian_screen_height(floor: float) -> float:
     is near y = 1.04) and its largest value on [1/2, Y] is at an end.
     Bisection on the rising branch from y = 2, where B0 is below B0(1/2),
     gives Y with B0(Y) (1 + 1e-9) <= floor. So on [1/2, Y] the batch is at
-    most B0 (1 + 1e-12) < floor, and the samples with y <= Y can be dropped
-    without evaluating them: one comparison per sample in place of B0.
+    most B0 (1 + 1e-12) < floor, and homog.cusp_candidates drops, from
+    their uniforms, draws that provably end at y <= Y.
     """
     margin = 1.0 + 1e-9
     if not float(theta_pair_gaussian_height_bound(0.5)) * margin <= floor:
@@ -501,17 +500,14 @@ def theta_pair_gaussian_screen_height(floor: float) -> float:
 
 
 def theta_pair_gaussian_screened(x, y, xi1, xi2, floor: float) -> np.ndarray:
-    """theta_pair_gaussian_batch on the samples, in order, but on those the
-    bounds above prove are at most floor (-inf keeps all): y at most
-    theta_pair_gaussian_screen_height(floor), or theta_pair_gaussian_bound
-    B (1 + 1e-12) <= floor, the batch's rounding margin. Every sample is
-    range-checked first, and only once, so an invalid one raises and never
-    drops out."""
+    """theta_pair_gaussian_batch on the samples, in order, but on those
+    where theta_pair_gaussian_bound proves it at most floor (-inf keeps
+    all): B (1 + 1e-12) <= floor, the batch's rounding margin. Every sample
+    is range-checked first, and only once, so an invalid one raises and
+    never drops out. The height screen is homog.cusp_candidates'."""
     chunk = _batch_args(x, y, xi1, xi2)
-    kept = np.flatnonzero(chunk[1] > theta_pair_gaussian_screen_height(floor))
-    x, y, xi1, xi2 = (v.take(kept) for v in chunk)
-    kept = np.flatnonzero(_bound(y, xi2) * (1.0 + 1e-12) > floor)
-    return _batch(*(v.take(kept) for v in (x, y, xi1, xi2)))
+    kept = np.flatnonzero(_bound(chunk[1], chunk[3]) * (1.0 + 1e-12) > floor)
+    return _batch(*(v.take(kept) for v in chunk))
 
 
 def _theta_block(x, y, xi1, xi2):

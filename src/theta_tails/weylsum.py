@@ -13,8 +13,8 @@ path accepts |x| < 2^30 only (check_x_range).
 
 weyl_sum, partial_sums, weighted_weyl_sum and theta.theta_f share one exact
 path: _phase_plan checks n and x once per call, _terms gives cos and sin of
-each _blocks block, and _fsum adds the terms of the plain and the weighted
-sum exactly (math.fsum), so their error is dominated by the phase error.
+each _blocks block, and phase_sum adds the terms, with real or complex
+weights, exactly (math.fsum), so their error is dominated by the phase error.
 
 The Monte-Carlo batch kernel weyl_values_batch trades a little of that
 accuracy for speed. Consecutive terms differ by rho_n = e((n + 1/2 + beta) x
@@ -306,18 +306,21 @@ def _terms(plan: _PhasePlan, ns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.cos(ang), np.sin(ang)
 
 
-def _fsum(plan: _PhasePlan, lo: int, hi: int, weigh) -> complex:
-    """The sum over lo <= n <= hi of weigh(ns) e(phase), the real and the
-    imaginary part each added exactly by math.fsum, block by block and then
-    over the blocks; terms of weight zero are not evaluated."""
+def phase_sum(spec: WeylSumSpec, x, lo: int, hi: int, weigh) -> complex:
+    """The sum over lo <= n <= hi of weigh(ns) e(phase), weigh giving real
+    or complex weights of an int64 block of n, in _phase_plan's range. The
+    real and the imaginary part are each added exactly by math.fsum, block
+    by block and then over the blocks; terms of weight zero are not evaluated."""
+    plan = _phase_plan(spec, x, max(abs(lo), abs(hi)))
     re_parts: list[float] = []
     im_parts: list[float] = []
     for ns in _blocks(lo, hi):
         w = weigh(ns)
         live = w != 0.0
         re, im = _terms(plan, ns[live])
-        re_parts.append(math.fsum((w[live] * re).tolist()))
-        im_parts.append(math.fsum((w[live] * im).tolist()))
+        terms = w[live] * (re + 1j * im)
+        re_parts.append(math.fsum(terms.real.tolist()))
+        im_parts.append(math.fsum(terms.imag.tolist()))
     return complex(math.fsum(re_parts), math.fsum(im_parts))
 
 
@@ -330,7 +333,7 @@ def weyl_sum(x: float, spec: WeylSumSpec) -> complex:
     N = 1000 the relative error is 2e-14 at x = 1.1 and 6e-7 at
     x = 1e9 + 0.1.
     """
-    return _fsum(_phase_plan(spec, x, spec.N), 1, spec.N, lambda ns: np.ones(ns.shape))
+    return phase_sum(spec, x, 1, spec.N, lambda ns: np.ones(ns.shape))
 
 
 def partial_sums(x: float, spec: WeylSumSpec) -> np.ndarray:
@@ -359,11 +362,10 @@ def weighted_weyl_sum(weight, x: float, spec: WeylSumSpec) -> complex:
     radius = weight.support_radius(1e-18)
     if not math.isfinite(radius):
         raise InvalidArgumentError(
-            f"weight {getattr(weight, 'name', weight)!r} does not decay; cannot truncate"
+            f"weight {short(getattr(weight, 'name', weight))} does not decay; cannot truncate"
         )
     n_max = int(math.floor(radius * spec.N)) + 1
-    plan = _phase_plan(spec, x, n_max)
-    return _fsum(plan, -n_max, n_max, lambda ns: weight.evaluate(ns / float(spec.N)))
+    return phase_sum(spec, x, -n_max, n_max, lambda ns: weight.evaluate(ns / float(spec.N)))
 
 
 def _floor_rN(N: int, r: float) -> int:

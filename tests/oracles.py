@@ -372,6 +372,19 @@ def in_fundamental_domain(z: complex) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# uniform draws
+
+def open_uniforms_by_integers(rng, shape):
+    """Uniforms in (0, 1) by the integer route: (k + 1/2) 2^-53 for the
+    53-bit integers k = rng.integers(0, 2^53), the one value that rounds to
+    1.0 (k = 2^53 - 1) clamped to 1 - 2^-53."""
+    import numpy as np
+
+    u = (rng.integers(0, 1 << 53, size=shape) + 0.5) * 2.0**-53
+    return np.minimum(u, 1.0 - 2.0**-53)
+
+
+# ---------------------------------------------------------------------------
 # theta values through mpmath
 
 def gaussian_theta_mpmath(x: float, y: float) -> complex:

@@ -88,11 +88,24 @@ def test_open_uniforms_avoid_the_endpoints():
     assert np.all(u > 0) and np.all(u < 1)
 
 
-class _StubRng:
-    """Hands out the 53-bit integers 2^53 - 1 and 0, alternating."""
+def test_open_uniforms_equal_the_integer_route():
+    # rng.random takes the top 53 bits of one PCG64 output, as
+    # integers(0, 2^53) does: Lemire's method never rejects at a power of 2
+    for seed in (0, DEFAULT_SEED, 2**64 - 1):
+        for index in range(40):
+            for shape in ((3, CHUNK_SIZE), CHUNK_SIZE, 7):
+                rng, oracle_rng = chunk_generator(seed, index), chunk_generator(seed, index)
+                got = open_uniforms(rng, shape)
+                want = oracles.open_uniforms_by_integers(oracle_rng, shape)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+                assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
-    def integers(self, low, high, size):
-        return np.resize(np.array([2**53 - 1, 0], dtype=np.int64), size)
+
+class _StubRng:
+    """Hands out the uniforms (2^53 - 1) 2^-53 and 0, alternating."""
+
+    def random(self, size):
+        return np.resize(np.array([(2**53 - 1) * 2.0**-53, 0.0]), size)
 
 
 def test_open_uniforms_clamp_the_top_integer_below_one():
@@ -198,8 +211,11 @@ class CountingGenerator:
     def __init__(self, rng, tally):
         self.rng, self.tally = rng, tally
 
+    def random(self, size):
+        return self.rng.random(size)
+
     def integers(self, low, high, size):
-        if size[0] == 2:  # (2, n): n candidate pairs; the uniforms are (3, n)
+        if size[0] == 2:  # (2, n): n candidate pairs
             self.tally[0] += size[1]
         return self.rng.integers(low, high, size=size)
 

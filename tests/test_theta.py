@@ -20,6 +20,7 @@ from theta_tails import (
     IwasawaPoint,
     MuAbSampler,
     UnsupportedOperationError,
+    WeightFunction,
     WeylSumSpec,
     bound_constant,
     conjugate_horoball,
@@ -117,6 +118,25 @@ def test_theta_f_matches_an_mpmath_lattice_sum_at_large_x(x, xi1, xi2):
     got = theta_f(GAUSS, IwasawaPoint(x, 1.0, 0.0, xi1, xi2), tol=1e-15)
     want = oracles.gaussian_theta_lattice_mpmath(x, 1.0, xi1, xi2)
     assert abs(got - want) <= 1e-13 * abs(want)
+    # at phi = k pi the even Gaussian's f_phi is e(-k/4) f, exactly: complex
+    # weights in the lattice sum
+    for k in (1, 2, 3):
+        got = theta_f(GAUSS, IwasawaPoint(x, 1.0, k * math.pi, xi1, xi2), tol=1e-15)
+        assert abs(got - (-1j) ** k * want) <= 1e-13 * abs(want)
+
+
+def test_theta_f_rejects_a_weight_that_does_not_decay():
+    class Flat(WeightFunction):
+        name = "flat"
+
+        def evaluate(self, w):
+            return np.ones_like(np.asarray(w, dtype=float))
+
+        def support_radius(self, tol):
+            return math.inf
+
+    with pytest.raises(InvalidArgumentError, match="weight 'flat' does not decay"):
+        theta_f(Flat(), IwasawaPoint(0.3, 1.0, 0.0))
 
 
 def test_weyl_sum_identity_gaussian():
