@@ -83,7 +83,6 @@ from .theta import (
     theta_pair,
     theta_pair_gaussian_batch,
     theta_pair_gaussian_bound,
-    theta_pair_gaussian_height_bound,
 )
 from .weylsum import (
     WeylSumSpec,

@@ -299,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tail", help="Monte-Carlo tail of |S_N conj(S_rN)|/N")
     _add_pair_flags(p)
     p.add_argument("--N", type=_integer, default=500)
-    p.add_argument("--r", type=float, default=1.0)
+    p.add_argument("--r", type=_real, default=1.0)
     p.add_argument("--law", choices=("normal", "uniform01"), default="normal")
     _add_sim_flags(p)
     _add_output_flags(p)

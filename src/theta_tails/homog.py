@@ -139,10 +139,11 @@ def cusp_candidates(u1, u2, height: float) -> np.ndarray:
     den, y/den and its own. The drop test is written so that a NaN fails
     it: such a pair is kept and reaches the range checks.
 
-    At Y >= 2 the two sets are disjoint (2Y d < u2 < pi d / Y has no
-    solution), and uniform pairs land in them at rates (1 - 1/pi)/Y and
-    1/(2Y), against 3/(pi Y) for the points that end above Y: 23.4% and
-    18.9% at the default grid's Y = 5.06.
+    At Y >= 2, as every finite theta_pair_gaussian_screen_height is, the
+    two sets are disjoint (2Y d < u2 < pi d / Y has no solution), and
+    uniform pairs land in them at rates (1 - 1/pi)/Y and 1/(2Y), against
+    3/(pi Y) for the points that end above Y: 23.4% and 18.9% at the
+    default grid's Y = 5.06.
     """
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)

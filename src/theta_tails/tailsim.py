@@ -198,10 +198,11 @@ def simulate_weyl_tail(
     """
     pair = normalize_pair(alpha, beta)
     transform = sampling_law(law).transform
-    # workers that run_chunks leaves idle run the anchor groups of each chunk
-    kernel_workers = max(1, workers // max(1, -(-n_samples // CHUNK_SIZE)))
 
     def values(index: int, count: int, floor: float) -> np.ndarray:
+        # workers that run_chunks leaves idle run the anchor groups of each
+        # chunk; _simulate has checked workers and n_samples by now
+        kernel_workers = max(1, workers // -(-n_samples // CHUNK_SIZE))
         u = open_uniforms(chunk_generator(seed, index), CHUNK_SIZE)
         return weyl_values_batch(transform(u)[:count], pair, N, r, workers=kernel_workers)
 
@@ -217,7 +218,9 @@ def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> 
     conjugate_horoball, but on the samples proved at most floor;
     simulate_theta_tail's values. The maps run only on the samples that
     cusp_candidates keeps: the rest end at most at the screen height, where
-    the pairing is at most floor."""
+    the bound at t = 0, and so the pairing, is at most floor. At floors from
+    1.4552 to about 2.16 that drops values the sample bound would keep, each
+    at most floor: the values above floor are those of the whole chunk."""
     u, rs = sampler.raw_chunk(index, count)
     kept = cusp_candidates(u[0, :count], u[1, :count], theta_pair_gaussian_screen_height(floor))
     data = sampler.points(u.take(kept, axis=1), rs.take(kept, axis=1))

@@ -25,6 +25,10 @@ times a w-independent unimodular constant c(phi). This module drops c(phi)
 away from multiples of pi (it cancels in every pairing |Theta_f conj
 Theta_f| and in all moduli), and keeps the exact value e(-k/4) exp(-pi w^2)
 at phi = k pi, so mixed pairings at those angles are exact too.
+
+The Gaussian pairing has one closed-form bound, theta_pair_gaussian_bound
+B(y, t): theta_pair_gaussian_screened reads it at each sample's shift t, and
+theta_pair_gaussian_screen_height at t = 0, where it bounds every shift.
 """
 from __future__ import annotations
 
@@ -32,7 +36,6 @@ import cmath
 import math
 import sys
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -452,51 +455,40 @@ def _bound(y, xi2):
     return np.sqrt(y) * np.exp(-_TWO_PI * t * t * y) * (factor * factor)
 
 
-def theta_pair_gaussian_height_bound(y) -> np.ndarray:
-    """An upper bound of theta_pair_gaussian_batch at height y for every x,
-    xi1 and xi2, in one exp per sample:
-
-        B0 = sqrt(y) (1 + 2e / (1 - e))^2,  e = exp(-pi y).
-
-    Proof: the batch is at most sqrt(y) J(t)^2, with J(t) the Jacobi sum
-    sum_n exp(-pi (n - t)^2 y) of its terms' moduli and t = xi2. Poisson
-    summation gives J(t) = y^(-1/2) sum_k exp(-pi k^2 / y) cos(2 pi k t), a
-    cosine series with positive coefficients, so J is largest at t = 0,
-    where 1 + 2 sum_(n >= 1) exp(-pi n^2 y) <= 1 + 2(e + e^2 + ...) as
-    n^2 >= n. The batch stays below B0 (1 + 1e-12) after rounding. Unlike
-    theta_pair_gaussian_bound it runs no range check: y must be finite and
-    at least 1/2, as for the batch.
-    """
-    e = np.exp(-math.pi * np.asarray(y, dtype=np.float64))
-    factor = 1.0 + 2.0 * e / (1.0 - e)
-    return np.sqrt(y) * (factor * factor)
-
-
-@lru_cache(maxsize=64)
 def theta_pair_gaussian_screen_height(floor: float) -> float:
     """A height Y such that theta_pair_gaussian_batch stays below floor at
-    every y in [1/2, Y], whatever x, xi1 and xi2; -inf where floor is below
-    B0(1/2) (1 + 1e-9), B0 being theta_pair_gaussian_height_bound.
+    every y in [1/2, Y], whatever x, xi1 and xi2, by the bound at t = 0,
+    H(y) = theta_pair_gaussian_bound(x, y, xi1, 0) = sqrt(y) (1 + csch(pi y))^2;
+    -inf where floor is below H(1/2) (1 + 1e-9) = 1.4552.
 
-    d log B0 / dy = 1/(2y) - 2 pi / sinh(pi y) changes sign once, as
-    sinh(pi y) / (pi y) increases, so B0 falls and then rises (its minimum
-    is near y = 1.04) and its largest value on [1/2, Y] is at an end.
-    Bisection on the rising branch from y = 2, where B0 is below B0(1/2),
-    gives Y with B0(Y) (1 + 1e-9) <= floor. So on [1/2, Y] the batch is at
-    most B0 (1 + 1e-12) < floor, and homog.cusp_candidates drops, from
-    their uniforms, draws that provably end at y <= Y.
+    H bounds the batch at every shift t: by Poisson summation the Jacobi
+    sum J(t) = sum_n exp(-pi (n - t)^2 y) of the terms' moduli is
+    y^(-1/2) sum_k exp(-pi k^2 / y) cos(2 pi k t), largest at t = 0, and
+    J(0) <= 1 + 2(e + e^3 + ...) = 1 + csch(pi y) with e = exp(-pi y), as
+    n^2 >= 2n - 1. H falls, then rises: with u = pi y, d log H / dy has the
+    sign of m(u) = tanh u (sinh u + 1) - 4u, where m(0) = 0, m'(0) = -3 and
+    m'' = cosh u + (1 - 2 sinh u - sinh^2 u) / cosh^3 u > 0, as
+    cosh^4 u + 1 - 2 sinh u - sinh^2 u = sinh^4 u + (sinh u - 1)^2 + 1.
+    So H peaks on [1/2, Y] at an end, and H(2) < H(1/2). From Y = 2 each
+    step Y <- (floor / ((1 + 1e-9) (1 + csch(pi Y))^2))^2 keeps
+    H (1 + 1e-9) <= floor on [1/2, Y], as csch falls; Y is where the steps
+    stop growing it. There the batch, at most H (1 + 1e-12), is below the
+    floor, and homog.cusp_candidates drops, from their uniforms, draws
+    that provably end at y <= Y.
     """
     margin = 1.0 + 1e-9
-    if not float(theta_pair_gaussian_height_bound(0.5)) * margin <= floor:
+
+    def reach(y):  # the y' where sqrt(y') (1 + csch(pi y))^2 (1 + 1e-9) is floor
+        e = math.exp(-math.pi * y)
+        root = floor / (margin * (1.0 + 2.0 * e / (1.0 - e * e)) ** 2)
+        return root * abs(root)  # negative below a negative floor
+
+    if not reach(0.5) >= 0.5:
         return -math.inf
-    lo, hi = 2.0, floor * floor + 1.0  # B0(y) > sqrt(y), so B0(hi) > floor
-    while hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        if float(theta_pair_gaussian_height_bound(mid)) * margin <= floor:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    height, step = 2.0, reach(2.0)
+    while step > height:
+        height, step = step, reach(step)
+    return height
 
 
 def theta_pair_gaussian_screened(x, y, xi1, xi2, floor: float) -> np.ndarray:

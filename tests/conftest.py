@@ -1,13 +1,15 @@
+import math
 import os
 import sys
 
 # make oracles.py importable from any test module
 sys.path.insert(0, os.path.dirname(__file__))
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from theta_tails import weylsum
+from theta_tails import WeightFunction, weylsum
 
 settings.register_profile(
     "suite",
@@ -30,3 +32,19 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(weylsum, "ThreadPoolExecutor", recorder)
     return sizes
+
+
+class _Flat(WeightFunction):
+    name = "flat"
+
+    def evaluate(self, w):
+        return np.ones_like(np.asarray(w, dtype=float))
+
+    def support_radius(self, tol):
+        return math.inf
+
+
+@pytest.fixture
+def flat_weight():
+    """A weight that never decays: support_radius is inf at every tol."""
+    return _Flat()

@@ -372,6 +372,27 @@ def test_integer_flags_reject_a_non_integer_in_one_short_line(capsys, argv, valu
 
 
 @pytest.mark.parametrize(
+    "argv", [["curlicue", "--N", "10", "--x"], ["tail", "--samples", "100", "--r"]],
+    ids=lambda argv: f"{argv[0]} {argv[-1]}",
+)
+def test_real_flags_reject_junk_in_one_short_line(capsys, argv):
+    # --r once parsed with float() and wrote a 5000-character value back
+    # in a 5,351-byte error line
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "x" * 5000])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0]) < 200
+
+
+def test_tail_takes_a_rational_r(capsys):
+    rc, out = run_cli(capsys, ["tail", "--r", "3/2", "--samples", "100", "--format", "json"])
+    assert rc == 0 and json.loads(out)["meta"]["r"] == 1.5
+
+
+@pytest.mark.parametrize(
     "argv",
     [["curlicue", "--x", "0.3", "--N", "10"], ["tail", "--samples", "100"],
      ["theta-tail", "--samples", "100"]],

@@ -1,6 +1,7 @@
 """Design rules of the package source that no behaviour test would notice."""
 
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "theta_tails"
@@ -77,3 +78,14 @@ def test_only_errors_defines_scalar_checks():
     assert {(module, name) for module, name in found if module != "errors"} == {
         ("weylsum", "check_x_range")
     }
+
+
+def test_theta_defines_one_gaussian_bound():
+    # the sample screen reads B at each shift t and the height screen reads
+    # it at t = 0; a second, looser closed form once served the height screen
+    tree = ast.parse((SRC / "theta.py").read_text())
+    bounds = {
+        node.name for node in tree.body
+        if isinstance(node, ast.FunctionDef) and re.fullmatch(r"theta_pair_gaussian_\w*bound", node.name)
+    }
+    assert bounds == {"theta_pair_gaussian_bound"}

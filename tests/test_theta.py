@@ -20,7 +20,6 @@ from theta_tails import (
     IwasawaPoint,
     MuAbSampler,
     UnsupportedOperationError,
-    WeightFunction,
     WeylSumSpec,
     bound_constant,
     conjugate_horoball,
@@ -34,7 +33,6 @@ from theta_tails import (
     theta_pair,
     theta_pair_gaussian_batch,
     theta_pair_gaussian_bound,
-    theta_pair_gaussian_height_bound,
     weighted_weyl_sum,
 )
 from theta_tails.theta import theta_pair_gaussian_screen_height
@@ -125,18 +123,9 @@ def test_theta_f_matches_an_mpmath_lattice_sum_at_large_x(x, xi1, xi2):
         assert abs(got - (-1j) ** k * want) <= 1e-13 * abs(want)
 
 
-def test_theta_f_rejects_a_weight_that_does_not_decay():
-    class Flat(WeightFunction):
-        name = "flat"
-
-        def evaluate(self, w):
-            return np.ones_like(np.asarray(w, dtype=float))
-
-        def support_radius(self, tol):
-            return math.inf
-
+def test_theta_f_rejects_a_weight_that_does_not_decay(flat_weight):
     with pytest.raises(InvalidArgumentError, match="weight 'flat' does not decay"):
-        theta_f(Flat(), IwasawaPoint(0.3, 1.0, 0.0))
+        theta_f(flat_weight, IwasawaPoint(0.3, 1.0, 0.0))
 
 
 def test_weyl_sum_identity_gaussian():
@@ -334,11 +323,16 @@ def test_gaussian_bound_holds_at_the_edges_of_its_range(y):
         assert np.all(ratio < [2.2, 2.2, 1.03])
 
 
+def _height_bound(y):
+    """H(y), the bound B(x, y, xi1, xi2) at shift t = 0."""
+    return theta_pair_gaussian_bound(0.0, y, 0.0, 0.0)
+
+
 def test_gaussian_height_bound_holds_for_every_shift():
-    # B0 takes the Jacobi sum at t = 0, its largest by Poisson summation;
+    # H takes the Jacobi sum at t = 0, its largest by Poisson summation;
     # x = xi1 = 0 makes every term real and positive, the tightest case
     y = np.geomspace(0.5, 1e6, 400)
-    bound = theta_pair_gaussian_height_bound(y) * (1.0 + 1e-12)
+    bound = _height_bound(y) * (1.0 + 1e-12)
     rng = np.random.default_rng(41)
     for t in np.concatenate([[0.0, 0.5, -0.5, 1e-9], np.linspace(-0.5, 0.5, 201)]):
         for x, xi1 in ((0.0, 0.0), tuple(rng.uniform(-1, 1, 2))):
@@ -355,19 +349,29 @@ def test_gaussian_height_bound_holds_on_sampler_points(pair):
     data = MuAbSampler(*pair, seed=9).draw(1 << 16)
     chunk = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
     values = theta_pair_gaussian_batch(*chunk)
-    assert np.all(values <= theta_pair_gaussian_height_bound(chunk[1]) * (1.0 + 1e-12))
+    assert np.all(values <= _height_bound(chunk[1]) * (1.0 + 1e-12))
 
 
-@pytest.mark.parametrize("floor", [1.6, 1.7, 2.25, 4.0, 36.0, 1e6])
+@pytest.mark.parametrize("floor", [1.45, 1.46, 1.6, 1.7, 2.25, 4.0, 36.0, 1e6])
 def test_screen_height_is_where_the_height_bound_reaches_the_floor(floor):
     height = theta_pair_gaussian_screen_height(floor)
-    if floor < 1.65:  # below B0(1/2) = 1.644 nothing is screened out
+    if floor < 1.4552:  # below H(1/2) = 1.45515 nothing is screened out
         assert height == -math.inf
         return
-    # B0 falls then rises: on [1/2, Y] it stays below the floor, just past Y not
+    # H falls then rises: on [1/2, Y] it stays below the floor, just past Y not
     y = np.concatenate([np.linspace(0.5, min(height, 3.0), 2001), np.geomspace(0.5, height, 2001)])
-    assert np.all(theta_pair_gaussian_height_bound(y) * (1.0 + 1e-12) < floor)
-    assert theta_pair_gaussian_height_bound(height * (1 + 1e-8)) > floor
+    assert np.all(_height_bound(y) * (1.0 + 1e-12) < floor)
+    assert _height_bound(height * (1 + 1e-8)) > floor
+
+
+def test_screen_height_is_minus_inf_exactly_below_the_bound_at_one_half():
+    cut = float(_height_bound(0.5)) * (1.0 + 1e-9)
+    assert cut == pytest.approx(1.45515, abs=1e-5)
+    assert theta_pair_gaussian_screen_height(cut * (1.0 - 1e-12)) == -math.inf
+    assert theta_pair_gaussian_screen_height(math.nan) == -math.inf
+    # the iteration starts at Y = 2, where H is already below H(1/2)
+    assert 2.0 <= theta_pair_gaussian_screen_height(cut * (1.0 + 1e-12)) < 2.1
+    assert theta_pair_gaussian_screen_height(2.25) == pytest.approx(5.0624949745, rel=1e-10)
 
 
 def test_theta_paths_reject_x_and_xi_beyond_2_30():

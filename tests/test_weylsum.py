@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 import oracles
 from theta_tails import (
     InvalidArgumentError,
-    WeightFunction,
     WeylSumSpec,
     gaussian_weight,
     normalize_pair,
@@ -150,20 +149,10 @@ def test_gaussian_weighted_sum_matches_the_two_sided_oracle(x, alpha, beta, N):
     assert abs(got - want) <= 1e-9 * (1 + abs(want))
 
 
-def test_nondecaying_weight_is_rejected():
-    class Flat(WeightFunction):
-        name = "flat"
-        eta = None
-
-        def evaluate(self, w):
-            return np.ones_like(np.asarray(w, dtype=float))
-
-        def support_radius(self, tol):
-            return math.inf
-
+def test_nondecaying_weight_is_rejected(flat_weight):
     spec = WeylSumSpec(alpha=Fraction(1, 3), beta=0, zeta=0.0, N=10)
     with pytest.raises(InvalidArgumentError):
-        weighted_weyl_sum(Flat(), 0.5, spec)
+        weighted_weyl_sum(flat_weight, 0.5, spec)
 
 
 # ---------------------------------------------------------------------------
