@@ -99,6 +99,19 @@ def _thresholds(text: str) -> tuple[float, float, int]:
         )
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but a value outside `choices` (a subcommand name,
+    --law, --format) shows in the error line through short, where argparse
+    writes it back in full. A type function cannot do this for the
+    subcommand: argparse applies a subparsers action's type to every
+    argument after it too."""
+
+    def _check_value(self, action, value):
+        if action.choices is not None and value not in action.choices:
+            listed = ", ".join(map(str, action.choices))
+            raise argparse.ArgumentError(action, f"invalid choice: {short(value)} (choose from {listed})")
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -260,7 +273,7 @@ def _add_sim_flags(parser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="theta-tails",
         description="Arithmetic constants and tail experiments for quadratic Weyl sums.",
     )

@@ -26,15 +26,18 @@ seeded by (seed, chunk_index), both below 2^64; results are concatenated
 in chunk order, so the output stream is bit-identical no matter how many
 threads execute the chunks, and a short draw is a prefix of a longer one.
 MuAbSampler.chunk is one such chunk, the unit the tail simulators run on:
-MuAbSampler.raw_chunk draws its uniforms and orbit candidates in full, and
-MuAbSampler.points maps any columns of them, so mapping fewer samples
-never changes the stream. Its orbit points are drawn in the pair's parity
-class (RationalPair.diagonal), so a chunk of C samples draws about C / 0.96
-candidate pairs at q = 2000, and on average at most about C / 0.81 at any q.
+MuAbSampler.raw_chunk draws its uniforms of x and y, skips those of phi,
+and draws its orbit candidates, of which OrbitCandidates.take gathers any
+columns; MuAbSampler.points maps any columns of them, so mapping fewer
+samples never changes the stream. Its orbit points are drawn in the pair's
+parity class (RationalPair.diagonal), so a chunk of C samples draws about
+C / 0.96 candidate pairs at q = 2000, and on average at most about C / 0.81
+at any q.
 """
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,19 +112,26 @@ def haar_from_uniforms(u1, u2, u3):
     evaluation as cos(pi u1), never via sqrt(1 - x^2), so the pair (x, h)
     is consistent to the last bit; y = h/u2; phi = pi u3.
     """
+    return (*_haar_xy(u1, u2), np.pi * np.asarray(u3, dtype=np.float64))
+
+
+def _haar_xy(u1, u2):
+    """The (x, y) of haar_from_uniforms, whose phi the Gaussian pairing does
+    not read."""
     u1 = np.asarray(u1, dtype=np.float64)
     angle = np.pi * np.minimum(u1, 1.0 - u1)  # 1 - u1 > u1 exactly when u1 < 1/2
     s, h = np.sin(angle), np.cos(angle)
-    x = np.where(u1 < 0.5, s, 2.0 - s)
-    y = h / np.asarray(u2, dtype=np.float64)
-    phi = np.pi * np.asarray(u3, dtype=np.float64)
-    return x, y, phi
+    return np.where(u1 < 0.5, s, 2.0 - s), h / np.asarray(u2, dtype=np.float64)
 
 
-def cusp_candidates(u1, u2, height: float) -> np.ndarray:
-    """The indices, in order, of the uniform pairs (u1, u2) whose Haar point
-    from haar_from_uniforms, moved by conjugate_horoball, can lie above
-    height > 0; every index if height is not > 0 (-inf: keep all).
+def cusp_candidates(u1, u2, height: float) -> tuple[np.ndarray, np.ndarray]:
+    """(kept, at_one): the indices, in order, of the uniform pairs (u1, u2)
+    whose Haar point from haar_from_uniforms, moved by conjugate_horoball,
+    can lie above height > 0, every index if height is not > 0 (-inf: keep
+    all); and per kept index the cusp it can end in: 1.0 for the cusp at 1
+    (a point inside the horoball, moved), 0.0 for the cusp at infinity, NaN
+    where both tests below pass (a NaN uniform, or a height below 2) or
+    there is no height.
 
     Proof of the superset. Write d = |u1 - 1/2|. Then the point's floor
     height is h = cos(pi min(u1, 1 - u1)) = sin(pi d), with
@@ -136,8 +146,10 @@ def cusp_candidates(u1, u2, height: float) -> np.ndarray:
     at u1 = 1/2 - 2^-54, h is 1.6 pi d, but it is within 1e-15 of
     sin(pi d) everywhere (1.8e-16 at most against mpmath). Each test is
     widened by that 1e-15 and by a factor 1 + 1e-9 for the rounding of y,
-    den, y/den and its own. The drop test is written so that a NaN fails
-    it: such a pair is kept and reaches the range checks.
+    den, y/den and its own. A pair that fails one test can end above Y only
+    on the other test's side of the horoball, in its cusp. Each test is
+    written so that a NaN passes it: such a pair is kept, with at_one NaN,
+    and reaches the range checks.
 
     At Y >= 2, as every finite theta_pair_gaussian_screen_height is, the
     two sets are disjoint (2Y d < u2 < pi d / Y has no solution), and
@@ -148,16 +160,38 @@ def cusp_candidates(u1, u2, height: float) -> np.ndarray:
     u1 = np.asarray(u1, dtype=np.float64)
     u2 = np.asarray(u2, dtype=np.float64)
     if not height > 0:
-        return np.arange(u1.size)
+        return np.arange(u1.size), np.full(u1.size, np.nan)
     d = np.abs(u1 - 0.5)
     scale = _MARGIN / height
     reach = d * (np.pi * scale)  # outside: (min(1, pi d) + 1e-15) (1 + 1e-9) / Y
     reach += _H_SLACK * scale
-    drop = u2 >= np.minimum(reach, (1.0 + _H_SLACK) * scale, out=reach)
+    fails_outside = u2 >= np.minimum(reach, (1.0 + _H_SLACK) * scale, out=reach)
     d *= 2.0 / scale  # inside: (2d - 1e-15) Y / (1 + 1e-9)
     d -= _H_SLACK / scale
-    drop &= u2 <= d
-    return np.flatnonzero(~drop)
+    fails_inside = u2 <= d
+    kept = np.flatnonzero(~(fails_outside & fails_inside))
+    at_one = np.where(fails_inside[kept], 0.0, np.nan)
+    at_one[fails_outside[kept]] = 1.0
+    return kept, at_one
+
+
+class OrbitCandidates(NamedTuple):
+    """The accepted orbit candidates (r, s) of one chunk, as drawn: the
+    first block `first` (2, CHUNK_SIZE), the positions `cols` of its
+    accepted columns, and the accepted columns `extra` of the refill blocks
+    in order. Accepted candidate k is first[:, cols[k]] for k < cols.size,
+    else extra[:, k - cols.size]."""
+
+    first: np.ndarray
+    cols: np.ndarray
+    extra: np.ndarray
+
+    def take(self, kept) -> np.ndarray:
+        """The accepted candidates at the ascending indices kept, as a
+        (2, kept.size) int64 array."""
+        split = np.searchsorted(kept, self.cols.size)
+        head = self.first.take(self.cols.take(kept[:split]), axis=1)
+        return np.concatenate((head, self.extra.take(kept[split:] - self.cols.size, axis=1)), axis=1)
 
 
 class MuAbSampler:
@@ -171,13 +205,16 @@ class MuAbSampler:
     into the pair's parity class: both odd by r |= 1, s |= 1, else s takes
     the other parity than r. Each map is 2-to-1 onto its class, so the draw
     stays uniform there, and only an odd prime p dividing q rejects: at
-    least 0.81 of the candidates pass for any q (0.96 at q = 2000). A chunk
-    draws its Haar uniforms first, then from the same generator a block of
-    CHUNK_SIZE candidate pairs and after it blocks the size of the
-    shortfall, until CHUNK_SIZE are accepted, whatever count it returns; so
-    draw(k) is a prefix of draw(k') for k < k', and worker count never
-    changes the stream. raw_chunk is that draw, points the elementwise map
-    from it to samples, and chunk the two together.
+    least 0.81 of the candidates pass for any q (0.96 at q = 2000). A chunk's
+    generator yields three rows of CHUNK_SIZE Haar uniforms, for x, y and
+    phi, then a block of CHUNK_SIZE candidate pairs and after it blocks the
+    size of the shortfall until CHUNK_SIZE are accepted. The block sizes do
+    not depend on the count drawn, so draw(k) is a prefix of draw(k') for
+    k < k', and worker count never changes the stream. raw_chunk draws the
+    rows of x and y, skips the phi row with the generator's advance, and
+    draws candidate blocks until count are accepted; points is the
+    elementwise map from them to samples but phi; chunk adds phi, from a
+    second generator advanced to its row.
 
     orbit, an enumerated orbit the caller already holds, must belong to the
     same pair; it is checked, never read, so the stream is the same with or
@@ -201,39 +238,53 @@ class MuAbSampler:
         self.seed = seed
         self._next_chunk = 0
 
-    def raw_chunk(self, index: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-        """The draws of chunk `index` >= 0 before any map: its (3, CHUNK_SIZE)
-        Haar uniforms and its first 0 <= count <= CHUNK_SIZE accepted orbit
-        candidates (r, s), shape (2, count)."""
+    def raw_chunk(self, index: int, count: int) -> tuple[np.ndarray, OrbitCandidates]:
+        """The draws of chunk `index` >= 0 before any map: its (2, CHUNK_SIZE)
+        Haar uniforms of x and y, and orbit candidates holding at least its
+        first 0 <= count <= CHUNK_SIZE accepted ones."""
         check_integer("count", count, 0, CHUNK_SIZE)
         rng = chunk_generator(self.seed, index)
-        u = open_uniforms(rng, (3, CHUNK_SIZE))
+        u = open_uniforms(rng, (2, CHUNK_SIZE))
+        rng.bit_generator.advance(CHUNK_SIZE)  # the phi row, one 64-bit output a uniform
         pair, q = self.pair, self.pair.q
-        kept, accepted = [], 0
-        while accepted < CHUNK_SIZE:
+        blocks, accepted = [], 0
+        while accepted < count:
             cand = rng.integers(0, q, size=(2, CHUNK_SIZE - accepted))
             if pair.diagonal:
                 cand |= 1  # both odd
             elif q % 2 == 0:
                 cand[1] ^= ~(cand[0] ^ cand[1]) & 1  # s of the other parity than r
-            kept.append(np.compress(orbit_contains(pair, cand[0], cand[1]), cand, axis=1))
-            accepted += kept[-1].shape[1]
-        return u, np.concatenate(kept, axis=1)[:, :count]
+            blocks.append((cand, np.flatnonzero(orbit_contains(pair, cand[0], cand[1]))))
+            accepted += blocks[-1][1].size
+        first, cols = blocks[0] if blocks else (np.empty((2, 0), np.int64), np.empty(0, np.intp))
+        extra = [cand.take(k, axis=1) for cand, k in blocks[1:]]
+        return u, OrbitCandidates(first, cols, np.concatenate([first[:, :0], *extra], axis=1))
+
+    def window(self, rs) -> np.ndarray:
+        """The xi of orbit candidates rs (2, n): (r, s) / q in the window
+        [-1/2, 1/2)."""
+        q = self.pair.q
+        return (rs - q * (rs >= q - q // 2)) / float(q)  # 2 rs may overflow
 
     def points(self, u, rs) -> dict:
-        """The samples of uniform triples u (3, n) and orbit candidates rs
-        (2, n) from raw_chunk, as in draw: every map is elementwise, so the
-        samples of any columns, in any order, are those columns of the whole."""
-        q = self.pair.q
-        x, y, phi = haar_from_uniforms(u[0], u[1], u[2])
-        xi = (rs - q * (rs >= q - q // 2)) / float(q)  # window [-1/2, 1/2); 2 rs may overflow
-        return {"x": x, "y": y, "phi": phi, "xi1": xi[0], "xi2": xi[1]}
+        """The samples but phi of uniform pairs u (2, n) and orbit candidates
+        rs (2, n) from raw_chunk, as in draw: every map is elementwise, so
+        the samples of any columns, in any order, are those columns of the
+        whole."""
+        x, y = _haar_xy(u[0], u[1])
+        xi = self.window(rs)
+        return {"x": x, "y": y, "xi1": xi[0], "xi2": xi[1]}
 
     def chunk(self, index: int, count: int) -> dict:
         """The first 0 <= count <= CHUNK_SIZE samples of chunk `index` >= 0,
-        as in draw."""
-        u, rs = self.raw_chunk(index, count)
-        return self.points(u[:, :count], rs)
+        as in draw: those of points, and phi = pi u3 from the uniform row
+        that raw_chunk skips."""
+        u, cands = self.raw_chunk(index, count)
+        data = self.points(u[:, :count], cands.take(np.arange(count)))
+        rng = chunk_generator(self.seed, index)
+        rng.bit_generator.advance(2 * CHUNK_SIZE)
+        phi = np.pi * open_uniforms(rng, count)
+        return {"x": data["x"], "y": data["y"], "phi": phi, "xi1": data["xi1"], "xi2": data["xi2"]}
 
     def draw(self, n: int) -> dict:
         """The next n samples, chunk by chunk on one worker, as a dict of

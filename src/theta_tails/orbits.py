@@ -141,7 +141,10 @@ def orbit_contains(pair: RationalPair, r, s) -> np.ndarray:
     (a, b): the generators preserve both gcd and parity, and the closed-form
     sizes show that nothing else is cut off. r and s are integers or integer
     arrays of any sign (|r|, |s| < 2^63); the result is a boolean array of
-    their broadcast shape.
+    their broadcast shape. An odd prime p divides r where (r // p) * p == r,
+    exact at any int64 of either sign, as the product wraps mod 2^64 to r
+    exactly when p divides r. numpy floor-divides by a scalar without a
+    hardware divide, which r % p takes per element.
     """
     r = np.asarray(r, dtype=np.int64)
     s = np.asarray(s, dtype=np.int64)
@@ -153,7 +156,7 @@ def orbit_contains(pair: RationalPair, r, s) -> np.ndarray:
         inside = ((r ^ s) & 1).astype(bool)  # exactly one odd
     for p in _prime_divisors(pair.q):
         if p > 2:
-            inside &= (r % p + s % p) != 0
+            inside &= ((r // p) * p != r) | ((s // p) * p != s)
     return inside
 
 

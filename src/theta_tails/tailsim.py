@@ -17,14 +17,17 @@ kernel call gets workers // chunks (at least 1) threads for its anchor
 groups, so no more than `workers` threads run at once and a one-chunk run
 still uses them all. The theta curve samples the invariant measure
 attached to (alpha, beta) - Haar on the fundamental domain times uniform on
-the finite orbit. A large value needs a point high in a cusp, so
-theta_values works on one chunk in four steps:
-MuAbSampler.raw_chunk draws its uniforms and orbit candidates in full;
-homog.cusp_candidates keeps, from the uniforms alone, the draws that can
-end above the screen height (23% on the default grid); MuAbSampler.points
-and homog.conjugate_horoball map only those, moving the points in the
-cusp-at-1 horoball so every point has y >= sqrt(3)/2; and
-theta.theta_pair_gaussian_screened evaluates the Gaussian pairing
+the finite orbit. A large value needs a point high in a cusp and near its
+nearest lattice term, so theta_values works on one chunk in five steps:
+MuAbSampler.raw_chunk draws its uniforms of x and y (not phi, which the
+pairing does not read) and its orbit candidates; homog.cusp_candidates
+keeps, from the uniforms alone, the draws that can end above the screen
+height (23% on the default grid) and says in which cusp; the shift screen
+drops those whose shift t from Z in that cusp is at least
+theta.theta_pair_gaussian_shift_screen (3.8% of the chunk are left);
+MuAbSampler.points and homog.conjugate_horoball map only the rest, moving
+the points in the cusp-at-1 horoball so every point has y >= sqrt(3)/2;
+and theta.theta_pair_gaussian_screened evaluates the Gaussian pairing
 |Theta_f conj Theta_f| (theta_pair_gaussian_batch, a rotation recurrence
 anchored at the nearest lattice term) where its closed-form bound can
 exceed the smallest R^2: 2.3% of the chunk at q = 2000.
@@ -58,7 +61,9 @@ from .homog import (
     run_chunks,
 )
 from .orbits import leading_constant, orbit_size_formula
-from .theta import theta_pair_gaussian_screen_height, theta_pair_gaussian_screened
+from .theta import (
+    theta_pair_gaussian_screen_height, theta_pair_gaussian_screened, theta_pair_gaussian_shift_screen,
+)
 from .weylsum import weyl_values_batch
 
 
@@ -216,14 +221,25 @@ def simulate_weyl_tail(
 def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> np.ndarray:
     """The Gaussian pairing on sampler.chunk(index, count), moved by
     conjugate_horoball, but on the samples proved at most floor;
-    simulate_theta_tail's values. The maps run only on the samples that
-    cusp_candidates keeps: the rest end at most at the screen height, where
-    the bound at t = 0, and so the pairing, is at most floor. At floors from
-    1.4552 to about 2.16 that drops values the sample bound would keep, each
-    at most floor: the values above floor are those of the whole chunk."""
-    u, rs = sampler.raw_chunk(index, count)
-    kept = cusp_candidates(u[0, :count], u[1, :count], theta_pair_gaussian_screen_height(floor))
-    data = sampler.points(u.take(kept, axis=1), rs.take(kept, axis=1))
+    simulate_theta_tail's values. Three screens run before any map:
+    cusp_candidates keeps the draws whose uniforms can end above the screen
+    height Y, as the rest end where the bound at t = 0, and so the pairing,
+    is at most floor; of those, the shift screen drops the ones whose shift
+    t from Z, in the cusp the uniforms say they can end in, has |t| >= t0 =
+    theta_pair_gaussian_shift_screen(floor); the Haar map, conjugate_horoball
+    and theta_pair_gaussian_screened then run on the rest. At floors from
+    1.4552 to about 2.16 the screens drop values the sample bound would
+    keep, each at most floor: the values above floor are those of the whole
+    chunk."""
+    u, cands = sampler.raw_chunk(index, count)
+    kept, at_one = cusp_candidates(u[0, :count], u[1, :count], theta_pair_gaussian_screen_height(floor))
+    rs = cands.take(kept)
+    xi1, xi2 = sampler.window(rs)
+    # conjugate_horoball's xi2 to the bit where at_one is 1, xi2 where it is
+    # 0, NaN (kept) where the cusp is unknown
+    end = -xi1 * at_one + xi2 + 0.5 * at_one
+    near = np.flatnonzero(~(np.abs(end - np.round(end)) >= theta_pair_gaussian_shift_screen(floor)))
+    data = sampler.points(u.take(kept.take(near), axis=1), rs.take(near, axis=1))
     moved = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
     return theta_pair_gaussian_screened(*moved, floor)
 

@@ -27,8 +27,10 @@ Theta_f| and in all moduli), and keeps the exact value e(-k/4) exp(-pi w^2)
 at phi = k pi, so mixed pairings at those angles are exact too.
 
 The Gaussian pairing has one closed-form bound, theta_pair_gaussian_bound
-B(y, t): theta_pair_gaussian_screened reads it at each sample's shift t, and
-theta_pair_gaussian_screen_height at t = 0, where it bounds every shift.
+B(y, t): theta_pair_gaussian_screened reads it at each sample's shift t,
+theta_pair_gaussian_screen_height at t = 0, where it bounds every shift,
+and theta_pair_gaussian_shift_screen above that height, split in its two
+terms.
 """
 from __future__ import annotations
 
@@ -489,6 +491,39 @@ def theta_pair_gaussian_screen_height(floor: float) -> float:
     while step > height:
         height, step = step, reach(step)
     return height
+
+
+def theta_pair_gaussian_shift_screen(floor: float) -> float:
+    """A shift t0 such that theta_pair_gaussian_bound B (1 + 1e-12) <= floor
+    at every y >= Y = theta_pair_gaussian_screen_height(floor) and
+    t0 <= |t| <= 1/2:
+
+        t0 = c / (sqrt(floor / (1 + 1e-12)) - 2 g(Y))^2 (1 + 1e-9),
+        g(y) = y^(1/4) exp(-pi y / 4) / (1 - exp(-2 pi y)),
+
+    with c = exp(-1/2) / (2 sqrt(pi)) = 0.1711; inf where Y is not finite or
+    the bracket is not positive. 0.0821 at the default grid's floor 2.25.
+
+    Proof: sqrt(B) = y^(1/4) (exp(-pi t^2 y) + 2 exp(-pi (1 - |t|)^2 y) /
+    (1 - exp(-2 pi y))). The first term is at most sqrt(c / |t|) at every y,
+    as sqrt(y) exp(-2 pi t^2 y) peaks at y = 1 / (4 pi t^2) with the value
+    c / |t|. The second is at most 2 g(y), as (1 - |t|)^2 >= 1/4, and g
+    falls for y > 1/pi, so on y >= Y >= 2 it is at most 2 g(Y). The factor
+    1 + 1e-9 covers the rounding of B. Where the cusp a sample ends in is
+    known from its uniforms, homog.cusp_candidates, a sample with |t| >= t0
+    ends at most at Y or has B (1 + 1e-12) <= floor: either way its
+    pairing is at most floor.
+    """
+    height = theta_pair_gaussian_screen_height(floor)
+    if not math.isfinite(height):
+        return math.inf
+    e = math.exp(-_TWO_PI * height)
+    tail = 2.0 * height**0.25 * math.exp(-math.pi * height / 4.0) / (1.0 - e)
+    bracket = math.sqrt(floor / (1.0 + 1e-12)) - tail
+    if not bracket > 0:
+        return math.inf
+    c = math.exp(-0.5) / (2.0 * math.sqrt(math.pi))
+    return c / (bracket * bracket) * (1.0 + 1e-9)
 
 
 def theta_pair_gaussian_screened(x, y, xi1, xi2, floor: float) -> np.ndarray:

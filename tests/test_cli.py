@@ -387,6 +387,31 @@ def test_real_flags_reject_junk_in_one_short_line(capsys, argv):
     assert len(errors) == 1 and len(errors[0]) < 200
 
 
+@pytest.mark.parametrize(
+    "argv", [["tail", "--law"], ["tail", "--format"], []], ids=["--law", "--format", "command"],
+)
+def test_choices_reject_junk_in_one_short_line(capsys, argv):
+    # argparse's own choices check wrote the value back in a line of about
+    # 5.1 KB
+    junk = "x" * 5000
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, junk])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and len(errors[0].encode()) < 200
+    assert f"invalid choice: {short(junk)} (choose from " in errors[0]
+
+
+def test_help_lists_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["tail", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert "--law {normal,uniform01}" in out and "--format {csv,json}" in out
+
+
 def test_tail_takes_a_rational_r(capsys):
     rc, out = run_cli(capsys, ["tail", "--r", "3/2", "--samples", "100", "--format", "json"])
     assert rc == 0 and json.loads(out)["meta"]["r"] == 1.5

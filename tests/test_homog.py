@@ -21,6 +21,7 @@ from theta_tails import (
     haar_from_uniforms,
     normalize_pair,
     open_uniforms,
+    orbit_contains,
     sampling_law,
 )
 from theta_tails import homog
@@ -99,6 +100,31 @@ def test_open_uniforms_equal_the_integer_route():
                 want = oracles.open_uniforms_by_integers(oracle_rng, shape)
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
                 assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("seed", [0, DEFAULT_SEED, 2**64 - 1], ids=str)
+def test_chunk_draws_phi_from_the_third_row_and_the_candidates_after_it(seed):
+    # raw_chunk skips the phi row with bit_generator.advance and chunk reads
+    # it from a second generator: both pin how numpy's PCG64 counts outputs
+    pair = normalize_pair(Fraction(1, 2000), 0)
+    q = pair.q
+    sampler = MuAbSampler(pair, seed=seed)
+    for index, count in ((0, CHUNK_SIZE), (3, 1000), (2**64 - 1, CHUNK_SIZE)):
+        rng = chunk_generator(seed, index)
+        x, y, phi = haar_from_uniforms(*open_uniforms(rng, (3, CHUNK_SIZE)))
+        kept, accepted = [], 0
+        while accepted < CHUNK_SIZE:
+            cand = rng.integers(0, q, size=(2, CHUNK_SIZE - accepted))
+            cand[1] ^= ~(cand[0] ^ cand[1]) & 1
+            kept.append(cand[:, orbit_contains(pair, cand[0], cand[1])])
+            accepted += kept[-1].shape[1]
+        rs = np.concatenate(kept, axis=1)[:, :count]
+        xi1, xi2 = (rs - q * (rs >= q - q // 2)) / q
+        want = {"x": x[:count], "y": y[:count], "phi": phi[:count], "xi1": xi1, "xi2": xi2}
+        got = sampler.chunk(index, count)
+        assert list(got) == list(want)
+        for key in want:
+            assert got[key].tobytes() == want[key].tobytes(), key
 
 
 class _StubRng:
@@ -213,6 +239,10 @@ class CountingGenerator:
 
     def random(self, size):
         return self.rng.random(size)
+
+    @property
+    def bit_generator(self):
+        return self.rng.bit_generator
 
     def integers(self, low, high, size):
         if size[0] == 2:  # (2, n): n candidate pairs
@@ -362,7 +392,7 @@ def _missed(u1, u2, height):
         x, y, _ = haar_from_uniforms(u1, u2, u1)
         above = conjugate_horoball(x, y, x, y)[1] > height
     kept = np.zeros(u1.shape, dtype=bool)
-    kept[cusp_candidates(u1, u2, height)] = True
+    kept[cusp_candidates(u1, u2, height)[0]] = True
     return np.flatnonzero(above & ~kept)
 
 
@@ -377,7 +407,7 @@ def test_cusp_candidates_keep_every_point_above_the_screen_height(u1, u2, floor)
     assert height == -math.inf or 2.0 <= height <= 1e4
     assert _missed([u1], [u2], height).size == 0
     if height == -math.inf:
-        assert cusp_candidates([u1], [u2], height).tolist() == [0]
+        assert cusp_candidates([u1], [u2], height)[0].tolist() == [0]
 
 
 @pytest.mark.parametrize("floor", [1.7, 2.25, 4.0, 36.0, 100.0])
@@ -408,9 +438,12 @@ def test_cusp_candidates_keep_the_points_on_the_edges_of_both_cusps(floor):
 def test_cusp_candidates_keep_a_nan_and_everything_without_a_height():
     u = np.array([0.3, np.nan, 0.3, 0.5])
     v = np.array([0.9, 0.9, np.nan, 0.9])
-    assert cusp_candidates(u, v, 5.0).tolist() == [1, 2, 3]  # u1 = 1/2 is the cusp at 1
+    kept, at_one = cusp_candidates(u, v, 5.0)
+    assert kept.tolist() == [1, 2, 3]  # u1 = 1/2 is the cusp at 1
+    assert np.isnan(at_one[:2]).all() and at_one[2] == 1.0  # a NaN's cusp is unknown
     for height in (-math.inf, 0.0, math.nan):
-        assert cusp_candidates(u, v, height).tolist() == [0, 1, 2, 3]
+        kept, at_one = cusp_candidates(u, v, height)
+        assert kept.tolist() == [0, 1, 2, 3] and np.isnan(at_one).all()
 
 
 def test_cusp_candidates_keep_a_quarter_of_the_default_grid_draws():
@@ -423,10 +456,13 @@ def test_cusp_candidates_keep_a_quarter_of_the_default_grid_draws():
     kept = above = 0
     for index in range(32):
         u, _ = sampler.raw_chunk(index, CHUNK_SIZE)
-        candidates = cusp_candidates(u[0], u[1], height)
-        x, y, _ = haar_from_uniforms(u[0], u[1], u[2])
+        candidates, at_one = cusp_candidates(u[0], u[1], height)
+        x, y, _ = haar_from_uniforms(*u, 0.0)
         moved = np.flatnonzero(conjugate_horoball(x, y, x, y)[1] > height)
         assert np.isin(moved, candidates).all()
+        # a point ends above the height in the cusp that at_one names
+        inside = (1.0 - x) ** 2 + y * y < 1.0
+        assert np.array_equal(at_one[np.searchsorted(candidates, moved)], inside[moved])
         kept += candidates.size
         above += moved.size
     assert above / 2**20 == pytest.approx(3 / (math.pi * height), rel=0.02)

@@ -286,6 +286,29 @@ def test_orbit_contains_reduces_any_integer_mod_q():
     assert orbit_contains(normalize_pair(0, 0), r, s).all()
 
 
+@pytest.mark.parametrize("q", [30030, 223092870, 3**39, 6469693230], ids=str)
+def test_orbit_contains_equals_the_remainder_form_at_any_int64(q):
+    # the floor-division test (r // p) * p != r against r % p != 0, which
+    # numpy gives in [0, p) at either sign, on draws of both signs, the
+    # extremes and multiples of each odd prime of q
+    pair = normalize_pair(Fraction(1, q), 0)
+    primes = [p for p in orbits._prime_divisors(q) if p > 2]
+    rng = np.random.default_rng(q)
+    top = 2**63 - 1
+    r = rng.integers(-top, top, size=200_000, endpoint=True)
+    s = rng.integers(-top, top, size=200_000, endpoint=True)
+    edges = np.array([top, -top, 0, 1, -1], dtype=np.int64)
+    multiples = np.concatenate([np.array([p, -p, top // p * p, -(top // p) * p], dtype=np.int64)
+                                for p in primes])
+    r = np.concatenate([r, edges, multiples, rng.integers(-top, top, multiples.size)])
+    s = np.concatenate([s, np.resize(multiples, edges.size), multiples, multiples[::-1]])
+    r[:1000] = r[:1000] // primes[0] * primes[0]  # one coordinate a multiple
+    want = ((r ^ s) & 1 | q & 1).astype(bool)  # for even q exactly one odd, as in (1/q, 0)
+    for p in primes:
+        want &= (r % p != 0) | (s % p != 0)
+    assert np.array_equal(orbit_contains(pair, r, s), want)
+
+
 # ---------------------------------------------------------------------------
 # representatives, line minima, reports
 

@@ -24,9 +24,9 @@ from theta_tails import (
     simulate_weyl_tail,
     tail_constant,
 )
-from theta_tails.homog import conjugate_horoball
+from theta_tails.homog import conjugate_horoball, cusp_candidates
 from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances, theta_values
-from theta_tails.theta import theta_pair_gaussian_screened
+from theta_tails.theta import theta_pair_gaussian_screen_height, theta_pair_gaussian_screened
 
 
 def test_sampling_laws():
@@ -280,6 +280,30 @@ def test_theta_values_equal_the_screen_of_the_whole_moved_chunk(pair):
             assert values[values > floor].tobytes() == whole[whole > floor].tobytes()
             if floor not in (1.5, 2.0):
                 assert values.tobytes() == whole.tobytes()
+
+
+def test_theta_values_map_at_most_a_fifth_of_the_cusp_candidates():
+    # at (1/2000, 0) on the default grid the shift screen keeps |t| < t0 =
+    # 0.0821 of cusp_candidates' draws, 2 t0 = 16.4%: the Haar map sees only
+    # those. A screen that kept all would pass every other test
+    floor = float(default_thresholds()[0] ** 2)
+    sampler = MuAbSampler(Fraction(1, 2000), 0)
+    height = theta_pair_gaussian_screen_height(floor)
+    mapped = []
+    points = MuAbSampler.points
+
+    def counted(self, u, rs):
+        mapped.append(u.shape[1])
+        return points(self, u, rs)
+
+    candidates = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(MuAbSampler, "points", counted)
+        for index in range(16):
+            theta_values(sampler, index, CHUNK_SIZE, floor)
+            u, _ = sampler.raw_chunk(index, CHUNK_SIZE)
+            candidates += cusp_candidates(u[0], u[1], height)[0].size
+    assert 0 < sum(mapped) <= 0.2 * candidates
 
 
 @pytest.mark.parametrize("key", ["x", "y", "xi1", "xi2"])

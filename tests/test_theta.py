@@ -35,7 +35,7 @@ from theta_tails import (
     theta_pair_gaussian_bound,
     weighted_weyl_sum,
 )
-from theta_tails.theta import theta_pair_gaussian_screen_height
+from theta_tails.theta import theta_pair_gaussian_screen_height, theta_pair_gaussian_shift_screen
 
 GAUSS = gaussian_weight()
 CHI = sharp_indicator_weight(1.0)
@@ -372,6 +372,30 @@ def test_screen_height_is_minus_inf_exactly_below_the_bound_at_one_half():
     # the iteration starts at Y = 2, where H is already below H(1/2)
     assert 2.0 <= theta_pair_gaussian_screen_height(cut * (1.0 + 1e-12)) < 2.1
     assert theta_pair_gaussian_screen_height(2.25) == pytest.approx(5.0624949745, rel=1e-10)
+
+
+@pytest.mark.parametrize("floor", [1.4553, 1.5, 2.25, 9.0, 36.0, 1e6], ids=str)
+def test_shift_screen_bounds_the_pairing_above_the_screen_height(floor):
+    # B (1 + 1e-12) <= floor at y >= Y and t0 <= |t| <= 1/2, on a log grid
+    # in y and |t| plus, per shift, the height 1 / (4 pi t^2) where the
+    # anchor term sqrt(y) exp(-2 pi t^2 y) peaks
+    height = theta_pair_gaussian_screen_height(floor)
+    t0 = theta_pair_gaussian_shift_screen(floor)
+    assert 2.0 <= height < math.inf and 0 < t0 < 0.5
+    t = np.concatenate([t0 * np.geomspace(1.0, 0.5 / t0, 400), [t0, 0.5]])
+    y = np.concatenate([height * np.geomspace(1.0, 1e4, 1500), [height]])
+    y = np.concatenate([y, np.maximum(height, 1.0 / (4.0 * math.pi * t * t))])
+    for sign in (1.0, -1.0):
+        bound = theta_pair_gaussian_bound(0.0, y[:, None], 0.0, sign * t[None, :])
+        assert np.all(bound * (1.0 + 1e-12) <= floor)
+    if floor == 2.25:
+        assert t0 == pytest.approx(0.0821, abs=1e-4)
+
+
+@pytest.mark.parametrize("floor", [-math.inf, 0.0, 1.0, 1.455, math.nan])
+def test_shift_screen_keeps_every_shift_without_a_screen_height(floor):
+    assert theta_pair_gaussian_screen_height(floor) == -math.inf
+    assert theta_pair_gaussian_shift_screen(floor) == math.inf
 
 
 def test_theta_paths_reject_x_and_xi_beyond_2_30():
