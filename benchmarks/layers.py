@@ -9,6 +9,11 @@ fastest of --repeats calls after two untimed calls, each stage:
   ns per term per sample and ms and ru_minflt per call; at the deep shape
   also the two-worker wall and process CPU (user + system) ms per call,
   and ru_maxrss read after both shapes;
+- sweep m=M direct, sweep m=M chirp: weyl_values_batch at the deep shape's
+  pair, law and r = 2 with N = M / 2, on SWEEP_SAMPLES samples, through
+  each of its two paths (weylsum.CHIRP_MIN_TERMS set to M + 1 or 0), ns
+  per term per sample, ms per call and the tracemalloc peak of one more
+  call; the paths' crossover CHIRP_MIN_TERMS is read from these rows;
 - chunk, theta_values, batch at each pair of PAIRS: MuAbSampler.chunk,
   tailsim.theta_values at the default grid's smallest R^2, and
   theta_pair_gaussian_batch on the whole conjugated chunk, ns per sample;
@@ -53,6 +58,8 @@ WEYL = {
     "deep": {"alpha": "1/10", "beta": "1/10", "N": 10_000, "r": 2.0, "law": "uniform01",
              "samples": 512},
 }
+SWEEP_M = [500, 1000, 2000, 3000, 5000, 10_000, 20_000, 100_000, 1_000_000]
+SWEEP_SAMPLES = 512
 PAIRS = [["1/2000", "0"], ["1/2002", "1/2002"], ["1/2003", "0"]]
 THETA_SAMPLES = 1 << 15  # a full chunk, CHUNK_SIZE
 ORBIT_Q = [250, 500, 1000, 2000]
@@ -134,6 +141,33 @@ def child(config: dict, repeats: int) -> dict:
 
         return run
 
+    def sweep(m, path):
+        def run():
+            import tracemalloc
+
+            from theta_tails import weylsum
+
+            crossover = weylsum.__dict__.get("CHIRP_MIN_TERMS")
+            if crossover is None and path == "chirp":
+                raise AttributeError("this checkout has no chirp path")
+            shape = config["weyl"]["deep"]
+            pair = tt.normalize_pair(Fraction(shape["alpha"]), Fraction(shape["beta"]))
+            xs = xs_of({**shape, "samples": config["sweep"]["samples"]})
+            call = partial(tt.weyl_values_batch, xs, pair, m // 2, 2.0)
+            weylsum.CHIRP_MIN_TERMS = 0 if path == "chirp" else m + 1
+            try:
+                wall, _, _, values = timed(repeats, call)
+                tracemalloc.start()
+                call()
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            finally:
+                weylsum.CHIRP_MIN_TERMS = crossover
+            return {"ns_per_term_sample": wall / (m * values.size) * 1e9, "ms_per_call": wall * 1e3,
+                    "alloc_peak_mb": peak / 1e6, "digest": digest(values)}
+
+        return run
+
     def theta(kind, alpha, beta):
         def run():
             sampler = tt.MuAbSampler(Fraction(alpha), Fraction(beta), seed=seed)
@@ -183,6 +217,8 @@ def child(config: dict, repeats: int) -> dict:
 
     plan = [("draw_x", lambda: per_sample(partial(xs_of, wide), wide["samples"]))]
     plan += [(f"weyl {name}", weyl(name, shape)) for name, shape in config["weyl"].items()]
+    plan += [(f"sweep m={m} {path}", sweep(m, path))
+             for m in config["sweep"]["m"] for path in ("direct", "chirp")]
     plan += [
         (f"{kind} ({alpha}, {beta})", theta(kind, alpha, beta))
         for alpha, beta in config["pairs"] for kind in ("chunk", "theta_values", "batch")
@@ -224,8 +260,8 @@ def main(argv=None) -> int:
     parser.add_argument("--repeats", type=harness.positive, default=5, help="timed calls per stage")
     args = parser.parse_args(argv)
 
-    config = {"weyl": WEYL, "pairs": PAIRS, "theta_samples": THETA_SAMPLES,
-              "orbit_q": ORBIT_Q, "seed": SEED}
+    config = {"weyl": WEYL, "sweep": {"m": SWEEP_M, "samples": SWEEP_SAMPLES}, "pairs": PAIRS,
+              "theta_samples": THETA_SAMPLES, "orbit_q": ORBIT_Q, "seed": SEED}
     sides = harness.sides(args.src)
     runs = harness.interleave(
         list(sides), args.runs,

@@ -10,11 +10,13 @@ exactly. A simulator only checks its own arguments and supplies the values
 of a chunk, its predicted constant and its metadata.
 
 The Weyl curve samples x from an absolutely continuous law and evaluates
-|S_N(x) conj(S_{rN}(x))|/N through the batch kernel (a rotation recurrence
-re-anchored on the exact phase every 64 terms). The workers reach the
-kernel two ways: run_chunks gives each chunk a thread, and each chunk's
-kernel call gets workers // chunks (at least 1) threads for its anchor
-groups, so no more than `workers` threads run at once and a one-chunk run
+|S_N(x) conj(S_{rN}(x))|/N through the batch kernel: a rotation recurrence
+re-anchored on the exact phase every 64 terms, or, from
+weylsum.CHIRP_MIN_TERMS terms on, sums of sqrt(rN)-term blocks by one FFT
+convolution per sample. The workers reach the kernel two ways: run_chunks
+gives each chunk a thread, and each chunk's kernel call gets
+workers // chunks (at least 1) threads for its anchor groups or sample
+tiles, so no more than `workers` threads run at once and a one-chunk run
 still uses them all. The theta curve samples the invariant measure
 attached to (alpha, beta) - Haar on the fundamental domain times uniform on
 the finite orbit. A large value needs a point high in a cusp and near its

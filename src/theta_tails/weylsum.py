@@ -67,6 +67,38 @@ most 3.8e-15 (1 + value) on a weyl-wide chunk (32,768 normal draws,
 N = 300, r = 2.5. Splitting the rows of one group across threads instead
 keeps the values but is slower: each ufunc call then lasts about 10 us,
 and the threads queue on the GIL.
+
+From m = floor(rN) >= CHIRP_MIN_TERMS on, the kernel takes the chirp
+path (_chirp_values), whose cost per sample grows like sqrt(m) log m, not
+like m. Write n = 1 + K i + j with K = isqrt(m) and 0 <= j < K. Then
+phi(n) = (n^2/2 + beta n) x + alpha n splits as phi(1 + K i) +
+[phi(1 + j) - phi(1)] + K i j x, and K i j x = (K x / 2)(i^2 + j^2 -
+(i - j)^2), Bluestein's chirp-z identity (Bluestein 1970; Rabiner, Schafer
+& Rader 1969). So block i sums to e(phi(1)) A_i (c * h)_i, with
+A_i = e(phi(1 + K i) + g_i), c_j = e(phi(1 + j) + g_j), h_k = e(-g_k) and
+g_k = K x k^2 / 2 mod 1: one circular convolution per sample, by numpy.fft
+at a 5-smooth length L >= K + ceil(m / K) - 1, gives every full block.
+S_N and S_m add the blocks below them and their fewer than K last terms,
+A_i times a sum of c_j h_{i-j}. The factor e(phi(1)) is common to all
+terms and drops out of the moduli.
+
+Every phasor is exact in the sense of the anchors: _phase_mod1 and
+reduced_product give its phase (K k^2 / 2 is exact in a float) and
+_unit_phasor the phasor, within about 2e-16. The FFT convolution adds a
+rounding error of order eps log2 L relative to the l2 norms of c and h,
+about eps sqrt(K) log2 L per block, and the independent errors of the
+sqrt(m) blocks add to about eps sqrt(m) log2 L in S_m: no k^2 eps growth,
+as the recurrence has, so the chirp values lie closer to weyl_sum than
+the direct ones. Measured against weyl_sum (three pairs, r = 1, 2, 2.5,
+uniform and near-resonant x), at most 1.4e-14 (1 + value) at N = 10^4
+and 3.7e-14 at N = 10^5, where the direct path deviates by up to 9.7e-14;
+the two paths differ by at most 1.6e-13 (1 + value) at the weyl-deep
+shape. CHIRP_MIN_TERMS is the smallest m of the sweep in BENCH_32.json
+(benchmarks/layers.py, 512 samples at r = 2, host of the module's other
+timings) where the chirp path is the faster one: 2.65 against 2.88 ns per
+term and sample. At m = 3000 and below the direct path wins (2.89 against
+2.92 ns there), and at m = 10^6 the chirp path takes 0.19 ms per sample
+against 2.6 ms.
 """
 from __future__ import annotations
 
@@ -94,6 +126,7 @@ MAX_WORKERS = 64  # threads of a run_chunks or weyl_values_batch call
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])  # e(k/4) for k mod 4
 _QUARTER_SHIFT = 1.5 * 2.0**52
 _ROTATION_BLOCK = 4096  # quarter turns gathered per pass of _unit_phasor
+CHIRP_MIN_TERMS = 5000  # m = floor(rN) from which weyl_values_batch convolves blocks
 
 
 def _outputs(out, n: int, *operands) -> list:
@@ -464,6 +497,16 @@ def weyl_values_batch(
     the split of x, and for each share a vector of _ROTATION_BLOCK quarter
     turns. The batch is flattened and the result has the shape of xs.
 
+    That is the direct path. From m >= CHIRP_MIN_TERMS on, the block sums
+    of K = isqrt(m) terms come from one FFT convolution per sample instead
+    (the module docstring has the decomposition, its error and the
+    crossover), in tiles of _GROUP_BUDGET // (2 L) samples, L ~ 2 sqrt(m)
+    the FFT length, with one allocation of buffers per thread. So memory
+    does not grow with N on this path either: a 512-sample call peaks at
+    0.68 MB (tracemalloc) at the weyl-deep shape and 0.78 MB at
+    m = 10^6, where the direct path's peaks at 1.28 MB. The same range
+    holds.
+
     Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52
     (n up to about 9.49e7, where the anchor phase stops being an exact
     half-integer plus a reduced product), max(|a|, |b|, q) m < 2^62, and
@@ -476,6 +519,8 @@ def weyl_values_batch(
     check_integer("workers", workers, 1, MAX_WORKERS)
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.reshape(-1)
+    if m >= CHIRP_MIN_TERMS:
+        return _chirp_values(_phase_plan(spec, flat, m), N, m, workers).reshape(xs.shape)
     g = max(1, min(-(-max(N, m - N) // ANCHOR_STRIDE), _GROUP_BUDGET // max(flat.size, 1)))
     threads = len(list(islice(_groups(N, m, g), workers)))
     # One allocation: separate frees at the end of a call let glibc trim the
@@ -565,3 +610,131 @@ def _run_group(group, plan, w, bufs) -> np.ndarray:
     for row in range(1, rows):
         av[0] += av[row]
     return av[0]
+
+
+def _smooth_length(n: int) -> int:
+    """The least 2^a 3^b 5^c >= n, a length numpy.fft transforms fast."""
+    best = 1 << max(0, n - 1).bit_length()
+    five = 1
+    while five < best:
+        three = five
+        while three < best:
+            length = three
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            three *= 3
+        five *= 5
+    return best
+
+
+def _chirp_values(plan: _PhasePlan, N: int, m: int, workers: int) -> np.ndarray:
+    """weyl_values_batch at m >= CHIRP_MIN_TERMS: the block sums of
+    K = isqrt(m) terms by one FFT convolution per sample (module docstring).
+
+    The samples run in tiles of _GROUP_BUDGET // (2 L), L the FFT length, so
+    the two FFT buffers of a tile hold at most _GROUP_BUDGET complex
+    elements. Tile k runs in share k mod T, T = min(workers, tiles), share 0
+    on the calling thread and the others on a pool of T - 1 threads. Each
+    share has its own buffers from one allocation. As in the direct path,
+    a buffer's rows are indices and its columns samples; every step acts
+    on each column alone, so a value is the same at every worker count and
+    in every tile.
+    """
+    K = math.isqrt(m)
+    blocks = -(-m // K)  # A_i and g_i for i < blocks (>= K); the last block may be short
+    width = K + blocks  # the phases of the c_j, then of the A_i
+    length = _smooth_length(width - 1)
+    # per sample: the two FFT buffers, whose memory first holds the phases,
+    # g and two scratch rows; then e(phase) and e(g)
+    fft_rows = max(4 * length, 3 * width + blocks)
+    x, (x_hi, x_lo) = plan.x, plan.x_split
+    tile = max(1, _GROUP_BUDGET // (2 * length))
+    starts = range(0, x.size, tile)
+    threads = max(1, min(workers, len(starts)))
+    ns = np.concatenate([1 + np.arange(K), 1 + K * np.arange(blocks)])[:, None]
+    chirp = 0.5 * K * np.arange(blocks, dtype=np.float64)[:, None] ** 2
+    result = np.empty(x.size)
+
+    def share(index):
+        cols = min(tile, x.size)
+        rot = max(1, min(_ROTATION_BLOCK, cols * width))
+        memory = np.empty(cols * (fft_rows + 2 * width + 2 * blocks) + 2 * rot)
+        rotation = memory[-2 * rot :].view(np.complex128)
+        for lo in starts[index::threads]:
+            count = min(tile, x.size - lo)
+            fft_part = memory[: count * fft_rows]
+            conv, h = (a.view(np.complex128).reshape(length, count)
+                       for a in np.split(fft_part[: 4 * length * count], 2))
+            theta, g, *scratch = np.split(fft_part[: (3 * width + blocks) * count],
+                                          count * np.cumsum([width, blocks, width]))
+            phasor_part = memory[count * fft_rows : count * (fft_rows + 2 * width + 2 * blocks)]
+            phasors, e_g = np.split(phasor_part, [2 * width * count])
+            bufs = (theta.reshape(width, count), g.reshape(blocks, count), scratch,
+                    phasors.view(np.complex128).reshape(width, count),
+                    e_g.view(np.complex128).reshape(blocks, count), conv, h, rotation)
+            tile_plan = plan._replace(x=x[lo : lo + count],
+                                      x_split=(x_hi[lo : lo + count], x_lo[lo : lo + count]))
+            _chirp_tile(tile_plan, N, m, K, ns, chirp, bufs, result[lo : lo + count])
+
+    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
+        jobs = [pool.submit(share, index) for index in range(1, threads)]
+        share(0)
+        for job in jobs:
+            job.result()
+    return result
+
+
+def _chirp_tile(plan, N, m, K, ns, chirp, bufs, out) -> None:
+    """|S_N conj S_m| / N of one tile of samples, plan.x, into out.
+
+    With n = 1 + K i + j, the terms of block i are e(phi(1)) A_i c_j h_{i-j},
+    where A_i = e(phi(1 + K i) + g_i), c_j = e(phi(1 + j) + g_j),
+    h_k = e(-g_k) and g_k = K x k^2 / 2 mod 1. The common factor e(phi(1))
+    drops out of the moduli, so it is never formed. The full blocks are one
+    circular convolution of c with h laid out from k = 1 - K on. The fewer
+    than K last terms of each sum lie in one block i, and are A_i times the
+    sum of c_j h_{i-j} over their j. Sums run down the rows by
+    np.add.accumulate, whose order does not depend on the columns.
+    """
+    from numpy.fft import fft, ifft  # only here: the package import does without it
+
+    theta, g, scratch, phasors, e_g, conv, h, rot = bufs
+    at_g, at_theta = ([s[: a.size].reshape(a.shape) for s in scratch] for a in (g, theta))
+    blocks = g.shape[0]
+    reduced_product(chirp, plan.x, plan.x_split, (g, *at_g))
+    _phase_mod1(ns, plan, theta, at_theta)
+    theta[:K] += g[:K]
+    theta[K:] += g
+    _unit_phasor(g, e_g, (at_g[0], rot))
+    _unit_phasor(theta, phasors, (at_theta[0], rot))
+    c, A = phasors[:K], phasors[K:]
+    # the phases are spent: conv and h take over their memory
+    conv[:K] = c
+    conv[K:] = 0.0
+    h[:K] = e_g[K - 1 :: -1]
+    h[K - 1 : K - 1 + blocks] = e_g
+    h[K - 1 + blocks :] = 0.0
+    np.conjugate(h, out=h)
+
+    def last_terms(n):  # added up where e(g), now spent, was
+        i, J = divmod(n, K)
+        if not J:
+            return 0.0
+        terms = e_g[:J]
+        terms[...] = h[i + K - 1 : i + K - 1 - J : -1]
+        terms *= c[:J]
+        return A[i] * np.add.accumulate(terms, out=terms)[-1]
+
+    tail_N, tail_m = last_terms(N), last_terms(m)
+    fft(conv, axis=0, out=conv)
+    fft(h, axis=0, out=h)
+    conv *= h
+    ifft(conv, axis=0, out=conv)
+    full = m // K
+    sums = np.multiply(A[:full], conv[K - 1 : K - 1 + full], out=h[:full])
+    np.add.accumulate(sums, out=sums)
+    s_N = sums[N // K - 1] + tail_N if N >= K else tail_N
+    np.abs(s_N, out=out)
+    out *= out if m == N else np.abs(sums[-1] + tail_m)
+    out /= N

@@ -34,6 +34,13 @@ def pool_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def direct_path(monkeypatch):
+    """Keep the Weyl batch kernel on its rotation recurrence at every m, for
+    the tests written for that path whose m reaches the chirp crossover."""
+    monkeypatch.setattr(weylsum, "CHIRP_MIN_TERMS", math.inf)
+
+
 class _Flat(WeightFunction):
     name = "flat"
 

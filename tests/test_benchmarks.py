@@ -40,6 +40,8 @@ def a_a(tmp_path_factory):
             patch.setitem(shape, "N", 70)
             patch.setitem(shape, "samples", 64)
             patch.setitem(shape, "law", "uniform01")
+        patch.setattr(module, "SWEEP_M", [40, 90])
+        patch.setattr(module, "SWEEP_SAMPLES", 16)
         patch.setattr(module, "THETA_SAMPLES", 256)
         patch.setattr(module, "ORBIT_Q", [12, 20])
         out = tmp_path_factory.mktemp("layers") / "aa.json"
@@ -108,10 +110,12 @@ def test_layers_a_a_run_reports_every_stage_with_equal_digests(load, a_a):
     config = a_a["config"]
     stages = ["import", "draw_x", "weyl wide", "weyl deep", "count", "fit"]
     stages += [f"orbit q={q}" for q in config["orbit_q"]]
+    stages += [f"sweep m={m} {path}" for m in config["sweep"]["m"] for path in ("direct", "chirp")]
     stages += [
         f"{kind} ({a}, {b})" for a, b in config["pairs"] for kind in ("chunk", "theta_values", "batch")
     ]
     assert config["orbit_q"] == [12, 20] and config["pairs"] == load("layers").PAIRS
+    assert config["sweep"] == {"m": [40, 90], "samples": 16}
     for side in ("before", "after"):
         assert a_a[side]["src_lines"] == a_a["after"]["src_lines"] > 0
         assert sorted(a_a[side]["stages"]) == sorted(stages)
@@ -150,6 +154,38 @@ def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(a_a):
     assert cited <= set(weyl["weyl deep"])
     assert {"ns_per_term_sample", "ms_per_call", "minflt_per_call"} <= set(weyl["weyl wide"])
     assert weyl["weyl deep"]["ms_per_call_2_workers"] > 0 and weyl["weyl deep"]["ru_maxrss_mb"] > 0
+
+
+def test_weyl_sweep_writes_the_key_tree_of_its_bench_file(load, a_a, monkeypatch):
+    # each path's rows, and the crossover read from them: in BENCH_32.json
+    # the chirp path is slower than the direct one at every m of the sweep
+    # below CHIRP_MIN_TERMS and faster at every m from it on
+    from theta_tails import CHUNK_SIZE, normalize_pair, sampling_law, weyl_values_batch, weylsum
+    from theta_tails.homog import chunk_generator, open_uniforms
+
+    cited = {"ns_per_term_sample", "ms_per_call", "alloc_peak_mb"}
+    committed = json.loads((ROOT / "BENCH_32.json").read_text())
+    after, before = committed["after"]["stages"], committed["before"]["stages"]
+    for m in committed["config"]["sweep"]["m"]:
+        direct, chirp = after[f"sweep m={m} direct"], after[f"sweep m={m} chirp"]
+        assert cited <= set(direct) and cited <= set(chirp) and before[f"sweep m={m} chirp"] is None
+        faster = chirp["ns_per_term_sample"] < direct["ns_per_term_sample"]
+        assert faster == (m >= weylsum.CHIRP_MIN_TERMS)
+    config = a_a["config"]
+    sweep = rows(a_a, "sweep ")
+    assert sorted(sweep) == sorted(
+        f"sweep m={m} {path}" for m in config["sweep"]["m"] for path in ("direct", "chirp")
+    )
+    shape = config["weyl"]["deep"]
+    pair = normalize_pair(Fraction(shape["alpha"]), Fraction(shape["beta"]))
+    u = open_uniforms(chunk_generator(config["seed"], 0), CHUNK_SIZE)
+    xs = sampling_law(shape["law"]).transform(u)[: config["sweep"]["samples"]]
+    for m in config["sweep"]["m"]:
+        for path, crossover in (("direct", m + 1), ("chirp", 0)):
+            row = sweep[f"sweep m={m} {path}"]
+            assert row["ns_per_term_sample"] > 0 and row["alloc_peak_mb"] > 0
+            monkeypatch.setattr(weylsum, "CHIRP_MIN_TERMS", crossover)
+            assert row["digest"] == load("layers").digest(weyl_values_batch(xs, pair, m // 2, 2.0))
 
 
 def test_theta_batch_writes_the_key_tree_of_its_bench_file(load, a_a):

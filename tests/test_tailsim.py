@@ -154,10 +154,11 @@ def test_weyl_tail_keeps_values_on_request():
     [
         (600, 2000, [1, 2, 3]),  # one short chunk of four groups
         (CHUNK_SIZE + 700, 300, [1, 3]),  # a full chunk of ten groups, a short one of two
+        (512, 10_000, [1, 2, 7]),  # perfbench's weyl-deep chunk: 19 tiles on the chirp path
     ],
 )
 def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_samples, N, pools):
-    # workers that the chunks leave idle run the groups of each chunk
+    # workers that the chunks leave idle run the groups or tiles of each chunk
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     curves = [
         simulate_weyl_tail(

@@ -178,12 +178,10 @@ def test_batch_kernel_rejects_huge_arguments():
 
 
 BATCH_XS = [-2.7, -1.0000772680216847, -0.25, 0.1, 0.3819660112501051, 1.5, 3.3]
+BATCH_PAIRS = [(Fraction(1, 2), Fraction(0)), (Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))]
 
 
-@pytest.mark.parametrize(
-    "alpha, beta",
-    [(Fraction(1, 2), Fraction(0)), (Fraction(1, 10), Fraction(1, 10)), (Fraction(3, 7), Fraction(2, 7))],
-)
+@pytest.mark.parametrize("alpha, beta", BATCH_PAIRS)
 @pytest.mark.parametrize("N", [1, K - 1, K, K + 1, 2 * K + 1])
 @pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
 def test_batch_kernel_matches_the_exact_oracle(alpha, beta, N, r):
@@ -197,7 +195,8 @@ def test_batch_kernel_matches_the_exact_oracle(alpha, beta, N, r):
         assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
 
 
-def test_batch_kernel_matches_weyl_sum_at_ten_thousand_terms():
+def test_batch_kernel_matches_weyl_sum_at_ten_thousand_terms(direct_path):
+    # the rotation recurrence; the chirp path has its own tests below
     xs = np.random.default_rng(11).normal(size=8)
     pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
     got = weyl_values_batch(xs, pair, 10**4, r=2.5)
@@ -268,7 +267,7 @@ def test_full_chunk_kernel_allocates_its_rows_once():
     assert peak <= 6.5 * 32768 * 16 + 2 * 64 * 1024
 
 
-def test_kernel_memory_does_not_grow_with_n():
+def test_kernel_memory_does_not_grow_with_n(direct_path):
     # the groups are laid out one at a time and their sums go into one
     # running total, so a call holds the same rows at any N (a row per
     # piece total once made the peak 4.2 MB at N = 10^4 and 27.4 MB at 10^5)
@@ -284,6 +283,99 @@ def test_kernel_memory_does_not_grow_with_n():
         finally:
             tracemalloc.stop()
     assert abs(peaks[1] - peaks[0]) <= 64 * 1024
+
+
+# ---------------------------------------------------------------------------
+# the chirp path, m = floor(rN) >= CHIRP_MIN_TERMS
+
+# x within 1e-9 of a/c, c <= 5: the terms line up and their errors add coherently
+RESONANT_XS = [
+    float(Fraction(a, c)) + d for c in range(1, 6) for a in range(c) if math.gcd(a, c) == 1 for d in (-1e-9, 1e-9)
+]
+
+
+def _assert_matches_weyl_sum(xs, alpha, beta, N, r):
+    pair = normalize_pair(alpha, beta)
+    m = math.floor(r * N)
+    assert m >= weylsum.CHIRP_MIN_TERMS
+    got = weyl_values_batch(np.array(xs), pair, N, r=r)
+    for x, v in zip(xs, got):
+        s_n = weyl_sum(x, WeylSumSpec.from_pair(pair, N=N))
+        s_m = weyl_sum(x, WeylSumSpec.from_pair(pair, N=m))
+        assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
+
+
+@pytest.mark.parametrize("alpha, beta", BATCH_PAIRS)
+@pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+@pytest.mark.parametrize("N", [10**4, 10_007])
+def test_chirp_path_matches_weyl_sum_at_ten_thousand_terms(alpha, beta, N, r):
+    # 10,007 is prime; the blocks have K = isqrt(m) terms, and but for
+    # N = m = 10^4 both sums end on fewer than K last terms
+    m = math.floor(r * N)
+    assert (N, r) == (10**4, 1.0) or N % math.isqrt(m) and m % math.isqrt(m)
+    xs = RESONANT_XS + np.random.default_rng(17).uniform(-3.0, 3.0, 2).tolist()
+    _assert_matches_weyl_sum(xs, alpha, beta, N, r)
+
+
+@pytest.mark.parametrize("alpha, beta", BATCH_PAIRS)
+@pytest.mark.parametrize("r", [1.0, 2.0, 2.5])
+def test_chirp_path_matches_weyl_sum_at_a_hundred_thousand_terms(alpha, beta, r):
+    # 100,003 is prime, and both sums end on last terms
+    N = 100_003
+    m = math.floor(r * N)
+    assert N % math.isqrt(m) and m % math.isqrt(m)
+    xs = [1 / 3 - 1e-9, 0.5 + 1e-9, 0.2 - 1e-9, -1.2345678901234567]
+    _assert_matches_weyl_sum(xs, alpha, beta, N, r)
+
+
+@pytest.mark.parametrize("alpha, beta", BATCH_PAIRS)
+@pytest.mark.parametrize(
+    "N, r", [(1, 1.0), (1, 2.5), (3, 2.0), (K - 1, 2.5), (144, 2.0), (2 * K + 1, 2.0), (3, 20.0), (10, 12.5)]
+)
+def test_chirp_layout_matches_the_exact_oracle_at_small_m(monkeypatch, alpha, beta, N, r):
+    # the chirp path forced below its crossover: one-term blocks at m = 1
+    # and 2, no last terms at N = 144, r = 2 (K = isqrt(m) = 16 divides N
+    # and m), and no full block in S_N at r = 20 and 12.5, where N < K
+    monkeypatch.setattr(weylsum, "CHIRP_MIN_TERMS", 0)
+    pair = normalize_pair(alpha, beta)
+    m = math.floor(r * N)
+    got = weyl_values_batch(np.array(BATCH_XS), pair, N, r=r)
+    for x, v in zip(BATCH_XS, got):
+        s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
+        s_m = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), m)
+        assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
+
+
+def test_chirp_values_do_not_depend_on_the_workers_or_the_batch(pool_sizes):
+    # the weyl-deep shape: 512 uniform draws, (1/10, 1/10), N = 10^4, r = 2,
+    # in 19 tiles of 28 samples; every step acts on each sample alone
+    xs = np.random.default_rng(9).uniform(size=512)
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    ref = weyl_values_batch(xs, pair, 10**4, r=2.0)
+    for workers in (2, 8):
+        assert np.array_equal(weyl_values_batch(xs, pair, 10**4, r=2.0, workers=workers), ref)
+    assert pool_sizes == [1, 7]
+    for k in (0, 27, 28, 29, 300, 511):
+        assert weyl_values_batch(xs[k : k + 1], pair, 10**4, r=2.0)[0] == ref[k]
+    assert np.array_equal(weyl_values_batch(xs[101:350], pair, 10**4, r=2.0), ref[101:350])
+
+
+@pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
+def test_chirp_memory_stays_below_the_direct_paths(N):
+    # a 512-sample call at r = 2 holds one share's buffers, whose tiles are
+    # sized by the FFT length: 0.68 to 0.73 MB was measured at these N
+    # (1.29-1.35 MB on two workers), against 1.28 MB for the direct path
+    # at the weyl-deep shape on one worker and 2.14 MB on two
+    xs = np.random.default_rng(5).uniform(size=512)
+    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
+    weyl_values_batch(xs, pair, N, r=2.0)
+    tracemalloc.start()
+    try:
+        weyl_values_batch(xs, pair, N, r=2.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.14e6
 
 
 # (g, N, r): the groups of 1..N; of N+1..floor(rN). "k + s" is a group of
@@ -343,10 +435,14 @@ def test_full_chunk_groups_share_the_workers(pool_sizes):
     assert pool_sizes == [1, 2, 6]
 
 
-def test_pieces_survive_fast_thread_switching(monkeypatch):
-    # 40 two-row groups on 8 threads that switch every microsecond: each
-    # share writes only its own rows and the caller adds the sums after
-    # each round, so nothing may get lost
+@pytest.mark.parametrize("crossover", [math.inf, 0])
+def test_pieces_survive_fast_thread_switching(monkeypatch, crossover):
+    # threads that switch every microsecond. The direct path: 40 two-row
+    # groups on 8 threads; each share writes only its own rows and the
+    # caller adds the sums after each round. The chirp path: 7 one-sample
+    # tiles on 7 threads, each writing only its own results. Nothing may
+    # get lost
+    monkeypatch.setattr(weylsum, "CHIRP_MIN_TERMS", crossover)
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     xs = np.array(BATCH_XS)
