@@ -12,8 +12,9 @@ fastest of --repeats calls after two untimed calls, each stage:
 - sweep m=M direct, sweep m=M chirp: weyl_values_batch at the deep shape's
   pair, law and r = 2 with N = M / 2, on SWEEP_SAMPLES samples, through
   each of its two paths (weylsum.CHIRP_MIN_TERMS set to M + 1 or 0), ns
-  per term per sample, ms per call and the tracemalloc peak of one more
-  call; the paths' crossover CHIRP_MIN_TERMS is read from these rows;
+  per term per sample, ms per call (on the chirp path also at two
+  workers) and the tracemalloc peak of one more call; the paths' crossover
+  CHIRP_MIN_TERMS is read from these rows;
 - chunk, theta_values, batch at each pair of PAIRS: MuAbSampler.chunk,
   tailsim.theta_values at the default grid's smallest R^2, and
   theta_pair_gaussian_batch on the whole conjugated chunk, ns per sample;
@@ -157,14 +158,16 @@ def child(config: dict, repeats: int) -> dict:
             weylsum.CHIRP_MIN_TERMS = 0 if path == "chirp" else m + 1
             try:
                 wall, _, _, values = timed(repeats, call)
+                row = {"ns_per_term_sample": wall / (m * values.size) * 1e9, "ms_per_call": wall * 1e3}
+                if path == "chirp":
+                    row["ms_per_call_2_workers"] = timed(repeats, partial(call, workers=2))[0] * 1e3
                 tracemalloc.start()
                 call()
                 peak = tracemalloc.get_traced_memory()[1]
                 tracemalloc.stop()
             finally:
                 weylsum.CHIRP_MIN_TERMS = crossover
-            return {"ns_per_term_sample": wall / (m * values.size) * 1e9, "ms_per_call": wall * 1e3,
-                    "alloc_peak_mb": peak / 1e6, "digest": digest(values)}
+            return {**row, "alloc_peak_mb": peak / 1e6, "digest": digest(values)}
 
         return run
 

@@ -80,10 +80,21 @@ g_k = K x k^2 / 2 mod 1: one circular convolution per sample, by numpy.fft
 at a 5-smooth length L >= K + ceil(m / K) - 1, gives every full block.
 S_N and S_m add the blocks below them and their fewer than K last terms,
 A_i times a sum of c_j h_{i-j}. The factor e(phi(1)) is common to all
-terms and drops out of the moduli.
+terms and drops out of the moduli. The path builds the phase rows of its
+K + 2 ceil(m / K) indices once per call (_chirp_rows: _phase_rows, the
+sample-free half of _phase_mod1, for the c_j and A_i, and the chirp for
+the g_k) and lays each tile of samples out sample-major, one sample per
+row with its indices contiguous. A tile then makes one phase pass
+(_phase_pass, the other half) and one _unit_phasor call over all its
+rows, and its FFTs and np.add.accumulate run along the rows: about 60
+numpy calls per tile, against about 110 with one index per row, where
+most calls broadcast a (k, 1) column against rows of 28 samples. In
+BENCH_33.json (benchmarks/layers.py, 512 samples at r = 2) that took a
+weyl-deep call from 12.1 to 10.5 ms on one worker and from 14.2 to
+10.7 ms on two, with bit-identical values.
 
-Every phasor is exact in the sense of the anchors: _phase_mod1 and
-reduced_product give its phase (K k^2 / 2 is exact in a float) and
+Every phasor is exact in the sense of the anchors: the two halves of
+_phase_mod1 give its phase (K k^2 / 2 is exact in a float) and
 _unit_phasor the phasor, within about 2e-16. The FFT convolution adds a
 rounding error of order eps log2 L relative to the l2 norms of c and h,
 about eps sqrt(K) log2 L per block, and the independent errors of the
@@ -96,9 +107,13 @@ the two paths differ by at most 1.6e-13 (1 + value) at the weyl-deep
 shape. CHIRP_MIN_TERMS is the smallest m of the sweep in BENCH_32.json
 (benchmarks/layers.py, 512 samples at r = 2, host of the module's other
 timings) where the chirp path is the faster one: 2.65 against 2.88 ns per
-term and sample. At m = 3000 and below the direct path wins (2.89 against
-2.92 ns there), and at m = 10^6 the chirp path takes 0.19 ms per sample
-against 2.6 ms.
+term and sample. At m = 3000 and below the direct path won there (2.89
+against 2.92 ns); in BENCH_33.json the sample-major chirp path is the
+faster one at 3000 too (2.60 against 2.69 ns), inside the host's
+run-to-run spread (an A/A run of the same code read 3.08/2.83 and
+2.65/2.85 there); CHIRP_MIN_TERMS stays, as moving it would change the
+values at every m it moves to the other path. At m = 10^6 the chirp path
+takes 0.12 ms per sample against 2.7 ms (BENCH_33.json).
 """
 from __future__ import annotations
 
@@ -152,17 +167,18 @@ def veltkamp_split(a, out=None):
     return hi[()], lo[()]
 
 
-def two_prod(a, b, b_split=None, out=None):
+def two_prod(a, b, b_split=None, out=None, a_split=None):
     """Return (p, e) with p = fl(a*b) and p + e = a*b exactly.
 
     Works elementwise on arrays. Valid while a*b neither overflows nor
     denormalizes, which holds for every phase product in this package.
-    b_split is veltkamp_split(b), for a b that many products share. out,
-    three float arrays of the broadcast shape, receives p, e and a scratch
-    term, so only the split of a is allocated.
+    b_split is veltkamp_split(b), for a b that many products share, and
+    a_split likewise that of a. out, three float arrays of the broadcast
+    shape, receives p, e and a scratch term, so at most the split of a is
+    allocated.
     """
     p, e, tmp = _outputs(out, 3, a, b)
-    ah, al = veltkamp_split(a)
+    ah, al = veltkamp_split(a) if a_split is None else a_split
     bh, bl = veltkamp_split(b) if b_split is None else b_split
     np.multiply(a, b, out=p)
     np.multiply(ah, bh, out=e)
@@ -185,16 +201,16 @@ def frac(v, out=None):
     return np.subtract(v, np.floor(v, out=out), out=out)
 
 
-def reduced_product(a, b, b_split=None, out=None):
+def reduced_product(a, b, b_split=None, out=None, a_split=None):
     """(a*b) mod 1 with the rounding residue reattached.
 
     The integer part of fl(a*b) is discarded exactly (both operands of the
     subtraction share an exponent), so the result equals a*b mod 1 up to the
-    rounding of the residue itself. b_split and out are two_prod's; the
-    result is written into out[0].
+    rounding of the residue itself. b_split, out and a_split are two_prod's;
+    the result is written into out[0].
     """
     out = _outputs(out, 3, a, b)
-    p, e = two_prod(a, b, b_split, out)
+    p, e = two_prod(a, b, b_split, out, a_split)
     np.add(frac(p, out=out[2]), e, out=out[0])
     return out[0][()]
 
@@ -291,6 +307,50 @@ def _phase_plan(spec: WeylSumSpec, x, n_max: int, split=None) -> _PhasePlan:
     return _PhasePlan(spec, x, rat, veltkamp_split(x, out=split))
 
 
+class _PhaseRows(NamedTuple):
+    """The sample-free half of the phases of an index array ns (_phase_rows),
+    each field shaped like ns: big = n^2/2 + floor(n b/q), an integer or
+    half-integer that a float holds exactly, and its Veltkamp split;
+    small = (n b mod q)/q in [0, 1); turn = alpha n mod 1. The phase is
+    big x + small x + turn mod 1. On the float path big = n^2/2, small = 0
+    and beta n x is left to _phase_mod1."""
+
+    big: np.ndarray
+    split: tuple
+    small: object
+    turn: np.ndarray
+
+
+def _phase_rows(ns: np.ndarray, plan: _PhasePlan) -> _PhaseRows:
+    """The rows of the indices ns that _phase_pass applies to samples."""
+    half_sq = 0.5 * ns.astype(np.float64) * ns
+    if plan.rat is None:
+        big, small = half_sq, 0.0
+        turn = reduced_product(ns.astype(np.float64), float(plan.spec.alpha))
+    else:
+        a, b, q = plan.rat
+        nb = ns * b
+        # beta n x = (nb//q) x + ((nb mod q)/q) x; the first factor is an
+        # exact integer, the second lies in [0,1) so its product is small
+        big = half_sq + (nb // q).astype(np.float64)
+        small = (nb % q) / float(q)
+        turn = ((ns * a) % q) / float(q)  # alpha n mod 1, exact rational
+    return _PhaseRows(big, veltkamp_split(big), small, turn)
+
+
+def _phase_pass(rows: _PhaseRows, plan: _PhasePlan, out: np.ndarray, scratch) -> np.ndarray:
+    """(big x mod 1 + residue) + frac(small x) + turn for the rows against
+    plan.x, written into out, which has their broadcast shape, and
+    returned; scratch holds two float arrays of that shape, so nothing is
+    allocated at that shape."""
+    reduced_product(rows.big, plan.x, plan.x_split, (out, *scratch), rows.split)
+    small, tmp = scratch
+    np.multiply(rows.small, plan.x, out=small)
+    out += frac(small, out=tmp)
+    out += rows.turn
+    return out
+
+
 def _phase_mod1(ns: np.ndarray, plan: _PhasePlan, out: np.ndarray, scratch) -> np.ndarray:
     """Reduced phase ((n^2/2 + beta n + zeta) x + alpha n) mod 1, plus tiny residue.
 
@@ -298,29 +358,14 @@ def _phase_mod1(ns: np.ndarray, plan: _PhasePlan, out: np.ndarray, scratch) -> n
     with a one-element ns or a (k, 1) column of ns. The phase is written
     into out, which has the broadcast shape, and returned; scratch holds two
     float arrays of that shape, so on the rational path nothing is
-    allocated at that shape. The plan bounds |n| (_phase_plan).
+    allocated at that shape. The plan bounds |n| (_phase_plan). The two
+    halves, _phase_rows and _phase_pass, are this routine; the chirp path
+    calls them apart, to build its rows once per call.
     """
-    half_sq = 0.5 * ns.astype(np.float64) * ns
-    products = (out, *scratch)
-    if plan.rat is not None:
-        a, b, q = plan.rat
-        alpha_part = ((ns * a) % q) / float(q)  # alpha n mod 1, exact rational
-        nb = ns * b
-        # beta n x = (nb//q) x + ((nb mod q)/q) x; the first factor is an
-        # exact integer, the second lies in [0,1) so its product is small
-        reduced_product(half_sq + (nb // q).astype(np.float64), plan.x, plan.x_split, products)
-        small, tmp = scratch
-        np.multiply((nb % q) / float(q), plan.x, out=small)
-        out += frac(small, out=tmp)
-        out += alpha_part
-    else:
-        alpha = float(plan.spec.alpha)
-        beta = float(plan.spec.beta)
-        reduced_product(half_sq, plan.x, plan.x_split, products)
-        out += reduced_product(ns.astype(np.float64), alpha)
-        if beta:
-            bx, bx_err = two_prod(beta, plan.x)
-            out += reduced_product(ns.astype(np.float64), bx) + ns * bx_err
+    _phase_pass(_phase_rows(ns, plan), plan, out, scratch)
+    if plan.rat is None and (beta := float(plan.spec.beta)):
+        bx, bx_err = two_prod(beta, plan.x)
+        out += reduced_product(ns.astype(np.float64), bx) + ns * bx_err
     if plan.spec.zeta:
         out += reduced_product(np.float64(plan.spec.zeta), np.float64(plan.x))
     return out
@@ -501,11 +546,11 @@ def weyl_values_batch(
     of K = isqrt(m) terms come from one FFT convolution per sample instead
     (the module docstring has the decomposition, its error and the
     crossover), in tiles of _GROUP_BUDGET // (2 L) samples, L ~ 2 sqrt(m)
-    the FFT length, with one allocation of buffers per thread. So memory
-    does not grow with N on this path either: a 512-sample call peaks at
-    0.68 MB (tracemalloc) at the weyl-deep shape and 0.78 MB at
-    m = 10^6, where the direct path's peaks at 1.28 MB. The same range
-    holds.
+    the FFT length, laid out one sample per row, with one allocation of
+    buffers per thread. So memory does not grow with N on this path
+    either: a 512-sample call peaks at 0.68 MB (tracemalloc) at the
+    weyl-deep shape and 0.75 MB at m = 10^6 (BENCH_33.json), where the
+    direct path's peaks at 1.28 MB. The same range holds.
 
     Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52
     (n up to about 9.49e7, where the anchor phase stops being an exact
@@ -628,54 +673,62 @@ def _smooth_length(n: int) -> int:
     return best
 
 
+def _chirp_rows(plan: _PhasePlan, K: int, blocks: int) -> _PhaseRows:
+    """The phase rows of the chirp path, stacked: _phase_rows of the c_j
+    (n = 1 + j, j < K) and of the A_i (n = 1 + K i, i < blocks), then the
+    g_k (k < blocks) with big = K k^2 / 2, exact in a float, and zero small
+    and turn parts. So _phase_pass gives g_k = reduced_product(K k^2 / 2, x)
+    plus +0.0 twice, which leaves it unchanged: frac(p) + e is never -0.0.
+    """
+    ends = _phase_rows(np.concatenate([1 + np.arange(K), 1 + K * np.arange(blocks)]), plan)
+    big = np.concatenate([ends.big, 0.5 * K * np.arange(blocks, dtype=np.float64) ** 2])
+    zero = np.zeros(blocks)
+    return _PhaseRows(big, veltkamp_split(big), *(np.concatenate([v, zero]) for v in ends[2:]))
+
+
 def _chirp_values(plan: _PhasePlan, N: int, m: int, workers: int) -> np.ndarray:
     """weyl_values_batch at m >= CHIRP_MIN_TERMS: the block sums of
     K = isqrt(m) terms by one FFT convolution per sample (module docstring).
 
-    The samples run in tiles of _GROUP_BUDGET // (2 L), L the FFT length, so
-    the two FFT buffers of a tile hold at most _GROUP_BUDGET complex
-    elements. Tile k runs in share k mod T, T = min(workers, tiles), share 0
-    on the calling thread and the others on a pool of T - 1 threads. Each
-    share has its own buffers from one allocation. As in the direct path,
-    a buffer's rows are indices and its columns samples; every step acts
-    on each column alone, so a value is the same at every worker count and
-    in every tile.
+    The phase rows of the c_j, the A_i and the g_k are built once per call
+    (_chirp_rows). The samples run in tiles of _GROUP_BUDGET // (2 L),
+    L the FFT length, so the two FFT buffers of a tile hold at most
+    _GROUP_BUDGET complex elements. Tile k runs in share k mod T,
+    T = min(workers, tiles), share 0 on the calling thread and the others
+    on a pool of T - 1 threads. Each share has its own buffers from one
+    allocation, laid out sample-major: a buffer's rows are samples and its
+    columns indices, so a tile of fewer samples uses the first rows of the
+    same views. Every step acts on each sample alone, so a value is the
+    same at every worker count and in every tile.
     """
     K = math.isqrt(m)
     blocks = -(-m // K)  # A_i and g_i for i < blocks (>= K); the last block may be short
-    width = K + blocks  # the phases of the c_j, then of the A_i
-    length = _smooth_length(width - 1)
-    # per sample: the two FFT buffers, whose memory first holds the phases,
-    # g and two scratch rows; then e(phase) and e(g)
-    fft_rows = max(4 * length, 3 * width + blocks)
+    width = K + 2 * blocks  # the rows of the c_j, the A_i and the g_k
+    length = _smooth_length(K + blocks - 1)
+    rows = _chirp_rows(plan, K, blocks)
+    # per sample: the two FFT buffers, whose memory first holds the phases
+    # and the phasors' k, then e(phase), whose memory first holds the
+    # phase pass's scratch
+    fft_floats = max(4 * length, 2 * width)
     x, (x_hi, x_lo) = plan.x, plan.x_split
     tile = max(1, _GROUP_BUDGET // (2 * length))
     starts = range(0, x.size, tile)
     threads = max(1, min(workers, len(starts)))
-    ns = np.concatenate([1 + np.arange(K), 1 + K * np.arange(blocks)])[:, None]
-    chirp = 0.5 * K * np.arange(blocks, dtype=np.float64)[:, None] ** 2
     result = np.empty(x.size)
 
     def share(index):
         cols = min(tile, x.size)
         rot = max(1, min(_ROTATION_BLOCK, cols * width))
-        memory = np.empty(cols * (fft_rows + 2 * width + 2 * blocks) + 2 * rot)
-        rotation = memory[-2 * rot :].view(np.complex128)
+        memory = np.empty(cols * (fft_floats + 2 * width) + 2 * rot)
+        phases = memory[: 2 * cols * width].reshape(2, cols, width)
+        ffts = memory[: 4 * cols * length].view(np.complex128).reshape(2, cols, length)
+        phasors = memory[cols * fft_floats : cols * (fft_floats + 2 * width)].view(np.complex128)
+        bufs = (*phases, phasors.reshape(cols, width), *ffts)
+        rotation = memory[cols * (fft_floats + 2 * width) :].view(np.complex128)
         for lo in starts[index::threads]:
-            count = min(tile, x.size - lo)
-            fft_part = memory[: count * fft_rows]
-            conv, h = (a.view(np.complex128).reshape(length, count)
-                       for a in np.split(fft_part[: 4 * length * count], 2))
-            theta, g, *scratch = np.split(fft_part[: (3 * width + blocks) * count],
-                                          count * np.cumsum([width, blocks, width]))
-            phasor_part = memory[count * fft_rows : count * (fft_rows + 2 * width + 2 * blocks)]
-            phasors, e_g = np.split(phasor_part, [2 * width * count])
-            bufs = (theta.reshape(width, count), g.reshape(blocks, count), scratch,
-                    phasors.view(np.complex128).reshape(width, count),
-                    e_g.view(np.complex128).reshape(blocks, count), conv, h, rotation)
-            tile_plan = plan._replace(x=x[lo : lo + count],
-                                      x_split=(x_hi[lo : lo + count], x_lo[lo : lo + count]))
-            _chirp_tile(tile_plan, N, m, K, ns, chirp, bufs, result[lo : lo + count])
+            hi = min(lo + tile, x.size)
+            tile_plan = plan._replace(x=x[lo:hi, None], x_split=(x_hi[lo:hi, None], x_lo[lo:hi, None]))
+            _chirp_tile(tile_plan, N, m, K, rows, [b[: hi - lo] for b in bufs], rotation, result[lo:hi])
 
     with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
         jobs = [pool.submit(share, index) for index in range(1, threads)]
@@ -685,56 +738,66 @@ def _chirp_values(plan: _PhasePlan, N: int, m: int, workers: int) -> np.ndarray:
     return result
 
 
-def _chirp_tile(plan, N, m, K, ns, chirp, bufs, out) -> None:
-    """|S_N conj S_m| / N of one tile of samples, plan.x, into out.
+def _chirp_tile(plan, N, m, K, rows, bufs, rot, out) -> None:
+    """|S_N conj S_m| / N of one tile of samples, the column plan.x, into out.
 
     With n = 1 + K i + j, the terms of block i are e(phi(1)) A_i c_j h_{i-j},
     where A_i = e(phi(1 + K i) + g_i), c_j = e(phi(1 + j) + g_j),
     h_k = e(-g_k) and g_k = K x k^2 / 2 mod 1. The common factor e(phi(1))
-    drops out of the moduli, so it is never formed. The full blocks are one
-    circular convolution of c with h laid out from k = 1 - K on. The fewer
-    than K last terms of each sum lie in one block i, and are A_i times the
-    sum of c_j h_{i-j} over their j. Sums run down the rows by
-    np.add.accumulate, whose order does not depend on the columns.
+    drops out of the moduli, so it is never formed. One phase pass over the
+    stacked rows gives the phases of the c_j and A_i and the g_k, and one
+    _unit_phasor call all their phasors. The full blocks are one circular
+    convolution of c with h laid out from k = 1 - K on, by FFTs along each
+    sample's row. The fewer than K last terms of each sum lie in one block
+    i, and are A_i times the sum of c_j h_{i-j} over their j. Sums run
+    along each sample's row by np.add.accumulate, whose order does not
+    depend on the other samples.
     """
     from numpy.fft import fft, ifft  # only here: the package import does without it
 
-    theta, g, scratch, phasors, e_g, conv, h, rot = bufs
-    at_g, at_theta = ([s[: a.size].reshape(a.shape) for s in scratch] for a in (g, theta))
-    blocks = g.shape[0]
-    reduced_product(chirp, plan.x, plan.x_split, (g, *at_g))
-    _phase_mod1(ns, plan, theta, at_theta)
-    theta[:K] += g[:K]
-    theta[K:] += g
-    _unit_phasor(g, e_g, (at_g[0], rot))
-    _unit_phasor(theta, phasors, (at_theta[0], rot))
-    c, A = phasors[:K], phasors[K:]
-    # the phases are spent: conv and h take over their memory
-    conv[:K] = c
-    conv[K:] = 0.0
-    h[:K] = e_g[K - 1 :: -1]
-    h[K - 1 : K - 1 + blocks] = e_g
-    h[K - 1 + blocks :] = 0.0
+    theta, k, phasors, conv, h = bufs
+    blocks = (theta.shape[1] - K) // 2
+    _phase_pass(rows, plan, theta, _halves(phasors))
+    g = theta[:, K + blocks :]
+    theta[:, :K] += g[:, :K]
+    theta[:, K : K + blocks] += g
+    _unit_phasor(theta, phasors, (k, rot))
+    c, A, e_g = phasors[:, :K], phasors[:, K : K + blocks], phasors[:, K + blocks :]
+    # the phases are spent: h and then conv take over their memory
+    h[:, :K] = e_g[:, K - 1 :: -1]
+    h[:, K - 1 : K - 1 + blocks] = e_g
+    h[:, K - 1 + blocks :] = 0.0
     np.conjugate(h, out=h)
 
-    def last_terms(n):  # added up where e(g), now spent, was
+    def last_terms(n):
+        # multiplied and added up as contiguous arrays in conv's memory
+        # (2 J < L), before conv is filled: numpy allocates iterator buffers
+        # for complex products on strided rows, and takes a product whose
+        # output spans memory that an operand spans (c beside e(g), say)
+        # through a scalar loop, which rounds otherwise than its vector loop
         i, J = divmod(n, K)
         if not J:
             return 0.0
-        terms = e_g[:J]
-        terms[...] = h[i + K - 1 : i + K - 1 - J : -1]
-        terms *= c[:J]
-        return A[i] * np.add.accumulate(terms, out=terms)[-1]
+        terms, c_j = conv.reshape(-1)[: 2 * J * out.size].reshape(2, out.size, J)
+        terms[...] = h[:, i + K - 1 : i + K - 1 - J : -1]
+        c_j[...] = c[:, :J]
+        terms *= c_j
+        return A[:, i] * np.add.accumulate(terms, axis=1, out=terms)[:, -1]
 
     tail_N, tail_m = last_terms(N), last_terms(m)
-    fft(conv, axis=0, out=conv)
-    fft(h, axis=0, out=h)
+    conv[:, :K] = c
+    conv[:, K:] = 0.0
+    fft(conv, axis=1, out=conv)
+    fft(h, axis=1, out=h)
     conv *= h
-    ifft(conv, axis=0, out=conv)
+    ifft(conv, axis=1, out=conv)
     full = m // K
-    sums = np.multiply(A[:full], conv[K - 1 : K - 1 + full], out=h[:full])
-    np.add.accumulate(sums, out=sums)
-    s_N = sums[N // K - 1] + tail_N if N >= K else tail_N
+    # A_i times (c * h)_i as whole contiguous rows, in h's spent memory
+    sums = h[:, K - 1 : K - 1 + full]
+    sums[...] = A[:, :full]
+    h *= conv
+    np.add.accumulate(sums, axis=1, out=sums)
+    s_N = sums[:, N // K - 1] + tail_N if N >= K else tail_N
     np.abs(s_N, out=out)
-    out *= out if m == N else np.abs(sums[-1] + tail_m)
+    out *= out if m == N else np.abs(sums[:, -1] + tail_m)
     out /= N

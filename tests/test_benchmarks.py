@@ -159,7 +159,8 @@ def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(a_a):
 def test_weyl_sweep_writes_the_key_tree_of_its_bench_file(load, a_a, monkeypatch):
     # each path's rows, and the crossover read from them: in BENCH_32.json
     # the chirp path is slower than the direct one at every m of the sweep
-    # below CHIRP_MIN_TERMS and faster at every m from it on
+    # below CHIRP_MIN_TERMS and faster at every m from it on; the chirp
+    # rows also time the path on two workers
     from theta_tails import CHUNK_SIZE, normalize_pair, sampling_law, weyl_values_batch, weylsum
     from theta_tails.homog import chunk_generator, open_uniforms
 
@@ -184,6 +185,9 @@ def test_weyl_sweep_writes_the_key_tree_of_its_bench_file(load, a_a, monkeypatch
         for path, crossover in (("direct", m + 1), ("chirp", 0)):
             row = sweep[f"sweep m={m} {path}"]
             assert row["ns_per_term_sample"] > 0 and row["alloc_peak_mb"] > 0
+            assert cited <= set(row)
+            if path == "chirp":
+                assert row["ms_per_call_2_workers"] > 0
             monkeypatch.setattr(weylsum, "CHIRP_MIN_TERMS", crossover)
             assert row["digest"] == load("layers").digest(weyl_values_batch(xs, pair, m // 2, 2.0))
 

@@ -360,18 +360,46 @@ def test_chirp_values_do_not_depend_on_the_workers_or_the_batch(pool_sizes):
     assert np.array_equal(weyl_values_batch(xs[101:350], pair, 10**4, r=2.0), ref[101:350])
 
 
+# the phase pass's x: normal, near-resonant and at both ends of the x range
+PHASE_XS = np.concatenate([
+    np.random.default_rng(21).normal(size=24) * 3, RESONANT_XS, [-(2.0**30 - 1), 2.0**30 - 1],
+])
+
+
+@pytest.mark.parametrize("alpha, beta", BATCH_PAIRS)
+@pytest.mark.parametrize("m", [5000, 20_000, 10**6])
+def test_stacked_chirp_rows_give_phase_mod1_and_the_chirp_bit_for_bit(alpha, beta, m):
+    # the rows are built once per call and applied to a column of samples:
+    # the c_j and A_i phases (n up to about m) are _phase_mod1's of the
+    # index column, transposed, and the g_k phases K x k^2 / 2 mod 1 those
+    # of reduced_product, as the direct layout computed them
+    block = math.isqrt(m)
+    blocks = -(-m // block)
+    ns = np.concatenate([1 + np.arange(block), 1 + block * np.arange(blocks)])
+    plan = weylsum._phase_plan(WeylSumSpec.from_pair(normalize_pair(alpha, beta), m), PHASE_XS, m)
+    ends = weylsum._phase_mod1(ns[:, None], plan, np.empty((ns.size, PHASE_XS.size)),
+                               np.empty((2, ns.size, PHASE_XS.size)))
+    chirp = reduced_product(0.5 * block * np.arange(blocks, dtype=np.float64)[:, None] ** 2, PHASE_XS)
+    column = plan._replace(x=PHASE_XS[:, None], x_split=tuple(v[:, None] for v in plan.x_split))
+    width = block + 2 * blocks
+    got = weylsum._phase_pass(weylsum._chirp_rows(plan, block, blocks), column,
+                              np.empty((PHASE_XS.size, width)), np.empty((2, PHASE_XS.size, width)))
+    assert np.array_equal(got, np.concatenate([ends, chirp]).T)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
-def test_chirp_memory_stays_below_the_direct_paths(N):
-    # a 512-sample call at r = 2 holds one share's buffers, whose tiles are
-    # sized by the FFT length: 0.68 to 0.73 MB was measured at these N
-    # (1.29-1.35 MB on two workers), against 1.28 MB for the direct path
-    # at the weyl-deep shape on one worker and 2.14 MB on two
+def test_chirp_memory_stays_below_the_direct_paths(N, workers):
+    # a 512-sample call at r = 2 holds one buffer allocation per share,
+    # whose tiles are sized by the FFT length: 0.60 to 0.77 MB was measured
+    # at these N on one worker and 0.99-1.43 MB on two, against 1.28 MB for
+    # the direct path at the weyl-deep shape on one worker and 2.14 MB on two
     xs = np.random.default_rng(5).uniform(size=512)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
-    weyl_values_batch(xs, pair, N, r=2.0)
+    weyl_values_batch(xs, pair, N, r=2.0, workers=workers)
     tracemalloc.start()
     try:
-        weyl_values_batch(xs, pair, N, r=2.0)
+        weyl_values_batch(xs, pair, N, r=2.0, workers=workers)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
