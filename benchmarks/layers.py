@@ -6,15 +6,13 @@ fastest of --repeats calls after two untimed calls, each stage:
 - import: `import theta_tails` (one per interpreter, so no repeats);
 - draw_x: the x draws of perfbench's weyl-wide chunk, ns per sample;
 - weyl wide, weyl deep: weyl_values_batch at perfbench's two Weyl shapes,
-  ns per term per sample and ms and ru_minflt per call; at the deep shape
-  also the two-worker wall and process CPU (user + system) ms per call,
-  and ru_maxrss read after both shapes;
+  ns per term per sample and ms and ru_minflt per call, and at the deep
+  shape ru_maxrss read after both shapes;
 - sweep m=M direct, sweep m=M chirp: weyl_values_batch at the deep shape's
   pair, law and r = 2 with N = M / 2, on SWEEP_SAMPLES samples, through
   each of its two paths (weylsum.CHIRP_MIN_TERMS set to M + 1 or 0), ns
-  per term per sample, ms per call (on the chirp path also at two
-  workers) and the tracemalloc peak of one more call; the paths' crossover
-  CHIRP_MIN_TERMS is read from these rows;
+  per term per sample, ms per call and the tracemalloc peak of one more
+  call; the paths' crossover CHIRP_MIN_TERMS is read from these rows;
 - chunk, theta_values, batch at each pair of PAIRS: MuAbSampler.chunk,
   tailsim.theta_values at the default grid's smallest R^2, and
   theta_pair_gaussian_batch on the whole conjugated chunk, ns per sample;
@@ -83,20 +81,19 @@ def digest(*arrays) -> str:
 
 
 def timed(repeats: int, call) -> tuple:
-    """(fastest wall s, ru_minflt per call, CPU s per call, last result)
-    over `repeats` calls after two untimed ones: the second weyl-wide kernel
-    call still took about 700 minor faults that later calls did not."""
+    """(fastest wall s, ru_minflt per call, last result) over `repeats`
+    calls after two untimed ones: the second weyl-wide kernel call still
+    took about 700 minor faults that later calls did not."""
     call()
     out = call()
-    start = resource.getrusage(resource.RUSAGE_SELF)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     walls = []
     for _ in range(repeats):
         mark = perf_counter()
         out = call()
         walls.append(perf_counter() - mark)
-    end = resource.getrusage(resource.RUSAGE_SELF)
-    cpu = end.ru_utime + end.ru_stime - start.ru_utime - start.ru_stime
-    return min(walls), (end.ru_minflt - start.ru_minflt) / repeats, cpu / repeats, out
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return min(walls), faults / repeats, out
 
 
 def child(config: dict, repeats: int) -> dict:
@@ -113,7 +110,7 @@ def child(config: dict, repeats: int) -> dict:
     weyl_values = {}
 
     def per_sample(call, n: int) -> dict:
-        wall, _, _, out = timed(repeats, call)
+        wall, _, out = timed(repeats, call)
         return {"ns_per_sample": wall / n * 1e9,
                 "digest": digest(*(out.values() if isinstance(out, dict) else [out]))}
 
@@ -127,15 +124,12 @@ def child(config: dict, repeats: int) -> dict:
         def run():
             pair = tt.normalize_pair(Fraction(shape["alpha"]), Fraction(shape["beta"]))
             call = partial(tt.weyl_values_batch, xs_of(shape), pair, shape["N"], shape["r"])
-            wall, faults, _, values = timed(repeats, call)
+            wall, faults, values = timed(repeats, call)
             weyl_values[name] = values
             terms = max(shape["N"], int(shape["r"] * shape["N"]))
             row = {"ns_per_term_sample": wall / (terms * values.size) * 1e9,
                    "ms_per_call": wall * 1e3, "minflt_per_call": faults}
             if name == "deep":
-                wall_2, _, cpu_2, _ = timed(repeats, partial(call, workers=2))
-                row["ms_per_call_2_workers"] = wall_2 * 1e3
-                row["cpu_ms_per_call_2_workers"] = cpu_2 * 1e3
                 peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
                 row["ru_maxrss_mb"] = peak * 1024 / 1e6
             return {**row, "digest": digest(values)}
@@ -157,10 +151,8 @@ def child(config: dict, repeats: int) -> dict:
             call = partial(tt.weyl_values_batch, xs, pair, m // 2, 2.0)
             weylsum.CHIRP_MIN_TERMS = 0 if path == "chirp" else m + 1
             try:
-                wall, _, _, values = timed(repeats, call)
+                wall, _, values = timed(repeats, call)
                 row = {"ns_per_term_sample": wall / (m * values.size) * 1e9, "ms_per_call": wall * 1e3}
-                if path == "chirp":
-                    row["ms_per_call_2_workers"] = timed(repeats, partial(call, workers=2))[0] * 1e3
                 tracemalloc.start()
                 call()
                 peak = tracemalloc.get_traced_memory()[1]
@@ -199,7 +191,7 @@ def child(config: dict, repeats: int) -> dict:
             kind="weyl", thresholds=grid, counts=np.floor(0.5 * n * grid**-4.0).astype(np.int64),
             n_samples=n, seed=0, predicted_constant=0.5,
         )
-        wall, _, _, out = timed(repeats, partial(tt.fit_tail_constant, curve))
+        wall, _, out = timed(repeats, partial(tt.fit_tail_constant, curve))
         return {"us_per_call": wall * 1e6, "digest": digest(np.array([out.constant, out.stderr]))}
 
     def orbit(q):
@@ -207,7 +199,7 @@ def child(config: dict, repeats: int) -> dict:
             import tracemalloc
 
             pair = tt.normalize_pair(Fraction(1, q), Fraction(0))
-            wall, _, _, out = timed(repeats, partial(tt.enumerate_orbit, pair))
+            wall, _, out = timed(repeats, partial(tt.enumerate_orbit, pair))
             del out
             tracemalloc.start()
             out = tt.enumerate_orbit(pair)

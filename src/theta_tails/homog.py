@@ -44,12 +44,12 @@ import numpy as np
 from .arith import normalize_pair
 from .errors import InvalidArgumentError, check_integer
 from .orbits import OrbitData, orbit_contains
-from .weylsum import MAX_WORKERS
 
 DEFAULT_SEED = 0xC0FFEE
 CHUNK_SIZE = 1 << 15
 MAX_SEED = (1 << 64) - 1  # of a seed or a chunk index: one 64-bit word each
 MAX_SAMPLES = (1 << 63) - 1  # of a sample count: the tail curves count in int64
+MAX_WORKERS = 64  # threads of a run_chunks call
 
 _BELOW_ONE = 1.0 - 2.0**-53
 # cusp_candidates' slack: relative, for rounding, and absolute, for the
@@ -81,8 +81,8 @@ def run_chunks(n_samples: int, chunk_fn, workers: int = 1) -> list:
     """chunk_fn(index, count) for the chunks 0, 1, ... that cover n_samples,
     each CHUNK_SIZE long but the last; results in chunk order.
 
-    Runs on a pool of min(workers, chunks) threads; workers must be an
-    integer from 1 to MAX_WORKERS."""
+    Runs on a pool of min(workers, chunks) threads, the only threads the
+    package starts; workers must be an integer from 1 to MAX_WORKERS."""
     check_integer("workers", workers, 1, MAX_WORKERS)
     starts = range(0, n_samples, CHUNK_SIZE)
     plan = [(k, min(CHUNK_SIZE, n_samples - start)) for k, start in enumerate(starts)]

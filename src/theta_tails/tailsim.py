@@ -13,14 +13,13 @@ The Weyl curve samples x from an absolutely continuous law and evaluates
 |S_N(x) conj(S_{rN}(x))|/N through the batch kernel: a rotation recurrence
 re-anchored on the exact phase every 64 terms, or, from
 weylsum.CHIRP_MIN_TERMS terms on, sums of sqrt(rN)-term blocks by one FFT
-convolution per sample. The workers reach the kernel two ways: run_chunks
-gives each chunk a thread, and each chunk's kernel call gets
-workers // chunks (at least 1) threads for its anchor groups or sample
-tiles, so no more than `workers` threads run at once and a one-chunk run
-still uses them all. The theta curve samples the invariant measure
-attached to (alpha, beta) - Haar on the fundamental domain times uniform on
-the finite orbit. A large value needs a point high in a cusp and near its
-nearest lattice term, so theta_values works on one chunk in five steps:
+convolution per sample. run_chunks gives each chunk a thread, and a
+chunk's kernel call runs on it, so no more than `workers` threads run at
+once and a one-chunk run uses one. The theta curve samples the invariant
+measure attached to (alpha, beta) - Haar on the fundamental domain times
+uniform on the finite orbit. A large value needs a point high in a cusp
+and near its nearest lattice term, so theta_values works on one chunk in
+five steps:
 MuAbSampler.raw_chunk draws its uniforms of x and y (not phi, which the
 pairing does not read) and its orbit candidates; homog.cusp_candidates
 keeps, from the uniforms alone, the draws that can end above the screen
@@ -207,11 +206,8 @@ def simulate_weyl_tail(
     transform = sampling_law(law).transform
 
     def values(index: int, count: int, floor: float) -> np.ndarray:
-        # workers that run_chunks leaves idle run the anchor groups of each
-        # chunk; _simulate has checked workers and n_samples by now
-        kernel_workers = max(1, workers // -(-n_samples // CHUNK_SIZE))
         u = open_uniforms(chunk_generator(seed, index), CHUNK_SIZE)
-        return weyl_values_batch(transform(u)[:count], pair, N, r, workers=kernel_workers)
+        return weyl_values_batch(transform(u)[:count], pair, N, r)
 
     return _simulate(
         "weyl", pair, values, tail_constant(pair, r=r).value,

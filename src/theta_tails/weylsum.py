@@ -55,18 +55,16 @@ single blocks.
 The terms 1..N and N+1..floor(rN) are blocked separately, every group
 is summed from zero, and the group sums are added into one running total
 in group order, so S_N is the total at a group boundary and a call's
-memory does not depend on N. Groups share nothing but e(x), so with
-workers > 1 they run in rounds of T = min(workers, groups) threads:
-group k runs in share k mod T, the calling thread runs share 0 and a
-pool of T - 1 threads the others, and the caller adds each round's sums
-in order. The values do not depend on the worker count. Against one
-running sum carried through all the terms, this order moves values by at
-most 3.8e-15 (1 + value) on a weyl-wide chunk (32,768 normal draws,
-(1/2, 0), N = 500), 9.2e-14 at the weyl-deep shape (512 uniform draws,
-(1/10, 1/10), N = 10^4, r = 2) and 2.1e-13 on a full chunk at (3/7, 2/7),
-N = 300, r = 2.5. Splitting the rows of one group across threads instead
-keeps the values but is slower: each ufunc call then lasts about 10 us,
-and the threads queue on the GIL.
+memory does not depend on N. Against one running sum carried through
+all the terms, this order moves values by at most 3.8e-15 (1 + value) on
+a weyl-wide chunk (32,768 normal draws, (1/2, 0), N = 500), 9.2e-14 at
+the weyl-deep shape (512 uniform draws, (1/10, 1/10), N = 10^4, r = 2)
+and 2.1e-13 on a full chunk at (3/7, 2/7), N = 300, r = 2.5.
+
+A call runs on its caller's thread (the threads of a tail run go to its
+chunks, homog.run_chunks): on 512 samples at r = 2, a second thread per
+call saved at most 12% of the wall time, took 1.2 to 2.3 times the CPU,
+and at m = 1000 made a call 1.5-1.7x slower (three runs of 40 rounds).
 
 From m = floor(rN) >= CHIRP_MIN_TERMS on, the kernel takes the chirp
 path (_chirp_values), whose cost per sample grows like sqrt(m) log m, not
@@ -90,8 +88,7 @@ rows, and its FFTs and np.add.accumulate run along the rows: about 60
 numpy calls per tile, against about 110 with one index per row, where
 most calls broadcast a (k, 1) column against rows of 28 samples. In
 BENCH_33.json (benchmarks/layers.py, 512 samples at r = 2) that took a
-weyl-deep call from 12.1 to 10.5 ms on one worker and from 14.2 to
-10.7 ms on two, with bit-identical values.
+weyl-deep call from 12.1 to 10.5 ms, with bit-identical values.
 
 Every phasor is exact in the sense of the anchors: the two halves of
 _phase_mod1 give its phase (K k^2 / 2 is exact in a float) and
@@ -118,11 +115,8 @@ takes 0.12 ms per sample against 2.7 ms (BENCH_33.json).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import NamedTuple
 
 import numpy as np
@@ -137,7 +131,6 @@ _CHUNK = 1 << 17
 ANCHOR_STRIDE = 64  # K: batch-kernel terms between exact re-anchorings
 _GROUP_BUDGET = 1 << 14  # complex elements per batch-kernel buffer
 _X_MAX = 2.0**30  # |x| bound of every phase path, see check_x_range
-MAX_WORKERS = 64  # threads of a run_chunks or weyl_values_batch call
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])  # e(k/4) for k mod 4
 _QUARTER_SHIFT = 1.5 * 2.0**52
 _ROTATION_BLOCK = 4096  # quarter turns gathered per pass of _unit_phasor
@@ -504,9 +497,7 @@ def _halves(c: np.ndarray) -> np.ndarray:
     return c.reshape(-1).view(np.float64).reshape((2,) + c.shape)
 
 
-def weyl_values_batch(
-    xs: np.ndarray, pair: RationalPair, N: int, r: float = 1.0, *, workers: int = 1
-) -> np.ndarray:
+def weyl_values_batch(xs: np.ndarray, pair: RationalPair, N: int, r: float = 1.0) -> np.ndarray:
     """|S_N(x) conj(S_{floor(rN)}(x))| / N for a batch of sample points x.
 
     The terms t_n = e(theta_n) come from a rotation recurrence: consecutive
@@ -532,25 +523,22 @@ def weyl_values_batch(
     This moves values from one running sum over all terms by at most about
     2e-13 (1 + value) (module docstring).
 
-    The groups run in rounds of T = min(workers, groups) threads, group k
-    in share k mod T, share 0 on the calling thread and the others on a
-    pool of T - 1 threads, so the result is the same at every worker count.
     Every buffer comes from one allocation per call whose size does not
-    depend on N: e(x) in every row of a group, shared and read only, then
-    for each share t, rho and acc, whose memory also holds the anchor
-    phases, their residues and the phasors' k, then the running total and
-    the split of x, and for each share a vector of _ROTATION_BLOCK quarter
-    turns. The batch is flattened and the result has the shape of xs.
+    depend on N: e(x) in every row of a group, read only, then t, rho and
+    acc, whose memory also holds the anchor phases, their residues and the
+    phasors' k, then the running total and the split of x, and a vector of
+    _ROTATION_BLOCK quarter turns. The batch is flattened and the result
+    has the shape of xs. A call runs on its caller's thread.
 
     That is the direct path. From m >= CHIRP_MIN_TERMS on, the block sums
     of K = isqrt(m) terms come from one FFT convolution per sample instead
     (the module docstring has the decomposition, its error and the
     crossover), in tiles of _GROUP_BUDGET // (2 L) samples, L ~ 2 sqrt(m)
     the FFT length, laid out one sample per row, with one allocation of
-    buffers per thread. So memory does not grow with N on this path
-    either: a 512-sample call peaks at 0.68 MB (tracemalloc) at the
-    weyl-deep shape and 0.75 MB at m = 10^6 (BENCH_33.json), where the
-    direct path's peaks at 1.28 MB. The same range holds.
+    buffers per call. So memory does not grow with N on this path either:
+    a 512-sample call peaks at 0.68 MB (tracemalloc) at the weyl-deep shape
+    and 0.75 MB at m = 10^6 (BENCH_33.json), where the direct path's peaks
+    at 1.28 MB. The same range holds.
 
     Valid for N >= 1, finite r >= 1, m^2/2 + floor(m b / q) < 2^52
     (n up to about 9.49e7, where the anchor phase stops being an exact
@@ -561,45 +549,32 @@ def weyl_values_batch(
     """
     spec = WeylSumSpec.from_pair(pair, N=N)
     m = _floor_rN(N, r)
-    check_integer("workers", workers, 1, MAX_WORKERS)
     xs = np.asarray(xs, dtype=np.float64)
     flat = xs.reshape(-1)
     if m >= CHIRP_MIN_TERMS:
-        return _chirp_values(_phase_plan(spec, flat, m), N, m, workers).reshape(xs.shape)
+        return _chirp_values(_phase_plan(spec, flat, m), N, m).reshape(xs.shape)
     g = max(1, min(-(-max(N, m - N) // ANCHOR_STRIDE), _GROUP_BUDGET // max(flat.size, 1)))
-    threads = len(list(islice(_groups(N, m, g), workers)))
     # One allocation: separate frees at the end of a call let glibc trim the
     # heap, and the next call page-faults it back in, and other arrays that
     # land in the freed space make the next call grow it. e(x) fills every
-    # row because rho *= w is slower against a broadcast (1, width) w. Each
-    # share has three (g, width) rows, t, rho and acc, and a short vector
-    # for the phasors' quarter turns; one row holds the running total and
-    # one the split of x.
-    rows = (1 + 3 * threads) * g
-    rot = max(1, min(_ROTATION_BLOCK, g * flat.size))
-    memory = np.empty((rows + 2) * flat.size + threads * rot, dtype=np.complex128)
-    block = memory[: (rows + 2) * flat.size].reshape(rows + 2, flat.size)
-    rots = memory[(rows + 2) * flat.size :].reshape(threads, rot)
-    plan = _phase_plan(spec, flat, m, _halves(block[rows + 1]))
-    w, total = block[:g], block[rows]
-    shares = block[g:rows].reshape(threads, 3, g, flat.size)
-    bufs = [(*share, rot) for share, rot in zip(shares, rots)]
-    # e(x) once, in share 0's acc row, then copied to the other rows
-    theta_x, k_x = _halves(shares[0, 2, :1])
+    # row because rho *= w is slower against a broadcast (1, width) w.
+    size = (4 * g + 2) * flat.size
+    memory = np.empty(size + max(1, min(_ROTATION_BLOCK, g * flat.size)), dtype=np.complex128)
+    block, rot = memory[:size].reshape(4 * g + 2, flat.size), memory[size:]
+    w, t, rho, acc = block[: 4 * g].reshape(4, g, flat.size)
+    total, split = block[4 * g :]
+    plan = _phase_plan(spec, flat, m, _halves(split))
+    # e(x) once, in acc's first row, then copied to the other rows
+    theta_x, k_x = _halves(acc[:1])
     theta_x[...] = flat
-    _unit_phasor(theta_x, w[:1], (k_x, rots[0]))
+    _unit_phasor(theta_x, w[:1], (k_x, rot))
     w[1:] = w[0]
     total[...] = 0.0
     result = np.empty(flat.size)
-    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
-        groups = _groups(N, m, g)
-        while now := list(islice(groups, threads)):
-            jobs = [pool.submit(_run_group, now[j], plan, w, bufs[j]) for j in range(1, len(now))]
-            sums = [_run_group(now[0], plan, w, bufs[0])] + [job.result() for job in jobs]
-            for (first, height, last), part in zip(now, sums):
-                total += part
-                if first + ANCHOR_STRIDE * (height - 1) + last == N + 1:
-                    np.abs(total, out=result)  # |S_N|
+    for first, height, last in _groups(N, m, g):
+        total += _run_group((first, height, last), plan, w, (t, rho, acc, rot))
+        if first + ANCHOR_STRIDE * (height - 1) + last == N + 1:
+            np.abs(total, out=result)  # |S_N|
     result *= result if m == N else np.abs(total)
     result /= N
     return result.reshape(xs.shape)
@@ -686,20 +661,18 @@ def _chirp_rows(plan: _PhasePlan, K: int, blocks: int) -> _PhaseRows:
     return _PhaseRows(big, veltkamp_split(big), *(np.concatenate([v, zero]) for v in ends[2:]))
 
 
-def _chirp_values(plan: _PhasePlan, N: int, m: int, workers: int) -> np.ndarray:
+def _chirp_values(plan: _PhasePlan, N: int, m: int) -> np.ndarray:
     """weyl_values_batch at m >= CHIRP_MIN_TERMS: the block sums of
     K = isqrt(m) terms by one FFT convolution per sample (module docstring).
 
     The phase rows of the c_j, the A_i and the g_k are built once per call
     (_chirp_rows). The samples run in tiles of _GROUP_BUDGET // (2 L),
     L the FFT length, so the two FFT buffers of a tile hold at most
-    _GROUP_BUDGET complex elements. Tile k runs in share k mod T,
-    T = min(workers, tiles), share 0 on the calling thread and the others
-    on a pool of T - 1 threads. Each share has its own buffers from one
+    _GROUP_BUDGET complex elements. The tiles share buffers from one
     allocation, laid out sample-major: a buffer's rows are samples and its
     columns indices, so a tile of fewer samples uses the first rows of the
     same views. Every step acts on each sample alone, so a value is the
-    same at every worker count and in every tile.
+    same in every tile and in every batch.
     """
     K = math.isqrt(m)
     blocks = -(-m // K)  # A_i and g_i for i < blocks (>= K); the last block may be short
@@ -712,29 +685,19 @@ def _chirp_values(plan: _PhasePlan, N: int, m: int, workers: int) -> np.ndarray:
     fft_floats = max(4 * length, 2 * width)
     x, (x_hi, x_lo) = plan.x, plan.x_split
     tile = max(1, _GROUP_BUDGET // (2 * length))
-    starts = range(0, x.size, tile)
-    threads = max(1, min(workers, len(starts)))
+    cols = min(tile, x.size)
+    rot = max(1, min(_ROTATION_BLOCK, cols * width))
+    memory = np.empty(cols * (fft_floats + 2 * width) + 2 * rot)
+    phases = memory[: 2 * cols * width].reshape(2, cols, width)
+    ffts = memory[: 4 * cols * length].view(np.complex128).reshape(2, cols, length)
+    phasors = memory[cols * fft_floats : cols * (fft_floats + 2 * width)].view(np.complex128)
+    bufs = (*phases, phasors.reshape(cols, width), *ffts)
+    rotation = memory[cols * (fft_floats + 2 * width) :].view(np.complex128)
     result = np.empty(x.size)
-
-    def share(index):
-        cols = min(tile, x.size)
-        rot = max(1, min(_ROTATION_BLOCK, cols * width))
-        memory = np.empty(cols * (fft_floats + 2 * width) + 2 * rot)
-        phases = memory[: 2 * cols * width].reshape(2, cols, width)
-        ffts = memory[: 4 * cols * length].view(np.complex128).reshape(2, cols, length)
-        phasors = memory[cols * fft_floats : cols * (fft_floats + 2 * width)].view(np.complex128)
-        bufs = (*phases, phasors.reshape(cols, width), *ffts)
-        rotation = memory[cols * (fft_floats + 2 * width) :].view(np.complex128)
-        for lo in starts[index::threads]:
-            hi = min(lo + tile, x.size)
-            tile_plan = plan._replace(x=x[lo:hi, None], x_split=(x_hi[lo:hi, None], x_lo[lo:hi, None]))
-            _chirp_tile(tile_plan, N, m, K, rows, [b[: hi - lo] for b in bufs], rotation, result[lo:hi])
-
-    with ThreadPoolExecutor(max_workers=threads - 1) if threads > 1 else nullcontext() as pool:
-        jobs = [pool.submit(share, index) for index in range(1, threads)]
-        share(0)
-        for job in jobs:
-            job.result()
+    for lo in range(0, x.size, tile):
+        hi = min(lo + tile, x.size)
+        tile_plan = plan._replace(x=x[lo:hi, None], x_split=(x_hi[lo:hi, None], x_lo[lo:hi, None]))
+        _chirp_tile(tile_plan, N, m, K, rows, [b[: hi - lo] for b in bufs], rotation, result[lo:hi])
     return result
 
 

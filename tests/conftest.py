@@ -21,20 +21,6 @@ settings.load_profile("suite")
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """max_workers of every pool the Weyl batch kernel starts, in order."""
-    sizes = []
-    real = weylsum.ThreadPoolExecutor
-
-    def recorder(max_workers):
-        sizes.append(max_workers)
-        return real(max_workers=max_workers)
-
-    monkeypatch.setattr(weylsum, "ThreadPoolExecutor", recorder)
-    return sizes
-
-
-@pytest.fixture
 def direct_path(monkeypatch):
     """Keep the Weyl batch kernel on its rotation recurrence at every m, for
     the tests written for that path whose m reaches the chirp crossover."""

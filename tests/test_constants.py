@@ -210,9 +210,9 @@ REJECTED = {
     "WeylSumSpec-N-float": lambda: WeylSumSpec(N=1.5),
     "WeylSumSpec-N-bool": lambda: WeylSumSpec(N=True),
     "weyl_values_batch-N-float": lambda: weyl_values_batch([0.3], PAIR, 2.5),
-    "weyl_values_batch-workers-float": lambda: weyl_values_batch([0.3], PAIR, 10, workers=1.5),
     "simulate_weyl_tail-N-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=2.5, n_samples=10),
     "simulate_weyl_tail-n_samples-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10.5),
+    "simulate_weyl_tail-workers-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10, workers=1.5),
     "simulate_theta_tail-n_samples-bool": lambda: simulate_theta_tail(Fraction(1, 3), n_samples=True),
     "simulate_weyl_tail-seed-float": lambda: simulate_weyl_tail(Fraction(1, 3), N=10, n_samples=10, seed=1.5),
     "simulate_theta_tail-seed-float": lambda: simulate_theta_tail(Fraction(1, 3), n_samples=10, seed=1.5),
@@ -239,13 +239,14 @@ SCALAR_PARAMETERS = [
     ("MuAbSampler.chunk-count", lambda v: MuAbSampler(PAIR).chunk(0, v), None),
     ("MuAbSampler.draw-n", lambda v: MuAbSampler(PAIR).draw(v), None),
     ("WeylSumSpec-N", lambda v: weyl_sum(0.3, WeylSumSpec(N=v)), None),
-    ("weyl_values_batch-workers", lambda v: weyl_values_batch([0.3], PAIR, 10, workers=v), None),
     ("weyl_values_batch-r", lambda v: weyl_values_batch([0.3], PAIR, 10, r=v), None),
     ("default_thresholds-count", lambda v: default_thresholds(1.5, 6, v), None),
     ("default_thresholds-lo", lambda v: default_thresholds(v, 6, 5), None),
     ("simulate_weyl_tail-n_samples", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=v), None),
     ("simulate_weyl_tail-seed", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=10, seed=v), None),
     ("simulate_weyl_tail-thresholds", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=10, thresholds=[v]), None),
+    ("simulate_weyl_tail-workers", lambda v: simulate_weyl_tail(PAIR, N=10, n_samples=10, workers=v), None),
+    ("simulate_theta_tail-workers", lambda v: simulate_theta_tail(PAIR, n_samples=10, workers=v), None),
     ("table_reciprocal_C-q_max", table_reciprocal_C, None),
     ("enumerate_orbit-cap", lambda v: enumerate_orbit(PAIR, cap=v), None),
     ("orbit_representatives-q", orbit_representatives, (BIG + 1, -BIG, Fraction(BIG, 3))),
@@ -296,7 +297,7 @@ def test_counts_accept_numpy_integers():
     assert factorize(np.int64(12)) == {2: 2, 3: 1}
     assert len(table_reciprocal_C(np.int32(5))) == 5
     assert default_thresholds(1.5, 6.0, np.int64(4)).size == 4
-    assert weyl_values_batch([0.3], PAIR, np.int64(10), workers=np.int64(2)).shape == (1,)
+    assert weyl_values_batch([0.3], PAIR, np.int64(10)).shape == (1,)
     for simulate in (simulate_weyl_tail, simulate_theta_tail):
         runs = [
             simulate(Fraction(1, 3), n_samples=10, seed=s, keep_values=True)

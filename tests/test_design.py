@@ -89,3 +89,35 @@ def test_theta_defines_one_gaussian_bound():
         if isinstance(node, ast.FunctionDef) and re.fullmatch(r"theta_pair_gaussian_\w*bound", node.name)
     }
     assert bounds == {"theta_pair_gaussian_bound"}
+
+
+def _thread_importers(root: Path = SRC) -> set[str]:
+    """The modules in root that import concurrent.futures or threading, in
+    any import form."""
+    found = set()
+    for path in sorted(root.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module] + [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(name.split(".")[0] == "threading" or name.startswith("concurrent.futures")
+                   for name in names):
+                found.add(path.stem)
+    return found
+
+
+def test_only_the_chunk_runner_starts_threads():
+    # homog.run_chunks gives each chunk a thread and a kernel call runs on
+    # its chunk's; the Weyl kernel once kept a pool of its own
+    assert _thread_importers() == {"homog"}
+
+
+def test_the_thread_scan_sees_every_import_form(tmp_path):
+    for stem, line in [("a", "import threading"), ("b", "from concurrent.futures import ThreadPoolExecutor"),
+                       ("c", "from concurrent import futures"), ("d", "import concurrent.futures as cf"),
+                       ("e", "from threading import Lock"), ("f", "from . import homog")]:
+        (tmp_path / f"{stem}.py").write_text(line + "\n")
+    assert _thread_importers(tmp_path) == {"a", "b", "c", "d", "e"}

@@ -25,9 +25,8 @@ from theta_tails import (
     sampling_law,
 )
 from theta_tails import homog
-from theta_tails.homog import cusp_candidates, run_chunks
+from theta_tails.homog import MAX_WORKERS, cusp_candidates, run_chunks
 from theta_tails.theta import theta_pair_gaussian_screen_height
-from theta_tails.weylsum import MAX_WORKERS
 
 
 def test_domain_membership_examples():
@@ -173,10 +172,10 @@ def test_haar_marginals_match_the_closed_forms():
 # ---------------------------------------------------------------------------
 # the lifted sampler
 
-@pytest.mark.parametrize("workers", [0, MAX_WORKERS + 1])
+@pytest.mark.parametrize("workers", [0, -4, MAX_WORKERS + 1, 10**5])
 def test_run_chunks_takes_1_to_max_workers(workers):
     jobs = []
-    with pytest.raises(InvalidArgumentError, match="workers must be 1 to"):
+    with pytest.raises(InvalidArgumentError, match=f"workers must be 1 to {MAX_WORKERS}"):
         run_chunks(10, lambda *job: jobs.append(job), workers)
     assert jobs == []
 

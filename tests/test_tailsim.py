@@ -1,6 +1,7 @@
 """Monte-Carlo survival curves and the R^-4 fit."""
 
 import math
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from theta_tails import (
     TailCurve,
     default_thresholds,
     fit_tail_constant,
+    homog,
     leading_constant,
     normalize_pair,
     orbit_size_formula,
@@ -23,6 +25,7 @@ from theta_tails import (
     simulate_theta_tail,
     simulate_weyl_tail,
     tail_constant,
+    weylsum,
 )
 from theta_tails.homog import conjugate_horoball, cusp_candidates
 from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances, theta_values
@@ -152,13 +155,22 @@ def test_weyl_tail_keeps_values_on_request():
 @pytest.mark.parametrize(
     "n_samples, N, pools",
     [
-        (600, 2000, [1, 2, 3]),  # one short chunk of four groups
-        (CHUNK_SIZE + 700, 300, [1, 3]),  # a full chunk of ten groups, a short one of two
-        (512, 10_000, [1, 2, 7]),  # perfbench's weyl-deep chunk: 19 tiles on the chirp path
+        (600, 2000, []),  # one short chunk on the direct path
+        (CHUNK_SIZE + 700, 300, [2, 2, 2]),  # a full chunk and a short one
+        (512, 10_000, []),  # perfbench's weyl-deep chunk, on the chirp path
     ],
 )
-def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_samples, N, pools):
-    # workers that the chunks leave idle run the groups or tiles of each chunk
+def test_weyl_tail_values_do_not_depend_on_the_worker_count(monkeypatch, n_samples, N, pools):
+    # the chunks share the workers: a pool of min(workers, chunks) threads,
+    # none for one chunk
+    pool_sizes = []
+    real = homog.ThreadPoolExecutor
+
+    def recorder(max_workers):
+        pool_sizes.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(homog, "ThreadPoolExecutor", recorder)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     curves = [
         simulate_weyl_tail(
@@ -167,10 +179,30 @@ def test_weyl_tail_values_do_not_depend_on_the_worker_count(pool_sizes, n_sample
         )
         for workers in (1, 2, 3, 8)
     ]
-    assert sorted(pool_sizes) == pools  # the two chunks' pools start in either order
+    assert pool_sizes == pools
     for curve in curves[1:]:
         assert np.array_equal(curve.values, curves[0].values)
         assert np.array_equal(curve.counts, curves[0].counts)
+
+
+@pytest.mark.parametrize("N, piece", [(10_000, "_chirp_tile"), (2000, "_run_group")])
+@pytest.mark.parametrize("workers", [2, 8])
+def test_one_chunk_runs_its_kernel_on_the_calling_thread(monkeypatch, N, piece, workers):
+    # the weyl-deep shape (512 samples at N = 10^4, r = 2, on the chirp
+    # path) and a direct-path one: a kernel call takes no threads of its own
+    idents = []
+    real = getattr(weylsum, piece)
+
+    def recorder(*args):
+        idents.append(threading.get_ident())
+        return real(*args)
+
+    monkeypatch.setattr(weylsum, piece, recorder)
+    simulate_weyl_tail(
+        Fraction(1, 10), Fraction(1, 10), N=N, r=2.0, law="uniform01", n_samples=512,
+        thresholds=np.array([1.0, 2.0]), seed=3, workers=workers,
+    )
+    assert idents and set(idents) == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("r", [2.0, 4.0])

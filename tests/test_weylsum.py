@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from theta_tails import (
+    CHUNK_SIZE,
     InvalidArgumentError,
     WeylSumSpec,
     gaussian_weight,
@@ -26,12 +27,12 @@ from theta_tails import (
 )
 from theta_tails.weylsum import (
     ANCHOR_STRIDE as K,
-    MAX_WORKERS,
     frac,
     reduced_product,
     two_prod,
     veltkamp_split,
 )
+from theta_tails.homog import run_chunks
 
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=24)
 xs_floats = st.floats(min_value=-4.0, max_value=4.0)
@@ -250,7 +251,7 @@ def test_unit_phasor_gives_quarter_turns_exactly():
 def test_full_chunk_kernel_allocates_its_rows_once():
     # One full-chunk call at (1/2, 0), N = 500 holds 6.5 rows of 32,768
     # complex values and a 64 KB vector of quarter turns: the block (e(x),
-    # one share's t, rho and acc, the running total and the split of x) and
+    # t, rho and acc, the running total and the split of x) and
     # the result. The bound leaves 64 KB for small arrays, so one phase or
     # phasor temporary per group (half a row) fails it. Measured 3,483,689
     # bytes; before the anchors wrote into the block the peak was 3,676,064
@@ -346,15 +347,12 @@ def test_chirp_layout_matches_the_exact_oracle_at_small_m(monkeypatch, alpha, be
         assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
 
 
-def test_chirp_values_do_not_depend_on_the_workers_or_the_batch(pool_sizes):
+def test_chirp_values_do_not_depend_on_the_tile_or_the_batch():
     # the weyl-deep shape: 512 uniform draws, (1/10, 1/10), N = 10^4, r = 2,
     # in 19 tiles of 28 samples; every step acts on each sample alone
     xs = np.random.default_rng(9).uniform(size=512)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
     ref = weyl_values_batch(xs, pair, 10**4, r=2.0)
-    for workers in (2, 8):
-        assert np.array_equal(weyl_values_batch(xs, pair, 10**4, r=2.0, workers=workers), ref)
-    assert pool_sizes == [1, 7]
     for k in (0, 27, 28, 29, 300, 511):
         assert weyl_values_batch(xs[k : k + 1], pair, 10**4, r=2.0)[0] == ref[k]
     assert np.array_equal(weyl_values_batch(xs[101:350], pair, 10**4, r=2.0), ref[101:350])
@@ -387,23 +385,21 @@ def test_stacked_chirp_rows_give_phase_mod1_and_the_chirp_bit_for_bit(alpha, bet
     assert np.array_equal(got, np.concatenate([ends, chirp]).T)
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("N", [10**4, 10**5, 10**6])
-def test_chirp_memory_stays_below_the_direct_paths(N, workers):
-    # a 512-sample call at r = 2 holds one buffer allocation per share,
-    # whose tiles are sized by the FFT length: 0.60 to 0.77 MB was measured
-    # at these N on one worker and 0.99-1.43 MB on two, against 1.28 MB for
-    # the direct path at the weyl-deep shape on one worker and 2.14 MB on two
+def test_chirp_memory_stays_below_the_direct_paths(N):
+    # a 512-sample call at r = 2 holds one buffer allocation, whose tiles
+    # are sized by the FFT length: 0.59 to 0.72 MB was measured at these N,
+    # against 1.27 MB for the direct path at the weyl-deep shape
     xs = np.random.default_rng(5).uniform(size=512)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
-    weyl_values_batch(xs, pair, N, r=2.0, workers=workers)
+    weyl_values_batch(xs, pair, N, r=2.0)
     tracemalloc.start()
     try:
-        weyl_values_batch(xs, pair, N, r=2.0, workers=workers)
+        weyl_values_batch(xs, pair, N, r=2.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.14e6
+    assert peak <= 1.28e6
 
 
 # (g, N, r): the groups of 1..N; of N+1..floor(rN). "k + s" is a group of
@@ -435,41 +431,29 @@ def test_grouped_blocks_match_the_exact_oracle(monkeypatch, g, N, r, alpha, beta
 
 @pytest.mark.parametrize("g, N, r", GROUPED_CASES)
 @pytest.mark.parametrize("alpha, beta", GROUPED_PAIRS)
-def test_grouped_pieces_on_two_workers_match_the_exact_oracle(
-    monkeypatch, pool_sizes, g, N, r, alpha, beta
-):
+def test_grouped_pieces_on_two_workers_match_the_exact_oracle(monkeypatch, g, N, r, alpha, beta):
+    # the kernel runs on its caller's thread: here two chunk workers of
+    # run_chunks call it at once, each with buffers of its own
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", g * len(BATCH_XS))
     pair = normalize_pair(alpha, beta)
     m = math.floor(r * N)
-    got = weyl_values_batch(np.array(BATCH_XS), pair, N, r=r, workers=2)
-    one_group = m == N and N <= g * K
-    assert pool_sizes == ([] if one_group else [1])
-    assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, N, r=r))
-    for x, v in zip(BATCH_XS, got):
+    xs = np.array(BATCH_XS)
+    got = run_chunks(CHUNK_SIZE + 1, lambda *_: weyl_values_batch(xs, pair, N, r=r), 2)
+    ref = weyl_values_batch(xs, pair, N, r=r)
+    assert len(got) == 2
+    for values in got:
+        assert np.array_equal(values, ref)
+    for x, v in zip(BATCH_XS, ref):
         s_n = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), N)
         s_m = oracles.weyl_sum_exact(Fraction(x), alpha, beta, Fraction(0), m)
         assert abs(v - abs(s_n) * abs(s_m) / N) <= 5e-12 * (1 + v)
 
 
-def test_full_chunk_groups_share_the_workers(pool_sizes):
-    # a full chunk has one-row groups, seven here (N = 150 is two full
-    # blocks and a short one, the 225 terms after it three and a short
-    # one); they run on T = min(workers, 7) threads with unchanged values
-    xs = np.random.default_rng(6).normal(size=32768)
-    pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
-    ref = weyl_values_batch(xs, pair, 150, r=2.5)
-    for workers in (2, 3, 8):
-        assert np.array_equal(weyl_values_batch(xs, pair, 150, r=2.5, workers=workers), ref)
-    assert pool_sizes == [1, 2, 6]
-
-
 @pytest.mark.parametrize("crossover", [math.inf, 0])
 def test_pieces_survive_fast_thread_switching(monkeypatch, crossover):
-    # threads that switch every microsecond. The direct path: 40 two-row
-    # groups on 8 threads; each share writes only its own rows and the
-    # caller adds the sums after each round. The chirp path: 7 one-sample
-    # tiles on 7 threads, each writing only its own results. Nothing may
-    # get lost
+    # threads that switch every microsecond: 8 chunk workers each run the
+    # kernel, on the direct path in 40 two-row groups, on the chirp path in
+    # 7 one-sample tiles. No call may see another's buffers
     monkeypatch.setattr(weylsum, "CHIRP_MIN_TERMS", crossover)
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
@@ -479,13 +463,17 @@ def test_pieces_survive_fast_thread_switching(monkeypatch, crossover):
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(3):
-            assert np.array_equal(weyl_values_batch(xs, pair, 40 * K, r=2.0, workers=8), ref)
+            got = run_chunks(8 * CHUNK_SIZE, lambda *_: weyl_values_batch(xs, pair, 40 * K, r=2.0), 8)
+            assert len(got) == 8
+            for values in got:
+                assert np.array_equal(values, ref)
     finally:
         sys.setswitchinterval(interval)
 
 
-def test_each_group_runs_once_in_share_k_mod_t(monkeypatch):
-    # g = 2 and m = N = 13 K: six two-row groups and a one-row one, 3 shares
+def test_each_group_runs_once_in_order_on_the_calling_thread(monkeypatch):
+    # g = 2 and m = N = 13 K: six two-row groups and a one-row one, in term
+    # order, all into the one set of buffers of the call
     monkeypatch.setattr(weylsum, "_GROUP_BUDGET", 2 * len(BATCH_XS))
     runs = []
     real = weylsum._run_group
@@ -496,39 +484,10 @@ def test_each_group_runs_once_in_share_k_mod_t(monkeypatch):
 
     monkeypatch.setattr(weylsum, "_run_group", recorder)
     pair = normalize_pair(Fraction(1, 10), Fraction(1, 10))
-    weyl_values_batch(np.array(BATCH_XS), pair, 13 * K, workers=3)
-    assert sorted(first for first, _, _ in runs) == [1 + 2 * K * k for k in range(7)]
-    share_of = {(first - 1) // (2 * K): share for first, share, _ in runs}
-    assert len({share_of[k] for k in range(3)}) == 3
-    for k in range(3, 7):
-        assert share_of[k] == share_of[k - 3]
-    # share 0 runs on the calling thread; pool threads take shares 1 and 2
-    # from a queue, so one may run both
-    for first, _, ident in runs:
-        on_caller = (first - 1) // (2 * K) % 3 == 0
-        assert (ident == threading.get_ident()) == on_caller
-
-
-def test_kernel_threads_never_exceed_the_pieces(pool_sizes):
-    # 7 samples, N = K + 6, r = 2: one group of a full and a short block
-    # before N and one after it
-    pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
-    got = weyl_values_batch(np.array(BATCH_XS), pair, K + 6, r=2.0, workers=64)
-    assert pool_sizes == [1]
-    assert np.array_equal(got, weyl_values_batch(np.array(BATCH_XS), pair, K + 6, r=2.0))
-    with pytest.raises(InvalidArgumentError):
-        weyl_values_batch(np.array(BATCH_XS), pair, K + 6, workers=0)
-
-
-@pytest.mark.parametrize("workers", [0, -4, MAX_WORKERS + 1, 10**5])
-def test_batch_kernel_takes_1_to_max_workers(pool_sizes, workers):
-    # unbounded, the kernel started min(workers, groups) threads and kept
-    # three rows per thread: 977 threads and about 833 MB at 512 samples,
-    # N = 10^6, r = 2
-    pair = normalize_pair(Fraction(3, 7), Fraction(2, 7))
-    with pytest.raises(InvalidArgumentError, match=f"workers must be 1 to {MAX_WORKERS}"):
-        weyl_values_batch(np.array(BATCH_XS), pair, K + 6, r=2.0, workers=workers)
-    assert pool_sizes == []
+    weyl_values_batch(np.array(BATCH_XS), pair, 13 * K)
+    assert [first for first, _, _ in runs] == [1 + 2 * K * k for k in range(7)]
+    assert len({buffer for _, buffer, _ in runs}) == 1
+    assert {ident for _, _, ident in runs} == {threading.get_ident()}
 
 
 @pytest.mark.parametrize("shape", [(), (0,), (0, 3), (5,), (3, 4)])
