@@ -46,14 +46,22 @@ def D_rat_closed(r: float) -> float:
 
     2 log 2 at r = 1; for r > 1,
     2 r acoth(r) + (1/2) log(r^2 - 1) + (r^2/2) log(1 - 1/r^2).
-    Continuous as r -> 1+ (the last two terms cancel in the limit). For
-    large r it is log r + 3/2 - r^-2/12 - r^-4/60 - ...; past r = 1e6 the
-    first three terms of that series are used, whose error is below the
-    rounding, so r^2 (which overflows above about 1.3e154) is never formed.
+    Continuous as r -> 1+ (the last two terms cancel in the limit). Just
+    above 1 that cancellation magnifies the rounding of r^2 (a relative
+    error of 3.6e-9 at r = 1 + 1e-8), so on 1 < r < 2 the same function is
+    log r + ((r + 1)^2 log1p(1/r) + (r - 1)^2 log1p(-1/r)) / 2, where
+    nothing cancels: within 6e-16 relative. Its error grows with r (4e-12
+    at 1e6), so the first form runs from r = 2 to 1e6, within 4.5e-16.
+    For large r it is log r + 3/2 - r^-2/12 - r^-4/60 - ...; past r = 1e6
+    the first three terms of that series are used, whose error is below
+    the rounding, so r^2 (which overflows above about 1.3e154) is never
+    formed.
     """
     check_real("r", r, 1)
     if r == 1.0:
         return 2.0 * math.log(2.0)
+    if r < 2.0:
+        return math.log(r) + 0.5 * ((r + 1.0) ** 2 * math.log1p(1.0 / r) + (r - 1.0) ** 2 * math.log1p(-1.0 / r))
     if r > 1e6:
         return math.log(r) + 1.5 - (1.0 / r) ** 2 / 12.0
     return (

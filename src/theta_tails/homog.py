@@ -25,14 +25,14 @@ Randomness is consumed in fixed-size chunks, each owning the generator
 seeded by (seed, chunk_index), both below 2^64; results are concatenated
 in chunk order, so the output stream is bit-identical no matter how many
 threads execute the chunks, and a short draw is a prefix of a longer one.
-MuAbSampler.chunk is one such chunk, the unit the tail simulators run on:
-MuAbSampler.raw_chunk draws its uniforms of x and y, skips those of phi,
-and draws its orbit candidates, of which OrbitCandidates.take gathers any
-columns; MuAbSampler.points maps any columns of them, so mapping fewer
-samples never changes the stream. Its orbit points are drawn in the pair's
-parity class (RationalPair.diagonal), so a chunk of C samples draws about
-C / 0.96 candidate pairs at q = 2000, and on average at most about C / 0.81
-at any q.
+The theta simulator runs on MuAbSampler.raw_chunk, which draws a chunk's
+uniforms of x and y, skips those of phi, and draws its orbit candidates,
+of which OrbitCandidates.take gathers any columns; MuAbSampler.points maps
+any columns of them, so mapping fewer samples never changes the stream.
+MuAbSampler.chunk (a whole chunk, phi included) and draw serve the tests
+and benchmarks. The orbit points are drawn in the pair's parity class
+(RationalPair.diagonal): a chunk of C samples draws about C / 0.96
+candidate pairs at q = 2000, and on average at most C / 0.81 at any q.
 """
 from __future__ import annotations
 

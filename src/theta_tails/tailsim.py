@@ -1,9 +1,9 @@
 """Deterministic Monte-Carlo estimation of the two tail regimes.
 
 Both simulators run on one driver, _simulate: it draws in fixed chunks
-whose generators are derived from (seed, chunk_index), evaluates each value
-that can exceed the smallest R^2 (all, if values are kept), counts the
-values above each R^2, and adds the integer counts in chunk order. The
+whose generators are derived from (seed, chunk_index), evaluates a chunk
+but what is proved at most the smallest R^2 (nothing, if values are kept),
+counts the values above each R^2, and adds the counts in chunk order. The
 result is bit-identical for any worker count and any machine with the
 same numpy/scipy builds, and a re-run with the same seed reproduces it
 exactly. A simulator only checks its own arguments and supplies the values
@@ -19,7 +19,7 @@ once and a one-chunk run uses one. The theta curve samples the invariant
 measure attached to (alpha, beta) - Haar on the fundamental domain times
 uniform on the finite orbit. A large value needs a point high in a cusp
 and near its nearest lattice term, so theta_values works on one chunk in
-five steps:
+five steps, and both screens read only uniforms and orbit candidates:
 MuAbSampler.raw_chunk draws its uniforms of x and y (not phi, which the
 pairing does not read) and its orbit candidates; homog.cusp_candidates
 keeps, from the uniforms alone, the draws that can end above the screen
@@ -28,10 +28,9 @@ drops those whose shift t from Z in that cusp is at least
 theta.theta_pair_gaussian_shift_screen (3.8% of the chunk are left);
 MuAbSampler.points and homog.conjugate_horoball map only the rest, moving
 the points in the cusp-at-1 horoball so every point has y >= sqrt(3)/2;
-and theta.theta_pair_gaussian_screened evaluates the Gaussian pairing
-|Theta_f conj Theta_f| (theta_pair_gaussian_batch, a rotation recurrence
-anchored at the nearest lattice term) where its closed-form bound can
-exceed the smallest R^2: 2.3% of the chunk at q = 2000.
+and theta.theta_pair_gaussian_batch, a rotation recurrence anchored at the
+nearest lattice term, evaluates the Gaussian pairing |Theta_f conj Theta_f|
+on every mapped point.
 Orbit points are drawn in their parity class and kept by the closed
 membership test, and the orbit size comes from its closed form, so the
 theta curve does no O(q^2) work and runs at any q < 2^63 that factorize
@@ -63,7 +62,7 @@ from .homog import (
 )
 from .orbits import leading_constant, orbit_size_formula
 from .theta import (
-    theta_pair_gaussian_screen_height, theta_pair_gaussian_screened, theta_pair_gaussian_shift_screen,
+    theta_pair_gaussian_batch, theta_pair_gaussian_screen_height, theta_pair_gaussian_shift_screen,
 )
 from .weylsum import weyl_values_batch
 
@@ -217,18 +216,15 @@ def simulate_weyl_tail(
 
 
 def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> np.ndarray:
-    """The Gaussian pairing on sampler.chunk(index, count), moved by
-    conjugate_horoball, but on the samples proved at most floor;
-    simulate_theta_tail's values. Three screens run before any map:
-    cusp_candidates keeps the draws whose uniforms can end above the screen
-    height Y, as the rest end where the bound at t = 0, and so the pairing,
-    is at most floor; of those, the shift screen drops the ones whose shift
-    t from Z, in the cusp the uniforms say they can end in, has |t| >= t0 =
-    theta_pair_gaussian_shift_screen(floor); the Haar map, conjugate_horoball
-    and theta_pair_gaussian_screened then run on the rest. At floors from
-    1.4552 to about 2.16 the screens drop values the sample bound would
-    keep, each at most floor: the values above floor are those of the whole
-    chunk."""
+    """simulate_theta_tail's values: the Gaussian pairing on
+    sampler.chunk(index, count), moved by conjugate_horoball, in chunk
+    order, on the draws two screens keep from their uniforms before any map.
+    cusp_candidates keeps those that can end above the screen height Y, as
+    the bound at t = 0, and so the pairing, is at most floor below it; the
+    shift screen then drops those whose shift t from Z, in the cusp they
+    can end in, has |t| >= t0 = theta_pair_gaussian_shift_screen(floor).
+    So the values above floor are those of the whole chunk, and some at
+    most floor remain, which _count_exceedances drops."""
     u, cands = sampler.raw_chunk(index, count)
     kept, at_one = cusp_candidates(u[0, :count], u[1, :count], theta_pair_gaussian_screen_height(floor))
     rs = cands.take(kept)
@@ -239,7 +235,7 @@ def theta_values(sampler: MuAbSampler, index: int, count: int, floor: float) -> 
     near = np.flatnonzero(~(np.abs(end - np.round(end)) >= theta_pair_gaussian_shift_screen(floor)))
     data = sampler.points(u.take(kept.take(near), axis=1), rs.take(near, axis=1))
     moved = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
-    return theta_pair_gaussian_screened(*moved, floor)
+    return theta_pair_gaussian_batch(*moved)
 
 
 def simulate_theta_tail(
@@ -259,8 +255,8 @@ def simulate_theta_tail(
     sqrt(y) |sum_n exp(-pi w_n^2) e(theta_n)|^2. The predicted constant is
     (2|U| + |V|)/|S| * D / pi^2 with D = pi for this pair. Runs at any q
     below 2^63 that factorize accepts; other pairs of weights have no batch
-    evaluator here. Without keep_values the batch runs only on the samples
-    that can exceed the smallest R^2 (theta_values).
+    evaluator here. Without keep_values the map and the batch run only on
+    the draws that theta_values' two screens keep at the smallest R^2.
     """
     pair = normalize_pair(alpha, beta)
     sampler = MuAbSampler(pair, seed=seed)

@@ -27,10 +27,10 @@ Theta_f| and in all moduli), and keeps the exact value e(-k/4) exp(-pi w^2)
 at phi = k pi, so mixed pairings at those angles are exact too.
 
 The Gaussian pairing has one closed-form bound, theta_pair_gaussian_bound
-B(y, t): theta_pair_gaussian_screened reads it at each sample's shift t,
-theta_pair_gaussian_screen_height at t = 0, where it bounds every shift,
-and theta_pair_gaussian_shift_screen above that height, split in its two
-terms.
+B(y, t). Both screens that tailsim.theta_values makes before any map are
+proved from it: theta_pair_gaussian_screen_height reads it at t = 0, where
+it bounds every shift, and theta_pair_gaussian_shift_screen above that
+height, split in its two terms.
 """
 from __future__ import annotations
 
@@ -267,16 +267,12 @@ def f_phi_numeric(
     if isinstance(weight, SharpIndicatorWeight):
         lo = 0.0
 
-    def integrand_re(v):
+    def integrand(v, part):  # part is cos or sin of the kernel's phase
         ph = _TWO_PI * ((0.5 * (w * w + v * v) * c - w * v) / s)
-        return float(weight.evaluate(np.asarray([v]))[0]) * math.cos(ph)
+        return float(weight.evaluate(np.asarray([v]))[0]) * part(ph)
 
-    def integrand_im(v):
-        ph = _TWO_PI * ((0.5 * (w * w + v * v) * c - w * v) / s)
-        return float(weight.evaluate(np.asarray([v]))[0]) * math.sin(ph)
-
-    re, re_err = quad(integrand_re, lo, hi, epsabs=tol / 4, epsrel=0.0, limit=800)
-    im, im_err = quad(integrand_im, lo, hi, epsabs=tol / 4, epsrel=0.0, limit=800)
+    re, re_err = quad(integrand, lo, hi, args=(math.cos,), epsabs=tol / 4, epsrel=0.0, limit=800)
+    im, im_err = quad(integrand, lo, hi, args=(math.sin,), epsabs=tol / 4, epsrel=0.0, limit=800)
     if re_err + im_err > tol:
         raise NumericFailureError(
             f"oscillatory quadrature for f_phi stalled at error {re_err + im_err:.2e}"
@@ -400,11 +396,7 @@ def theta_pair_gaussian_batch(
     deviation grows in proportion to |x|: against theta_pair at y = 0.9,
     xi = (0.3, 0.2) it is 3e-12 at x = 2^20 + 0.3 and 1e-8 at x = 2^30 - 0.7.
     """
-    return _batch(*_batch_args(x, y, xi1, xi2))
-
-
-def _batch(x, y, xi1, xi2):
-    """theta_pair_gaussian_batch of arguments that passed _batch_args."""
+    x, y, xi1, xi2 = _batch_args(x, y, xi1, xi2)
     shape = x.shape
     x, y, xi1, xi2 = (v.ravel() for v in (x, y, xi1, xi2))
     out = np.empty(x.size)
@@ -446,11 +438,6 @@ def theta_pair_gaussian_bound(x, y, xi1, xi2) -> np.ndarray:
     |t| > 0.011) both are 0.
     """
     _, y, _, xi2 = _batch_args(x, y, xi1, xi2)
-    return _bound(y, xi2)
-
-
-def _bound(y, xi2):
-    """theta_pair_gaussian_bound of arguments that passed _batch_args."""
     t = xi2 - np.round(xi2)
     a = np.exp(-math.pi * y * (1.0 - 2.0 * np.abs(t)))
     factor = 1.0 + 2.0 * a / (1.0 - np.exp(-_TWO_PI * y))
@@ -524,17 +511,6 @@ def theta_pair_gaussian_shift_screen(floor: float) -> float:
         return math.inf
     c = math.exp(-0.5) / (2.0 * math.sqrt(math.pi))
     return c / (bracket * bracket) * (1.0 + 1e-9)
-
-
-def theta_pair_gaussian_screened(x, y, xi1, xi2, floor: float) -> np.ndarray:
-    """theta_pair_gaussian_batch on the samples, in order, but on those
-    where theta_pair_gaussian_bound proves it at most floor (-inf keeps
-    all): B (1 + 1e-12) <= floor, the batch's rounding margin. Every sample
-    is range-checked first, and only once, so an invalid one raises and
-    never drops out. The height screen is homog.cusp_candidates'."""
-    chunk = _batch_args(x, y, xi1, xi2)
-    kept = np.flatnonzero(_bound(chunk[1], chunk[3]) * (1.0 + 1e-12) > floor)
-    return _batch(*(v.take(kept) for v in chunk))
 
 
 def _theta_block(x, y, xi1, xi2):

@@ -107,9 +107,12 @@ def test_closed_form_is_continuous_at_one_and_increasing():
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
-@pytest.mark.parametrize("r", [2.0, 1e5, 1e7, 1e20, 1e154, 1e155, 1e300])
+@pytest.mark.parametrize(
+    "r", [1.0 + 10.0**-k for k in range(1, 16)] + [1.5, 2.0, 1e5, 1e7, 1e20, 1e154, 1e155, 1e300]
+)
 def test_closed_form_matches_mpmath_up_to_the_largest_float(r):
-    # r * r overflows above about 1.3e154, where the r^2 form is NaN
+    # r * r overflows above about 1.3e154, where the r^2 form is NaN; just
+    # above r = 1 the r^2 form cancels down to the rounding of r * r
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         R = mpmath.mpf(r)

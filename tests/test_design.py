@@ -81,8 +81,9 @@ def test_only_errors_defines_scalar_checks():
 
 
 def test_theta_defines_one_gaussian_bound():
-    # the sample screen reads B at each shift t and the height screen reads
-    # it at t = 0; a second, looser closed form once served the height screen
+    # the height screen reads B at t = 0 and the shift screen splits it in
+    # its two terms; a second, looser closed form once served the height
+    # screen
     tree = ast.parse((SRC / "theta.py").read_text())
     bounds = {
         node.name for node in tree.body

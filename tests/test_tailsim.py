@@ -29,7 +29,7 @@ from theta_tails import (
 )
 from theta_tails.homog import conjugate_horoball, cusp_candidates
 from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances, theta_values
-from theta_tails.theta import theta_pair_gaussian_screen_height, theta_pair_gaussian_screened
+from theta_tails.theta import theta_pair_gaussian_batch, theta_pair_gaussian_screen_height
 
 
 def test_sampling_laws():
@@ -275,9 +275,9 @@ def test_theta_tail_values_do_not_depend_on_the_worker_count():
 )
 @pytest.mark.parametrize("lo", [1.5, 0.5, 2.5])
 def test_theta_tail_counts_match_with_and_without_the_values(pair, lo):
-    # without the values only the samples that pass the height screen and
-    # then the bound at the smallest R^2 are evaluated; from R = 0.5 the
-    # screen keeps all of them and the bound nearly all
+    # without the values only the draws that pass the height screen and
+    # then the shift screen at the smallest R^2 are mapped and evaluated;
+    # from R = 0.5 neither screen drops any
     grid = default_thresholds(lo, 6.0, 20)
     n = 3 * CHUNK_SIZE + 321
     full = simulate_theta_tail(*pair, n_samples=n, thresholds=grid, keep_values=True)
@@ -295,30 +295,29 @@ def test_theta_tail_counts_match_with_and_without_the_values(pair, lo):
      (Fraction(1, 8), 0), (0, 0), (Fraction(1, 3), Fraction(1, 3)), (Fraction(1, 10), Fraction(1, 10))],
     ids=str,
 )
-def test_theta_values_equal_the_screen_of_the_whole_moved_chunk(pair):
-    # theta_values maps only what cusp_candidates keeps; the screen of the
-    # whole chunk must give the same values above the floor bit for bit.
-    # Floor 1.0 has no screen height (Y = -inf), so nothing is pre-screened
-    # there. At floors 1.4552 to about 2.16 the height screen drops values,
-    # all at most the floor, that the sample bound B cannot: B is loose at
-    # |t| near 1/2 and low y. Outside that band the arrays are equal
+def test_theta_values_above_the_floor_equal_the_batch_of_the_whole_moved_chunk(pair):
+    # theta_values maps only what the height and shift screens keep; the
+    # batch of the whole moved chunk must give the same values above the
+    # floor, in the same order, bit for bit. Below floor 1.4552 there is no
+    # screen height (Y = -inf), so nothing is screened and the arrays are
+    # equal
     sampler = MuAbSampler(*pair, seed=11)
     for floor in (-math.inf, 1.0, 1.5, 2.0, 2.25, 36.0):
         for index, count in ((0, CHUNK_SIZE), (3, 1000), (4, 1)):
             data = sampler.chunk(index, count)
-            moved = conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"])
-            whole = theta_pair_gaussian_screened(*moved, floor)
+            whole = theta_pair_gaussian_batch(*conjugate_horoball(data["x"], data["y"], data["xi1"], data["xi2"]))
             values = theta_values(sampler, index, count, floor)
             assert values.dtype == whole.dtype
             assert values[values > floor].tobytes() == whole[whole > floor].tobytes()
-            if floor not in (1.5, 2.0):
+            if floor < 1.4552:
                 assert values.tobytes() == whole.tobytes()
 
 
 def test_theta_values_map_at_most_a_fifth_of_the_cusp_candidates():
     # at (1/2000, 0) on the default grid the shift screen keeps |t| < t0 =
     # 0.0821 of cusp_candidates' draws, 2 t0 = 16.4%: the Haar map sees only
-    # those. A screen that kept all would pass every other test
+    # those, and the batch runs on each of them. A screen that kept all
+    # would pass every other test
     floor = float(default_thresholds()[0] ** 2)
     sampler = MuAbSampler(Fraction(1, 2000), 0)
     height = theta_pair_gaussian_screen_height(floor)
@@ -329,14 +328,15 @@ def test_theta_values_map_at_most_a_fifth_of_the_cusp_candidates():
         mapped.append(u.shape[1])
         return points(self, u, rs)
 
-    candidates = 0
+    candidates = evaluated = 0
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(MuAbSampler, "points", counted)
         for index in range(16):
-            theta_values(sampler, index, CHUNK_SIZE, floor)
+            evaluated += theta_values(sampler, index, CHUNK_SIZE, floor).size
             u, _ = sampler.raw_chunk(index, CHUNK_SIZE)
             candidates += cusp_candidates(u[0], u[1], height)[0].size
     assert 0 < sum(mapped) <= 0.2 * candidates
+    assert evaluated == sum(mapped)
 
 
 @pytest.mark.parametrize("key", ["x", "y", "xi1", "xi2"])

@@ -255,8 +255,8 @@ def test_gaussian_batch_matches_the_lattice_oracle_on_sampler_chunks(q):
 
 
 def test_gaussian_batch_rejects_inputs_outside_its_range():
-    # the bound runs the batch's checks: a sample it rejects never reaches
-    # the batch unseen
+    # the bound runs the batch's checks: it is never read outside the range
+    # where it is proved
     good = [np.array(v) for v in ([0.3, -0.1], [1.0, 0.9], [0.2, 0.4], [0.1, 0.5])]
     for evaluate in (theta_pair_gaussian_batch, theta_pair_gaussian_bound):
         evaluate(*good)
