@@ -4,6 +4,10 @@ Each interpreter imports theta_tails and times, in process and as the
 fastest of --repeats calls after two untimed calls, each stage:
 
 - import: `import theta_tails` (one per interpreter, so no repeats);
+- first normal draw: the first sampling_law("normal").transform of the
+  weyl-wide chunk's uniforms in the interpreter, before any other stage
+  touches a law (one call, so no repeats): its wall ms and the ru_maxrss it
+  adds, where loading a module for the law shows;
 - draw_x: the x draws of perfbench's weyl-wide chunk, ns per sample;
 - weyl wide, weyl deep: weyl_values_batch at perfbench's two Weyl shapes,
   ns per term per sample and ms and ru_minflt per call, and at the deep
@@ -210,7 +214,19 @@ def child(config: dict, repeats: int) -> dict:
 
         return run
 
-    plan = [("draw_x", lambda: per_sample(partial(xs_of, wide), wide["samples"]))]
+    def first_normal_draw():
+        from theta_tails.homog import chunk_generator, open_uniforms
+
+        u = open_uniforms(chunk_generator(seed, 0), tt.CHUNK_SIZE)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB on Linux
+        mark = perf_counter()
+        xs = tt.sampling_law("normal").transform(u)
+        wall = perf_counter() - mark
+        added = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - peak
+        return {"ms": wall * 1e3, "ru_maxrss_added_mb": added * 1024 / 1e6, "digest": digest(xs)}
+
+    plan = [("first normal draw", first_normal_draw)]
+    plan += [("draw_x", lambda: per_sample(partial(xs_of, wide), wide["samples"]))]
     plan += [(f"weyl {name}", weyl(name, shape)) for name, shape in config["weyl"].items()]
     plan += [(f"sweep m={m} {path}", sweep(m, path))
              for m in config["sweep"]["m"] for path in ("direct", "chirp")]

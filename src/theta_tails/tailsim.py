@@ -5,11 +5,15 @@ whose generators are derived from (seed, chunk_index), evaluates a chunk
 but what is proved at most the smallest R^2 (nothing, if values are kept),
 counts the values above each R^2, and adds the counts in chunk order. The
 result is bit-identical for any worker count and any machine with the
-same numpy/scipy builds, and a re-run with the same seed reproduces it
-exactly. A simulator only checks its own arguments and supplies the values
-of a chunk, its predicted constant and its metadata.
+same numpy build and SIMD level (numpy's log and exp loops follow it), and
+a re-run with the same seed reproduces it exactly. A simulator only checks
+its own arguments and supplies the values of a chunk, its predicted
+constant and its metadata.
 
-The Weyl curve samples x from an absolutely continuous law and evaluates
+The Weyl curve samples x from an absolutely continuous law, the normal
+law by Wichura's AS241 with the coefficients of the stdlib's
+statistics._normal_dist_inv_cdf (within 5 ulps of the exact quantile, in
+numpy, so no simulation loads scipy), and evaluates
 |S_N(x) conj(S_{rN}(x))|/N through the batch kernel: a rotation recurrence
 re-anchored on the exact phase every 64 terms, or, from
 weylsum.CHIRP_MIN_TERMS terms on, sums of sqrt(rN)-term blocks by one FFT
@@ -18,23 +22,12 @@ chunk's kernel call runs on it, so no more than `workers` threads run at
 once and a one-chunk run uses one. The theta curve samples the invariant
 measure attached to (alpha, beta) - Haar on the fundamental domain times
 uniform on the finite orbit. A large value needs a point high in a cusp
-and near its nearest lattice term, so theta_values works on one chunk in
-five steps, and both screens read only uniforms and orbit candidates:
-MuAbSampler.raw_chunk draws its uniforms of x and y (not phi, which the
-pairing does not read) and its orbit candidates; homog.cusp_candidates
-keeps, from the uniforms alone, the draws that can end above the screen
-height (23% on the default grid) and says in which cusp; the shift screen
-drops those whose shift t from Z in that cusp is at least
-theta.theta_pair_gaussian_shift_screen (3.8% of the chunk are left);
-MuAbSampler.points and homog.conjugate_horoball map only the rest, moving
-the points in the cusp-at-1 horoball so every point has y >= sqrt(3)/2;
-and theta.theta_pair_gaussian_batch, a rotation recurrence anchored at the
-nearest lattice term, evaluates the Gaussian pairing |Theta_f conj Theta_f|
-on every mapped point.
-Orbit points are drawn in their parity class and kept by the closed
-membership test, and the orbit size comes from its closed form, so the
-theta curve does no O(q^2) work and runs at any q < 2^63 that factorize
-accepts.
+and near its nearest lattice term, so theta_values maps and evaluates only
+the draws that its two screens keep from their uniforms and orbit
+candidates (3.8% of a chunk on the default grid). Orbit points are drawn
+in their parity class and kept by the closed membership test, and the
+orbit size comes from its closed form, so the theta curve does no O(q^2)
+work and runs at any q < 2^63 that factorize accepts.
 """
 from __future__ import annotations
 
@@ -78,15 +71,60 @@ def _identity(u):
     return u
 
 
+# Wichura's AS241 (Applied Statistics 37(3), 1988) as the stdlib's
+# statistics._normal_dist_inv_cdf has it: rational k's numerator, then its
+# denominator, highest degree first; _AS241[k, j] pairs their degree 7 - j
+_AS241 = np.array([
+    2509.0809287301227, 33430.57558358813, 67265.7709270087, 45921.95393154987,
+    13731.69376550946, 1971.5909503065513, 133.14166789178438, 3.3871328727963665,
+    5226.495278852854, 28729.085735721943, 39307.89580009271, 21213.794301586597,
+    5394.196021424751, 687.1870074920579, 42.31333070160091, 1.0,
+    0.0007745450142783414, 0.022723844989269184, 0.2417807251774506, 1.2704582524523684,
+    3.6478483247632045, 5.769497221460691, 4.630337846156546, 1.4234371107496835,
+    1.0507500716444169e-09, 0.0005475938084995345, 0.015198666563616457, 0.14810397642748008,
+    0.6897673349851, 1.6763848301838038, 2.053191626637759, 1.0,
+    2.0103343992922881e-07, 2.7115555687434876e-05, 0.0012426609473880784, 0.026532189526576124,
+    0.29656057182850487, 1.7848265399172913, 5.463784911164114, 6.657904643501103,
+    2.0442631033899397e-15, 1.421511758316446e-07, 1.8463183175100548e-05, 0.0007868691311456133,
+    0.014875361290850615, 0.1369298809227358, 0.599832206555888, 1.0,
+]).reshape(3, 2, 8).transpose(0, 2, 1)[..., None]
+
+
+def _normal_quantile(u) -> np.ndarray:
+    """The standard normal quantile of u by AS241: rational 0 on every draw,
+    then, on the draws with |u - 1/2| > 0.425 by index, 1 or (s > 5) 2, for
+    s = sqrt(-log(min(u, 1 - u))); -inf at 0, inf at 1, NaN outside [0, 1]."""
+
+    def rational(k, r, q=1.0):  # by Horner's rule in place, in the stdlib's order
+        out = _AS241[k, 0] * r
+        for c in _AS241[k, 1:-1]:
+            out += c
+            out *= r
+        out += _AS241[k, -1]
+        out[0] *= q
+        out[0] /= out[1]
+        return out[0]
+
+    flat = np.asarray(u, dtype=np.float64).reshape(-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = flat - 0.5
+        x = rational(0, 0.180625 - q * q, q)
+        tail = np.flatnonzero(~(np.abs(q) <= 0.425))  # NaN too
+        p, qt = flat[tail], q[tail]
+        s = np.sqrt(-np.log(np.where(qt <= 0.0, p, 1.0 - p)))
+        t = rational(1, s - 1.6)
+        far = np.flatnonzero(~(s <= 5.0))  # rational 2 is inf/inf at u = 0 and 1
+        t[far] = np.where(s[far] == np.inf, s[far], rational(2, s[far] - 5.0))
+    x[tail] = np.where(qt < 0.0, -t, t)
+    return x.reshape(np.shape(u))[()]
+
+
 def sampling_law(name: str) -> SamplingLaw:
     """The law called name with its transform of uniforms u in (0, 1):
-    "normal" is the inverse normal CDF (scipy.special loads here, not at
-    package import, and not in a worker thread), "uniform01" is u itself.
-    Any other name raises InvalidArgumentError."""
+    "normal" is the inverse normal CDF by AS241 (_normal_quantile),
+    "uniform01" is u itself. Any other name raises InvalidArgumentError."""
     if name == "normal":
-        from scipy.special import ndtri
-
-        return SamplingLaw(name, ndtri)
+        return SamplingLaw(name, _normal_quantile)
     if name == "uniform01":
         return SamplingLaw(name, _identity)
     raise InvalidArgumentError(f"law must be 'normal' or 'uniform01', got {short(name)}")
@@ -291,8 +329,11 @@ def fit_tail_constant(
     """
     mask = curve.counts > 0
     if window is not None:
-        lo, hi = window
-        mask &= (curve.thresholds >= lo) & (curve.thresholds <= hi)
+        ends = [e if isinstance(e, float) and math.isinf(e) else check_real("window", e)
+                for e in (window if np.iterable(window) else [window])]
+        if not (len(ends) == 2 and ends[0] < ends[1]):
+            raise InvalidArgumentError(f"window must be two reals lo < hi, got {short(window)}")
+        mask &= (curve.thresholds >= ends[0]) & (curve.thresholds <= ends[1])
     k = np.count_nonzero(mask)
     if k < 3:
         raise InvalidArgumentError("need at least three nonzero bins to fit")

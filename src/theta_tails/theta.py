@@ -409,9 +409,10 @@ def theta_pair_gaussian_batch(
 def _batch_args(x, y, xi1, xi2):
     """The four coordinates as broadcast float64 arrays, checked against
     the batch's valid range."""
-    x, y, xi1, xi2 = np.broadcast_arrays(
-        *(np.asarray(v, dtype=np.float64) for v in (x, y, xi1, xi2))
-    )
+    try:
+        x, y, xi1, xi2 = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x, y, xi1, xi2)))
+    except (TypeError, ValueError):
+        raise InvalidArgumentError("theta batch needs real arrays of one broadcast shape") from None
     check_x_range(x=x, xi1=xi1, xi2=xi2)
     if y.size and not (y.min() >= 0.5 and y.max() < math.inf):
         raise InvalidArgumentError("theta batch needs finite y >= 1/2")

@@ -549,7 +549,10 @@ def weyl_values_batch(xs: np.ndarray, pair: RationalPair, N: int, r: float = 1.0
     """
     spec = WeylSumSpec.from_pair(pair, N=N)
     m = _floor_rN(N, r)
-    xs = np.asarray(xs, dtype=np.float64)
+    try:
+        xs = np.asarray(xs, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"xs must be an array of reals, got {short(xs)}") from None
     flat = xs.reshape(-1)
     if m >= CHIRP_MIN_TERMS:
         return _chirp_values(_phase_plan(spec, flat, m), N, m).reshape(xs.shape)

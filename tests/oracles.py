@@ -385,6 +385,18 @@ def open_uniforms_by_integers(rng, shape):
 
 
 # ---------------------------------------------------------------------------
+# the normal quantile through mpmath
+
+def normal_quantile_mpmath(u: float) -> float:
+    """-sqrt(2) erfinv(1 - 2u) at 40 digits, from the exact value of the
+    float u in (0, 1), rounded to the nearest double."""
+    import mpmath
+
+    with mpmath.workdps(40):
+        return float(-mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(u)))
+
+
+# ---------------------------------------------------------------------------
 # theta values through mpmath
 
 def gaussian_theta_mpmath(x: float, y: float) -> complex:

@@ -108,7 +108,7 @@ def test_sides_put_the_other_checkout_first(load, tmp_path):
 
 def test_layers_a_a_run_reports_every_stage_with_equal_digests(load, a_a):
     config = a_a["config"]
-    stages = ["import", "draw_x", "weyl wide", "weyl deep", "count", "fit"]
+    stages = ["import", "first normal draw", "draw_x", "weyl wide", "weyl deep", "count", "fit"]
     stages += [f"orbit q={q}" for q in config["orbit_q"]]
     stages += [f"sweep m={m} {path}" for m in config["sweep"]["m"] for path in ("direct", "chirp")]
     stages += [
@@ -155,6 +155,19 @@ def test_weyl_anchors_writes_the_key_tree_of_its_bench_file(a_a):
     assert cited <= set(weyl["weyl deep"]) and not two_workers & set(weyl["weyl deep"])
     assert {"ns_per_term_sample", "ms_per_call", "minflt_per_call"} <= set(weyl["weyl wide"])
     assert weyl["weyl deep"]["ms_per_call"] > 0 and weyl["weyl deep"]["ru_maxrss_mb"] > 0
+
+
+def test_first_normal_draw_reads_the_cold_cost_of_the_law(load, a_a):
+    # the wall time and the ru_maxrss of the first normal-law transform in a
+    # fresh interpreter, where a module loaded for the law would show
+    from theta_tails import CHUNK_SIZE, sampling_law
+    from theta_tails.homog import chunk_generator, open_uniforms
+
+    row = rows(a_a, "first normal draw")["first normal draw"]
+    assert set(row) == {"ms", "ru_maxrss_added_mb", "digest"}
+    assert row["ms"] > 0 and row["ru_maxrss_added_mb"] >= 0
+    u = open_uniforms(chunk_generator(a_a["config"]["seed"], 0), CHUNK_SIZE)
+    assert row["digest"] == load("layers").digest(sampling_law("normal").transform(u))
 
 
 def test_weyl_sweep_writes_the_key_tree_of_its_bench_file(load, a_a, monkeypatch):

@@ -2,11 +2,12 @@
 
 import math
 import threading
+import warnings
 from fractions import Fraction
+from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
 
 import oracles
 
@@ -27,17 +28,54 @@ from theta_tails import (
     tail_constant,
     weylsum,
 )
-from theta_tails.homog import conjugate_horoball, cusp_candidates
+from theta_tails.homog import (
+    DEFAULT_SEED, chunk_generator, conjugate_horoball, cusp_candidates, open_uniforms,
+)
 from theta_tails.tailsim import MAX_THRESHOLDS, _count_exceedances, theta_values
 from theta_tails.theta import theta_pair_gaussian_batch, theta_pair_gaussian_screen_height
 
 
 def test_sampling_laws():
     u = np.array([0.1, 0.5, 0.9, 0.999])
-    assert np.array_equal(sampling_law("normal").transform(u), ndtri(u))
     assert np.array_equal(sampling_law("uniform01").transform(u), u)
     with pytest.raises(InvalidArgumentError):
         sampling_law("cauchy")
+
+
+def test_normal_law_is_the_stdlib_inv_cdf_on_chunk_0():
+    # AS241 in the stdlib's order of operations: a draw may differ only where
+    # it takes a tail rational and numpy's log of min(u, 1 - u) is not the C
+    # library's, and then by at most 2 ulps (1 of the 32768 draws with
+    # numpy's AVX-512 log)
+    u = open_uniforms(chunk_generator(DEFAULT_SEED, 0), CHUNK_SIZE)
+    x = sampling_law("normal").transform(u)
+    want = np.array([NormalDist().inv_cdf(v) for v in u.tolist()])
+    assert np.all(np.abs(x - want) <= 2 * np.spacing(np.abs(want)))
+    for i in np.flatnonzero(x != want):
+        low = min(u[i], 1.0 - u[i])
+        assert abs(u[i] - 0.5) > 0.425 and np.log(np.array([low]))[0] != math.log(low)
+
+
+def test_normal_law_is_within_5_ulps_of_mpmath_at_the_extremes():
+    pytest.importorskip("mpmath")
+    rng = np.random.default_rng(37)
+    near = rng.random(100) * 1e-6
+    u = np.concatenate([2.0 ** -np.arange(2, 55), [1.0 - 2.0**-53], near, 1.0 - near])
+    want = np.array([oracles.normal_quantile_mpmath(v) for v in u.tolist()])
+    assert np.all(np.abs(sampling_law("normal").transform(u) - want) <= 5 * np.spacing(np.abs(want)))
+
+
+def test_normal_law_is_ndtri_off_the_open_interval():
+    transform = sampling_law("normal").transform
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = transform(np.array([0.0, 1.0, -0.1, 1.1, math.nan, -math.inf, math.inf, 0.5]))
+    assert np.array_equal(x, [-math.inf, math.inf] + [math.nan] * 5 + [0.0], equal_nan=True)
+    # a scalar and a 2-D batch keep their shapes, as ndtri's did
+    assert transform(0.975) == transform(np.array([0.975]))[0]
+    assert np.isscalar(transform(0.975))
+    grid = np.array([[0.01, 0.5], [0.9, 1e-300]])
+    assert np.array_equal(transform(grid), transform(grid.ravel()).reshape(2, 2))
 
 
 def test_default_thresholds_grid():
@@ -424,6 +462,25 @@ def test_fit_requires_three_nonzero_bins():
         fit_tail_constant(curve)
     with pytest.raises(InvalidArgumentError):
         fit_tail_constant(synthetic_curve(0.28), window=(2.0, 2.2))
+
+
+@pytest.mark.parametrize("window", [
+    ("a", "b"), (1, 2, 3), (3, 2), (math.nan, 5), (-1, -2), 2.5, (2.5,), "ab",
+])
+def test_fit_window_must_be_two_reals_lo_below_hi(window):
+    # these once raised numpy's UFuncTypeError, a bare unpacking ValueError,
+    # or "need at least three nonzero bins" for a window that was never valid
+    with pytest.raises(InvalidArgumentError, match="window"):
+        fit_tail_constant(synthetic_curve(0.28), window=window)
+
+
+def test_fit_window_may_be_open_ended():
+    curve = synthetic_curve(0.28)
+    for window, used in (((2, math.inf), curve.thresholds), ((-math.inf, 4.0), curve.thresholds[:7]),
+                         ((Fraction(5, 2), np.float64(4)), curve.thresholds[3:7])):
+        fit = fit_tail_constant(curve, window=window)
+        assert np.array_equal(fit.used_thresholds, used)
+        assert fit.constant == pytest.approx(0.28, rel=0.02)
 
 
 def test_fit_stderr_matches_the_spread_across_datasets():

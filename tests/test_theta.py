@@ -416,6 +416,21 @@ def test_theta_paths_reject_x_and_xi_beyond_2_30():
                 theta_f(GAUSS, IwasawaPoint(**coords))
 
 
+@pytest.mark.parametrize("batch", [theta_pair_gaussian_batch, theta_pair_gaussian_bound])
+def test_theta_batches_type_malformed_input(batch):
+    # numpy's plain ValueError once came out of the broadcast and the conversion
+    good = (np.array([0.3, -0.1, 0.2]), np.array([1.0, 0.9, 2.5]), np.array([0.2, 0.4, 0.0]), 0.1)
+    for bad in ((np.ones(3), np.ones(2), np.zeros(3), np.zeros(3)), (["a"], 1.0, 0.0, 0.0),
+                (0.3, 1.0, [[0.1], [0.2, 0.3]], 0.0), (0.3, 1.0, 0.0, object())):
+        with pytest.raises(InvalidArgumentError, match="one broadcast shape"):
+            batch(*bad)
+    # valid calls keep their bits: lists, scalars and broadcasting as arrays
+    want = batch(*(np.broadcast_to(v, (3,)).astype(np.float64) for v in good))
+    assert np.array_equal(batch(*(np.asarray(v).tolist() for v in good)), want)
+    point = (0.3, 1.0, 0.2, 0.1)
+    assert np.array_equal(batch(*point), batch(*(np.array([v]) for v in point))[0])
+
+
 @pytest.mark.parametrize("y", [1e-30, 1e-300])
 def test_theta_f_rejects_a_y_whose_lattice_range_exceeds_the_phase_range(y):
     # the Gaussian keeps |n - xi2| up to about 3.9 / sqrt(y): at y = 1e-30
@@ -471,15 +486,17 @@ def test_gaussian_pairing_integral_leaves_scipy_unloaded():
     assert out.stdout.strip() == "[]"
 
 
-def test_commands_off_the_normal_law_leave_scipy_special_unloaded(tmp_path):
-    # after the import and after each command: only the normal law, the sharp
-    # window's Fresnel values and bound_constant need scipy.special
+def test_simulation_commands_leave_scipy_special_unloaded(tmp_path):
+    # after the import and after each command, tail at its default normal
+    # law too: only the sharp window's Fresnel values and bound_constant
+    # need scipy.special
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = str(tmp_path / "out")
     commands = [
         ["theta-tail", "--alpha", "1/8", "--samples", "2000", "--workers", "2"],
         ["tail", "--alpha", "1/2", "--N", "50", "--law", "uniform01", "--samples", "2000"],
+        ["tail", "--alpha", "1/3", "--beta", "1/3", "--N", "50", "--samples", "2000", "--workers", "2"],
         ["orbit", "--alpha", "1/6", "--points"],
         ["partition", "--q", "12"],
         ["constants", "--q-max", "12"],

@@ -579,6 +579,20 @@ def test_every_weyl_path_rejects_x_beyond_2_30():
                 path(x, spec)
 
 
+def test_weyl_batch_types_input_that_is_no_real_array():
+    # numpy's plain ValueError once came out of the conversion
+    pair = normalize_pair(Fraction(1, 2), 0)
+    for bad in (["a"], "x", [[0.1], [0.2, 0.3]], [1j], object()):
+        with pytest.raises(InvalidArgumentError, match="xs must be an array of reals"):
+            weyl_values_batch(bad, pair, 5)
+    # valid calls keep their bits: a list, a scalar and a 2-D batch as arrays
+    xs = np.array([0.3, -0.1, 0.25, 1e-9])
+    want = weyl_values_batch(xs, pair, 40, 1.5)
+    assert np.array_equal(weyl_values_batch(xs.tolist(), pair, 40, 1.5), want)
+    assert np.array_equal(weyl_values_batch(xs.reshape(2, 2), pair, 40, 1.5), want.reshape(2, 2))
+    assert weyl_values_batch(0.3, pair, 40, 1.5) == weyl_values_batch([0.3], pair, 40, 1.5)[0]
+
+
 # ---------------------------------------------------------------------------
 # double-double helpers
 
